@@ -4,12 +4,15 @@ Each cache file stores the per-bidegree ideal echelon rows (primitive integer
 vectors); restoring a module replays the cheap normal-form reconstruction but
 skips the elimination.  The encoding is versioned and self-describing; any
 version or label mismatch triggers a full rebuild, never a partial read.
+Files are written under a temporary name and renamed into place, so a killed
+run never leaves a truncated entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from slfusion.modules import FusionModule, fusion_module, validate_composition
@@ -58,7 +61,16 @@ class ModuleCache:
                 if rows
             ],
         }
-        self.path_for(module.a).write_text(json.dumps(data))
+        # write beside the target and rename into place, so a killed run leaves
+        # no file or a complete one; the pid keeps concurrent writers apart
+        path = self.path_for(module.a)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(data))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def get(self, a) -> FusionModule:
         """Load from disk or build and store; in-memory memoization applies."""

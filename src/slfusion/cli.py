@@ -11,7 +11,10 @@ spot check) flows from the single configured seed, hashed per claim so the
 outcome does not depend on execution order.
 
 Exit codes: 0 all pass, 1 at least one verification failure, 2 usage error,
-3 internal integrity error.
+3 internal integrity error, 4 a claim (or command) raised an unexpected
+exception.  An integrity error outranks a crash, which outranks a failure.
+A crashing claim is reported with status ``error`` and the exception text in
+``got``; the other claims still run and report.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -35,7 +39,7 @@ from slfusion import geometry as geo
 from slfusion.laurent import SplittingStuck, splitting_type
 from slfusion._goldens import TRANSITION_GOLDEN
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTEGRITY = 0, 1, 2, 3
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTEGRITY, EXIT_ERROR = 0, 1, 2, 3, 4
 
 SUITES = (
     "dims",
@@ -141,14 +145,28 @@ def valid_adjacent_moves(a):
 # claim execution (top-level for process pools)
 
 
+def claim_id(kind: str, params: tuple) -> str:
+    return f"{kind}{list(params)!r}" if params else kind
+
+
 def run_claim(kind: str, params: tuple, cfg: RunConfig) -> dict:
-    claim = f"{kind}{list(params)!r}" if params else kind
+    claim = claim_id(kind, params)
     try:
         return CLAIM_KINDS[kind](claim, params, cfg)
     except IntegrityError as exc:
         rep = report(claim, "integrity", {"params": params}, "no integrity error", str(exc), ok=False)
         rep["integrity"] = True
         return rep
+    except Exception as exc:  # one crashing claim must not abort the suite
+        return _error_report(claim, params, exc)
+
+
+def _error_report(claim: str, params: tuple, exc: Exception) -> dict:
+    """Record for a claim that raised; the traceback goes to stderr."""
+    traceback.print_exception(exc, file=sys.stderr)
+    rep = report(claim, "error", {"params": params}, "no exception", f"{type(exc).__name__}: {exc}")
+    rep["status"] = "error"
+    return rep
 
 
 def _claim_dims(claim, params, cfg):
@@ -561,7 +579,11 @@ def run_suite(suite: str, cfg: RunConfig) -> list[dict]:
 
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(_timed_claim, kind, params, cfg) for kind, params in claims]
-            reports = [f.result() for f in futures]
+            for (kind, params), future in zip(claims, futures):
+                try:
+                    reports.append(future.result())
+                except Exception as exc:  # the worker died or its result was lost
+                    reports.append(_error_report(claim_id(kind, params), params, exc))
     else:
         for kind, params in claims:
             reports.append(_timed_claim(kind, params, cfg))
@@ -617,13 +639,15 @@ def emit(reports: list[dict], fmt: str, out=None) -> None:
     width = max((len(r["claim"]) for r in reports), default=10)
     for rep in reports:
         line = f"{rep['status']:<8} {rep['claim']:<{width}}  [{rep['anchor']}]"
-        if rep["status"] == "fail":
+        if rep["status"] in ("fail", "error"):
             line += f"  expected={json.dumps(rep['expected'])} got={json.dumps(rep['got'])}"
         out.write(line + "\n")
     passed = sum(r["status"] == "pass" for r in reports)
     failed = sum(r["status"] == "fail" for r in reports)
     skipped = sum(r["status"] == "skipped" for r in reports)
-    out.write(f"{passed} passed, {failed} failed, {skipped} skipped\n")
+    errors = sum(r["status"] == "error" for r in reports)
+    tail = f", {errors} error{'s' * (errors > 1)}" if errors else ""
+    out.write(f"{passed} passed, {failed} failed, {skipped} skipped{tail}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +780,8 @@ def cmd_verify(args, parser) -> int:
     emit(reports, cfg.output_format)
     if any(rep.get("integrity") for rep in reports):
         return EXIT_INTEGRITY
+    if any(rep["status"] == "error" for rep in reports):
+        return EXIT_ERROR
     if any(rep["status"] == "fail" for rep in reports):
         return EXIT_FAIL
     return EXIT_OK
@@ -828,6 +854,9 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
+    except Exception:
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

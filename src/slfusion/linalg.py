@@ -9,14 +9,19 @@ e_0 most significant; within a fixed bidegree this is descending
 lexicographic order on exponent vectors.
 
 Row reduction is deterministic (first nonzero pivot in column order) and
-exact.  The hot elimination paths run on primitive integer rows; rationals
-appear only in final normal forms, so the results are exact by construction.
+exact.  The hot elimination paths run in ``IntEchelon`` on sparse primitive
+integer rows, fraction-free: each candidate row is reduced against the span in
+a single integer combination, and only the nonzero entries are ever touched.
+Rationals appear only in final normal forms, so the results are exact by
+construction.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 
 class IntegrityError(Exception):
@@ -77,11 +82,13 @@ def grlex_key(m: tuple):
     return (mono_degree(m), tuple(-e for e in m))
 
 
+@lru_cache(maxsize=1 << 14)
 def enumerate_monomials(n: int, k: int, s: int) -> list[tuple]:
     """All exponent tuples of degree k and weight s, in the global order.
 
     Empty when the weight is out of range (s < 0 or s > (n-1)k).  The n = 0
-    ring has the single monomial () in bidegree (0, 0).
+    ring has the single monomial () in bidegree (0, 0).  Results are memoized
+    and shared between callers, so the returned list must not be mutated.
     """
     if n < 0 or k < 0 or s < 0:
         return []
@@ -269,6 +276,18 @@ def scale_to_int(vec) -> tuple[int, ...] | None:
     return _strip_row([int(x * den) for x in fracs])
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A nonzero sparse row divided by its content, leading entry positive."""
+    g = 0
+    for x in row.values():
+        g = gcd(g, x)
+        if g == 1:
+            break
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
 class IntEchelon:
     """Reduced echelon span of primitive integer rows with incremental insert.
 
@@ -276,58 +295,105 @@ class IntEchelon:
     rows), primitive, with positive leading entry; the sorted row list is a
     canonical form of the rational row space, so two spans are equal iff
     their row lists are equal.
+
+    Rows are stored sparsely as ``{column: value}`` maps keyed by pivot
+    column.  Because they are fully reduced, a candidate row reduces in one
+    integer combination ``L*row - sum((x_i*L/lead_i) * prow_i)``, where the
+    ``x_i`` are its entries at the pivot columns it hits and ``L`` is the lcm
+    of those pivots' leading entries: no pivot row touches another pivot
+    column, so the ``x_i`` do not change while the row is reduced.  ``rows``
+    gives the same rows as dense tuples sorted by pivot column.  ``insert``,
+    ``residual`` and ``contains`` take a dense sequence or a sparse map.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[tuple[int, ...]] = []  # sorted by pivot column
-        self.pivots: list[int] = []
+        self.pivots: list[int] = []  # ascending
+        self._rows: dict[int, dict[int, int]] = {}  # pivot column -> row
+        # non-pivot column -> pivot columns of the rows nonzero there
+        self._where: dict[int, set[int]] = {}
+        self._dense: list[tuple[int, ...]] | None = None
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _reduce(self, row: list[int]) -> list[int]:
-        for pc, prow in zip(self.pivots, self.rows):
-            x = row[pc]
-            if x:
-                lead = prow[pc]
-                # row <- lead*row - x*prow keeps everything integral
-                row = [lead * a - x * b for a, b in zip(row, prow)]
-        return row
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        """The reduced rows as dense tuples, sorted by pivot column."""
+        if self._dense is None:
+            self._dense = [self._to_dense(self._rows[pc]) for pc in self.pivots]
+        return self._dense
+
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """The reduced rows as ``{column: value}`` maps, sorted by pivot column.
+
+        The maps are the span's own storage: read them, do not mutate them.
+        """
+        return [self._rows[pc] for pc in self.pivots]
+
+    def _to_dense(self, row: dict[int, int]) -> tuple[int, ...]:
+        dense = [0] * self.ncols
+        for c, x in row.items():
+            dense[c] = x
+        return tuple(dense)
+
+    def _reduce(self, row) -> dict[int, int]:
+        """Sparse residual of ``row`` against the span ({} if inside)."""
+        if not isinstance(row, dict):
+            row = {c: int(x) for c, x in enumerate(row) if x}
+        rows = self._rows
+        hits = [(c, x) for c, x in row.items() if c in rows]
+        if not hits:
+            return {c: x for c, x in row.items() if x}
+        mult = lcm(*(rows[c][c] for c, _ in hits))
+        # entries at the hit pivot columns cancel exactly, so they are skipped
+        acc = {c: mult * x for c, x in row.items() if c not in rows}
+        for pc, x in hits:
+            prow = rows[pc]
+            f = x * mult // prow[pc]
+            for c, y in prow.items():
+                if c != pc:
+                    acc[c] = acc.get(c, 0) - f * y
+        return {c: x for c, x in acc.items() if x}
 
     def residual(self, row) -> tuple[int, ...] | None:
         """Primitive residual of ``row`` against the span (None if inside)."""
-        return _strip_row(self._reduce([int(x) for x in row]))
+        res = self._reduce(row)
+        return self._to_dense(_primitive(res)) if res else None
 
     def contains(self, row) -> bool:
-        return self.residual(row) is None
+        return not self._reduce(row)
 
     def insert(self, row) -> bool:
         """Add a row to the span; True if the dimension grew."""
-        res = self.residual(row)
-        if res is None:
+        res = self._reduce(row)
+        if not res:
             return False
-        pc = next(i for i, x in enumerate(res) if x)
-        # eliminate the new pivot column from existing rows
-        new_rows = []
-        for prow in self.rows:
+        res = _primitive(res)
+        pc = min(res)
+        lead = res[pc]
+        rows, where = self._rows, self._where
+        # eliminate the new pivot column from the rows that are nonzero there
+        for qc in where.pop(pc, ()):
+            prow = rows[qc]
             x = prow[pc]
-            if x:
-                lead = res[pc]
-                prow = _strip_row([lead * a - x * b for a, b in zip(prow, res)])
-            new_rows.append(prow)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pc:
-            pos += 1
-        new_rows.insert(pos, res)
-        self.pivots.insert(pos, pc)
-        self.rows = new_rows
+            new = {c: lead * y for c, y in prow.items() if c != pc}
+            for c, y in res.items():
+                if c != pc:
+                    new[c] = new.get(c, 0) - x * y
+            new = rows[qc] = _primitive({c: y for c, y in new.items() if y})
+            for c in prow.keys() - new.keys() - {pc}:
+                where[c].discard(qc)
+            for c in new.keys() - prow.keys():
+                where.setdefault(c, set()).add(qc)
+        for c in res:
+            if c != pc:
+                where.setdefault(c, set()).add(pc)
+        rows[pc] = res
+        insort(self.pivots, pc)
+        self._dense = None
         return True
-
-    def insert_many(self, rows) -> None:
-        for r in rows:
-            self.insert(r)
 
     def canonical(self) -> tuple:
         return tuple(self.rows)

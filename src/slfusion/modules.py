@@ -62,8 +62,9 @@ def generating_slice(n: int, k: int, zpow: int) -> dict:
     """
     w = k * (n - 1) - zpow
     out = {}
+    fk = factorial(k)
     for m in enumerate_monomials(n, k, w):
-        c = factorial(k)
+        c = fk
         for e in m:
             c //= factorial(e)
         out[m] = c
@@ -215,34 +216,38 @@ class FusionModule:
         gen_by_bidegree = {}
         for k, zpow, poly in ideal_generators(a):
             gen_by_bidegree[(k, k * (n - 1) - zpow)] = poly
-        # ideal echelon rows per bidegree drive the degree recursion
-        prev_monos_by_ks: dict[tuple[int, int], list] = {}
-        unit_vars = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+        # the ideal in degree k is spanned by e_j times its degree k-1 rows
+        # plus the degree-k generators; prev keeps the degree k-1 echelons
+        prev: dict[int, tuple[list, IntEchelon]] = {}
         for k in range(0, self.kmax + 2):
+            cur: dict[int, tuple[list, IntEchelon]] = {}
             for s in range(0, (n - 1) * k + 1):
                 monos = enumerate_monomials(n, k, s)
                 if not monos:
                     continue
+                width = len(monos)
                 index = {m: i for i, m in enumerate(monos)}
-                ech = IntEchelon(len(monos))
+                ech = IntEchelon(width)
+                # once the span is full, no further row (generator included)
+                # can change it, so the remaining inserts are skipped
                 for j in range(n):
-                    prev_rows = self.ideal_rows.get((k - 1, s - j))
-                    if not prev_rows:
+                    if ech.dim == width:
+                        break
+                    below = prev.get(s - j)
+                    if below is None or not below[1].dim:
                         continue
-                    prev_monos = prev_monos_by_ks[(k - 1, s - j)]
-                    ej = unit_vars[j]
-                    for row in prev_rows:
-                        shifted = [0] * len(monos)
-                        for pm, val in zip(prev_monos, row):
-                            if val:
-                                shifted[index[mono_mul(pm, ej)]] = val
-                        ech.insert(shifted)
+                    prev_monos, prev_ech = below
+                    cols = [index[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in prev_monos]
+                    for row in prev_ech.sparse_rows():
+                        if ech.insert({cols[c]: x for c, x in row.items()}) and ech.dim == width:
+                            break
                 gen = gen_by_bidegree.get((k, s))
-                if gen is not None:
-                    ech.insert([gen.get(m, 0) for m in monos])
-                prev_monos_by_ks[(k, s)] = monos
+                if gen is not None and ech.dim < width:
+                    ech.insert({index[m]: c for m, c in gen.items()})
+                cur[s] = (monos, ech)
                 self.ideal_rows[(k, s)] = ech.rows
                 self.pieces[(k, s)] = self._make_piece(monos, index, ech.pivots, ech.rows)
+            prev = cur
         self._certify_zero_band()
 
     def _restore(self, piece_rows: dict) -> None:
@@ -285,9 +290,10 @@ class FusionModule:
             vec = [Fraction(0)] * len(basis)
             vec[bidx[m]] = Fraction(1)
             nf[m] = tuple(vec)
+        zero = Fraction(0)
         for pc, row in zip(pivots, rows):
             lead = row[pc]
-            nf[monos[pc]] = tuple(Fraction(-row[c], lead) for c in free_cols)
+            nf[monos[pc]] = tuple(Fraction(-row[c], lead) if row[c] else zero for c in free_cols)
         return QuotientPiece(basis, bidx, nf)
 
     # -- queries ------------------------------------------------------------

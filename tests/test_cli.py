@@ -1,10 +1,16 @@
 """Command-line interface: commands, exit codes, reports, caching."""
 
 import json
+import multiprocessing
 import re
 
+import pytest
+
+from slfusion import cache as cache_mod
+from slfusion import cli
 from slfusion.cache import ModuleCache
 from slfusion.cli import (
+    EXIT_ERROR,
     EXIT_FAIL,
     EXIT_OK,
     RunConfig,
@@ -123,6 +129,36 @@ def test_run_suite_reports_sorted():
     assert all(r["status"] == "pass" for r in reports)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_crashing_claim_is_reported_as_error(capsys, monkeypatch, jobs):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched claim table reaches workers only through fork")
+    real = cli.CLAIM_KINDS["dims"]
+
+    def crash_on_2_3(claim, params, cfg):
+        if params == ((2, 3),):
+            raise ZeroDivisionError("planted")
+        return real(claim, params, cfg)
+
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", crash_on_2_3)
+    code, out, err = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3",
+                         "--format", "json", "--jobs", str(jobs))
+    assert code == EXIT_ERROR == 4
+    records = {r["claim"]: r for r in map(json.loads, out.splitlines())}
+    assert len(records) == len(cli.suite_claims("dims", RunConfig(max_n=2, max_entry=3)))
+    crashed = records.pop("dims[(2, 3)]")
+    assert crashed["status"] == "error"
+    assert crashed["got"] == "ZeroDivisionError: planted"
+    assert all(r["status"] == "pass" for r in records.values())
+    if jobs == 1:  # worker processes write to the real stderr
+        assert "ZeroDivisionError" in err
+
+    code, out, _ = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3",
+                       "--jobs", str(jobs))
+    assert code == EXIT_ERROR
+    assert out.splitlines()[-1].endswith(", 1 error")
+
+
 def test_cache_roundtrip(tmp_path):
     cache = ModuleCache(tmp_path)
     mod = cache.get((2, 3))
@@ -167,3 +203,32 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "build", "--a", "2,4")
     assert code == EXIT_OK
     assert any(tmp_path.glob("module-*.json"))
+
+
+def test_cache_store_is_atomic(tmp_path, monkeypatch):
+    cache = ModuleCache(tmp_path)
+    module = FusionModule((2, 3))
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(cache_mod.os, "replace", killed)
+    with pytest.raises(OSError):
+        cache.store(module)
+    assert list(tmp_path.iterdir()) == []  # neither a truncated entry nor a temp file
+    monkeypatch.undo()
+    cache.store(module)
+    assert [p.name for p in tmp_path.iterdir()] == [cache.path_for((2, 3)).name]
+
+
+def test_frontier_module_cache_roundtrip(tmp_path):
+    # n = 5 frontier label, dim 1024
+    a = (4, 4, 4, 4, 4)
+    built = FusionModule(a)
+    assert built.total_dim == 1024
+    cache = ModuleCache(tmp_path)
+    cache.store(built)
+    loaded = cache.load(a)
+    assert loaded is not None
+    assert loaded.character() == built.character()
+    assert loaded.ideal_rows == built.ideal_rows

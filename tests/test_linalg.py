@@ -3,6 +3,11 @@
 from fractions import Fraction
 from random import Random
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # optional test dependency: the seeded loops still run
+    given = None
+
 from slfusion.linalg import (
     IntEchelon,
     enumerate_monomials,
@@ -133,17 +138,70 @@ def test_scalar_roundtrip():
     assert format_scalar(Fraction(2, -4)) == "-1/2"
 
 
+def check_echelon_against_rref(mat, cols_n):
+    """IntEchelon must equal rref up to primitive scaling, from either row form."""
+    ech, sparse = IntEchelon(cols_n), IntEchelon(cols_n)
+    for row in mat:
+        ech.insert(row)
+        sparse.insert({c: x for c, x in enumerate(row) if x})
+    rank, red, pivots = rref(mat, cols_n)
+    assert ech.dim == rank
+    assert ech.pivots == pivots
+    assert ech.rows == [scale_to_int(r) for r in red]
+    assert sparse.rows == ech.rows
+    for row in mat:
+        assert ech.contains(row) and ech.residual(row) is None
+
+
+def random_matrix(rng, rows_n, cols_n, lo=-5, hi=5, density=1.0):
+    return [
+        [rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(cols_n)]
+        for _ in range(rows_n)
+    ]
+
+
 def test_int_echelon_matches_rref_rank():
     rng = Random(31337)
     for _ in range(20):
         rows_n, cols_n = rng.randint(1, 8), rng.randint(1, 8)
-        mat = [[rng.randint(-5, 5) for _ in range(cols_n)] for _ in range(rows_n)]
-        ech = IntEchelon(cols_n)
-        for row in mat:
-            ech.insert(row)
-        rank, _, pivots = rref(mat, cols_n)
-        assert ech.dim == rank
-        assert ech.pivots == pivots
+        check_echelon_against_rref(random_matrix(rng, rows_n, cols_n), cols_n)
+    for _ in range(10):  # wide
+        cols_n = rng.randint(15, 40)
+        check_echelon_against_rref(random_matrix(rng, rng.randint(2, 10), cols_n), cols_n)
+    for _ in range(10):  # sparse
+        rows_n, cols_n = rng.randint(5, 25), rng.randint(5, 30)
+        mat = random_matrix(rng, rows_n, cols_n, density=rng.choice((0.05, 0.1, 0.2)))
+        check_echelon_against_rref(mat, cols_n)
+    for _ in range(10):  # near full rank: one row a combination of two others
+        size = rng.randint(3, 12)
+        mat = random_matrix(rng, size - 1, size)
+        i, j = rng.sample(range(size - 1), 2)
+        mat.insert(rng.randrange(size), [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y
+                                         for x, y in zip(mat[i], mat[j])])
+        check_echelon_against_rref(mat, size)
+    for _ in range(10):  # large entries
+        rows_n, cols_n = rng.randint(2, 8), rng.randint(2, 8)
+        check_echelon_against_rref(random_matrix(rng, rows_n, cols_n, -10**12, 10**12), cols_n)
+
+
+if given is not None:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda cols_n: st.lists(
+                st.lists(
+                    st.one_of(st.just(0), st.integers(-10**6, 10**6)),
+                    min_size=cols_n,
+                    max_size=cols_n,
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    )
+    def test_int_echelon_matches_rref_property(mat):
+        check_echelon_against_rref(mat, len(mat[0]))
 
 
 def test_int_echelon_membership():

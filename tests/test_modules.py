@@ -4,8 +4,16 @@ from math import prod
 
 import pytest
 
-from slfusion.linalg import IntegrityError, poly_var
+from slfusion.linalg import (
+    IntegrityError,
+    enumerate_monomials,
+    mono_mul,
+    poly_var,
+    rref,
+    scale_to_int,
+)
 from slfusion.modules import (
+    FusionModule,
     GradedCharacter,
     cyclic_span,
     fusion_module,
@@ -66,6 +74,27 @@ def test_dimension_examples():
     assert fusion_module((1, 1, 1)).total_dim == 1
     assert fusion_module((2, 3, 4)).total_dim == 24
     assert fusion_module(()).total_dim == 1
+
+
+@pytest.mark.parametrize("a", [(2, 3), (2, 2, 3), (1, 3, 4), (2, 2, 2, 2)])
+def test_ideal_rows_match_generator_multiples(a):
+    # reference sharing no code with the degree recursion: in every bidegree,
+    # row-reduce all monomial multiples m*g of the generators over Q
+    module = FusionModule(a)
+    n, gens = len(a), ideal_generators(a)
+    for k in range(module.kmax + 2):
+        for s in range((n - 1) * k + 1):
+            monos = enumerate_monomials(n, k, s)
+            if not monos:
+                continue
+            rows = []
+            for gk, zpow, poly in gens:
+                gs = gk * (n - 1) - zpow
+                for m in enumerate_monomials(n, k - gk, s - gs):
+                    product = {mono_mul(m, g): c for g, c in poly.items()}
+                    rows.append([product.get(x, 0) for x in monos])
+            _, red, _ = rref(rows, len(monos))
+            assert module.ideal_rows[(k, s)] == [scale_to_int(r) for r in red], (k, s)
 
 
 def test_two_two_graded_dimensions():
