@@ -64,7 +64,6 @@ class RunConfig:
     samples: int = 20
     seed: int = 0
     cache_dir: str | None = None
-    output_format: str = "table"
     jobs: int = 1
     only_n: int | None = None
 
@@ -90,8 +89,12 @@ def _jsonable(value):
     return value
 
 
-def report(claim, anchor, inputs, expected, got, shift=None, ok=None, skipped=False):
-    status = "skipped" if skipped else ("pass" if ok else "fail")
+# the ``ok`` of a claim that was not run
+SKIPPED = object()
+
+
+def report(claim, anchor, inputs, expected, got, shift, ok):
+    status = "skipped" if ok is SKIPPED else ("pass" if ok else "fail")
     return {
         "claim": claim,
         "anchor": anchor,
@@ -152,9 +155,10 @@ def claim_id(kind: str, params: tuple) -> str:
 def run_claim(kind: str, params: tuple, cfg: RunConfig) -> dict:
     claim = claim_id(kind, params)
     try:
-        return CLAIM_KINDS[kind](claim, params, cfg)
+        anchor, check = CLAIM_KINDS[kind]
+        return report(claim, anchor, *check(cfg, claim, *params))
     except IntegrityError as exc:
-        rep = report(claim, "integrity", {"params": params}, "no integrity error", str(exc), ok=False)
+        rep = report(claim, "integrity", {"params": params}, "no integrity error", str(exc), None, False)
         rep["integrity"] = True
         return rep
     except Exception as exc:  # one crashing claim must not abort the suite
@@ -164,48 +168,35 @@ def run_claim(kind: str, params: tuple, cfg: RunConfig) -> dict:
 def _error_report(claim: str, params: tuple, exc: Exception) -> dict:
     """Record for a claim that raised; the traceback goes to stderr."""
     traceback.print_exception(exc, file=sys.stderr)
-    rep = report(claim, "error", {"params": params}, "no exception", f"{type(exc).__name__}: {exc}")
+    rep = report(claim, "error", {"params": params}, "no exception", f"{type(exc).__name__}: {exc}", None, False)
     rep["status"] = "error"
     return rep
 
 
-def _claim_dims(claim, params, cfg):
-    (a,) = params
-    mod = fm.fusion_module(a)
-    return report(
-        claim,
-        "dim-product",
-        {"a": a},
-        prod(a),
-        mod.total_dim,
-        ok=mod.total_dim == prod(a),
-    )
+# Each check takes (cfg, claim id, *params) and returns the record fields
+# (inputs, expected, got, shift, ok); ok is SKIPPED for a claim not run.
 
 
-def _claim_dual(claim, params, cfg):
-    (a,) = params
+def _dims(cfg, claim, a):
+    dim = fm.fusion_module(a).total_dim
+    return {"a": a}, prod(a), dim, None, dim == prod(a)
+
+
+def _dual(cfg, claim, a):
     mod_char = fm.fusion_module(a).character()
     oracle = du.oracle_character(a)
-    return report(
-        claim,
-        "dual-oracle",
-        {"a": a},
-        mod_char.poly_str(),
-        oracle.poly_str(),
-        ok=mod_char == oracle,
-    )
+    return {"a": a}, mod_char.poly_str(), oracle.poly_str(), None, mod_char == oracle
 
 
-def _claim_submodule(claim, params, cfg):
-    a, i = params
+def _submodule(cfg, claim, a, i):
     sub = sm.submodule_S(a, i)
     expected_dim = sm.eq_first_dim(a, i)
-    checks = {"dim": sub.dim == expected_dim}
+    checks = {
+        "dim": sub.dim == expected_dim,
+        "exact": sm.verify_exactness(sub)["ok"],
+        "generators": sm.verify_w_generators(sub)["ok"],
+    }
     shift = None
-    exact = sm.verify_exactness(a, i)
-    checks["exact"] = exact["ok"]
-    wrep = sm.verify_w_generators(a, i)
-    checks["generators"] = wrep["ok"]
     if i == 1:
         stop_label = (a[1] - a[0] + 1,) + a[2:]
         okm, shift = fm.match_characters(
@@ -218,282 +209,170 @@ def _claim_submodule(claim, params, cfg):
             sub.character(), fm.label_character(stop_label), reindex=0
         )
         checks["equal-entry-model"] = okm
-    return report(
-        claim,
-        "kernel-dim",
-        {"a": a, "i": i},
-        {"dim": expected_dim},
-        {"dim": sub.dim, "checks": checks},
-        shift=shift,
-        ok=all(checks.values()),
-    )
+    got = {"dim": sub.dim, "checks": checks}
+    return {"a": a, "i": i}, {"dim": expected_dim}, got, shift, all(checks.values())
 
 
-def _claim_filtration(claim, params, cfg):
-    a, i = params
+def _filtration(cfg, claim, a, i):
     rep = sm.verify_filtration(a, i)
-    return report(
-        claim,
-        "filtration-chain",
-        {"a": a, "i": i},
-        {"total": rep["dim"]},
-        {
-            "layers": [[l["label"], l["dim"]] for l in rep["layers"]],
-            "cokernel": [rep["cokernel"]["label"], rep["cokernel"]["dim"]],
-            "total": rep["total"],
-        },
-        shift=[l["shift"] for l in rep["layers"]],
-        ok=rep["ok"],
-    )
+    got = {
+        "layers": [[l["label"], l["dim"]] for l in rep["layers"]],
+        "cokernel": [rep["cokernel"]["label"], rep["cokernel"]["dim"]],
+        "total": rep["total"],
+    }
+    shift = [l["shift"] for l in rep["layers"]]
+    return {"a": a, "i": i}, {"total": rep["dim"]}, got, shift, rep["ok"]
 
 
-def _claim_tg(claim, params, cfg):
-    a, b = params
+def _tg(cfg, claim, a, b):
     rep = fm.verify_tensor_embedding(a, b)
-    return report(
-        claim,
-        "tensor-merge",
-        {"a": a, "b": b},
-        {"dim": rep["expected_dim"], "merged": rep["merged"]},
-        {"dim": rep["span_dim"]},
-        shift=rep["shift"],
-        ok=rep["ok"],
-    )
+    expected = {"dim": rep["expected_dim"], "merged": rep["merged"]}
+    return {"a": a, "b": b}, expected, {"dim": rep["span_dim"]}, rep["shift"], rep["ok"]
 
 
-def _claim_mprop(claim, params, cfg):
-    a, i = params
+def _mprop(cfg, claim, a, i):
     rep = sm.verify_second_description(a, i)
-    return report(
-        claim,
-        "tensor-description",
-        {"a": a, "i": i, "factors": rep["factors"]},
-        {"dim": rep["kernel_dim"]},
-        {"dim": rep["span_dim"], "string_ok": rep["string_ok"]},
-        shift=rep["shift"],
-        ok=rep["ok"],
-    )
+    got = {"dim": rep["span_dim"], "string_ok": rep["string_ok"]}
+    inputs = {"a": a, "i": i, "factors": rep["factors"]}
+    return inputs, {"dim": rep["kernel_dim"]}, got, rep["shift"], rep["ok"]
 
 
-def _claim_emb(claim, params, cfg):
-    a, i = params
+def _emb(cfg, claim, a, i):
     rep = sm.verify_emb(a, i)
-    return report(
-        claim,
-        "increasing-tensor-description",
-        {"a": a, "i": i, "factors": rep["factors"]},
-        {"dim": rep["kernel_dim"]},
-        {"dim": rep["span_dim"]},
-        shift=rep["shift"],
-        ok=rep["ok"],
-    )
+    inputs = {"a": a, "i": i, "factors": rep["factors"]}
+    return inputs, {"dim": rep["kernel_dim"]}, {"dim": rep["span_dim"]}, rep["shift"], rep["ok"]
 
 
-def _claim_inductive(claim, params, cfg):
-    a, i = params
+def _inductive(cfg, claim, a, i):
     rep = sm.verify_inductive_description(a, i)
-    return report(
-        claim,
-        "inductive-description",
-        {"a": a, "i": i, "mode": rep["mode"]},
-        {"dim": rep["kernel_dim"]},
-        {"dim": rep["span_dim"]},
-        shift=rep.get("shift"),
-        ok=rep["ok"],
-    )
+    inputs = {"a": a, "i": i, "mode": rep["mode"]}
+    return inputs, {"dim": rep["kernel_dim"]}, {"dim": rep["span_dim"]}, rep.get("shift"), rep["ok"]
 
 
-def _claim_demazure(claim, params, cfg):
-    (a,) = params
+def _demazure(cfg, claim, a):
     rep = fm.verify_demazure(a)
-    return report(
-        claim,
-        "peel-top-entry",
+    span = fm.label_character(a[:-1]).total()
+    return (
         {"a": a},
-        {"span": fm.label_character(a[:-1]).total(), "quotient": prod(a) - fm.label_character(a[:-1]).total()},
+        {"span": span, "quotient": prod(a) - span},
         {"span": rep["span_dim"], "quotient": rep["quotient_dim"]},
-        shift={"span": rep["span_shift"], "quotient": rep["quotient_shift"]},
-        ok=rep["ok"],
+        {"span": rep["span_shift"], "quotient": rep["quotient_shift"]},
+        rep["ok"],
     )
 
 
-def _claim_nilpotency(claim, params, cfg):
-    (a,) = params
+def _nilpotency(cfg, claim, a):
     rep = sm.nilpotency_e1(a)
-    return report(
-        claim,
-        "second-variable-nilpotency",
-        {"a": a},
-        {"formula": rep["formula"]},
-        {"measured": rep["measured"], "kills_last": rep["kills_last"]},
-        shift={"deviation": rep["deviation"]},
-        ok=rep["kills_last"],
-    )
+    got = {"measured": rep["measured"], "kills_last": rep["kills_last"]}
+    shift = {"deviation": rep["deviation"]}
+    return {"a": a}, {"formula": rep["formula"]}, got, shift, rep["kills_last"]
 
 
-def _claim_vect(claim, params, cfg):
-    (n,) = params
+def _vect(cfg, claim, n):
     rep = geo.verify_vect_algebra(n)
-    return report(
-        claim,
-        "field-algebra",
-        {"n": n},
-        {"count": 4 * n - 1},
-        {"rank": rep["rank"], "closed": rep["closed"], "relations": rep["relations_ok"]},
-        ok=rep["ok"],
-    )
+    got = {"rank": rep["rank"], "closed": rep["closed"], "relations": rep["relations_ok"]}
+    return {"n": n}, {"count": 4 * n - 1}, got, None, rep["ok"]
 
 
-def _claim_chart(claim, params, cfg):
-    (n,) = params
+def _chart(cfg, claim, n):
     seed = claim_seed(cfg.seed, claim)
     rep = geo.verify_chart_identities(n, samples=cfg.samples, seed=seed)
-    return report(
-        claim,
-        "chart-identities",
-        {"n": n, "samples": cfg.samples, "seed": seed},
-        "all identities hold",
-        {
-            "symbolic_failures": rep["symbolic_failures"],
-            "sample_failures": rep["sample_failures"],
-        },
-        ok=rep["ok"],
-    )
+    got = {
+        "symbolic_failures": rep["symbolic_failures"],
+        "sample_failures": rep["sample_failures"],
+    }
+    inputs = {"n": n, "samples": cfg.samples, "seed": seed}
+    return inputs, "all identities hold", got, None, rep["ok"]
 
 
-def _claim_jacobian(claim, params, cfg):
-    (n,) = params
+def _jacobian(cfg, claim, n):
     seed = claim_seed(cfg.seed, claim)
     rep = geo.jacobian_identity(n, samples=cfg.samples, seed=seed)
-    return report(
-        claim,
-        "inversion-jacobian",
-        {"n": n, "samples": cfg.samples, "seed": seed},
-        "(-1)^n / x0^(2n)",
-        {"failures": rep["failures"]},
-        ok=rep["ok"],
-    )
+    inputs = {"n": n, "samples": cfg.samples, "seed": seed}
+    return inputs, "(-1)^n / x0^(2n)", {"failures": rep["failures"]}, None, rep["ok"]
 
 
-def _claim_transition(claim, params, cfg):
-    (n,) = params
+def _transition(cfg, claim, n):
     mat = geo.transition_matrix(n)
     seed = claim_seed(cfg.seed, claim)
     sampled = geo.verify_transition_matrix(n, samples=cfg.samples, seed=seed)
     golden_ok = True
     if n in TRANSITION_GOLDEN:
         golden_ok = [[str(x) for x in row] for row in mat] == TRANSITION_GOLDEN[n]
-    return report(
-        claim,
-        "transition-matrix",
+    return (
         {"n": n, "size": len(mat), "seed": seed},
         {"golden": n in TRANSITION_GOLDEN},
         {"sampled_ok": sampled["ok"], "golden_ok": golden_ok},
-        ok=sampled["ok"] and golden_ok,
+        None,
+        sampled["ok"] and golden_ok,
     )
 
 
-def _claim_splitting(claim, params, cfg):
-    (n,) = params
+def _splitting(cfg, claim, n):
     expected = geo.expected_splitting(n)
     try:
         got = splitting_type(geo.transition_matrix(n))
     except SplittingStuck as exc:
-        return report(
-            claim, "splitting-type", {"n": n}, expected, f"stuck: {exc}", ok=False
-        )
-    return report(
-        claim,
-        "splitting-type",
-        {"n": n},
-        expected,
-        got,
-        ok=got == expected,
-    )
+        got = f"stuck: {exc}"
+    return {"n": n}, expected, got, None, got == expected
 
 
-def _claim_cohomology(claim, params, cfg):
-    (label,) = params
+def _cohomology(cfg, claim, label):
     rep = geo.cohomology_dim(label)
-    return report(
-        claim,
-        "section-recursion",
-        {"label": label},
-        prod(x + 1 for x in label),
-        rep["dim"],
-        ok=rep["ok"],
-    )
+    return {"label": label}, prod(x + 1 for x in label), rep["dim"], None, rep["ok"]
 
 
-def _claim_pullback(claim, params, cfg):
-    (a,) = params
+def _pullback(cfg, claim, a):
     rep = geo.pullback_degree(a)
-    return report(
-        claim,
-        "pullback-sections",
-        {"a": a},
-        {"dim": rep["module_dim"]},
-        {"sections": rep["sections"], "label": rep["label"]},
-        ok=rep["ok"],
-    )
+    got = {"sections": rep["sections"], "label": rep["label"]}
+    return {"a": a}, {"dim": rep["module_dim"]}, got, None, rep["ok"]
 
 
-def _claim_ring(claim, params, cfg):
-    a, k = params
+def _ring(cfg, claim, a, k):
     rep = du.coordinate_ring_component(a, k)
-    return report(
-        claim,
-        "ring-component",
-        {"a": a, "k": k},
-        {"dim": rep["expected_dim"]},
-        {
-            "dim": rep["dim"],
-            "generated": rep.get("generated"),
-            "rank_deficits": rep.get("rank_deficits"),
-        },
-        ok=rep["dim_ok"] and rep.get("generated", True),
-    )
+    got = {
+        "dim": rep["dim"],
+        "generated": rep.get("generated"),
+        "rank_deficits": rep.get("rank_deficits"),
+    }
+    ok = rep["dim_ok"] and rep.get("generated", True)
+    return {"a": a, "k": k}, {"dim": rep["expected_dim"]}, got, None, ok
 
 
-def _claim_cache_spot(claim, params, cfg):
+def _cache_spot(cfg, claim):
     if not cfg.cache_dir:
-        return report(claim, "cache-roundtrip", {}, "cache disabled", "cache disabled", ok=True, skipped=True)
+        return {}, "cache disabled", "cache disabled", None, SKIPPED
     from slfusion.cache import ModuleCache
 
     seed = claim_seed(cfg.seed, claim)
     result = ModuleCache(cfg.cache_dir).spot_check(Random(seed))
     if result is None:
-        return report(claim, "cache-roundtrip", {"seed": seed}, "no cached entries", "no cached entries", ok=True, skipped=True)
-    return report(
-        claim,
-        "cache-roundtrip",
-        {"label": result["label"], "seed": seed},
-        "characters equal",
-        result["ok"],
-        ok=result["ok"],
-    )
+        return {"seed": seed}, "no cached entries", "no cached entries", None, SKIPPED
+    inputs = {"label": result["label"], "seed": seed}
+    return inputs, "characters equal", result["ok"], None, result["ok"]
 
 
+# claim kind -> (anchor, check)
 CLAIM_KINDS = {
-    "dims": _claim_dims,
-    "dual": _claim_dual,
-    "submodule": _claim_submodule,
-    "filtration": _claim_filtration,
-    "tg": _claim_tg,
-    "mprop": _claim_mprop,
-    "emb": _claim_emb,
-    "inductive": _claim_inductive,
-    "demazure": _claim_demazure,
-    "nilpotency": _claim_nilpotency,
-    "vect": _claim_vect,
-    "chart": _claim_chart,
-    "jacobian": _claim_jacobian,
-    "transition": _claim_transition,
-    "splitting": _claim_splitting,
-    "cohomology": _claim_cohomology,
-    "pullback": _claim_pullback,
-    "ring": _claim_ring,
-    "cache-spot": _claim_cache_spot,
+    "dims": ("dim-product", _dims),
+    "dual": ("dual-oracle", _dual),
+    "submodule": ("kernel-dim", _submodule),
+    "filtration": ("filtration-chain", _filtration),
+    "tg": ("tensor-merge", _tg),
+    "mprop": ("tensor-description", _mprop),
+    "emb": ("increasing-tensor-description", _emb),
+    "inductive": ("inductive-description", _inductive),
+    "demazure": ("peel-top-entry", _demazure),
+    "nilpotency": ("second-variable-nilpotency", _nilpotency),
+    "vect": ("field-algebra", _vect),
+    "chart": ("chart-identities", _chart),
+    "jacobian": ("inversion-jacobian", _jacobian),
+    "transition": ("transition-matrix", _transition),
+    "splitting": ("splitting-type", _splitting),
+    "cohomology": ("section-recursion", _cohomology),
+    "pullback": ("pullback-sections", _pullback),
+    "ring": ("ring-component", _ring),
+    "cache-spot": ("cache-roundtrip", _cache_spot),
 }
 
 
@@ -763,6 +642,9 @@ def cmd_invert(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.suite not in SUITES:
         parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        parser.error(f"--jobs must be between 1 and the CPU count ({cpus})")
     try:
         cfg = RunConfig(
             max_n=args.max_n,
@@ -770,14 +652,13 @@ def cmd_verify(args, parser) -> int:
             samples=args.samples,
             seed=args.seed,
             cache_dir=_resolve_cache_dir(args),
-            output_format=args.format,
             jobs=args.jobs,
             only_n=args.n,
         )
     except ValueError as exc:
         parser.error(str(exc))
     reports = run_suite(args.suite, cfg)
-    emit(reports, cfg.output_format)
+    emit(reports, args.format)
     if any(rep.get("integrity") for rep in reports):
         return EXIT_INTEGRITY
     if any(rep["status"] == "error" for rep in reports):
@@ -793,41 +674,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact computations and verification suites for fusion modules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--cache-dir", default=None, help=f"module cache (or ${CACHE_ENV})")
+    cache_help = f"module cache (or ${CACHE_ENV})"
 
     for name in ("build", "character"):
         p = sub.add_parser(name, help="build a module and print its invariants")
         p.add_argument("--a", type=lambda t: parse_composition(t), required=True)
-        add_common(p)
+        p.add_argument("--cache-dir", default=None, help=cache_help)
         p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("submodule", help="kernel of the adjacent move surjection")
     p.add_argument("--a", type=lambda t: parse_composition(t), required=True)
     p.add_argument("--i", type=int, required=True)
-    add_common(p)
     p.set_defaults(func=cmd_submodule)
 
     p = sub.add_parser("filtration", help="run and verify the peeling chain")
     p.add_argument("--a", type=lambda t: parse_composition(t), required=True)
     p.add_argument("--i", type=int, required=True)
-    add_common(p)
     p.set_defaults(func=cmd_filtration)
 
     p = sub.add_parser("cohomology", help="section-dimension recursion with trace")
     p.add_argument("--a", type=lambda t: parse_composition(t, allow_zero=True), required=True)
-    add_common(p)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("splitting", help="splitting type of the fiber-frame matrix")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
     p.set_defaults(func=cmd_splitting)
 
     p = sub.add_parser("invert", help="invert a truncated series")
     p.add_argument("--a", required=True, help="comma list of rational coefficients")
-    add_common(p)
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -840,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--jobs", type=int, default=1)
-    add_common(p)
+    p.add_argument("--cache-dir", default=None, help=cache_help)
     p.set_defaults(func=cmd_verify)
 
     return parser

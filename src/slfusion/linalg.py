@@ -175,31 +175,6 @@ def poly_str(p: dict) -> str:
 # dense exact row reduction
 
 
-class Matrix:
-    """Dense rational matrix with optional row/column labels.
-
-    Columns are identified by their labels (e.g. the monomial each column
-    represents) so that normal forms can be reconstructed without positional
-    bookkeeping.
-    """
-
-    def __init__(self, rows, col_labels=None, row_labels=None):
-        self.rows = [[Fraction(x) for x in r] for r in rows]
-        self.ncols = len(self.rows[0]) if self.rows else (len(col_labels) if col_labels else 0)
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
-        self.col_labels = list(col_labels) if col_labels is not None else None
-        self.row_labels = list(row_labels) if row_labels is not None else None
-
-    def rref(self):
-        rank, rows, pivots = rref(self.rows, self.ncols)
-        return rank, Matrix(rows, col_labels=self.col_labels), pivots
-
-    def kernel_basis(self):
-        return kernel_basis(self.rows, self.ncols)
-
-
 def rref(rows, ncols: int | None = None):
     """Reduced row echelon form over Q.
 

@@ -369,9 +369,6 @@ class FusionModule:
     def apply_op(self, op: dict, el: "ModuleElement") -> "ModuleElement":
         return el.apply(op)
 
-    def piece_keys_sorted(self):
-        return sorted(self.pieces)
-
     def __repr__(self):
         return f"FusionModule(a={self.a}, dim={self.total_dim})"
 
@@ -445,11 +442,6 @@ class ModuleElement:
                         if x:
                             acc[j] += f * x
         return ModuleElement(owner, {ks: tuple(v) for ks, v in out.items()})
-
-
-def act(p: dict, v: ModuleElement) -> ModuleElement:
-    """Normal-form action of a polynomial on a module element."""
-    return v.apply(p)
 
 
 _MODULE_CACHE: dict[tuple, FusionModule] = {}

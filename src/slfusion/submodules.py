@@ -140,10 +140,6 @@ class QuotientMap:
         return sub
 
 
-def quotient_map(a, i: int, j: int, strict: bool = True) -> QuotientMap:
-    return QuotientMap(a, i, j, strict=strict)
-
-
 class Submodule:
     """A kernel S_{i,j}(A) inside its parent module, closed under all e_l.
 
@@ -215,7 +211,7 @@ def submodule_S(a, i: int, j: int | None = None, strict: bool = True) -> Submodu
     target = move_composition(a, i, j)
     if any(x < 1 for x in target) and not strict:
         return Submodule.whole_module(a, (i, j))
-    return Submodule.from_map(quotient_map(a, i, j, strict=strict))
+    return Submodule.from_map(QuotientMap(a, i, j, strict=strict))
 
 
 def generators_w(a, i: int) -> list[ModuleElement]:
@@ -241,12 +237,11 @@ def span_of_w(a, i: int) -> Subspace:
     return cyclic_span(mod, ops, generators_w(a, i))
 
 
-def verify_w_generators(a, i: int) -> dict:
+def verify_w_generators(sub: Submodule) -> dict:
     """Check kernel membership of every w_j and that their span is the kernel."""
-    sub = submodule_S(a, i)
-    ws = generators_w(a, i)
-    membership = [sub.map_image_is_zero(w) for w in ws]
-    span = span_of_w(a, i)
+    i = sub.move[0]
+    membership = [sub.map_image_is_zero(w) for w in generators_w(sub.a, i)]
+    span = span_of_w(sub.a, i)
     ok = all(membership) and span == sub.subspace
     return {
         "ok": ok,
@@ -543,11 +538,8 @@ def nilpotency_e1(a) -> dict:
     }
 
 
-def verify_exactness(a, i: int, j: int | None = None, strict: bool = True) -> dict:
+def verify_exactness(sub: Submodule) -> dict:
     """Character additivity along the kernel/image split of the move map."""
-    if j is None:
-        j = i + 1
-    sub = submodule_S(a, i, j, strict=strict)
     parent = sub.parent.character()
     target = sub.qmap.target.character()
     ok = parent == sub.character() + target

@@ -86,7 +86,7 @@ def test_c03_kernel_dimensions():
         for i in valid_adjacent_moves(a):
             sub = submodule_S(a, i)
             assert sub.dim == eq_first_dim(a, i), (a, i)
-            assert verify_exactness(a, i)["ok"], (a, i)
+            assert verify_exactness(sub)["ok"], (a, i)
             if i == 1:
                 ok, shift = match_characters(
                     sub.character(), label_character((a[1] - a[0] + 1,) + a[2:])
@@ -214,7 +214,7 @@ def test_c09_cohomology_recursion():
 
 
 def _verify_all_json(seed: int) -> str:
-    cfg = RunConfig(max_n=2, max_entry=3, samples=4, seed=seed, output_format="json")
+    cfg = RunConfig(max_n=2, max_entry=3, samples=4, seed=seed)
     reports = run_suite("all", cfg)
     buf = io.StringIO()
     emit(reports, "json", out=buf)

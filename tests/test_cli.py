@@ -1,8 +1,11 @@
 """Command-line interface: commands, exit codes, reports, caching."""
 
+import importlib.util
 import json
 import multiprocessing
+import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +93,20 @@ def test_unknown_suite_usage_error(capsys):
     assert code == 2
 
 
+def test_jobs_out_of_range_usage_error(capsys):
+    # only the two edges: a large value would fork that many workers
+    for jobs in (0, (os.cpu_count() or 1) + 1):
+        code, out, err = run(capsys, "verify", "dims", "--max-n", "1", "--jobs", str(jobs))
+        assert code == 2 and out == ""
+        assert "--jobs" in err
+
+
+def test_cache_dir_only_on_commands_that_use_it(capsys, tmp_path):
+    code, _, err = run(capsys, "submodule", "--a", "2,3", "--i", "1", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "--cache-dir" in err
+
+
 def test_verify_dims_small(capsys):
     code, out, _ = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3")
     assert code == EXIT_OK
@@ -129,18 +146,41 @@ def test_run_suite_reports_sorted():
     assert all(r["status"] == "pass" for r in reports)
 
 
+def test_verify_all_stream_matches_benchmark_reference():
+    # the byte-identity contract of the verify-all stream, at the benchmark's
+    # tiny bounds; the reference and its normalization live in perfbench/
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    want = json.loads((bench / "reference.json").read_text())["verify-all-tiny"]
+    seed = 5
+    reports = run_suite("all", RunConfig(max_n=2, max_entry=2, samples=2, seed=seed))
+    assert workloads.stream_reference(reports, seed)["stream_sha256"] == want["stream_sha256"]
+
+
+def test_check_without_verdict_fails_not_skips(monkeypatch):
+    # only the explicit SKIPPED marker skips a claim
+    verdictless = lambda cfg, claim, a: ({"a": a}, 1, 1, None, None)
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", ("dim-product", verdictless))
+    (rep,) = run_suite("dims", RunConfig(max_n=1, max_entry=1))
+    assert rep["status"] == "fail"
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_crashing_claim_is_reported_as_error(capsys, monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched claim table reaches workers only through fork")
-    real = cli.CLAIM_KINDS["dims"]
+    if jobs > (os.cpu_count() or 1):
+        pytest.skip("needs as many CPUs as workers")
+    anchor, real = cli.CLAIM_KINDS["dims"]
 
-    def crash_on_2_3(claim, params, cfg):
-        if params == ((2, 3),):
+    def crash_on_2_3(cfg, claim, a):
+        if a == (2, 3):
             raise ZeroDivisionError("planted")
-        return real(claim, params, cfg)
+        return real(cfg, claim, a)
 
-    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", crash_on_2_3)
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, crash_on_2_3))
     code, out, err = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3",
                          "--format", "json", "--jobs", str(jobs))
     assert code == EXIT_ERROR == 4

@@ -6,9 +6,9 @@ from random import Random
 import pytest
 
 from slfusion.dual import (
+    DualSpace,
     SymPoly,
     coordinate_ring_component,
-    dual_space,
     oracle_character,
     partitions_bounded,
     satisfies_constraints,
@@ -27,11 +27,11 @@ def test_partitions_bounded():
 
 
 def test_dual_space_examples():
-    assert dual_space((2, 2), 0).dim == 1
-    space = dual_space((2, 2), 1)
+    assert DualSpace((2, 2), 0).dim == 1
+    space = DualSpace((2, 2), 1)
     assert space.dim == 2  # f = 1 and f = z_1; no constraint at one variable
     assert space.dim_degree(0) == 1 and space.dim_degree(1) == 1
-    space = dual_space((2, 2), 2)
+    space = DualSpace((2, 2), 2)
     assert space.dim == 1  # the double-substitution constraint kills all but z1 z2
     assert space.dim_degree(2) == 1
 
@@ -57,7 +57,7 @@ def test_shuffle_constants():
 
 def test_shuffle_commutative_and_bilinear():
     rng = Random(5)
-    polys = [s for a in [(2, 2), (2, 3)] for sp in range(3) for s in dual_space(a, sp).solution_polys()]
+    polys = [s for a in [(2, 2), (2, 3)] for sp in range(3) for s in DualSpace(a, sp).solution_polys()]
     for _ in range(10):
         f, g = rng.choice(polys), rng.choice(polys)
         assert shuffle_product(f, g) == shuffle_product(g, f)
@@ -75,7 +75,7 @@ def test_shuffle_closure_into_merged_constraints():
     rng = Random(11)
     basis = []
     for s in range(0, 3):
-        basis.extend(dual_space((2, 2), s).solution_polys())
+        basis.extend(DualSpace((2, 2), s).solution_polys())
     for _ in range(12):
         f, g = rng.choice(basis), rng.choice(basis)
         h = shuffle_product(f, g)

@@ -222,13 +222,3 @@ def test_int_echelon_canonical_form_is_order_independent():
         b.insert(r)
     assert a.canonical() == b.canonical()
 
-
-def test_matrix_wrapper_labels():
-    from slfusion.linalg import Matrix
-
-    m = Matrix([[1, 2], [2, 4]], col_labels=["x", "y"])
-    rank, red, pivots = m.rref()
-    assert rank == 1 and pivots == [0]
-    assert red.col_labels == ["x", "y"]
-    (vec,) = m.kernel_basis()
-    assert vec[0] == -2 * vec[1]
