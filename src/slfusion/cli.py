@@ -448,7 +448,15 @@ def suite_claims(suite: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
     return claims
 
 
+def _check_jobs(jobs: int, name: str = "jobs") -> None:
+    """A pool size outside 1..os.cpu_count() is a ValueError."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"{name} must be between 1 and the CPU count ({cpus})")
+
+
 def run_suite(suite: str, cfg: RunConfig) -> list[dict]:
+    _check_jobs(cfg.jobs)
     claims = suite_claims(suite, cfg)
     if cfg.cache_dir:
         _warm_cache(claims, cfg)
@@ -642,10 +650,8 @@ def cmd_invert(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.suite not in SUITES:
         parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        parser.error(f"--jobs must be between 1 and the CPU count ({cpus})")
     try:
+        _check_jobs(args.jobs, "--jobs")
         cfg = RunConfig(
             max_n=args.max_n,
             max_entry=args.max_entry,

@@ -19,8 +19,9 @@ degree one, which is checked here by explicit rank computations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from slfusion.linalg import IntegrityError, IntEchelon, kernel_basis, scale_to_int
 from slfusion.modules import (
@@ -30,8 +31,13 @@ from slfusion.modules import (
 )
 
 
+@lru_cache(maxsize=1 << 14)
 def partitions_bounded(d: int, max_parts: int, max_part: int) -> list[tuple]:
-    """Partitions of d with at most max_parts parts, each at most max_part."""
+    """Partitions of d with at most max_parts parts, each at most max_part.
+
+    Results are memoized and shared between callers, so the returned list
+    must not be mutated.
+    """
     if d < 0:
         return []
     out: list[tuple] = []
@@ -70,55 +76,65 @@ def _multiset(parts, pad_to: int) -> dict:
     return counts
 
 
-def _sub_multiset(lam: tuple, tau: tuple) -> dict | None:
-    """lam minus tau as a multiset of nonzero parts, or None if not contained."""
-    counts: dict = {}
-    for p in lam:
-        counts[p] = counts.get(p, 0) + 1
-    for p in tau:
-        c = counts.get(p, 0)
-        if c == 0:
-            return None
-        if c == 1:
-            counts.pop(p)
-        else:
-            counts[p] = c - 1
-    return counts
+@lru_cache(maxsize=1 << 10)
+def _column_index(d: int, s: int, max_part: int) -> dict:
+    """Partition -> column in ``partitions_bounded(d, s, max_part)``."""
+    return {lam: c for c, lam in enumerate(partitions_bounded(d, s, max_part))}
 
 
-def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[list[int]]:
+@lru_cache(maxsize=1 << 15)
+def _constraint_block(n: int, s: int, d: int, i: int, m: int) -> tuple:
+    """The constraint rows of one (i, m), each a flat ``(col, coeff, col, ...)``.
+
+    One row per partition tau of d - m fitting in the trailing s - i slots:
+    the coefficient of z^m * (tail monomial of shape tau) after substituting
+    z_1 = ... = z_i = z.  A basis partition contributes to it iff it is tau
+    plus a partition mu of m with at most i parts, and then with the number
+    of arrangements of mu padded by zeros to i slots.  The label enters the
+    constraints only through m < N_A(i), so the rows depend on (n, s, d, i, m)
+    alone and are shared by every label.
+    """
+    col = _column_index(d, s, n - 1)
+    fronts = [
+        (mu, _arrangements(_multiset(mu, i))) for mu in partitions_bounded(m, i, n - 1)
+    ]
+    rows = []
+    for tau in partitions_bounded(d - m, s - i, n - 1):
+        row = sorted((col[tuple(sorted(tau + mu, reverse=True))], c) for mu, c in fronts)
+        rows.append(tuple(x for pair in row for x in pair))
+    return tuple(rows)
+
+
+def _pairs(row: tuple):
+    """The ``(column, coeff)`` pairs of a flat constraint row."""
+    it = iter(row)
+    return zip(it, it)
+
+
+def _constraint_blocks(a: tuple, s: int, d: int):
+    """The nonempty constraint blocks of the degree-d slice at s variables."""
+    n = len(a)
+    for i in range(1, s + 1):
+        # mu needs m <= i(n-1) and tau needs d - m <= (s-i)(n-1)
+        low = max(0, d - (s - i) * (n - 1))
+        high = min(relation_exponent(a, i), d + 1, i * (n - 1) + 1)
+        for m in range(low, high):
+            yield _constraint_block(n, s, d, i, m)
+
+
+def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[dict]:
     """Divisibility constraints on the degree-d slice at s variables.
 
     One row per (i, m, tau) with 1 <= i <= s, m < N_A(i) and tau a partition
     of d - m fitting in the trailing s - i slots: the coefficient of
     z^m * (tail monomial of shape tau) after the substitution must vanish.
+    Rows are fresh ``{column: coeff}`` maps over ``basis``, which must be
+    ``partitions_bounded(d, s, len(a) - 1)``.
     """
-    n = len(a)
-    col = {lam: c for c, lam in enumerate(basis)}
-    rows = []
-    for i in range(1, s + 1):
-        bound = relation_exponent(a, i)
-        for m in range(min(bound, d + 1)):
-            for tau in partitions_bounded(d - m, s - i, n - 1):
-                row = [0] * len(basis)
-                hit = False
-                for lam in basis:
-                    diff = _sub_multiset(lam, tau)
-                    if diff is None:
-                        continue
-                    front = sum(v * c for v, c in diff.items())
-                    size = sum(diff.values())
-                    if front != m or size > i:
-                        continue
-                    zeros_front = i - size
-                    counts = dict(diff)
-                    if zeros_front:
-                        counts[0] = counts.get(0, 0) + zeros_front
-                    row[col[lam]] = _arrangements(counts)
-                    hit = True
-                if hit:
-                    rows.append(row)
-    return rows
+    canonical = partitions_bounded(d, s, len(a) - 1)
+    if basis is not canonical and list(basis) != canonical:
+        raise ValueError("basis must be partitions_bounded(d, s, len(a) - 1)")
+    return [dict(_pairs(row)) for block in _constraint_blocks(a, s, d) for row in block]
 
 
 class DualSpace:
@@ -136,14 +152,7 @@ class DualSpace:
             basis = partitions_bounded(d, self.s, self.n - 1)
             if not basis:
                 continue
-            rows = constraint_rows(self.a, self.s, d, basis)
-            if rows:
-                kern = kernel_basis(rows, len(basis))
-            else:
-                kern = [
-                    tuple(Fraction(i == j) for j in range(len(basis)))
-                    for i in range(len(basis))
-                ]
+            kern = kernel_basis(constraint_rows(self.a, self.s, d, basis), len(basis))
             if kern:
                 self.by_degree[d] = {"basis": basis, "solutions": kern}
 
@@ -283,33 +292,36 @@ def _distinct_permutations(values: tuple):
             yield (v,) + tail
 
 
+def _integer_terms(monos: dict) -> tuple[int, list]:
+    """``(D, [(mono, D * c)])`` with D the lcm of the coefficient denominators."""
+    den = lcm(1, *(c.denominator for c in monos.values()))
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in monos.items()]
+
+
 def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     """Sum of f(z_sigma) g(z_tau) over all order-preserving interleavings.
 
     The result lives in s_1 + s_2 variables and is symmetric; per-variable
-    degrees never exceed those of the factors.
+    degrees never exceed those of the factors.  The sum is accumulated on
+    integer numerators over the product of the factors' common denominators.
     """
     s1, s2 = f.nvars, g.nvars
     s = s1 + s2
-    fm, gm = f.expand(), g.expand()
+    fden, fm = _integer_terms(f.expand())
+    gden, gm = _integer_terms(g.expand())
+    terms = [(alpha + beta, ca * cb) for alpha, ca in fm for beta, cb in gm]
     monos: dict = {}
     for positions in combinations(range(s), s1):
-        pos_set = set(positions)
-        rest = [p for p in range(s) if p not in pos_set]
-        for alpha, ca in fm.items():
-            for beta, cb in gm.items():
-                exps = [0] * s
-                for p, e in zip(positions, alpha):
-                    exps[p] = e
-                for p, e in zip(rest, beta):
-                    exps[p] = e
-                key = tuple(exps)
-                v = monos.get(key, Fraction(0)) + ca * cb
-                if v:
-                    monos[key] = v
-                else:
-                    monos.pop(key, None)
-    return SymPoly.from_monomials(s, monos)
+        # slot p of the result takes entry src[p] of the exponents alpha + beta
+        src = [0] * s
+        rest = iter(range(s1, s))
+        for p in range(s):
+            src[p] = positions.index(p) if p in positions else next(rest)
+        for exps, c in terms:
+            key = tuple([exps[j] for j in src])
+            monos[key] = monos.get(key, 0) + c
+    den = fden * gden
+    return SymPoly.from_monomials(s, {m: Fraction(c, den) for m, c in monos.items() if c})
 
 
 def satisfies_constraints(a, h: SymPoly) -> bool:
@@ -322,11 +334,12 @@ def satisfies_constraints(a, h: SymPoly) -> bool:
         return False
     degrees = {sum(lam) for lam in h.coeffs}
     for d in degrees:
-        basis = partitions_bounded(d, h.nvars, n - 1)
-        vec = [h.coeffs.get(lam, Fraction(0)) for lam in basis]
-        for row in constraint_rows(a, h.nvars, d, basis):
-            if sum(r * v for r, v in zip(row, vec) if r):
-                return False
+        col = _column_index(d, h.nvars, n - 1)
+        vec = {col[lam]: c for lam, c in h.coeffs.items() if lam in col}
+        for block in _constraint_blocks(a, h.nvars, d):
+            for row in block:
+                if sum(r * vec[c] for c, r in _pairs(row) if c in vec):
+                    return False
     return True
 
 

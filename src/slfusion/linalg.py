@@ -12,8 +12,11 @@ Row reduction is deterministic (first nonzero pivot in column order) and
 exact.  The hot elimination paths run in ``IntEchelon`` on sparse primitive
 integer rows, fraction-free: each candidate row is reduced against the span in
 a single integer combination, and only the nonzero entries are ever touched.
-Rationals appear only in final normal forms, so the results are exact by
-construction.
+``kernel_basis`` is fraction-free too: it reads the null space off the reduced
+integer rows.  Rationals appear only in final normal forms and kernel
+vectors, so the results are exact by construction.  The dense ``Fraction``
+``rref`` remains as an independent reference for tests and for the small
+surjectivity rank checks of the move maps.
 """
 
 from __future__ import annotations
@@ -210,18 +213,53 @@ def rref(rows, ncols: int | None = None):
 
 
 def kernel_basis(rows, ncols: int):
-    """Basis of the right null space, one vector per free column."""
-    rank, red, pivots = rref(rows, ncols)
+    """Basis of the right null space, one vector per free column, fraction-free.
+
+    The rows (dense sequences or ``{column: value}`` maps, integer or
+    rational) go into an ``IntEchelon``; a row with a non-integer entry is
+    first scaled to an integer multiple, and insertion stops once the span
+    is full.  For each free column ``fc`` the vector has a 1 at
+    ``fc`` and ``-row[fc] / row[pc]`` at the pivot column ``pc`` of each
+    reduced row: exactly the basis read off ``rref``, as ``Fraction`` tuples.
+    With no rows it is the identity basis.
+    """
+    ech = IntEchelon(ncols)
+    for row in rows:
+        if ech.dim == ncols:
+            break
+        ech.insert(_integer_row(row))
+    pivots = ech.pivots
+    if len(pivots) == ncols:
+        return []
+    zero, one = Fraction(0), Fraction(1)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    vecs = {fc: [zero] * ncols for fc in range(ncols) if fc not in pivot_set}
+    for fc, vec in vecs.items():
+        vec[fc] = one
+    for pc, row in zip(pivots, ech.sparse_rows()):
+        lead = row[pc]
+        for c, x in row.items():
+            if c != pc:
+                vecs[c][pc] = Fraction(-x, lead)
+    return [tuple(vec) for vec in vecs.values()]
+
+
+def _integer_row(row):
+    """``row`` if its entries are integers, else an integer multiple as a map.
+
+    A row with a non-integer entry is scaled by the lcm of its denominators
+    into a ``{column: value}`` map; ``IntEchelon`` makes it primitive.
+    """
+    vals = row.values() if isinstance(row, dict) else row
+    if all(type(x) is int for x in vals):
+        return row
+    den = lcm(*(x.denominator for x in vals if type(x) is not int))
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {
+        c: x * den if type(x) is int else x.numerator * (den // x.denominator)
+        for c, x in items
+        if x
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +425,11 @@ def intersect_spans(a: IntEchelon, b: IntEchelon) -> IntEchelon:
     out = IntEchelon(a.ncols)
     if not a.rows or not b.rows:
         return out
-    # solve x*A = y*B: kernel of stacked [A; -B]^T, read off the A-part
-    rows = [list(r) for r in a.rows] + [[-x for x in r] for r in b.rows]
+    # solve x*A = y*B: kernel of stacked [A; -B]^T, read off the A-part;
+    # the unknowns are the coefficients over the rows of A and B
+    rows = a.rows + [tuple(-x for x in r) for r in b.rows]
     cols = a.ncols
-    # unknowns: coefficients over the rows of A and B
-    mat = [[Fraction(rows[r][c]) for r in range(len(rows))] for c in range(cols)]
-    for vec in kernel_basis(mat, len(rows)):
+    for vec in kernel_basis(list(zip(*rows)), len(rows)):
         comb = [Fraction(0)] * cols
         for coef, arow in zip(vec[: len(a.rows)], a.rows):
             if coef:

@@ -101,6 +101,19 @@ def test_jobs_out_of_range_usage_error(capsys):
         assert "--jobs" in err
 
 
+@pytest.mark.parametrize("jobs", [0, -3, (os.cpu_count() or 1) + 1])
+def test_run_suite_rejects_jobs_out_of_range(monkeypatch, jobs):
+    # the bound is checked before a pool exists, so no worker is ever forked
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="jobs must be between 1 and the CPU count"):
+        run_suite("dims", RunConfig(max_n=1, max_entry=2, jobs=jobs))
+
+
 def test_cache_dir_only_on_commands_that_use_it(capsys, tmp_path):
     code, _, err = run(capsys, "submodule", "--a", "2,3", "--i", "1", "--cache-dir", str(tmp_path))
     assert code == 2

@@ -1,6 +1,8 @@
 """The symmetric-polynomial dual realization and the shuffle ring."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import factorial
 from random import Random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from slfusion.dual import (
     DualSpace,
     SymPoly,
+    constraint_rows,
     coordinate_ring_component,
     oracle_character,
     partitions_bounded,
@@ -15,7 +18,7 @@ from slfusion.dual import (
     shuffle_product,
     stretched_label,
 )
-from slfusion.modules import fusion_module
+from slfusion.modules import fusion_module, relation_exponent
 
 
 def test_partitions_bounded():
@@ -43,9 +46,99 @@ def test_oracle_character_small():
 
 def test_oracle_equals_module_character():
     # two fully independent routes to the same bigraded table; the full
-    # grid runs in the acceptance suite
-    for a in [(2,), (3,), (2, 2), (2, 3), (1, 2), (3, 3), (2, 3, 4)]:
+    # grid runs in the acceptance suite, the last three labels lie beyond it
+    for a in [(2,), (3,), (2, 2), (2, 3), (1, 2), (3, 3), (2, 3, 4),
+              (2, 2, 4, 5), (3, 3, 4, 4), (4, 4, 4, 4)]:
         assert oracle_character(a) == fusion_module(a).character(), a
+
+
+def multiset_minus(lam, tau):
+    """lam minus tau as a list of parts, or None if tau is not contained."""
+    rest = list(lam)
+    for p in tau:
+        if p not in rest:
+            return None
+        rest.remove(p)
+    return rest
+
+
+def reference_constraint_rows(a, s, d, basis):
+    """Unmemoized reference: scan the whole basis for every (i, m, tau)."""
+    n = len(a)
+    rows = []
+    for i in range(1, s + 1):
+        for m in range(min(relation_exponent(a, i), d + 1)):
+            for tau in partitions_bounded(d - m, s - i, n - 1):
+                row = {}
+                for c, lam in enumerate(basis):
+                    rest = multiset_minus(lam, tau)
+                    if rest is None or sum(rest) != m or len(rest) > i:
+                        continue
+                    # arrangements of lam - tau padded with zeros to i slots
+                    padded = rest + [0] * (i - len(rest))
+                    count = factorial(i)
+                    for v in set(padded):
+                        count //= factorial(padded.count(v))
+                    row[c] = count
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def constraint_grid():
+    labels = [a for n in range(1, 5) for a in combinations_with_replacement(range(1, 5), n)]
+    for a in labels + [(1, 2, 6)]:
+        n = len(a)
+        for s in range(sum(x - 1 for x in a) + 1):
+            for d in range(s * (n - 1) + 1):
+                yield a, s, d, partitions_bounded(d, s, n - 1)
+
+
+def test_constraint_rows_match_reference():
+    checked = 0
+    for a, s, d, basis in constraint_grid():
+        assert constraint_rows(a, s, d, basis) == reference_constraint_rows(a, s, d, basis), (a, s, d)
+        assert constraint_rows(a, s, d, list(basis)) == constraint_rows(a, s, d, basis)
+        checked += 1
+    assert checked > 3000
+
+
+def test_constraint_rows_are_fresh_copies():
+    a, s, d = (2, 3, 3), 4, 4
+    basis = partitions_bounded(d, s, 2)
+    want = reference_constraint_rows(a, s, d, basis)
+    rows = constraint_rows(a, s, d, basis)
+    assert rows == want and rows
+    rows[0][0] = 999
+    rows[-1].clear()
+    rows.append({1: 1})
+    assert constraint_rows(a, s, d, basis) == want
+    with pytest.raises(ValueError):
+        constraint_rows(a, s, d, basis[::-1])
+
+
+def reference_shuffle(f, g):
+    """Plain Fraction sum over every interleaving of the expanded factors."""
+    s = f.nvars + g.nvars
+    monos = {}
+    for positions in combinations(range(s), f.nvars):
+        rest = [p for p in range(s) if p not in positions]
+        for alpha, ca in f.expand().items():
+            for beta, cb in g.expand().items():
+                exps = [0] * s
+                for p, e in zip(positions + tuple(rest), alpha + beta):
+                    exps[p] = e
+                monos[tuple(exps)] = monos.get(tuple(exps), 0) + ca * cb
+    return SymPoly.from_monomials(s, monos)
+
+
+def test_shuffle_matches_reference():
+    rng = Random(17)
+    polys = [p for a in [(2, 3), (2, 2, 2)] for s in range(4) for p in DualSpace(a, s).solution_polys()]
+    polys.append(SymPoly(2, {(1,): Fraction(-3, 4), (1, 1): Fraction(5, 6)}))
+    for _ in range(25):
+        f, g = rng.choice(polys), rng.choice(polys)
+        assert shuffle_product(f, g) == reference_shuffle(f, g)
 
 
 def test_shuffle_constants():

@@ -204,6 +204,89 @@ if given is not None:
         check_echelon_against_rref(mat, len(mat[0]))
 
 
+def rref_kernel(mat, cols_n):
+    """Reference kernel read off rref: 1 at each free column, minus the
+    reduced rows' entries in that column at their pivot columns."""
+    _, red, pivots = rref(mat, cols_n)
+    basis = []
+    for fc in (c for c in range(cols_n) if c not in pivots):
+        vec = [Fraction(0)] * cols_n
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def check_kernel_against_rref(mat, cols_n):
+    """The integer kernel is exactly the rref kernel, from either row form."""
+    want = rref_kernel(mat, cols_n)
+    got = kernel_basis(mat, cols_n)
+    assert got == want
+    assert all(type(x) is Fraction for vec in got for x in vec)
+    assert kernel_basis([{c: x for c, x in enumerate(r) if x} for r in mat], cols_n) == want
+
+
+def random_fraction_matrix(rng, rows_n, cols_n):
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(cols_n)]
+            for _ in range(rows_n)]
+
+
+def test_kernel_basis_matches_rref_kernel():
+    rng = Random(4242)
+    check_kernel_against_rref([], 0)
+    for cols_n in (1, 4, 9):
+        check_kernel_against_rref([], cols_n)  # the identity basis
+        check_kernel_against_rref([[0] * cols_n for _ in range(3)], cols_n)
+        full = [[int(r == c) + rng.randint(0, 1) * (c > r) for c in range(cols_n)]
+                for r in range(cols_n)]
+        assert kernel_basis(full, cols_n) == []
+        check_kernel_against_rref(full + random_matrix(rng, 2, cols_n), cols_n)
+    for _ in range(20):  # small, integer and rational entries
+        rows_n, cols_n = rng.randint(1, 8), rng.randint(1, 8)
+        check_kernel_against_rref(random_matrix(rng, rows_n, cols_n), cols_n)
+        check_kernel_against_rref(random_fraction_matrix(rng, rows_n, cols_n), cols_n)
+    for _ in range(10):  # wide
+        rows_n, cols_n = rng.randint(2, 10), rng.randint(15, 40)
+        check_kernel_against_rref(random_matrix(rng, rows_n, cols_n, density=0.3), cols_n)
+        check_kernel_against_rref(random_fraction_matrix(rng, rows_n, cols_n), cols_n)
+    for _ in range(10):  # tall, low rank: rows are combinations of a few
+        cols_n, rank = rng.randint(3, 12), rng.randint(1, 3)
+        gens = random_matrix(rng, rank, cols_n)
+        mat = [[sum(c * g[j] for c, g in zip(coefs, gens)) for j in range(cols_n)]
+               for coefs in random_matrix(rng, rng.randint(10, 30), rank)]
+        check_kernel_against_rref(mat, cols_n)
+    for _ in range(10):  # large entries
+        rows_n, cols_n = rng.randint(2, 8), rng.randint(2, 8)
+        check_kernel_against_rref(random_matrix(rng, rows_n, cols_n, -10**12, 10**12), cols_n)
+        mat = [[Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in range(cols_n)]
+               for _ in range(rows_n)]
+        check_kernel_against_rref(mat, cols_n)
+
+
+if given is not None:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda cols_n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.just(0),
+                        st.integers(-10**6, 10**6),
+                        st.fractions(min_value=-100, max_value=100, max_denominator=50),
+                    ),
+                    min_size=cols_n,
+                    max_size=cols_n,
+                ),
+                max_size=12,
+            ).map(lambda mat: (mat, cols_n))
+        )
+    )
+    def test_kernel_basis_matches_rref_kernel_property(case):
+        check_kernel_against_rref(*case)
+
+
 def test_int_echelon_membership():
     ech = IntEchelon(3)
     ech.insert([1, 2, 3])
