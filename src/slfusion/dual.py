@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm, prod
 
-from slfusion.linalg import IntegrityError, IntEchelon, kernel_basis, scale_to_int
+from slfusion.linalg import IntegrityError, IntEchelon, kernel_basis
 from slfusion.modules import (
     GradedCharacter,
     relation_exponent,
@@ -406,9 +406,7 @@ def coordinate_ring_component(a, k: int, check_generation: bool | None = None) -
             ech = spans.get(key)
             if ech is None:
                 ech = spans[key] = IntEchelon(len(basis))
-            ivec = scale_to_int(h.vector(basis))
-            if ivec is not None:
-                ech.insert(ivec)
+            ech.insert(h.vector(basis))
     deficits = []
     for (s, d), want in target.items():
         got = spans[(s, d)].dim if (s, d) in spans else 0

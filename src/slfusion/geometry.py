@@ -392,11 +392,11 @@ def verify_vect_algebra(n: int) -> dict:
             out[index[cm]] = c
         return out
 
-    from slfusion.linalg import IntEchelon, scale_to_int
+    from slfusion.linalg import IntEchelon
 
     ech = IntEchelon(len(coords))
     for k in keys:
-        ech.insert(scale_to_int(vec(fields[k])))
+        ech.insert(vec(fields[k]))
     rank = ech.dim
     independent = rank == len(keys) == 4 * n - 1
 
@@ -444,7 +444,7 @@ def verify_vect_algebra(n: int) -> dict:
     for a in keys:
         for b in keys:
             br = bracket(fields[a], fields[b])
-            if not br.is_zero() and not ech.contains(scale_to_int(vec(br))):
+            if not br.is_zero() and not ech.contains(vec(br)):
                 closed = False
                 failures.append((a, b, "bracket escapes the span"))
     return {
@@ -503,6 +503,39 @@ def chart_change_terms(kind: str, i: int) -> list[tuple]:
     raise ValueError(f"unknown field kind {kind!r}")
 
 
+def _chart_change_failures(n: int, samples: int, seed: int, expansion, key: str):
+    """Sampled failures of the chart change of the primed x-frame fields.
+
+    At each of ``samples`` draws of ``rational_point`` every field is pushed
+    through the series inversion and compared with ``expansion(kind, i)``,
+    its y-frame expansion as ``(kind, index, Laurent coefficient)`` terms
+    evaluated at y_0; out-of-range targets are zero fields.  A failure is
+    recorded as ``{key: (kind, i), "point": x}``.
+    """
+    labels = primed_labels(n)
+    fields = {lab: primed_field(n, *lab) for lab in labels}
+    rng = Random(seed)
+    failures = []
+    for _ in range(samples):
+        xpt = rational_point(rng, n)
+        ypt = invert_coefficients(xpt)
+        y0 = ypt[0]
+        yvals = {lab: f.evaluate(ypt) for lab, f in fields.items()}
+        for kind, i in labels:
+            pushed = pushforward_through_inversion(fields[(kind, i)].evaluate(xpt), ypt)
+            rhs = [Fraction(0)] * n
+            for tk, ti, coeff in expansion(kind, i):
+                target = yvals.get((tk, ti))
+                if target is None or coeff.is_zero():
+                    continue
+                cval = coeff.eval_at(y0)
+                for idx, comp in enumerate(target):
+                    rhs[idx] += cval * comp
+            if pushed != rhs:
+                failures.append({key: (kind, i), "point": [str(x) for x in xpt]})
+    return failures
+
+
 def verify_chart_identities(n: int, samples: int = 20, seed: int = 0) -> dict:
     """Exact verification of the frame identities within and across charts.
 
@@ -537,32 +570,14 @@ def verify_chart_identities(n: int, samples: int = 20, seed: int = 0) -> dict:
         if fields[("L", i)] != want:
             symbolic_failures.append(("L", i))
 
-    rng = Random(seed)
-    sample_failures = []
-    checked = 0
-    for _ in range(samples):
-        xpt = rational_point(rng, n)
-        ypt = invert_coefficients(xpt)
-        y0 = ypt[0]
-        for kind, i in primed_labels(n):
-            v = primed_field(n, kind, i)
-            pushed = pushforward_through_inversion(v.evaluate(xpt), ypt)
-            rhs = [Fraction(0)] * n
-            for tk, ti, coeff in chart_change_terms(kind, i):
-                target = primed_field(n, tk, ti)
-                if target.is_zero():
-                    continue
-                cval = coeff.eval_at(y0)
-                for idx, comp in enumerate(target.evaluate(ypt)):
-                    rhs[idx] += cval * comp
-            checked += 1
-            if pushed != rhs:
-                sample_failures.append({"field": (kind, i), "point": [str(x) for x in xpt]})
+    sample_failures = _chart_change_failures(
+        n, samples, seed, chart_change_terms, "field"
+    )
     return {
         "ok": not symbolic_failures and not sample_failures,
         "n": n,
         "samples": samples,
-        "identities_checked": checked,
+        "identities_checked": samples * len(primed_labels(n)),
         "symbolic_failures": symbolic_failures,
         "sample_failures": sample_failures[:5],
     }
@@ -623,27 +638,13 @@ def verify_transition_matrix(n: int, samples: int = 20, seed: int = 0) -> dict:
     """Pointwise certification that the matrix encodes the chart change."""
     labels = primed_labels(n)
     mat = transition_matrix(n)
-    rng = Random(seed)
-    failures = []
-    for _ in range(samples):
-        xpt = rational_point(rng, n)
-        ypt = invert_coefficients(xpt)
-        y0 = ypt[0]
-        yvals = [primed_field(n, k, i).evaluate(ypt) for (k, i) in labels]
-        for c, (kind, i) in enumerate(labels):
-            pushed = pushforward_through_inversion(
-                primed_field(n, kind, i).evaluate(xpt), ypt
-            )
-            rhs = [Fraction(0)] * n
-            for r in range(len(labels)):
-                entry = mat[r][c]
-                if entry.is_zero():
-                    continue
-                cval = entry.eval_at(y0)
-                for idx in range(n):
-                    rhs[idx] += cval * yvals[r][idx]
-            if pushed != rhs:
-                failures.append({"column": (kind, i), "point": [str(x) for x in xpt]})
+    pos = {lab: c for c, lab in enumerate(labels)}
+
+    def column(kind, i):
+        c = pos[(kind, i)]
+        return [(*lab, row[c]) for lab, row in zip(labels, mat)]
+
+    failures = _chart_change_failures(n, samples, seed, column, "column")
     return {"ok": not failures, "n": n, "failures": failures[:5]}
 
 

@@ -9,14 +9,16 @@ e_0 most significant; within a fixed bidegree this is descending
 lexicographic order on exponent vectors.
 
 Row reduction is deterministic (first nonzero pivot in column order) and
-exact.  The hot elimination paths run in ``IntEchelon`` on sparse primitive
-integer rows, fraction-free: each candidate row is reduced against the span in
-a single integer combination, and only the nonzero entries are ever touched.
+exact.  Every elimination runs in ``IntEchelon`` on sparse primitive integer
+rows, fraction-free: each candidate row is reduced against the span in a
+single integer combination, and only the nonzero entries are ever touched.
+``IntEchelon`` takes dense rational rows as well as sparse integer maps; a
+rational row is scaled to integers by ``_integer_row``, the one converter.
 ``kernel_basis`` is fraction-free too: it reads the null space off the reduced
 integer rows.  Rationals appear only in final normal forms and kernel
 vectors, so the results are exact by construction.  The dense ``Fraction``
-``rref`` remains as an independent reference for tests and for the small
-surjectivity rank checks of the move maps.
+``rref`` is not called by the library: it stays only as the independent
+reference the tests check ``IntEchelon`` and ``kernel_basis`` against.
 """
 
 from __future__ import annotations
@@ -68,23 +70,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_str(m: tuple) -> str:
-    if not any(m):
-        return "1"
-    parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(f"e{i}")
-        elif e > 1:
-            parts.append(f"e{i}^{e}")
-    return "*".join(parts)
-
-
-def grlex_key(m: tuple):
-    """Sort key for the global order: degree first, then e_0-major descending."""
-    return (mono_degree(m), tuple(-e for e in m))
-
-
 @lru_cache(maxsize=1 << 14)
 def enumerate_monomials(n: int, k: int, s: int) -> list[tuple]:
     """All exponent tuples of degree k and weight s, in the global order.
@@ -121,36 +106,6 @@ def enumerate_monomials(n: int, k: int, s: int) -> list[tuple]:
 # sparse polynomials: dict {exponent tuple -> coefficient}
 
 
-def poly_add(p: dict, q: dict) -> dict:
-    r = dict(p)
-    for m, c in q.items():
-        v = r.get(m, 0) + c
-        if v:
-            r[m] = v
-        else:
-            r.pop(m, None)
-    return r
-
-
-def poly_scale(p: dict, c) -> dict:
-    if not c:
-        return {}
-    return {m: c * v for m, v in p.items()}
-
-
-def poly_mul(p: dict, q: dict) -> dict:
-    r: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = mono_mul(m1, m2)
-            v = r.get(m, 0) + c1 * c2
-            if v:
-                r[m] = v
-            else:
-                r.pop(m, None)
-    return r
-
-
 def poly_var(n: int, j: int) -> dict:
     """The variable e_j as a polynomial in n variables."""
     if not 0 <= j < n:
@@ -158,20 +113,6 @@ def poly_var(n: int, j: int) -> dict:
     m = [0] * n
     m[j] = 1
     return {tuple(m): 1}
-
-
-def poly_str(p: dict) -> str:
-    if not p:
-        return "0"
-    terms = []
-    for m in sorted(p, key=grlex_key):
-        c = p[m]
-        cs = format_scalar(Fraction(c))
-        if any(m):
-            terms.append(mono_str(m) if cs == "1" else f"{cs}*{mono_str(m)}")
-        else:
-            terms.append(cs)
-    return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +157,11 @@ def kernel_basis(rows, ncols: int):
     """Basis of the right null space, one vector per free column, fraction-free.
 
     The rows (dense sequences or ``{column: value}`` maps, integer or
-    rational) go into an ``IntEchelon``; a row with a non-integer entry is
-    first scaled to an integer multiple, and insertion stops once the span
-    is full.  For each free column ``fc`` the vector has a 1 at
-    ``fc`` and ``-row[fc] / row[pc]`` at the pivot column ``pc`` of each
-    reduced row: exactly the basis read off ``rref``, as ``Fraction`` tuples.
-    With no rows it is the identity basis.
+    rational) are scaled to integers by ``_integer_row`` and go into an
+    ``IntEchelon``; insertion stops once the span is full.  For each free
+    column ``fc`` the vector has a 1 at ``fc`` and ``-row[fc] / row[pc]`` at
+    the pivot column ``pc`` of each reduced row: exactly the basis read off
+    ``rref``, as ``Fraction`` tuples.  With no rows it is the identity basis.
     """
     ech = IntEchelon(ncols)
     for row in rows:
@@ -244,49 +184,29 @@ def kernel_basis(rows, ncols: int):
     return [tuple(vec) for vec in vecs.values()]
 
 
-def _integer_row(row):
-    """``row`` if its entries are integers, else an integer multiple as a map.
+# ---------------------------------------------------------------------------
+# primitive-integer echelon spans (hot path)
 
-    A row with a non-integer entry is scaled by the lcm of its denominators
-    into a ``{column: value}`` map; ``IntEchelon`` makes it primitive.
+
+def _integer_row(row) -> dict[int, int]:
+    """An integer multiple of a rational row, as a ``{column: value}`` map.
+
+    ``row`` is a dense sequence or a sparse map of ``int``/``Fraction``
+    entries.  A row with a non-integer entry is scaled by the lcm of its
+    denominators; a sparse integer map is returned as it is.  This is the
+    one place where rational rows become integer rows: ``IntEchelon``
+    makes them primitive.
     """
     vals = row.values() if isinstance(row, dict) else row
-    if all(type(x) is int for x in vals):
-        return row
-    den = lcm(*(x.denominator for x in vals if type(x) is not int))
     items = row.items() if isinstance(row, dict) else enumerate(row)
+    if all(type(x) is int for x in vals):
+        return row if isinstance(row, dict) else {c: x for c, x in items if x}
+    den = lcm(*(x.denominator for x in vals if type(x) is not int))
     return {
         c: x * den if type(x) is int else x.numerator * (den // x.denominator)
         for c, x in items
         if x
     }
-
-
-# ---------------------------------------------------------------------------
-# primitive-integer echelon spans (hot path)
-
-
-def _strip_row(row: list[int]) -> tuple[int, ...] | None:
-    """Divide out the content and make the leading entry positive."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, abs(x))
-    if g == 0:
-        return None
-    lead = next(x for x in row if x)
-    if lead < 0:
-        g = -g
-    return tuple(x // g for x in row)
-
-
-def scale_to_int(vec) -> tuple[int, ...] | None:
-    """Primitive integer multiple of a rational vector (None if zero)."""
-    fracs = [Fraction(x) for x in vec]
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return _strip_row([int(x * den) for x in fracs])
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -299,6 +219,16 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     if row[min(row)] < 0:
         g = -g
     return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def scale_to_int(vec) -> tuple[int, ...] | None:
+    """Primitive integer multiple of a dense rational vector (None if zero).
+
+    A dense view of ``_integer_row``: the residual against the empty span.
+    The library passes rational rows to ``IntEchelon`` directly; tests use
+    this to scale ``rref`` rows.
+    """
+    return IntEchelon(len(vec)).residual(vec)
 
 
 class IntEchelon:
@@ -315,8 +245,11 @@ class IntEchelon:
     ``x_i`` are its entries at the pivot columns it hits and ``L`` is the lcm
     of those pivots' leading entries: no pivot row touches another pivot
     column, so the ``x_i`` do not change while the row is reduced.  ``rows``
-    gives the same rows as dense tuples sorted by pivot column.  ``insert``,
-    ``residual`` and ``contains`` take a dense sequence or a sparse map.
+    gives the same rows as dense tuples sorted by pivot column.
+
+    ``insert``, ``residual`` and ``contains`` take a dense sequence of
+    ``int``/``Fraction`` entries, scaled to integers by ``_integer_row``, or
+    a sparse ``{column: int}`` map, used as it is (the module-build path).
     """
 
     def __init__(self, ncols: int):
@@ -354,7 +287,7 @@ class IntEchelon:
     def _reduce(self, row) -> dict[int, int]:
         """Sparse residual of ``row`` against the span ({} if inside)."""
         if not isinstance(row, dict):
-            row = {c: int(x) for c, x in enumerate(row) if x}
+            row = _integer_row(row)
         rows = self._rows
         hits = [(c, x) for c, x in row.items() if c in rows]
         if not hits:
@@ -435,7 +368,5 @@ def intersect_spans(a: IntEchelon, b: IntEchelon) -> IntEchelon:
             if coef:
                 for i, x in enumerate(arow):
                     comb[i] += coef * x
-        iv = scale_to_int(comb)
-        if iv is not None:
-            out.insert(iv)
+        out.insert(comb)
     return out

@@ -30,7 +30,6 @@ from slfusion.linalg import (
     mono_mul,
     mono_weight,
     poly_var,
-    scale_to_int,
 )
 
 UNSORTED_MSG = "composition must be nondecreasing"
@@ -652,7 +651,7 @@ class Subspace:
             for key, c in el.coords[ks].items():
                 vec[index[key]] = c
             return vec
-        return list(el.coords[ks])
+        return el.coords[ks]
 
     def _piece_dim(self, ks) -> int:
         if isinstance(self.owner, TensorModule):
@@ -669,10 +668,7 @@ class Subspace:
         ech = self.spans.get(ks)
         if ech is None:
             ech = self.spans[ks] = IntEchelon(self._piece_dim(ks))
-        ivec = scale_to_int(self._dense(ks, el))
-        if ivec is None:
-            return False
-        return ech.insert(ivec)
+        return ech.insert(self._dense(ks, el))
 
     def contains(self, el) -> bool:
         if el.is_zero():
@@ -682,8 +678,7 @@ class Subspace:
             ech = self.spans.get(ks)
             if ech is None:
                 return False
-            ivec = scale_to_int(self._dense(ks, piece))
-            if ivec is not None and not ech.contains(ivec):
+            if not ech.contains(self._dense(ks, piece)):
                 return False
         return True
 

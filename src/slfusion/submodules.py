@@ -61,7 +61,11 @@ class QuotientMap:
     """The bidegree-preserving monomial-class surjection M^A -> M^{A_{i,j}}.
 
     Well-definedness is certified by reducing every generator of the source
-    ideal to zero in the target, surjectivity by a rank count per bidegree.
+    ideal to zero in the target.  Each source bidegree is then eliminated
+    once: the transposed map, one sparse row per target basis vector, goes
+    through ``kernel_basis``, and surjectivity is read off that same
+    elimination as ``dim - len(kernel) == target dim``.  The kernel vectors
+    are kept for ``kernel``.
     """
 
     def __init__(self, a, i: int, j: int, strict: bool = True):
@@ -80,9 +84,25 @@ class QuotientMap:
         self.source = fusion_module(self.a)
         self.target = fusion_module(tuple(sorted(target_label)))
         self._certify_well_defined()
-        self.matrices: dict = {}
-        self._build_matrices()
-        self._certify_surjective()
+        self.kernels: dict = {}
+        for ks, piece in self.source.pieces.items():
+            if not piece.dim:
+                continue
+            # the transposed map: row c holds the coefficients of target basis
+            # vector c in the images of the source basis monomials
+            transpose = [{} for _ in range(self.target.dim_piece(*ks))]
+            for r, m in enumerate(piece.basis):
+                red = self.target.reduce_monomial(m)
+                if red:
+                    for c, x in enumerate(red[1]):
+                        if x:
+                            transpose[c][r] = x
+            kernel = kernel_basis(transpose, piece.dim)
+            if piece.dim - len(kernel) != len(transpose):
+                raise IntegrityError(
+                    f"map {self.a} -> {self.target.a} not surjective at {ks}"
+                )
+            self.kernels[ks] = kernel
 
     def _certify_well_defined(self) -> None:
         from slfusion.modules import ideal_generators
@@ -94,30 +114,6 @@ class QuotientMap:
                     f"source relation at degree {k}, z^{zpow} survives"
                 )
 
-    def _build_matrices(self) -> None:
-        for ks, piece in self.source.pieces.items():
-            if not piece.dim:
-                continue
-            tdim = self.target.dim_piece(*ks)
-            rows = []
-            for m in piece.basis:
-                red = self.target.reduce_monomial(m)
-                rows.append(list(red[1]) if red else [0] * tdim)
-            self.matrices[ks] = rows
-
-    def _certify_surjective(self) -> None:
-        from slfusion.linalg import rref
-
-        for ks, rows in self.matrices.items():
-            tdim = self.target.dim_piece(*ks)
-            if tdim == 0:
-                continue
-            rank, _, _ = rref(rows, tdim)
-            if rank != tdim:
-                raise IntegrityError(
-                    f"map {self.a} -> {self.target.a} not surjective at {ks}"
-                )
-
     def apply(self, el: ModuleElement) -> ModuleElement:
         if el.owner is not self.source:
             raise ValueError("element does not live in the source module")
@@ -125,17 +121,8 @@ class QuotientMap:
 
     def kernel(self) -> Subspace:
         sub = Subspace(self.source)
-        for ks, piece in self.source.pieces.items():
-            if not piece.dim:
-                continue
-            rows = self.matrices[ks]
-            tdim = self.target.dim_piece(*ks)
-            if tdim == 0:
-                for i in range(piece.dim):
-                    sub.insert(self.source.basis_element(*ks, i))
-                continue
-            transpose = [[rows[r][c] for r in range(piece.dim)] for c in range(tdim)]
-            for vec in kernel_basis(transpose, piece.dim):
+        for ks, vecs in self.kernels.items():
+            for vec in vecs:
                 sub.insert(ModuleElement(self.source, {ks: vec}))
         return sub
 

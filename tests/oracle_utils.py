@@ -1,16 +1,16 @@
 """Independent oracles shared by the test modules.
 
 These never call the code paths they are checking: the splitting oracle
-counts section spaces of twists straight from the matrix entries, and the
+counts section spaces of twists straight from the matrix entries, the
 planted-matrix generator produces inputs whose answer is known by
-construction.
+construction, and the reference kernel is read off the dense ``rref``.
 """
 
 from fractions import Fraction
 from random import Random
 
 from slfusion.laurent import Laurent
-from slfusion.linalg import IntEchelon, scale_to_int
+from slfusion.linalg import IntEchelon, rref, scale_to_int
 
 
 def h0_twist(matrix, k, bound):
@@ -74,3 +74,17 @@ def scrambled_diagonal(rng: Random, size: int, ops: int, spread: int = 2):
             for r in range(size):
                 mat[r][a] = mat[r][a] + mult * mat[r][b]
     return diag, mat
+
+
+def rref_kernel(mat, cols_n):
+    """Reference kernel read off rref: 1 at each free column, minus the
+    reduced rows' entries in that column at their pivot columns."""
+    _, red, pivots = rref(mat, cols_n)
+    basis = []
+    for fc in (c for c in range(cols_n) if c not in pivots):
+        vec = [Fraction(0)] * cols_n
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis

@@ -7,6 +7,7 @@ import pytest
 
 from oracle_utils import scrambled_diagonal, splitting_via_sections
 
+from slfusion import geometry
 from slfusion._goldens import TRANSITION_GOLDEN
 from slfusion.geometry import (
     PolyVectorField,
@@ -136,6 +137,32 @@ def test_transition_matrix_alphabet():
 def test_transition_matrix_sampled_certification():
     for n in (2, 3, 4, 5):
         assert verify_transition_matrix(n, samples=4, seed=99)["ok"]
+
+
+def test_chart_change_failures_are_reported(monkeypatch):
+    real = geometry.chart_change_terms
+
+    def planted(kind, i):
+        # h'_1 -> 2 h'_1 + ...: a wrong coefficient on the diagonal term
+        terms = real(kind, i)
+        if (kind, i) == ("h", 1):
+            terms = [("h", 1, Laurent.const(2))] + terms[1:]
+        return terms
+
+    monkeypatch.setattr(geometry, "chart_change_terms", planted)
+    chart = verify_chart_identities(3, samples=4, seed=7)
+    trans = verify_transition_matrix(3, samples=4, seed=7)
+    assert not chart["ok"] and not chart["symbolic_failures"]
+    assert chart["identities_checked"] == 4 * len(primed_labels(3))
+    assert [f["field"] for f in chart["sample_failures"]] == [("h", 1)] * 4
+    assert not trans["ok"]
+    assert [f["column"] for f in trans["failures"]] == [("h", 1)] * 4
+    # one sampler: both claims fail at the same rational points
+    assert [f["point"] for f in chart["sample_failures"]] == [
+        f["point"] for f in trans["failures"]
+    ]
+    assert all(set(f) == {"field", "point"} for f in chart["sample_failures"])
+    assert all(set(f) == {"column", "point"} for f in trans["failures"])
 
 
 def test_transition_determinant_is_monomial():

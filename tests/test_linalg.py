@@ -1,12 +1,15 @@
 """Exact arithmetic, monomial enumeration and row reduction."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # optional test dependency: the seeded loops still run
     given = None
+
+from oracle_utils import rref_kernel
 
 from slfusion.linalg import (
     IntEchelon,
@@ -204,20 +207,6 @@ if given is not None:
         check_echelon_against_rref(mat, len(mat[0]))
 
 
-def rref_kernel(mat, cols_n):
-    """Reference kernel read off rref: 1 at each free column, minus the
-    reduced rows' entries in that column at their pivot columns."""
-    _, red, pivots = rref(mat, cols_n)
-    basis = []
-    for fc in (c for c in range(cols_n) if c not in pivots):
-        vec = [Fraction(0)] * cols_n
-        vec[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def check_kernel_against_rref(mat, cols_n):
     """The integer kernel is exactly the rref kernel, from either row form."""
     want = rref_kernel(mat, cols_n)
@@ -294,6 +283,68 @@ def test_int_echelon_membership():
     assert ech.contains([2, 5, 7])  # sum of the two rows
     assert not ech.contains([0, 0, 1])
     assert scale_to_int([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
+
+
+def primitive_multiple(row):
+    """Reference primitive integer multiple of a rational row (None if zero)."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(Fraction(x) * den) for x in row]
+    g = gcd(*ints)
+    if not g:
+        return None
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
+def random_rational_row(rng, cols_n):
+    """Fraction entries, a mix of int and Fraction, or Fraction(k, 1) entries."""
+    kind = rng.choice(("fraction", "mixed", "whole"))
+    row = []
+    for _ in range(cols_n):
+        num = rng.randint(-6, 6) if rng.random() < 0.7 else 0
+        if kind == "whole" or (kind == "mixed" and rng.random() < 0.5):
+            row.append(Fraction(num) if kind == "whole" else num)
+        else:
+            row.append(Fraction(num, rng.randint(1, 5)))
+    return row
+
+
+def test_int_echelon_takes_rational_rows():
+    # a dense rational row acts exactly as its primitive integer multiple
+    ech = IntEchelon(2)
+    assert not ech.contains([Fraction(1, 3), 0])
+    assert ech.insert([Fraction(1, 2), Fraction(1, 3)])
+    assert ech.rows == [(3, 2)]
+    assert ech.contains([Fraction(-3, 7), Fraction(-2, 7)])
+    assert not ech.contains([Fraction(1, 3), 0])
+    assert ech.residual([Fraction(1, 3), 0]) == (0, 1)
+    rng = Random(2718)
+    for _ in range(40):
+        rows_n, cols_n = rng.randint(1, 7), rng.randint(1, 7)
+        mat = [random_rational_row(rng, cols_n) for _ in range(rows_n)]
+        rational, scaled = IntEchelon(cols_n), IntEchelon(cols_n)
+        for row in mat:
+            want = primitive_multiple(row)
+            grew = rational.insert(row)
+            assert grew == (want is not None and scaled.insert(want))
+        assert rational.rows == scaled.rows
+        assert rational.dim == rref(mat, cols_n)[0]
+        for row in mat + [random_rational_row(rng, cols_n) for _ in range(5)]:
+            want = primitive_multiple(row) or [0] * cols_n
+            assert rational.contains(row) == scaled.contains(want)
+            assert rational.residual(row) == scaled.residual(want)
+
+
+def test_int_echelon_sparse_integer_maps_unchanged():
+    ech = IntEchelon(4)
+    assert ech.insert({1: -4, 3: 6})
+    assert ech.rows == [(0, 2, 0, -3)]
+    assert not ech.insert({1: 2, 3: -3})
+    assert ech.insert({0: 5, 1: 2})
+    assert ech.rows == [(5, 0, 0, 3), (0, 2, 0, -3)]
+    assert ech.contains({0: 5, 3: 3}) and not ech.contains({2: 1})
+    assert ech.residual({2: -7}) == (0, 0, 1, 0)
 
 
 def test_int_echelon_canonical_form_is_order_independent():

@@ -1,9 +1,16 @@
 """Move surjections, their kernels, and the three kernel descriptions."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
-from slfusion.linalg import poly_var
+from oracle_utils import rref_kernel
+
+from slfusion import modules
+from slfusion.linalg import IntegrityError, mono_degree, mono_weight, poly_var, rref
 from slfusion.modules import (
+    ModuleElement,
+    Subspace,
     fusion_module,
     label_character,
     match_characters,
@@ -52,6 +59,62 @@ def test_move_guards():
     # the non-strict path names the same ideal through the sorted label
     sub = submodule_S((2, 2, 3, 3), 2, strict=False)
     assert sub.dim == eq_first_dim((2, 2, 3, 3), 2) == 12
+
+
+def adjacent_moves():
+    """(a, i) for every positive adjacent move with n <= 3 and entries <= 4,
+    plus two larger labels."""
+    labels = [a for n in (2, 3) for a in combinations_with_replacement(range(1, 5), n)]
+    labels += [(2, 3, 4, 5), (2, 2, 3, 3)]
+    for a in labels:
+        for i in range(1, len(a)):
+            if a[i - 1] > 1:
+                yield a, i
+
+
+def test_move_map_kernel_matches_rref_reference():
+    for a, i in adjacent_moves():
+        qmap = QuotientMap(a, i, i + 1, strict=False)
+        want = Subspace(qmap.source)
+        for ks, piece in qmap.source.pieces.items():
+            if not piece.dim:
+                continue
+            # the dense map matrix: row r is the image of source monomial r
+            tdim = qmap.target.dim_piece(*ks)
+            rows = []
+            for m in piece.basis:
+                red = qmap.target.reduce_monomial(m)
+                rows.append(list(red[1]) if red else [0] * tdim)
+            assert rref(rows, tdim)[0] == tdim, (a, i, ks)
+            for vec in rref_kernel([list(col) for col in zip(*rows)], piece.dim):
+                want.insert(ModuleElement(qmap.source, {ks: vec}))
+        assert qmap.kernel() == want, (a, i)
+        assert want.dim == qmap.source.total_dim - qmap.target.total_dim
+
+
+def test_move_map_surjectivity_gate_fires(monkeypatch):
+    target = fusion_module((1, 4))
+    real = target.reduce_monomial
+    # zero the images in one bidegree where the target is nonzero
+    ks = next(ks for ks, p in sorted(target.pieces.items()) if ks[0] and p.dim)
+
+    def planted(m):
+        return None if (mono_degree(m), mono_weight(m)) == ks else real(m)
+
+    monkeypatch.setattr(target, "reduce_monomial", planted)
+    with pytest.raises(IntegrityError, match="not surjective"):
+        QuotientMap((2, 3), 1, 2)
+
+
+def test_move_map_well_definedness_gate_fires(monkeypatch):
+    fusion_module((2, 3)), fusion_module((1, 4))  # built before the plant
+    real = modules.ideal_generators
+    # a planted source relation e_0 that does not vanish in the target
+    monkeypatch.setattr(
+        modules, "ideal_generators", lambda a: real(a) + [(1, 0, poly_var(len(a), 0))]
+    )
+    with pytest.raises(IntegrityError, match="not well defined"):
+        QuotientMap((2, 3), 1, 2)
 
 
 def test_kernel_dimension_formula():
