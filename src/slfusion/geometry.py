@@ -635,7 +635,8 @@ def transition_matrix(n: int) -> list[list[Laurent]]:
 
 
 def verify_transition_matrix(n: int, samples: int = 20, seed: int = 0) -> dict:
-    """Pointwise certification that the matrix encodes the chart change."""
+    """Pointwise certification that the matrix encodes the chart change;
+    the report carries the checked matrix under ``matrix``."""
     labels = primed_labels(n)
     mat = transition_matrix(n)
     pos = {lab: c for c, lab in enumerate(labels)}
@@ -645,7 +646,7 @@ def verify_transition_matrix(n: int, samples: int = 20, seed: int = 0) -> dict:
         return [(*lab, row[c]) for lab, row in zip(labels, mat)]
 
     failures = _chart_change_failures(n, samples, seed, column, "column")
-    return {"ok": not failures, "n": n, "failures": failures[:5]}
+    return {"ok": not failures, "n": n, "failures": failures[:5], "matrix": mat}
 
 
 def expected_splitting(n: int) -> list[int]:

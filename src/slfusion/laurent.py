@@ -1,28 +1,25 @@
-"""Laurent polynomials in one variable and two-sided matrix reduction.
+"""Laurent polynomials in one variable and certified Birkhoff splitting.
 
-A square matrix of Laurent polynomials whose determinant is a nonzero
-constant times a power of the variable can be brought to monomial-diagonal
-shape using only row operations with polynomial multipliers and column
-operations with multipliers polynomial in the inverse variable (plus scalar
-scalings and permutations).  The multiset of diagonal exponents is the
-splitting type of the associated bundle over the projective line.
+A square matrix ``M`` of Laurent polynomials whose determinant is a nonzero
+constant times a power of the variable ``y`` factors as
+``M·X = P·diag(y^e)`` with ``X`` invertible over ``Q[1/y]`` and ``P``
+invertible over ``Q[y]`` (Birkhoff).  The multiset ``e`` is the splitting
+type of the associated bundle over the projective line; by Grothendieck it
+is read off the section counts ``h0(E(k))`` of the twists.
 
-The reduction here is a greedy two-phase sweep: row operations cancel lowest
-terms against each column's minimal-order entry, column operations cancel
-top terms against each row's maximal-degree entry.  It is step-bounded and
-reports failure honestly instead of looping; termination is checked, not
-assumed.
+``splitting_type`` builds the factorization from the twist-section ladder:
+at twist ``k`` it takes the kernel of the linear system "``y^k M g`` is
+polynomial" for ``g`` over ``Q[1/y]``, and keeps a kernel vector as a column
+of ``X`` with exponent ``-k`` when its constant terms are independent of the
+columns already kept.  The factorization is then checked exactly; a wrong
+answer raises ``IntegrityError`` instead of being returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from slfusion.linalg import format_scalar
-
-
-class SplittingStuck(Exception):
-    """The greedy reduction hit its step bound or a fixed point."""
+from slfusion.linalg import IntEchelon, IntegrityError, format_scalar, kernel_basis
 
 
 class Laurent:
@@ -193,121 +190,88 @@ def _lagrange(points: list[Fraction], values: list[Fraction]) -> dict:
     return {e: v for e, v in poly.items() if v}
 
 
-def _nonzero_positions(work) -> list[tuple[int, int]]:
-    return [
-        (r, c)
-        for r in range(len(work))
-        for c in range(len(work))
-        if not work[r][c].is_zero()
-    ]
 
 
-def _is_monomial_permutation(work) -> bool:
-    size = len(work)
-    seen_rows, seen_cols = set(), set()
-    for r, c in _nonzero_positions(work):
-        if r in seen_rows or c in seen_cols or not work[r][c].is_monomial():
-            return False
-        seen_rows.add(r)
-        seen_cols.add(c)
-    return len(seen_rows) == size
+def _twist_rows(matrix, k: int, bound: int):
+    """Linear conditions for ``y^k M g`` to be polynomial, ``g`` in ``Q[1/y]^r``.
 
-
-def _state_key(work) -> tuple:
-    return tuple(
-        tuple(tuple(sorted(x.coeffs.items())) for x in row) for row in work
-    )
-
-
-def _score(work) -> tuple[int, int]:
-    nonzero = terms = 0
-    for row in work:
-        for x in row:
-            if x.coeffs:
-                nonzero += 1
-                terms += len(x.coeffs)
-    return nonzero, terms
-
-
-def _legal_moves(work) -> list[tuple]:
-    """Single-term cancellations available from the current state.
-
-    A row move subtracts a polynomial multiple of one row from another,
-    cancelling the lowest term of the target entry against a lower-or-equal
-    order pivot in the same column.  A column move is the mirror image with
-    a multiplier polynomial in the inverse variable, cancelling the top term
-    of the target against a higher-or-equal degree pivot in the same row.
+    Unknown ``c * (bound + 1) + j`` is the coefficient of ``y^-j`` in ``g_c``
+    (``j <= bound``); there is one sparse row per output row and negative
+    power of ``y``.
     """
-    size = len(work)
-    moves = []
-    for c in range(size):
-        entries = [(r, work[r][c]) for r in range(size) if not work[r][c].is_zero()]
-        for r, e in entries:
-            for pr, pe in entries:
-                if pr != r and e.ord >= pe.ord:
-                    moves.append(("row", r, pr, c))
-    for r in range(size):
-        entries = [(c, work[r][c]) for c in range(size) if not work[r][c].is_zero()]
-        for c, e in entries:
-            for pc, pe in entries:
-                if pc != c and e.deg <= pe.deg:
-                    moves.append(("col", c, pc, r))
-    return moves
+    width = bound + 1
+    rows: dict = {}
+    for r, mrow in enumerate(matrix):
+        for c, x in enumerate(mrow):
+            for d, coef in x.coeffs.items():
+                # the power d - j + k is negative exactly when j > d + k
+                for j in range(max(0, d + k + 1), width):
+                    row = rows.setdefault((r, d - j + k), {})
+                    col = c * width + j
+                    row[col] = row.get(col, 0) + coef
+    return rows.values()
 
 
-def _apply_move(work, move) -> list[list[Laurent]]:
-    out = [list(row) for row in work]
-    size = len(work)
-    if move[0] == "row":
-        _, r, pr, c = move
-        e, pe = work[r][c], work[pr][c]
-        mult = Laurent.term(e[e.ord] / pe[pe.ord], e.ord - pe.ord)
-        out[r] = [work[r][cc] - mult * work[pr][cc] for cc in range(size)]
-    else:
-        _, c, pc, r = move
-        e, pe = work[r][c], work[r][pc]
-        mult = Laurent.term(e[e.deg] / pe[pe.deg], e.deg - pe.deg)
-        for rr in range(size):
-            out[rr] = list(out[rr])
-            out[rr][c] = work[rr][c] - mult * work[rr][pc]
-    return out
+def splitting_type(matrix: list[list[Laurent]]) -> list[int]:
+    """Splitting exponents of a Laurent matrix, sorted descending.
 
-
-def splitting_type(matrix: list[list[Laurent]], max_steps: int = 10000) -> list[int]:
-    """Diagonal exponent multiset of a Laurent matrix, sorted descending.
-
-    Row operations use polynomial multipliers, column operations use
-    multipliers polynomial in the inverse variable.  At every step the move
-    that minimizes the (nonzero entries, total terms) count is taken, never
-    revisiting an earlier state; ``SplittingStuck`` is raised when the step
-    bound is exhausted or no unseen legal move remains, so a wrong answer is
-    never returned silently.
+    Raises ``ValueError`` unless the determinant is a nonzero constant times
+    a power of ``y``.  The exponents are returned only after the
+    factorization ``M·X = P·diag(y^e)`` built from the twist-section ladder
+    passes ``_check_factorization``; if the ladder does not close within the
+    degree bound, or a check fails, ``IntegrityError`` is raised.
     """
     size = len(matrix)
     det = laurent_det(matrix)
     if det.is_zero() or not det.is_monomial():
         raise ValueError(f"determinant {det} is not a unit times a power")
-    work = [[Laurent(dict(x.coeffs)) for x in row] for row in matrix]
-    seen = {_state_key(work)}
-    steps = 0
-    while not _is_monomial_permutation(work):
-        best = None
-        for move in _legal_moves(work):
-            candidate = _apply_move(work, move)
-            key = _state_key(candidate)
-            if key in seen:
-                continue
-            rank = (*_score(candidate), move)
-            if best is None or rank < best[0]:
-                best = (rank, candidate, key)
-        if best is None:
-            raise SplittingStuck("no unseen legal move remains")
-        _, work, key = best
-        seen.add(key)
-        steps += 1
-        if steps > max_steps:
-            raise SplittingStuck(f"step bound {max_steps} exhausted")
-    exps = sorted((work[r][c].ord for r, c in _nonzero_positions(work)), reverse=True)
+    reach = max((abs(e) for row in matrix for x in row for e in x.coeffs), default=0) + 2
+    bound = 2 * reach + 4
+    width = bound + 1
+    cols: list[list[Laurent]] = []  # columns of X
+    exps: list[int] = []
+    consts = IntEchelon(size)  # constant terms of the kept columns
+    for k in range(-reach, reach + 1):
+        if len(cols) == size:
+            break
+        for vec in kernel_basis(_twist_rows(matrix, k, bound), size * width):
+            if consts.insert(vec[::width]):
+                cols.append([
+                    Laurent({-j: vec[c * width + j] for j in range(width)})
+                    for c in range(size)
+                ])
+                exps.append(-k)
+    if len(cols) != size:
+        raise IntegrityError(
+            f"twist ladder closed {len(cols)} of {size} columns within reach {reach}"
+        )
+    _check_factorization(matrix, cols, exps, det)
+    return sorted(exps, reverse=True)
+
+
+def _check_factorization(matrix, cols, exps, det: Laurent) -> None:
+    """Exact Birkhoff certificate for ``M·X = P·diag(y^e)``.
+
+    ``X`` (given by its columns) must be polynomial in ``1/y``,
+    ``P = M·X·diag(y^-e)`` polynomial in ``y``, both determinants nonzero
+    constants, and ``sum(e)`` the order of ``det M``.
+    """
+    size = len(matrix)
+    x = [[col[r] for col in cols] for r in range(size)]
+    p = [
+        [
+            sum((matrix[r][c] * col[c] for c in range(size)), Laurent()).shift(-e)
+            for col, e in zip(cols, exps)
+        ]
+        for r in range(size)
+    ]
+    if any(e > 0 for row in x for entry in row for e in entry.coeffs):
+        raise IntegrityError("X is not polynomial in 1/y")
+    if any(e < 0 for row in p for entry in row for e in entry.coeffs):
+        raise IntegrityError("P = M X diag(y^-e) is not polynomial in y")
+    for name, factor in (("X", x), ("P", p)):
+        d = laurent_det(factor)
+        if not (d.is_monomial() and d.ord == 0):
+            raise IntegrityError(f"det {name} = {d} is not a nonzero constant")
     if sum(exps) != det.ord:
-        raise SplittingStuck("degree conservation violated during reduction")
-    return exps
+        raise IntegrityError(f"exponents {exps} do not sum to ord det M = {det.ord}")

@@ -349,24 +349,3 @@ class IntEchelon:
 
     def __hash__(self):
         return hash((self.ncols, tuple(self.rows)))
-
-
-def intersect_spans(a: IntEchelon, b: IntEchelon) -> IntEchelon:
-    """Intersection of two row spaces over Q (Zassenhaus-style kernel)."""
-    if a.ncols != b.ncols:
-        raise ValueError("column count mismatch")
-    out = IntEchelon(a.ncols)
-    if not a.rows or not b.rows:
-        return out
-    # solve x*A = y*B: kernel of stacked [A; -B]^T, read off the A-part;
-    # the unknowns are the coefficients over the rows of A and B
-    rows = a.rows + [tuple(-x for x in r) for r in b.rows]
-    cols = a.ncols
-    for vec in kernel_basis(list(zip(*rows)), len(rows)):
-        comb = [Fraction(0)] * cols
-        for coef, arow in zip(vec[: len(a.rows)], a.rows):
-            if coef:
-                for i, x in enumerate(arow):
-                    comb[i] += coef * x
-        out.insert(comb)
-    return out

@@ -757,20 +757,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Bidegree-wise intersection of two graded subspaces."""
-    from slfusion.linalg import intersect_spans
-
-    if a.owner is not b.owner:
-        raise ValueError("subspaces of different modules")
-    out = Subspace(a.owner)
-    for ks in sorted(set(a.spans) & set(b.spans)):
-        inter = intersect_spans(a.spans[ks], b.spans[ks])
-        if inter.dim:
-            out.spans[ks] = inter
-    return out
-
-
 # ---------------------------------------------------------------------------
 # verification helpers on plain modules
 

@@ -1,16 +1,19 @@
 """Independent oracles shared by the test modules.
 
-These never call the code paths they are checking: the splitting oracle
-counts section spaces of twists straight from the matrix entries, the
-planted-matrix generator produces inputs whose answer is known by
-construction, and the reference kernel is read off the dense ``rref``.
+These never call the code paths they are checking: the splitting oracles
+count section spaces of twists straight from the matrix entries, or run a
+greedy two-sided reduction to monomial shape; the planted-matrix generator
+produces inputs whose answer is known by construction; the reference kernel
+is read off the dense ``rref``; and span intersections are computed by a
+Zassenhaus-style kernel that no library path uses.
 """
 
 from fractions import Fraction
 from random import Random
 
 from slfusion.laurent import Laurent
-from slfusion.linalg import IntEchelon, rref, scale_to_int
+from slfusion.linalg import IntEchelon, kernel_basis, rref, scale_to_int
+from slfusion.modules import Subspace
 
 
 def h0_twist(matrix, k, bound):
@@ -53,6 +56,115 @@ def splitting_via_sections(matrix):
     return sorted(exps, reverse=True)
 
 
+class ReductionStuck(Exception):
+    """The greedy reduction hit its step bound or a fixed point."""
+
+
+def _nonzero_positions(work):
+    size = len(work)
+    return [(r, c) for r in range(size) for c in range(size) if not work[r][c].is_zero()]
+
+
+def _is_monomial_permutation(work) -> bool:
+    seen_rows, seen_cols = set(), set()
+    for r, c in _nonzero_positions(work):
+        if r in seen_rows or c in seen_cols or not work[r][c].is_monomial():
+            return False
+        seen_rows.add(r)
+        seen_cols.add(c)
+    return len(seen_rows) == len(work)
+
+
+def _state_key(work) -> tuple:
+    return tuple(tuple(tuple(sorted(x.coeffs.items())) for x in row) for row in work)
+
+
+def _score(work) -> tuple[int, int]:
+    nonzero = terms = 0
+    for row in work:
+        for x in row:
+            if x.coeffs:
+                nonzero += 1
+                terms += len(x.coeffs)
+    return nonzero, terms
+
+
+def _legal_moves(work) -> list[tuple]:
+    """Single-term cancellations available from the current state.
+
+    A row move subtracts a polynomial multiple of one row from another,
+    cancelling the lowest term of the target entry against a lower-or-equal
+    order pivot in the same column.  A column move is the mirror image with
+    a multiplier polynomial in the inverse variable, cancelling the top term
+    of the target against a higher-or-equal degree pivot in the same row.
+    """
+    size = len(work)
+    moves = []
+    for c in range(size):
+        entries = [(r, work[r][c]) for r in range(size) if not work[r][c].is_zero()]
+        for r, e in entries:
+            for pr, pe in entries:
+                if pr != r and e.ord >= pe.ord:
+                    moves.append(("row", r, pr, c))
+    for r in range(size):
+        entries = [(c, work[r][c]) for c in range(size) if not work[r][c].is_zero()]
+        for c, e in entries:
+            for pc, pe in entries:
+                if pc != c and e.deg <= pe.deg:
+                    moves.append(("col", c, pc, r))
+    return moves
+
+
+def _apply_move(work, move) -> list[list[Laurent]]:
+    out = [list(row) for row in work]
+    size = len(work)
+    if move[0] == "row":
+        _, r, pr, c = move
+        e, pe = work[r][c], work[pr][c]
+        mult = Laurent.term(e[e.ord] / pe[pe.ord], e.ord - pe.ord)
+        out[r] = [work[r][cc] - mult * work[pr][cc] for cc in range(size)]
+    else:
+        _, c, pc, r = move
+        e, pe = work[r][c], work[r][pc]
+        mult = Laurent.term(e[e.deg] / pe[pe.deg], e.deg - pe.deg)
+        for rr in range(size):
+            out[rr][c] = work[rr][c] - mult * work[rr][pc]
+    return out
+
+
+def splitting_via_reduction(matrix, max_steps: int = 10000):
+    """Splitting exponents by a greedy two-sided reduction to monomial shape.
+
+    Row operations use polynomial multipliers, column operations use
+    multipliers polynomial in the inverse variable.  At every step the move
+    that minimizes the (nonzero entries, total terms) count is taken, never
+    revisiting an earlier state; ``ReductionStuck`` is raised when the step
+    bound is exhausted or no unseen legal move remains.  It shares no code
+    with the production factorization, so the two are independent routes.
+    """
+    work = [[Laurent(dict(x.coeffs)) for x in row] for row in matrix]
+    seen = {_state_key(work)}
+    steps = 0
+    while not _is_monomial_permutation(work):
+        best = None
+        for move in _legal_moves(work):
+            candidate = _apply_move(work, move)
+            key = _state_key(candidate)
+            if key in seen:
+                continue
+            rank = (*_score(candidate), move)
+            if best is None or rank < best[0]:
+                best = (rank, candidate, key)
+        if best is None:
+            raise ReductionStuck("no unseen legal move remains")
+        _, work, key = best
+        seen.add(key)
+        steps += 1
+        if steps > max_steps:
+            raise ReductionStuck(f"step bound {max_steps} exhausted")
+    return sorted((work[r][c].ord for r, c in _nonzero_positions(work)), reverse=True)
+
+
 def scrambled_diagonal(rng: Random, size: int, ops: int, spread: int = 2):
     """A matrix with known splitting: a diagonal hit by random legal moves."""
     diag = sorted((rng.randint(-spread, spread) for _ in range(size)), reverse=True)
@@ -88,3 +200,36 @@ def rref_kernel(mat, cols_n):
             vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
+
+
+def intersect_spans(a: IntEchelon, b: IntEchelon) -> IntEchelon:
+    """Intersection of two row spaces over Q (Zassenhaus-style kernel)."""
+    if a.ncols != b.ncols:
+        raise ValueError("column count mismatch")
+    out = IntEchelon(a.ncols)
+    if not a.rows or not b.rows:
+        return out
+    # solve x*A = y*B: kernel of stacked [A; -B]^T, read off the A-part;
+    # the unknowns are the coefficients over the rows of A and B
+    rows = a.rows + [tuple(-x for x in r) for r in b.rows]
+    cols = a.ncols
+    for vec in kernel_basis(list(zip(*rows)), len(rows)):
+        comb = [Fraction(0)] * cols
+        for coef, arow in zip(vec[: len(a.rows)], a.rows):
+            if coef:
+                for i, x in enumerate(arow):
+                    comb[i] += coef * x
+        out.insert(comb)
+    return out
+
+
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Bidegree-wise intersection of two graded subspaces."""
+    if a.owner is not b.owner:
+        raise ValueError("subspaces of different modules")
+    out = Subspace(a.owner)
+    for ks in sorted(set(a.spans) & set(b.spans)):
+        inter = intersect_spans(a.spans[ks], b.spans[ks])
+        if inter.dim:
+            out.spans[ks] = inter
+    return out

@@ -17,7 +17,7 @@ from math import prod
 
 import pytest
 
-from oracle_utils import splitting_via_sections
+from oracle_utils import splitting_via_reduction, splitting_via_sections
 
 from slfusion.cli import (
     RunConfig,
@@ -161,9 +161,9 @@ def test_c07_fields_transition_and_small_splitting():
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "stated closed-form splitting is refuted at n >= 4 by three agreeing "
-        "independent computations (legal-ops reduction, section ladder, "
-        "vanishing-field count); see test_c07_splitting_verified_multiset"
+        "stated closed-form splitting is refuted at n >= 4 by four agreeing "
+        "independent computations (certified factorization, greedy reduction, "
+        "section ladder, vanishing-field count); see test_c07_splitting_verified_multiset"
     ),
 )
 def test_c07_splitting_stated_formula_n4_n5():
@@ -173,13 +173,14 @@ def test_c07_splitting_stated_formula_n4_n5():
 
 
 def test_c07_splitting_verified_multiset():
-    """The splitting that the matrix actually has, agreed by two routes here."""
+    """The splitting that the matrix actually has, agreed by three routes here."""
     for n, zeros in ((4, 5), (5, 9)):
         truth = [2, 1, 1] + [0] * zeros + [-1, -1, -2]
         mat = transition_matrix(n)
-        reduction = splitting_type(mat)
+        factorization = splitting_type(mat)
+        reduction = splitting_via_reduction(mat)
         sections = splitting_via_sections(mat)
-        assert reduction == sections == truth, n
+        assert factorization == reduction == sections == truth, n
         # section count 4n-4 and degree sum 0, the two consequences the
         # downstream dimension argument needs, hold for the true multiset
         assert sum(max(0, d + 1) for d in truth) == 4 * n - 4

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from slfusion import cache as cache_mod
-from slfusion import cli
+from slfusion import cli, geometry
 from slfusion.cache import ModuleCache
 from slfusion.cli import (
     EXIT_ERROR,
@@ -78,6 +78,26 @@ def test_splitting_command(capsys):
     code, out, _ = run(capsys, "splitting", "--n", "4")
     assert code == EXIT_FAIL  # honest divergence from the closed-form claim
     assert "differs" in out
+    code, out, _ = run(capsys, "splitting", "--n", "6")
+    assert code == EXIT_FAIL
+    assert str([2, 1, 1] + [0] * 13 + [-1, -1, -2]) in out
+    assert "differs" in out
+
+
+def test_transition_claim_builds_the_matrix_once(monkeypatch):
+    calls = []
+    build = geometry.transition_matrix
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(geometry, "transition_matrix", counted)
+    for n in (2, 3, 4):
+        calls.clear()
+        rep = cli.run_claim("transition", (n,), RunConfig())
+        assert rep["status"] == "pass"
+        assert calls == [n]
 
 
 def test_invert_command(capsys):

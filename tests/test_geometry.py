@@ -7,7 +7,7 @@ import pytest
 
 from oracle_utils import scrambled_diagonal, splitting_via_sections
 
-from slfusion import geometry
+from slfusion import cli, geometry, laurent
 from slfusion._goldens import TRANSITION_GOLDEN
 from slfusion.geometry import (
     PolyVectorField,
@@ -25,7 +25,8 @@ from slfusion.geometry import (
     verify_transition_matrix,
     verify_vect_algebra,
 )
-from slfusion.laurent import Laurent, SplittingStuck, laurent_det, splitting_type
+from slfusion.laurent import Laurent, laurent_det, splitting_type
+from slfusion.linalg import IntegrityError
 
 
 def test_series_inversion_examples():
@@ -193,9 +194,9 @@ def test_splitting_small_cases_match_formula():
 
 
 def test_splitting_verified_multiset_n4_n5():
-    # three independent routes agree (reduction, section ladder, and the
-    # field-algebra count below); the closed-form claim checked in the
-    # acceptance suite diverges from all three at n >= 4
+    # the certified factorization and the section-count ladder agree; the
+    # greedy reduction (acceptance suite) and the field-algebra count below
+    # are two more routes, and the closed-form claim diverges at n >= 4
     for n, zeros in ((4, 5), (5, 9)):
         truth = [2, 1, 1] + [0] * zeros + [-1, -1, -2]
         mat = transition_matrix(n)
@@ -235,18 +236,11 @@ def test_vertical_fields_vanishing_on_a_fiber():
 
 def test_splitting_planted_diagonals():
     rng = Random(424242)
-    recovered = 0
-    for _ in range(10):
-        size = rng.randint(2, 3)
+    for _ in range(20):
+        size = rng.randint(2, 4)
         diag, mat = scrambled_diagonal(rng, size, ops=4)
         assert splitting_via_sections(mat) == diag
-        try:
-            got = splitting_type(mat, max_steps=3000)
-        except SplittingStuck:
-            continue  # honest non-termination is allowed; correctness is not optional
-        assert got == diag
-        recovered += 1
-    assert recovered >= 7
+        assert splitting_type(mat) == diag
 
 
 def test_splitting_degree_conservation():
@@ -255,11 +249,59 @@ def test_splitting_degree_conservation():
         diag, mat = scrambled_diagonal(rng, 3, ops=3)
         det = laurent_det(mat)
         assert det.is_monomial() and det.ord == sum(diag)
-        try:
-            got = splitting_type(mat, max_steps=3000)
-        except SplittingStuck:
-            continue
-        assert sum(got) == det.ord
+        assert sum(splitting_type(mat)) == det.ord
+
+
+def _drop_first_sections(kernel_basis, size):
+    # the first twist with sections loses them: its columns are found one
+    # twist late, with an exponent one too small
+    dropped = []
+
+    def planted(rows, ncols):
+        vecs = kernel_basis(rows, ncols)
+        if vecs and not dropped:
+            dropped.append(vecs)
+            return []
+        return vecs
+
+    return planted
+
+
+def _perturb_sections(kernel_basis, size):
+    # every section gets a wrong y^-1 coefficient; its constant terms, and so
+    # the ladder's exponents, are unchanged
+    def planted(rows, ncols):
+        width = ncols // size
+        return [
+            tuple(x + 1 if i % width == 1 else x for i, x in enumerate(vec))
+            for vec in kernel_basis(rows, ncols)
+        ]
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "plant, gate",
+    [(_drop_first_sections, "det P"), (_perturb_sections, "not polynomial in y")],
+)
+def test_splitting_certificate_gate_fires(capsys, monkeypatch, plant, gate):
+    mat = transition_matrix(3)
+    kernel_basis = laurent.kernel_basis
+
+    def replant():  # a fresh planting for each splitting run
+        monkeypatch.setattr(laurent, "kernel_basis", plant(kernel_basis, len(mat)))
+
+    replant()
+    with pytest.raises(IntegrityError, match=gate):
+        splitting_type(mat)
+    replant()
+    rep = cli.run_claim("splitting", (3,), cli.RunConfig())
+    assert rep["integrity"] and rep["anchor"] == "integrity" and rep["status"] == "fail"
+    assert gate in rep["got"]
+    replant()
+    capsys.readouterr()
+    assert cli.main(["splitting", "--n", "3"]) == cli.EXIT_INTEGRITY
+    assert gate in capsys.readouterr().err
 
 
 def test_cohomology_dim_examples():

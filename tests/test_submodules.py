@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from oracle_utils import rref_kernel
+from oracle_utils import rref_kernel, subspace_intersection
 
 from slfusion import modules
 from slfusion.linalg import IntegrityError, mono_degree, mono_weight, poly_var, rref
@@ -14,7 +14,6 @@ from slfusion.modules import (
     fusion_module,
     label_character,
     match_characters,
-    subspace_intersection,
 )
 from slfusion.submodules import (
     QuotientMap,
