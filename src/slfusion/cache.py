@@ -42,10 +42,8 @@ class ModuleCache:
             data = json.loads(path.read_text())
             if data.get("version") != FORMAT_VERSION or tuple(data.get("a", ())) != a:
                 return None
-            rows = {
-                (int(k), int(s)): [tuple(int(x) for x in row) for row in rws]
-                for k, s, rws in data["pieces"]
-            }
+            # FusionModule._restore reads the rows and checks their entries
+            rows = {(int(k), int(s)): rws for k, s, rws in data["pieces"]}
             return FusionModule(a, _piece_rows=rows)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError):
             return None

@@ -13,6 +13,19 @@ each degree.  The quotient has dimension prod(a_i); construction certifies
 this and also certifies that one full degree band beyond sum(a_i - 1) is
 zero, which makes the degree truncation of the generator list safe.
 
+The ideal is built degree by degree: its degree-k part is spanned by e_j
+times its degree k-1 part plus the degree-k generators.  Almost all of it is
+monomials, so each bidegree keeps two things, the set of unit pivot columns
+(monomials of I_A) and the non-unit rows of its reduced echelon form.  A unit
+set shifts by e_j through the column map with no elimination at all; the
+shifted non-unit rows and the generator are reduced against the units by
+dropping the unit columns, and only what is left goes into an ``IntEchelon``
+(the Macaulay-matrix split of F4: monomial rows are handled symbolically).
+A row that comes out as a single entry joins the units.  Units plus rows are
+exactly the canonical fully reduced echelon form of the ideal slice.  Normal
+forms are kept in one flat table per module, ``{monomial: ((k, s), coords)}``,
+holding only the monomials whose class is nonzero.
+
 Everything here is exact: quotient bases, normal forms, graded characters,
 cyclic spans and tensor modules with diagonal operators.
 """
@@ -20,15 +33,14 @@ cyclic spans and tensor modules with diagonal operators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from slfusion.linalg import (
     IntegrityError,
     IntEchelon,
     enumerate_monomials,
-    mono_degree,
     mono_mul,
-    mono_weight,
     poly_var,
 )
 
@@ -53,11 +65,13 @@ def relation_exponent(a: tuple, k: int) -> int:
     return sum(max(0, k + 1 - x) for x in a)
 
 
+@lru_cache(maxsize=1 << 14)
 def generating_slice(n: int, k: int, zpow: int) -> dict:
     """Coefficient of z^zpow in E(z)^k as a sparse polynomial.
 
     Supported on all monomials of bidegree (k, k(n-1) - zpow), each with its
-    multinomial coefficient.
+    multinomial coefficient.  Results are memoized, so one dict is shared by
+    every caller (and by every ``ideal_generators`` list): do not mutate it.
     """
     w = k * (n - 1) - zpow
     out = {}
@@ -173,14 +187,18 @@ def match_characters(c1: GradedCharacter, c2: GradedCharacter, reindex: int = 0)
 
 
 class QuotientPiece:
-    """One bidegree slice: quotient basis monomials plus normal forms."""
+    """One bidegree slice: quotient basis monomials plus the non-unit rows.
 
-    __slots__ = ("basis", "index", "nf")
+    ``rows`` are the slice's reduced ideal rows with two or more entries, as
+    sparse ``{column: int}`` maps over ``enumerate_monomials`` order; every
+    other column outside the basis is a unit row (a monomial of the ideal).
+    """
 
-    def __init__(self, basis, index, nf):
+    __slots__ = ("basis", "rows")
+
+    def __init__(self, basis, rows):
         self.basis = basis  # monomials not in the leading-term ideal
-        self.index = index  # monomial -> basis position
-        self.nf = nf  # every ambient monomial -> coords over basis
+        self.rows = rows
 
     @property
     def dim(self) -> int:
@@ -196,7 +214,8 @@ class FusionModule:
         self.kmax = sum(x - 1 for x in self.a)
         self.lowest_h0 = -self.kmax
         self.pieces: dict[tuple[int, int], QuotientPiece] = {}
-        self.ideal_rows: dict[tuple[int, int], list] = {}
+        # monomial -> (bidegree, coords over the piece basis), nonzero only
+        self._nf: dict[tuple, tuple] = {}
         if _piece_rows is None:
             self._build()
         else:
@@ -211,63 +230,119 @@ class FusionModule:
             )
 
     def _build(self) -> None:
-        n, a = self.n, self.a
-        gen_by_bidegree = {}
-        for k, zpow, poly in ideal_generators(a):
-            gen_by_bidegree[(k, k * (n - 1) - zpow)] = poly
+        n = self.n
+        gens = {(k, k * (n - 1) - zpow): poly for k, zpow, poly in ideal_generators(self.a)}
         # the ideal in degree k is spanned by e_j times its degree k-1 rows
-        # plus the degree-k generators; prev keeps the degree k-1 echelons
-        prev: dict[int, tuple[list, IntEchelon]] = {}
+        # plus the degree-k generators; prev keeps, per weight of degree k-1,
+        # the monomials, the unit columns and the non-unit rows
+        prev: dict[int, tuple[list, set, list]] = {}
         for k in range(0, self.kmax + 2):
-            cur: dict[int, tuple[list, IntEchelon]] = {}
+            cur: dict[int, tuple[list, set, list]] = {}
             for s in range(0, (n - 1) * k + 1):
                 monos = enumerate_monomials(n, k, s)
                 if not monos:
                     continue
                 width = len(monos)
                 index = {m: i for i, m in enumerate(monos)}
-                ech = IntEchelon(width)
-                # once the span is full, no further row (generator included)
-                # can change it, so the remaining inserts are skipped
+                units: set[int] = set()
+                shifted = []
                 for j in range(n):
-                    if ech.dim == width:
-                        break
                     below = prev.get(s - j)
-                    if below is None or not below[1].dim:
+                    if below is None or not (below[1] or below[2]):
                         continue
-                    prev_monos, prev_ech = below
+                    prev_monos, prev_units, prev_rows = below
                     cols = [index[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in prev_monos]
-                    for row in prev_ech.sparse_rows():
-                        if ech.insert({cols[c]: x for c, x in row.items()}) and ech.dim == width:
-                            break
-                gen = gen_by_bidegree.get((k, s))
-                if gen is not None and ech.dim < width:
-                    ech.insert({index[m]: c for m, c in gen.items()})
-                cur[s] = (monos, ech)
-                self.ideal_rows[(k, s)] = ech.rows
-                self.pieces[(k, s)] = self._make_piece(monos, index, ech.pivots, ech.rows)
+                    units.update(cols[c] for c in prev_units)
+                    shifted.extend((cols, row) for row in prev_rows)
+                # reducing a row against the unit rows drops its unit columns;
+                # once the span is full no further row can change it
+                ech = IntEchelon(width)
+                for cols, row in shifted:
+                    if len(units) + ech.dim == width:
+                        break
+                    red = {t: x for c, x in row.items() if (t := cols[c]) not in units}
+                    if red:
+                        ech.insert(red)
+                gen = gens.get((k, s))
+                if gen is not None and len(units) + ech.dim < width:
+                    red = {t: c for m, c in gen.items() if (t := index[m]) not in units}
+                    if red:
+                        ech.insert(red)
+                rows = []
+                for row in ech.sparse_rows():
+                    if len(row) == 1:
+                        units.update(row)
+                    else:
+                        rows.append(row)
+                cur[s] = (monos, units, rows)
+                self._add_piece(k, s, monos, units, rows)
             prev = cur
         self._certify_zero_band()
 
     def _restore(self, piece_rows: dict) -> None:
-        """Rebuild pieces from stored echelon rows (skips the elimination)."""
+        """Rebuild pieces from stored dense echelon rows (skips the elimination).
+
+        Each row is read into the sparse form the build produces: a row with
+        one nonzero entry is a unit column, the rest are non-unit rows.
+        """
         n = self.n
         for k in range(0, self.kmax + 2):
             for s in range(0, (n - 1) * k + 1):
                 monos = enumerate_monomials(n, k, s)
                 if not monos:
                     continue
-                rows = [tuple(r) for r in piece_rows.get((k, s), [])]
-                for row in rows:
-                    if len(row) != len(monos):
+                units: set[int] = set()
+                rows, pivots = [], []
+                for dense in piece_rows.get((k, s), []):
+                    if len(dense) != len(monos):
                         raise IntegrityError(f"stored row width mismatch at {(k, s)}")
-                pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
+                    row = {c: x for c, x in enumerate(dense) if x}
+                    if not row:
+                        raise IntegrityError(f"stored zero row at {(k, s)}")
+                    if any(type(x) is not int for x in row.values()):
+                        raise IntegrityError(f"stored non-integer entry at {(k, s)}")
+                    pivots.append(min(row))
+                    if len(row) == 1:
+                        units.add(pivots[-1])
+                    else:
+                        rows.append(row)
                 if sorted(pivots) != pivots or len(set(pivots)) != len(pivots):
                     raise IntegrityError(f"stored rows not in echelon order at {(k, s)}")
-                index = {m: i for i, m in enumerate(monos)}
-                self.ideal_rows[(k, s)] = rows
-                self.pieces[(k, s)] = self._make_piece(monos, index, pivots, rows)
+                self._add_piece(k, s, monos, units, rows)
         self._certify_zero_band()
+
+    def _add_piece(self, k: int, s: int, monos, units: set, rows: list) -> None:
+        """The piece at (k, s) from its unit columns and non-unit rows.
+
+        The basis is every other column that leads no row.  Normal forms go
+        into the module's flat table: a basis monomial is its own coordinate
+        vector, and the leading monomial of a non-unit row reduces to minus
+        the row's free entries over its leading entry.  Unit monomials, and
+        rows with no free entry, reduce to zero and are not stored.
+        """
+        ks = (k, s)
+        leads = {min(row) for row in rows}
+        free = [c for c in range(len(monos)) if c not in units and c not in leads]
+        basis = [monos[c] for c in free]
+        dim = len(free)
+        zero, one = Fraction(0), Fraction(1)
+        nf = self._nf
+        for i, m in enumerate(basis):
+            vec = [zero] * dim
+            vec[i] = one
+            nf[m] = (ks, tuple(vec))
+        position = {c: i for i, c in enumerate(free)}
+        for row in rows:
+            pc = min(row)
+            lead = row[pc]
+            vec = [zero] * dim
+            for c, x in row.items():
+                i = position.get(c)
+                if i is not None:
+                    vec[i] = Fraction(-x, lead)
+            if any(vec):
+                nf[monos[pc]] = (ks, tuple(vec))
+        self.pieces[ks] = QuotientPiece(basis, rows)
 
     def _certify_zero_band(self) -> None:
         band = self.kmax + 1
@@ -278,22 +353,33 @@ class FusionModule:
                     f"nonzero piece at certified-zero bidegree ({band}, {s}) for {self.a}"
                 )
 
-    @staticmethod
-    def _make_piece(monos, index, pivots, rows) -> QuotientPiece:
-        pivot_set = set(pivots)
-        basis = [m for i, m in enumerate(monos) if i not in pivot_set]
-        bidx = {m: i for i, m in enumerate(basis)}
-        free_cols = [i for i in range(len(monos)) if i not in pivot_set]
-        nf = {}
-        for m in basis:
-            vec = [Fraction(0)] * len(basis)
-            vec[bidx[m]] = Fraction(1)
-            nf[m] = tuple(vec)
-        zero = Fraction(0)
-        for pc, row in zip(pivots, rows):
-            lead = row[pc]
-            nf[monos[pc]] = tuple(Fraction(-row[c], lead) if row[c] else zero for c in free_cols)
-        return QuotientPiece(basis, bidx, nf)
+    @property
+    def ideal_rows(self) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+        """The reduced ideal rows of every bidegree, dense, sorted by pivot.
+
+        Unit rows and non-unit rows together, i.e. the canonical fully
+        reduced echelon form of each ideal slice.  Built on every access and
+        not kept: read it once and hold the result if it is needed twice.
+        """
+        out = {}
+        for (k, s), piece in self.pieces.items():
+            monos = enumerate_monomials(self.n, k, s)
+            basis = set(piece.basis)
+            leads = {min(row): row for row in piece.rows}
+            dense = []
+            for c, m in enumerate(monos):
+                row = leads.get(c)
+                if row is None and m in basis:
+                    continue
+                vec = [0] * len(monos)
+                if row is None:
+                    vec[c] = 1
+                else:
+                    for t, x in row.items():
+                        vec[t] = x
+                dense.append(tuple(vec))
+            out[(k, s)] = dense
+        return out
 
     # -- queries ------------------------------------------------------------
 
@@ -312,16 +398,9 @@ class FusionModule:
 
     def reduce_monomial(self, m: tuple):
         """Normal form of an ambient monomial: (bidegree, coords) or None."""
-        k, s = mono_degree(m), mono_weight(m)
-        if k > self.kmax + 1:
-            return None
-        piece = self.pieces.get((k, s))
-        if piece is None or not piece.dim:
-            return None
-        vec = piece.nf[m]
-        if not any(vec):
-            return None
-        return (k, s), vec
+        if len(m) != self.n:
+            raise ValueError(f"monomial in {len(m)} variables fed to a module with {self.n}")
+        return self._nf.get(m)
 
     # -- elements -----------------------------------------------------------
 
@@ -343,10 +422,6 @@ class FusionModule:
     def poly_class(self, p: dict) -> "ModuleElement":
         coords: dict = {}
         for m, c in p.items():
-            if len(m) != self.n:
-                raise ValueError(
-                    f"polynomial in {len(m)} variables fed to a module with {self.n}"
-                )
             red = self.reduce_monomial(m)
             if red is None:
                 continue
@@ -364,9 +439,6 @@ class FusionModule:
         vec = [Fraction(0)] * piece.dim
         vec[i] = Fraction(1)
         return ModuleElement(self, {(k, s): tuple(vec)})
-
-    def apply_op(self, op: dict, el: "ModuleElement") -> "ModuleElement":
-        return el.apply(op)
 
     def __repr__(self):
         return f"FusionModule(a={self.a}, dim={self.total_dim})"
@@ -558,37 +630,6 @@ class TensorModule:
             raise ValueError(f"factor {m} has no variable e_{j}")
         return ("factor", m, j)
 
-    def apply_op(self, op: tuple, el: "TensorElement") -> "TensorElement":
-        if op[0] == "diag":
-            j = op[1]
-            targets = [m for m, f in enumerate(self.factors) if j < f.n]
-        else:
-            _, m, j = op
-            targets = [m]
-        out: dict = {}
-        for (k, s), vec in el.coords.items():
-            for key, c in vec.items():
-                for m in targets:
-                    f = self.factors[m]
-                    km, sm, im = key[m]
-                    base = f.pieces[(km, sm)].basis[im]
-                    ej = tuple(1 if t == j else 0 for t in range(f.n))
-                    red = f.reduce_monomial(mono_mul(base, ej))
-                    if red is None:
-                        continue
-                    (tk, ts), tvec = red
-                    tot = (k + 1, s + j)
-                    acc = out.setdefault(tot, {})
-                    for i2, x in enumerate(tvec):
-                        if x:
-                            nkey = key[:m] + ((tk, ts, i2),) + key[m + 1 :]
-                            v = acc.get(nkey, Fraction(0)) + c * x
-                            if v:
-                                acc[nkey] = v
-                            else:
-                                acc.pop(nkey, None)
-        return TensorElement(self, out)
-
     def __repr__(self):
         return f"TensorModule({[f.a for f in self.factors]}, dim={self.total_dim})"
 
@@ -626,6 +667,39 @@ class TensorElement:
             self.owner,
             {ks: {key: c * x for key, x in vec.items()} for ks, vec in self.coords.items()},
         )
+
+    def apply(self, op: tuple) -> "TensorElement":
+        """Image under an operator from ``op_diag`` or ``op_factor``."""
+        owner = self.owner
+        if op[0] == "diag":
+            j = op[1]
+            targets = [m for m, f in enumerate(owner.factors) if j < f.n]
+        else:
+            _, m, j = op
+            targets = [m]
+        out: dict = {}
+        for (k, s), vec in self.coords.items():
+            for key, c in vec.items():
+                for m in targets:
+                    f = owner.factors[m]
+                    km, sm, im = key[m]
+                    base = f.pieces[(km, sm)].basis[im]
+                    ej = tuple(1 if t == j else 0 for t in range(f.n))
+                    red = f.reduce_monomial(mono_mul(base, ej))
+                    if red is None:
+                        continue
+                    (tk, ts), tvec = red
+                    tot = (k + 1, s + j)
+                    acc = out.setdefault(tot, {})
+                    for i2, x in enumerate(tvec):
+                        if x:
+                            nkey = key[:m] + ((tk, ts, i2),) + key[m + 1 :]
+                            v = acc.get(nkey, Fraction(0)) + c * x
+                            if v:
+                                acc[nkey] = v
+                            else:
+                                acc.pop(nkey, None)
+        return TensorElement(owner, out)
 
 
 def tensor(modules, require_same_n: bool = True) -> TensorModule:
@@ -740,7 +814,7 @@ def cyclic_span(owner, ops, seeds, max_dim: int | None = None) -> Subspace:
     while queue:
         el = queue.pop()
         for op in ops:
-            img = owner.apply_op(op, el)
+            img = el.apply(op)
             for piece in _slices(img):
                 if span.insert(piece):
                     queue.append(piece)

@@ -389,8 +389,8 @@ def _span_vs_kernel(a, i: int, factor1: tuple, factor2: tuple) -> dict:
     el = tens.cyclic_tensor()
     estring = tens.op_factor(1, n - i - 1)
     for _ in range(gap):
-        el = tens.apply_op(estring, el)
-    string_ok = (not el.is_zero()) and tens.apply_op(estring, el).is_zero()
+        el = el.apply(estring)
+    string_ok = (not el.is_zero()) and el.apply(estring).is_zero()
     return {
         "ok": good and span.dim == sub.dim and string_ok,
         "factors": (factor1, factor2),

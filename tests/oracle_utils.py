@@ -4,16 +4,18 @@ These never call the code paths they are checking: the splitting oracles
 count section spaces of twists straight from the matrix entries, or run a
 greedy two-sided reduction to monomial shape; the planted-matrix generator
 produces inputs whose answer is known by construction; the reference kernel
-is read off the dense ``rref``; and span intersections are computed by a
-Zassenhaus-style kernel that no library path uses.
+is read off the dense ``rref``; span intersections are computed by a
+Zassenhaus-style kernel that no library path uses; and the module ideal is
+rebuilt by the plain degree recursion, one echelon insert per shifted row,
+with bases and normal forms read off its dense rows.
 """
 
 from fractions import Fraction
 from random import Random
 
 from slfusion.laurent import Laurent
-from slfusion.linalg import IntEchelon, kernel_basis, rref, scale_to_int
-from slfusion.modules import Subspace
+from slfusion.linalg import IntEchelon, enumerate_monomials, kernel_basis, rref, scale_to_int
+from slfusion.modules import Subspace, ideal_generators, validate_composition
 
 
 def h0_twist(matrix, k, bound):
@@ -233,3 +235,69 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         if inter.dim:
             out.spans[ks] = inter
     return out
+
+
+def ideal_rows_reference(a):
+    """Reduced ideal rows of M^A per bidegree, by the plain degree recursion.
+
+    In every bidegree each row of degree k-1 is shifted by each e_j and
+    inserted into one ``IntEchelon``, then the generator: no special case
+    for monomial rows.  Returns ``{(k, s): dense rows sorted by pivot}``
+    for every bidegree with monomials, up to one degree past the top band.
+    """
+    a = validate_composition(a)
+    n = len(a)
+    kmax = sum(x - 1 for x in a)
+    gens = {(k, k * (n - 1) - zpow): poly for k, zpow, poly in ideal_generators(a)}
+    out, prev = {}, {}
+    for k in range(kmax + 2):
+        cur = {}
+        for s in range((n - 1) * k + 1):
+            monos = enumerate_monomials(n, k, s)
+            if not monos:
+                continue
+            width = len(monos)
+            index = {m: i for i, m in enumerate(monos)}
+            ech = IntEchelon(width)
+            for j in range(n):
+                if ech.dim == width:
+                    break
+                below = prev.get(s - j)
+                if below is None:
+                    continue
+                prev_monos, prev_ech = below
+                cols = [index[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in prev_monos]
+                for row in prev_ech.sparse_rows():
+                    ech.insert({cols[c]: x for c, x in row.items()})
+            gen = gens.get((k, s))
+            if gen is not None:
+                ech.insert({index[m]: c for m, c in gen.items()})
+            cur[s] = (monos, ech)
+            out[(k, s)] = ech.rows
+        prev = cur
+    return out
+
+
+def quotient_reference(a):
+    """Bases and normal forms of M^A read off ``ideal_rows_reference``.
+
+    Returns ``(rows, bases, nf)``: ``bases[(k, s)]`` lists the monomials at
+    non-pivot columns, and ``nf[m]`` is ``((k, s), coords)`` for every
+    ambient monomial up to one degree past the top band whose class is
+    nonzero, ``None`` otherwise.  A pivot monomial reduces to minus its
+    row's free entries over the leading entry.
+    """
+    n = len(a)
+    rows = ideal_rows_reference(a)
+    bases, nf = {}, {}
+    for (k, s), dense in rows.items():
+        monos = enumerate_monomials(n, k, s)
+        pivots = [next(c for c, x in enumerate(r) if x) for r in dense]
+        free = [c for c in range(len(monos)) if c not in pivots]
+        bases[(k, s)] = [monos[c] for c in free]
+        for i, c in enumerate(free):
+            nf[monos[c]] = ((k, s), tuple(Fraction(int(i == t)) for t in range(len(free))))
+        for pc, r in zip(pivots, dense):
+            vec = tuple(Fraction(-r[c], r[pc]) for c in free)
+            nf[monos[pc]] = ((k, s), vec) if any(vec) else None
+    return rows, bases, nf

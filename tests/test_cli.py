@@ -21,6 +21,7 @@ from slfusion.cli import (
     main,
     run_suite,
 )
+from slfusion.linalg import IntegrityError
 from slfusion.modules import FusionModule
 
 
@@ -251,6 +252,22 @@ def test_cache_version_mismatch_rebuilds(tmp_path):
     data["version"] = 999
     path.write_text(json.dumps(data))
     assert cache.load((2, 2)) is None  # triggers rebuild, never partial read
+
+
+@pytest.mark.parametrize(
+    "plant, match",
+    [(lambda row: [0] * len(row), "zero row"), (lambda row: [x / 2 for x in row], "non-integer")],
+)
+def test_cache_load_rejects_bad_rows(tmp_path, plant, match):
+    cache = ModuleCache(tmp_path)
+    cache.get((2, 3))
+    path = cache.path_for((2, 3))
+    data = json.loads(path.read_text())
+    rows = data["pieces"][-1][2]
+    rows[-1] = plant(rows[-1])
+    path.write_text(json.dumps(data))
+    with pytest.raises(IntegrityError, match=match):
+        cache.load((2, 3))
 
 
 def test_cache_spot_check(tmp_path):

@@ -1,8 +1,10 @@
 """Quotient modules: generators, dimensions, characters, spans, tensors."""
 
+from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
+from oracle_utils import quotient_reference
 
 from slfusion.linalg import (
     IntegrityError,
@@ -95,6 +97,37 @@ def test_ideal_rows_match_generator_multiples(a):
                     rows.append([product.get(x, 0) for x in monos])
             _, red, _ = rref(rows, len(monos))
             assert module.ideal_rows[(k, s)] == [scale_to_int(r) for r in red], (k, s)
+
+
+REFERENCE_LABELS = [
+    a for n in range(1, 5) for a in combinations_with_replacement(range(1, 5), n)
+] + [(4, 5, 6, 9), (4, 4, 4, 4, 4), (2, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("a", REFERENCE_LABELS)
+def test_build_matches_reference_route(a):
+    # the unit-column build against one echelon insert per shifted row
+    module = fusion_module(a)
+    rows, bases, nf = quotient_reference(a)
+    assert module.ideal_rows == rows
+    assert {ks: p.basis for ks, p in module.pieces.items()} == bases
+    n = len(a)
+    # every ambient monomial through the certified-zero band kmax + 1, and
+    # one band above it, where everything reduces to zero
+    for k in range(module.kmax + 3):
+        for s in range((n - 1) * k + 1):
+            for m in enumerate_monomials(n, k, s):
+                want = nf[m] if k <= module.kmax + 1 else None
+                assert module.reduce_monomial(m) == want, m
+
+
+def test_reduce_monomial_rejects_wrong_length():
+    mod = fusion_module((2, 3))
+    for m in [(1,), (0, 1, 0), ()]:
+        with pytest.raises(ValueError, match="variables"):
+            mod.reduce_monomial(m)
+    with pytest.raises(ValueError, match="variables"):
+        mod.poly_class({(1, 0, 0): 1})
 
 
 def test_two_two_graded_dimensions():
