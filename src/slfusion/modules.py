@@ -24,7 +24,14 @@ dropping the unit columns, and only what is left goes into an ``IntEchelon``
 A row that comes out as a single entry joins the units.  Units plus rows are
 exactly the canonical fully reduced echelon form of the ideal slice.  Normal
 forms are kept in one flat table per module, ``{monomial: ((k, s), coords)}``,
-holding only the monomials whose class is nonzero.
+holding only the monomials whose class is nonzero.  The column maps of the
+e_j shifts depend only on (n, k, s) and are shared by every build.
+
+Multiplication by e_j is read off the normal forms once per (j, bidegree)
+and kept as an integer table (``FusionModule.action``); tensor modules
+compose their factors' tables.  Cyclic spans, the closure check of a
+subspace and the vanishing test of a polynomial class run on these tables
+in integer arithmetic, with no per-step element or ``Fraction``.
 
 Everything here is exact: quotient bases, normal forms, graded characters,
 cyclic spans and tensor modules with diagonal operators.
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import lcm, prod
 
 from slfusion.linalg import (
     IntegrityError,
@@ -70,16 +77,19 @@ def generating_slice(n: int, k: int, zpow: int) -> dict:
     """Coefficient of z^zpow in E(z)^k as a sparse polynomial.
 
     Supported on all monomials of bidegree (k, k(n-1) - zpow), each with its
-    multinomial coefficient.  Results are memoized, so one dict is shared by
-    every caller (and by every ``ideal_generators`` list): do not mutate it.
+    multinomial coefficient, keyed in ``enumerate_monomials`` order.
+    Results are memoized, so one dict is shared by every caller (and by
+    every ``ideal_generators`` list): do not mutate it.
     """
     w = k * (n - 1) - zpow
+    facts = [1] * (k + 1)
+    for e in range(2, k + 1):
+        facts[e] = facts[e - 1] * e
     out = {}
-    fk = factorial(k)
     for m in enumerate_monomials(n, k, w):
-        c = fk
+        c = facts[k]
         for e in m:
-            c //= factorial(e)
+            c //= facts[e]
         out[m] = c
     return out
 
@@ -99,6 +109,23 @@ def ideal_generators(a) -> list[tuple[int, int, dict]]:
         for zpow in range(cap):
             out.append((k, zpow, generating_slice(n, k, zpow)))
     return out
+
+
+@lru_cache(maxsize=1 << 12)
+def shift_columns(n: int, k: int, s: int) -> tuple:
+    """Column maps of multiplication by e_j into bidegree (k, s), one per j.
+
+    Entry j lists, for each monomial of bidegree (k-1, s-j) in
+    ``enumerate_monomials`` order, the position of its e_j multiple among
+    the monomials of (k, s); it is empty when (k-1, s-j) has no monomials.
+    The maps depend on no label, so every module build shares them.
+    Memoized and shared: do not mutate.
+    """
+    index = {m: i for i, m in enumerate(enumerate_monomials(n, k, s))}
+    return tuple(
+        tuple(index[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in enumerate_monomials(n, k - 1, s - j))
+        for j in range(n)
+    )
 
 
 class GradedCharacter:
@@ -182,6 +209,49 @@ def match_characters(c1: GradedCharacter, c2: GradedCharacter, reindex: int = 0)
     return (c2r.shift(du, dq) == c1), (du, dq)
 
 
+def integer_image(vec) -> tuple:
+    """A nonzero rational vector as ``(entries, den)`` with ``den * vec`` integral.
+
+    ``entries`` are the ``(position, int)`` pairs of ``den * vec`` at its
+    nonzero positions and ``den`` is the lcm of the denominators.
+    """
+    nonzero = [(i, x) for i, x in enumerate(vec) if x]
+    den = lcm(*(x.denominator for _, x in nonzero))
+    return tuple((i, x.numerator * (den // x.denominator)) for i, x in nonzero), den
+
+
+# one shared copy of each distinct integer image held by a module's table:
+# most images repeat across pieces and modules (unit vectors, mostly); it
+# holds no more than the tables of the memoized modules do
+_IMAGE_POOL: dict[tuple, tuple] = {}
+
+
+def map_row(row: dict, table) -> dict:
+    """A positive multiple of the image of a sparse integer row under a table.
+
+    ``row`` is a ``{position: int}`` map over a piece basis and ``table``
+    holds the integer images of those basis vectors (``action``); the
+    images are summed over the lcm of their denominators, so no rational
+    number is formed.  The result is a ``{position: int}`` map, empty when
+    the image is zero.
+    """
+    den = 1
+    for c in row:
+        img = table[c]
+        if img is not None and img[1] != 1:
+            den = lcm(den, img[1])
+    acc: dict[int, int] = {}
+    for c, x in row.items():
+        img = table[c]
+        if img is None:
+            continue
+        entries, d = img
+        f = x * (den // d)
+        for t, y in entries:
+            acc[t] = acc.get(t, 0) + f * y
+    return {t: y for t, y in acc.items() if y}
+
+
 # ---------------------------------------------------------------------------
 # the quotient modules
 
@@ -216,6 +286,8 @@ class FusionModule:
         self.pieces: dict[tuple[int, int], QuotientPiece] = {}
         # monomial -> (bidegree, coords over the piece basis), nonzero only
         self._nf: dict[tuple, tuple] = {}
+        # (j, k, s) -> images of the piece basis under e_j, see ``action``
+        self._actions: dict[tuple, tuple] = {}
         if _piece_rows is None:
             self._build()
         else:
@@ -234,25 +306,23 @@ class FusionModule:
         gens = {(k, k * (n - 1) - zpow): poly for k, zpow, poly in ideal_generators(self.a)}
         # the ideal in degree k is spanned by e_j times its degree k-1 rows
         # plus the degree-k generators; prev keeps, per weight of degree k-1,
-        # the monomials, the unit columns and the non-unit rows
-        prev: dict[int, tuple[list, set, list]] = {}
+        # the unit columns and the non-unit rows
+        prev: dict[int, tuple[set, list]] = {}
         for k in range(0, self.kmax + 2):
-            cur: dict[int, tuple[list, set, list]] = {}
+            cur: dict[int, tuple[set, list]] = {}
             for s in range(0, (n - 1) * k + 1):
                 monos = enumerate_monomials(n, k, s)
                 if not monos:
                     continue
                 width = len(monos)
-                index = {m: i for i, m in enumerate(monos)}
                 units: set[int] = set()
                 shifted = []
-                for j in range(n):
+                for j, cols in enumerate(shift_columns(n, k, s)):
                     below = prev.get(s - j)
-                    if below is None or not (below[1] or below[2]):
+                    if below is None or not (below[0] or below[1]):
                         continue
-                    prev_monos, prev_units, prev_rows = below
-                    cols = [index[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in prev_monos]
-                    units.update(cols[c] for c in prev_units)
+                    prev_units, prev_rows = below
+                    units.update(map(cols.__getitem__, prev_units))
                     shifted.extend((cols, row) for row in prev_rows)
                 # reducing a row against the unit rows drops its unit columns;
                 # once the span is full no further row can change it
@@ -265,7 +335,10 @@ class FusionModule:
                         ech.insert(red)
                 gen = gens.get((k, s))
                 if gen is not None and len(units) + ech.dim < width:
-                    red = {t: c for m, c in gen.items() if (t := index[m]) not in units}
+                    # a generating slice lists its bidegree in column order
+                    if list(gen) != monos:
+                        raise IntegrityError(f"generator at {(k, s)} is not a full slice")
+                    red = {t: c for t, c in enumerate(gen.values()) if t not in units}
                     if red:
                         ech.insert(red)
                 rows = []
@@ -274,7 +347,7 @@ class FusionModule:
                         units.update(row)
                     else:
                         rows.append(row)
-                cur[s] = (monos, units, rows)
+                cur[s] = (units, rows)
                 self._add_piece(k, s, monos, units, rows)
             prev = cur
         self._certify_zero_band()
@@ -401,6 +474,45 @@ class FusionModule:
         if len(m) != self.n:
             raise ValueError(f"monomial in {len(m)} variables fed to a module with {self.n}")
         return self._nf.get(m)
+
+    def action(self, j: int, ks: tuple) -> tuple:
+        """Images of the basis of piece ``ks`` under e_j, memoized per (j, ks).
+
+        Entry i is the class of ``basis[i] * e_j`` in piece (k+1, s+j) as an
+        integer image ``(entries, den)`` (see ``integer_image``), or None when
+        the product lies in the ideal.
+        """
+        key = (j, *ks)
+        table = self._actions.get(key)
+        if table is None:
+            piece = self.pieces.get(ks)
+            images = []
+            for b in piece.basis if piece else ():
+                red = self._nf.get(b[:j] + (b[j] + 1,) + b[j + 1:])
+                if red is not None:
+                    img = integer_image(red[1])
+                    red = _IMAGE_POOL.setdefault(img, img)
+                images.append(red)
+            table = self._actions[key] = tuple(images)
+        return table
+
+    def poly_vanishes(self, p: dict) -> bool:
+        """True if the class of the polynomial ``p`` is zero.
+
+        The normal forms of its monomials are brought to one common
+        denominator and summed in integers.
+        """
+        nf = self._nf
+        terms = [(nf[m][0], p[m], integer_image(nf[m][1])) for m in filter(nf.__contains__, p)]
+        if not terms:
+            return True
+        den = lcm(*(img[1] for _, _, img in terms))
+        acc: dict = {}
+        for ks, c, (entries, d) in terms:
+            f = c * (den // d)
+            for i, x in entries:
+                acc[(ks, i)] = acc.get((ks, i), 0) + f * x
+        return not any(acc.values())
 
     # -- elements -----------------------------------------------------------
 
@@ -564,6 +676,10 @@ class TensorModule:
         self.n = max(f.n for f in self.factors)
         self.total_dim = prod(f.total_dim for f in self.factors)
         self._piece_index: dict = {}
+        # per factor, its nonzero pieces in bidegree order
+        self._nonzero_pieces = [
+            sorted((ks, p.dim) for ks, p in f.pieces.items() if p.dim) for f in self.factors
+        ]
 
     def character(self) -> GradedCharacter:
         table = {(0, 0): 1}
@@ -577,28 +693,34 @@ class TensorModule:
         return GradedCharacter(table)
 
     def piece_basis(self, k: int, s: int) -> list[tuple]:
-        """Ordered basis keys: tuples over factors of (k_m, s_m, index)."""
+        """Ordered basis keys: tuples over factors of (k_m, s_m, index).
+
+        Keys are listed in lexicographic order.
+        """
         cached = self._piece_index.get((k, s))
         if cached is not None:
             return cached[0]
-        keys: list[tuple] = []
+        last = len(self.factors) - 1
 
-        def rec(m: int, left_k: int, left_s: int, prefix: tuple) -> None:
-            if m == len(self.factors) - 1:
-                piece = self.factors[m].pieces.get((left_k, left_s))
-                if piece is not None:
-                    for i in range(piece.dim):
-                        keys.append(prefix + ((left_k, left_s, i),))
-                return
-            f = self.factors[m]
-            for (km, sm), piece in sorted(f.pieces.items()):
-                if km > left_k or sm > left_s or not piece.dim:
+        def tails(m: int, left_k: int, left_s: int) -> list[tuple]:
+            if m == last:
+                dim = self.factors[m].dim_piece(left_k, left_s)
+                return [((left_k, left_s, i),) for i in range(dim)]
+            out: list[tuple] = []
+            for (km, sm), dim in self._nonzero_pieces[m]:
+                if km > left_k:
+                    break
+                if sm > left_s:
                     continue
-                for i in range(piece.dim):
-                    rec(m + 1, left_k - km, left_s - sm, prefix + ((km, sm, i),))
+                rest = tails(m + 1, left_k - km, left_s - sm)
+                if not rest:
+                    continue
+                for i in range(dim):
+                    head = ((km, sm, i),)
+                    out.extend([head + t for t in rest])
+            return out
 
-        if k >= 0 and s >= 0:
-            rec(0, k, s, ())
+        keys = tails(0, k, s) if k >= 0 and s >= 0 else []
         index = {key: i for i, key in enumerate(keys)}
         self._piece_index[(k, s)] = (keys, index)
         return keys
@@ -630,6 +752,49 @@ class TensorModule:
             raise ValueError(f"factor {m} has no variable e_{j}")
         return ("factor", m, j)
 
+    def _op_factors(self, op: tuple) -> tuple[list, int]:
+        """The factors an operator acts on and its variable index."""
+        if op[0] == "diag":
+            return [m for m, f in enumerate(self.factors) if op[1] < f.n], op[1]
+        return [op[1]], op[2]
+
+    def action(self, op: tuple, ks: tuple) -> list:
+        """Images of the basis of piece ``ks`` under an operator.
+
+        Composed from the factors' tables (``FusionModule.action``): a basis
+        key maps to the sum, over the factors the operator acts on, of the
+        key with that factor's entry replaced by its image.  Entries are
+        integer images ``(entries, den)`` over the basis of (k+1, s+j), or
+        None for zero, as for a fusion module.  Not memoized: a span asks
+        for each (op, ks) once, and tensor modules are short-lived.
+        """
+        factors, j = self._op_factors(op)
+        target = self.piece_key_index(ks[0] + 1, ks[1] + j)
+        table = []
+        for key in self.piece_basis(*ks):
+            images = []
+            for m in factors:
+                km, sm, im = key[m]
+                img = self.factors[m].action(j, (km, sm))[im]
+                if img is not None:
+                    head, tail = key[:m], key[m + 1:]
+                    entries = tuple(
+                        (target[head + ((km + 1, sm + j, i),) + tail], x) for i, x in img[0]
+                    )
+                    images.append((entries, img[1]))
+            if len(images) < 2:
+                table.append(images[0] if images else None)
+                continue
+            # distinct factors move a key to distinct keys, but their sum
+            # still needs one denominator
+            den = lcm(*(d for _, d in images))
+            acc: dict[int, int] = {}
+            for entries, d in images:
+                for t, x in entries:
+                    acc[t] = acc.get(t, 0) + (den // d) * x
+            table.append((tuple(acc.items()), den))
+        return table
+
     def __repr__(self):
         return f"TensorModule({[f.a for f in self.factors]}, dim={self.total_dim})"
 
@@ -654,6 +819,8 @@ class TensorElement:
         return sorted(self.coords)
 
     def __add__(self, other) -> "TensorElement":
+        if other.owner is not self.owner:
+            raise ValueError("elements of different modules")
         coords = {ks: dict(vec) for ks, vec in self.coords.items()}
         for ks, vec in other.coords.items():
             acc = coords.setdefault(ks, {})
@@ -671,12 +838,7 @@ class TensorElement:
     def apply(self, op: tuple) -> "TensorElement":
         """Image under an operator from ``op_diag`` or ``op_factor``."""
         owner = self.owner
-        if op[0] == "diag":
-            j = op[1]
-            targets = [m for m, f in enumerate(owner.factors) if j < f.n]
-        else:
-            _, m, j = op
-            targets = [m]
+        targets, j = owner._op_factors(op)
         out: dict = {}
         for (k, s), vec in self.coords.items():
             for key, c in vec.items():
@@ -732,8 +894,13 @@ class Subspace:
             return self.owner.piece_dim(*ks)
         return self.owner.dim_piece(*ks)
 
+    def _check_owner(self, el) -> None:
+        if el.owner is not self.owner:
+            raise ValueError("element of a different module")
+
     def insert(self, el) -> bool:
         """Insert a bihomogeneous element; True if the span grew."""
+        self._check_owner(el)
         if el.is_zero():
             return False
         if len(el.coords) != 1:
@@ -745,6 +912,7 @@ class Subspace:
         return ech.insert(self._dense(ks, el))
 
     def contains(self, el) -> bool:
+        self._check_owner(el)
         if el.is_zero():
             return True
         for piece in _slices(el):
@@ -754,6 +922,28 @@ class Subspace:
                 return False
             if not ech.contains(self._dense(ks, piece)):
                 return False
+        return True
+
+    def includes(self, other: "Subspace") -> bool:
+        """True if ``other``, a subspace of the same module, lies inside this one."""
+        if other.owner is not self.owner:
+            raise ValueError("subspaces of different modules")
+        for ks, ech in other.spans.items():
+            mine = self.spans.get(ks)
+            if ech.dim and (mine is None or not all(map(mine.contains, ech.sparse_rows()))):
+                return False
+        return True
+
+    def closed_under(self, op) -> bool:
+        """True if the operator (as for ``cyclic_span``) maps the subspace into itself."""
+        var = _span_variable(self.owner, op)
+        for ks, ech in self.spans.items():
+            target = self.spans.get(_target_bidegree(ks, var))
+            table = self.owner.action(var, ks)
+            for row in ech.sparse_rows():
+                img = map_row(row, table)
+                if img and (target is None or not target.contains(img)):
+                    return False
         return True
 
     @property
@@ -799,27 +989,71 @@ def _slices(el):
     return [cls(el.owner, {ks: el.coords[ks]}) for ks in sorted(el.coords)]
 
 
+def _span_variable(owner, op):
+    """The operator in the form ``owner.action`` takes, checked.
+
+    On a fusion module an operator is a variable ``poly_var(n, j)`` and
+    becomes the index j; on a tensor module it is an ``op_diag`` or
+    ``op_factor`` tuple.  Anything else is a ``ValueError``.
+    """
+    if isinstance(owner, TensorModule):
+        if isinstance(op, tuple) and len(op) == 2 and op[0] == "diag":
+            return owner.op_diag(op[1])
+        if isinstance(op, tuple) and len(op) == 3 and op[0] == "factor":
+            return owner.op_factor(op[1], op[2])
+    elif isinstance(op, dict) and len(op) == 1:
+        ((m, c),) = op.items()
+        n = owner.n
+        if c == 1 and isinstance(m, tuple) and len(m) == n and sorted(m) == [0] * (n - 1) + [1]:
+            return m.index(1)
+    raise ValueError(f"cyclic spans take variable operators e_j, got {op!r}")
+
+
+def _target_bidegree(ks: tuple, var) -> tuple:
+    """Where the operator ``var`` (from ``_span_variable``) sends bidegree ks."""
+    return (ks[0] + 1, ks[1] + (var if isinstance(var, int) else var[-1]))
+
+
 def cyclic_span(owner, ops, seeds, max_dim: int | None = None) -> Subspace:
     """Smallest graded subspace containing the seeds and closed under ops.
 
-    Operators must raise the bidegree (all of ours do), so the fixed point is
-    reached by a plain breadth-first pass over newly inserted elements.
+    Every operator is a variable e_j (``poly_var`` on a fusion module,
+    ``op_diag``/``op_factor`` on a tensor module), raising the bidegree by
+    (1, j).  A degree-k slice is therefore final once every slice of degree
+    k-1 has been mapped, so bidegrees are walked in increasing degree and
+    each final slice's reduced echelon rows are mapped once through the
+    owner's integer action tables into the target echelons; a full target
+    is skipped.  A span that grows past ``max_dim`` raises IntegrityError.
     """
+    variables = [_span_variable(owner, op) for op in ops]
     span = Subspace(owner)
-    queue = []
     for seed in seeds:
         for piece in _slices(seed):
-            if span.insert(piece):
-                queue.append(piece)
-    while queue:
-        el = queue.pop()
-        for op in ops:
-            img = el.apply(op)
-            for piece in _slices(img):
-                if span.insert(piece):
-                    queue.append(piece)
+            span.insert(piece)
+    spans = span.spans
+    k = min((ks[0] for ks in spans), default=0)
+    while any(ks[0] >= k for ks in spans):
+        for ks in sorted(ks for ks in spans if ks[0] == k):
+            rows = spans[ks].sparse_rows()
+            if not rows:
+                continue
+            for var in variables:
+                tks = _target_bidegree(ks, var)
+                ech = spans.get(tks)
+                if ech is None:
+                    ech = spans[tks] = IntEchelon(span._piece_dim(tks))
+                if ech.dim == ech.ncols:
+                    continue
+                table = owner.action(var, ks)
+                for row in rows:
+                    img = map_row(row, table)
+                    if img and ech.insert(img) and ech.dim == ech.ncols:
+                        break
         if max_dim is not None and span.dim > max_dim:
             raise IntegrityError("cyclic span exceeded the expected dimension")
+        k += 1
+    for ks in [ks for ks, ech in spans.items() if not ech.dim]:
+        del spans[ks]
     return span
 
 

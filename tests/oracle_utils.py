@@ -5,9 +5,11 @@ count section spaces of twists straight from the matrix entries, or run a
 greedy two-sided reduction to monomial shape; the planted-matrix generator
 produces inputs whose answer is known by construction; the reference kernel
 is read off the dense ``rref``; span intersections are computed by a
-Zassenhaus-style kernel that no library path uses; and the module ideal is
+Zassenhaus-style kernel that no library path uses; the module ideal is
 rebuilt by the plain degree recursion, one echelon insert per shifted row,
-with bases and normal forms read off its dense rows.
+with bases and normal forms read off its dense rows; and cyclic spans are
+grown breadth-first, one element at a time, through ``apply`` and the
+``Fraction`` normal forms instead of the integer action tables.
 """
 
 from fractions import Fraction
@@ -15,7 +17,13 @@ from random import Random
 
 from slfusion.laurent import Laurent
 from slfusion.linalg import IntEchelon, enumerate_monomials, kernel_basis, rref, scale_to_int
-from slfusion.modules import Subspace, ideal_generators, validate_composition
+from slfusion.modules import (
+    ModuleElement,
+    Subspace,
+    TensorElement,
+    ideal_generators,
+    validate_composition,
+)
 
 
 def h0_twist(matrix, k, bound):
@@ -301,3 +309,27 @@ def quotient_reference(a):
             vec = tuple(Fraction(-r[c], r[pc]) for c in free)
             nf[monos[pc]] = ((k, s), vec) if any(vec) else None
     return rows, bases, nf
+
+
+def _slices(el):
+    """An element's bihomogeneous slices, in bidegree order."""
+    cls = TensorElement if isinstance(el, TensorElement) else ModuleElement
+    return [cls(el.owner, {ks: el.coords[ks]}) for ks in sorted(el.coords)]
+
+
+def cyclic_span_reference(owner, ops, seeds) -> Subspace:
+    """Smallest graded subspace holding the seeds and closed under ops.
+
+    Breadth-first: every element that grows the span is queued, and each
+    queued element is pushed through every operator with ``apply``.  Works
+    for any operator ``apply`` takes, variables or not.
+    """
+    span = Subspace(owner)
+    queue = [piece for seed in seeds for piece in _slices(seed) if span.insert(piece)]
+    while queue:
+        el = queue.pop()
+        for op in ops:
+            for piece in _slices(el.apply(op)):
+                if span.insert(piece):
+                    queue.append(piece)
+    return span

@@ -17,6 +17,8 @@ from slfusion.linalg import (
 from slfusion.modules import (
     FusionModule,
     GradedCharacter,
+    Subspace,
+    TensorModule,
     cyclic_span,
     fusion_module,
     ideal_generators,
@@ -209,6 +211,65 @@ def test_cyclic_span_partial_variables():
         span.character(), fusion_module((2, 3)).character(), reindex=1
     )
     assert ok and shift == (0, 0)
+
+
+def test_cyclic_span_dimension_gate_fires():
+    mod = fusion_module((2, 3))
+    ops = [poly_var(2, j) for j in range(2)]
+    assert cyclic_span(mod, ops, [mod.cyclic_vector()], max_dim=mod.total_dim).dim == 6
+    with pytest.raises(IntegrityError, match="exceeded the expected dimension"):
+        cyclic_span(mod, ops, [mod.cyclic_vector()], max_dim=mod.total_dim - 1)
+    t = tensor([fusion_module((2, 2)), fusion_module((2, 2))])
+    ops = [t.op_diag(j) for j in range(2)]
+    with pytest.raises(IntegrityError, match="exceeded the expected dimension"):
+        cyclic_span(t, ops, [t.cyclic_tensor()], max_dim=3)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        {(1, 1): 1},  # e_0 e_1 raises the degree by two
+        {(1, 0): 1, (0, 1): 1},  # e_0 + e_1
+        {(1, 0): 2},  # a multiple of a variable
+        {(0, 0): 1},  # the identity
+        {(1, 0, 0): 1},  # a variable of another ring
+        ("diag", 0),  # a tensor operator on a plain module
+    ],
+)
+def test_cyclic_span_rejects_non_variable_operators(op):
+    mod = fusion_module((2, 3))
+    with pytest.raises(ValueError, match="variable operators"):
+        cyclic_span(mod, [op], [mod.cyclic_vector()])
+
+
+def test_cyclic_span_rejects_non_tensor_operators():
+    t = TensorModule([fusion_module((2, 2)), fusion_module((2,))], require_same_n=False)
+    with pytest.raises(ValueError, match="variable operators"):
+        cyclic_span(t, [poly_var(2, 0)], [t.cyclic_tensor()])
+    with pytest.raises(ValueError, match="misses every factor"):
+        cyclic_span(t, [("diag", 2)], [t.cyclic_tensor()])
+    with pytest.raises(ValueError, match="has no variable"):
+        cyclic_span(t, [("factor", 1, 1)], [t.cyclic_tensor()])
+
+
+def test_elements_of_another_module_are_rejected():
+    m22, m23 = fusion_module((2, 2)), fusion_module((2, 3))
+    span = cyclic_span(m23, [poly_var(2, 0)], [m23.cyclic_vector()])
+    with pytest.raises(ValueError, match="different module"):
+        span.insert(m22.cyclic_vector())
+    with pytest.raises(ValueError, match="different module"):
+        span.contains(m22.cyclic_vector())
+    with pytest.raises(ValueError, match="different module"):
+        span.contains(m22.zero())
+    with pytest.raises(ValueError, match="different modules"):
+        m22.cyclic_vector() + m23.cyclic_vector()
+    t1, t2 = tensor([m22, m23]), tensor([m22, m23])
+    with pytest.raises(ValueError, match="different modules"):
+        t1.cyclic_tensor() + t2.cyclic_tensor()
+    with pytest.raises(ValueError, match="different module"):
+        Subspace(t1).insert(t2.cyclic_tensor())
+    with pytest.raises(ValueError, match="different modules"):
+        Subspace(m22).includes(span)
 
 
 def test_tensor_dims():

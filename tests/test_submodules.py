@@ -4,9 +4,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from oracle_utils import rref_kernel, subspace_intersection
+from oracle_utils import cyclic_span_reference, rref_kernel, subspace_intersection
 
-from slfusion import modules
+from slfusion import modules, submodules
 from slfusion.linalg import IntegrityError, mono_degree, mono_weight, poly_var, rref
 from slfusion.modules import (
     ModuleElement,
@@ -17,6 +17,7 @@ from slfusion.modules import (
 )
 from slfusion.submodules import (
     QuotientMap,
+    Submodule,
     eq_first_dim,
     generators_w,
     move_composition,
@@ -114,6 +115,68 @@ def test_move_map_well_definedness_gate_fires(monkeypatch):
     )
     with pytest.raises(IntegrityError, match="not well defined"):
         QuotientMap((2, 3), 1, 2)
+
+
+def test_kernel_closure_gate_fires():
+    qmap = QuotientMap((2, 3, 4), 2, 3)
+    assert Submodule.from_map(qmap).dim == eq_first_dim((2, 3, 4), 2)
+    # the kernel with its top bidegree removed: e_l maps the bidegrees
+    # just below it out of the planted subspace
+    planted = qmap.kernel()
+    del planted.spans[max(planted.spans)]
+    with pytest.raises(IntegrityError, match=r"not closed under e_\d"):
+        Submodule((2, 3, 4), (2, 3), qmap.source, planted, qmap)
+
+
+GRID = [a for n in range(1, 5) for a in combinations_with_replacement(range(1, 5), n)]
+
+
+def test_cyclic_span_matches_reference(monkeypatch):
+    """Every span the claims take on the n <= 4, entries <= 4 grid equals
+    the breadth-first reference span."""
+    real = modules.cyclic_span
+    seen = {}
+
+    def checked(owner, ops, seeds, max_dim=None):
+        span = real(owner, ops, seeds, max_dim=max_dim)
+        assert span == cyclic_span_reference(owner, ops, seeds), (owner, ops)
+        seen[kind] = seen.get(kind, 0) + 1
+        return span
+
+    monkeypatch.setattr(modules, "cyclic_span", checked)
+    monkeypatch.setattr(submodules, "cyclic_span", checked)
+    kind = "w"
+    for a in GRID:
+        for i in range(1, len(a)):
+            span_of_w(a, i)
+    kind = "peel"
+    for a in GRID:
+        for i in range(1, len(a)):
+            if a[i - 1] >= 2:
+                assert verify_filtration(a, i)["ok"], (a, i)
+    kind = "demazure"
+    for a in GRID:
+        if len(a) >= 2:
+            assert modules.verify_demazure(a)["ok"], a
+    # merged labels stay on the grid; n = 4 pairs would add seconds of
+    # reference work for no new code path
+    kind = "tg"
+    for a in GRID:
+        for b in GRID:
+            bpad = (1,) * (len(a) - len(b)) + b
+            if len(b) <= len(a) <= 3 and max(x + y - 1 for x, y in zip(a, bpad)) <= 4:
+                assert modules.verify_tensor_embedding(a, b)["ok"], (a, b)
+    kind = "descriptions"
+    for a in GRID:
+        n = len(a)
+        if n < 2 or any(x >= y for x, y in zip(a, a[1:])):
+            continue
+        for i in range(1, n):
+            assert verify_second_description(a, i)["ok"], (a, i)
+            assert verify_inductive_description(a, i)["ok"], (a, i)
+            if all(a[j] - a[j - 1] > 1 for j in range(i + 1, n)):
+                assert verify_emb(a, i)["ok"], (a, i)
+    assert seen == {"w": 155, "peel": 19, "demazure": 65, "tg": 240, "descriptions": 46}
 
 
 def test_kernel_dimension_formula():
