@@ -162,12 +162,12 @@ def run_claim(kind: str, params: tuple, cfg: RunConfig) -> dict:
         rep["integrity"] = True
         return rep
     except Exception as exc:  # one crashing claim must not abort the suite
+        traceback.print_exception(exc, file=sys.stderr)
         return _error_report(claim, params, exc)
 
 
 def _error_report(claim: str, params: tuple, exc: Exception) -> dict:
-    """Record for a claim that raised; the traceback goes to stderr."""
-    traceback.print_exception(exc, file=sys.stderr)
+    """Record for a claim that raised (the caller prints the traceback)."""
     rep = report(claim, "error", {"params": params}, "no exception", f"{type(exc).__name__}: {exc}", None, False)
     rep["status"] = "error"
     return rep
@@ -452,6 +452,24 @@ def _check_jobs(jobs: int, name: str = "jobs") -> None:
         raise ValueError(f"{name} must be between 1 and the CPU count ({cpus})")
 
 
+def claim_batches(claims: list) -> list[list]:
+    """The claims grouped into pool tasks, each batch in suite order.
+
+    Claims whose first parameter is a composition are grouped by its size
+    |A| = sum(a_i): every move, peeling step and kernel target keeps |A|,
+    so one worker builds each family of modules once.  Any other claim is a
+    batch of its own.  Those come first, then the |A| batches from the
+    largest |A| down.
+    """
+    singles, families = [], {}
+    for kind, params in claims:
+        if params and isinstance(params[0], tuple):
+            families.setdefault(sum(params[0]), []).append((kind, params))
+        else:
+            singles.append([(kind, params)])
+    return singles + [families[size] for size in sorted(families, reverse=True)]
+
+
 def run_suite(suite: str, cfg: RunConfig) -> list[dict]:
     _check_jobs(cfg.jobs)
     claims = suite_claims(suite, cfg)
@@ -461,18 +479,24 @@ def run_suite(suite: str, cfg: RunConfig) -> list[dict]:
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        batches = claim_batches(claims)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_timed_claim, kind, params, cfg) for kind, params in claims]
-            for (kind, params), future in zip(claims, futures):
+            futures = [pool.submit(_timed_batch, batch, cfg) for batch in batches]
+            for batch, future in zip(batches, futures):
                 try:
-                    reports.append(future.result())
+                    reports.extend(future.result())
                 except Exception as exc:  # the worker died or its result was lost
-                    reports.append(_error_report(claim_id(kind, params), params, exc))
+                    traceback.print_exception(exc, file=sys.stderr)
+                    reports.extend(_error_report(claim_id(*claim), claim[1], exc) for claim in batch)
     else:
         for kind, params in claims:
             reports.append(_timed_claim(kind, params, cfg))
     reports.sort(key=lambda r: r["claim"])
     return reports
+
+
+def _timed_batch(batch, cfg):
+    return [_timed_claim(kind, params, cfg) for kind, params in batch]
 
 
 def _timed_claim(kind, params, cfg):

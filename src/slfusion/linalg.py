@@ -15,8 +15,9 @@ single integer combination, and only the nonzero entries are ever touched.
 ``IntEchelon`` takes dense rational rows as well as sparse integer maps; a
 rational row is scaled to integers by ``_integer_row``, the one converter.
 ``kernel_basis`` is fraction-free too: it reads the null space off the reduced
-integer rows.  Rationals appear only in final normal forms and kernel
-vectors, so the results are exact by construction.  The dense ``Fraction``
+integer rows.  Rationals appear only in ``kernel_basis`` vectors and in
+dense normal forms built on demand, so the results are exact by
+construction.  The dense ``Fraction``
 ``rref`` is not called by the library: it stays only as the independent
 reference the tests check ``IntEchelon`` and ``kernel_basis`` against.
 """

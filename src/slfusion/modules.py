@@ -23,15 +23,18 @@ dropping the unit columns, and only what is left goes into an ``IntEchelon``
 (the Macaulay-matrix split of F4: monomial rows are handled symbolically).
 A row that comes out as a single entry joins the units.  Units plus rows are
 exactly the canonical fully reduced echelon form of the ideal slice.  Normal
-forms are kept in one flat table per module, ``{monomial: ((k, s), coords)}``,
-holding only the monomials whose class is nonzero.  The column maps of the
+forms are kept in one flat table per module,
+``{monomial: ((k, s), entries, den)}``, holding only the monomials whose class
+is nonzero: the class is ``sum(x * basis[i] for i, x in entries) / den``, an
+integer image read straight off the echelon rows.  The column maps of the
 e_j shifts depend only on (n, k, s) and are shared by every build.
 
 Multiplication by e_j is read off the normal forms once per (j, bidegree)
 and kept as an integer table (``FusionModule.action``); tensor modules
 compose their factors' tables.  Cyclic spans, the closure check of a
-subspace and the vanishing test of a polynomial class run on these tables
-in integer arithmetic, with no per-step element or ``Fraction``.
+subspace, the vanishing test of a polynomial class and the kernels of the
+move maps run on these images in integer arithmetic, with no per-step
+element or ``Fraction``.
 
 Everything here is exact: quotient bases, normal forms, graded characters,
 cyclic spans and tensor modules with diagonal operators.
@@ -209,17 +212,6 @@ def match_characters(c1: GradedCharacter, c2: GradedCharacter, reindex: int = 0)
     return (c2r.shift(du, dq) == c1), (du, dq)
 
 
-def integer_image(vec) -> tuple:
-    """A nonzero rational vector as ``(entries, den)`` with ``den * vec`` integral.
-
-    ``entries`` are the ``(position, int)`` pairs of ``den * vec`` at its
-    nonzero positions and ``den`` is the lcm of the denominators.
-    """
-    nonzero = [(i, x) for i, x in enumerate(vec) if x]
-    den = lcm(*(x.denominator for _, x in nonzero))
-    return tuple((i, x.numerator * (den // x.denominator)) for i, x in nonzero), den
-
-
 # one shared copy of each distinct integer image held by a module's table:
 # most images repeat across pieces and modules (unit vectors, mostly); it
 # holds no more than the tables of the memoized modules do
@@ -284,7 +276,7 @@ class FusionModule:
         self.kmax = sum(x - 1 for x in self.a)
         self.lowest_h0 = -self.kmax
         self.pieces: dict[tuple[int, int], QuotientPiece] = {}
-        # monomial -> (bidegree, coords over the piece basis), nonzero only
+        # monomial -> (bidegree, entries, den), nonzero only; see normal_form
         self._nf: dict[tuple, tuple] = {}
         # (j, k, s) -> images of the piece basis under e_j, see ``action``
         self._actions: dict[tuple, tuple] = {}
@@ -388,33 +380,30 @@ class FusionModule:
         """The piece at (k, s) from its unit columns and non-unit rows.
 
         The basis is every other column that leads no row.  Normal forms go
-        into the module's flat table: a basis monomial is its own coordinate
-        vector, and the leading monomial of a non-unit row reduces to minus
-        the row's free entries over its leading entry.  Unit monomials, and
-        rows with no free entry, reduce to zero and are not stored.
+        into the module's flat table as integer images: basis monomial i is
+        ``((i, 1),)`` over 1, and the leading monomial of a non-unit row
+        reduces to minus the row's free entries over its leading entry (a
+        primitive row makes that denominator the least one).  Unit
+        monomials, and rows with no free entry, reduce to zero and are not
+        stored.
         """
         ks = (k, s)
         leads = {min(row) for row in rows}
         free = [c for c in range(len(monos)) if c not in units and c not in leads]
         basis = [monos[c] for c in free]
-        dim = len(free)
-        zero, one = Fraction(0), Fraction(1)
         nf = self._nf
         for i, m in enumerate(basis):
-            vec = [zero] * dim
-            vec[i] = one
-            nf[m] = (ks, tuple(vec))
+            nf[m] = (ks, ((i, 1),), 1)
         position = {c: i for i, c in enumerate(free)}
         for row in rows:
             pc = min(row)
             lead = row[pc]
-            vec = [zero] * dim
-            for c, x in row.items():
-                i = position.get(c)
-                if i is not None:
-                    vec[i] = Fraction(-x, lead)
-            if any(vec):
-                nf[monos[pc]] = (ks, tuple(vec))
+            sign = -1 if lead > 0 else 1
+            entries = sorted(
+                (i, sign * x) for c, x in row.items() if (i := position.get(c)) is not None
+            )
+            if entries:
+                nf[monos[pc]] = (ks, tuple(entries), abs(lead))
         self.pieces[ks] = QuotientPiece(basis, rows)
 
     def _certify_zero_band(self) -> None:
@@ -469,18 +458,39 @@ class FusionModule:
     def piece(self, k: int, s: int) -> QuotientPiece | None:
         return self.pieces.get((k, s))
 
-    def reduce_monomial(self, m: tuple):
-        """Normal form of an ambient monomial: (bidegree, coords) or None."""
+    def normal_form(self, m: tuple):
+        """Normal form of an ambient monomial as ``(bidegree, entries, den)``.
+
+        The class is ``sum(x * basis[i] for i, x in entries) / den`` over the
+        basis of the piece at that bidegree, with ``entries`` sorted by
+        position and ``den`` positive; None when the monomial lies in the
+        ideal.  The tuple is the module's own table entry.
+        """
         if len(m) != self.n:
             raise ValueError(f"monomial in {len(m)} variables fed to a module with {self.n}")
         return self._nf.get(m)
+
+    def reduce_monomial(self, m: tuple):
+        """Normal form of an ambient monomial: (bidegree, coords) or None.
+
+        ``coords`` is a dense ``Fraction`` tuple over the piece basis, built
+        from ``normal_form`` on every call.
+        """
+        red = self.normal_form(m)
+        if red is None:
+            return None
+        ks, entries, den = red
+        vec = [Fraction(0)] * self.pieces[ks].dim
+        for i, x in entries:
+            vec[i] = Fraction(x, den)
+        return ks, tuple(vec)
 
     def action(self, j: int, ks: tuple) -> tuple:
         """Images of the basis of piece ``ks`` under e_j, memoized per (j, ks).
 
         Entry i is the class of ``basis[i] * e_j`` in piece (k+1, s+j) as an
-        integer image ``(entries, den)`` (see ``integer_image``), or None when
-        the product lies in the ideal.
+        integer image ``(entries, den)`` (the tail of its ``normal_form``),
+        or None when the product lies in the ideal.
         """
         key = (j, *ks)
         table = self._actions.get(key)
@@ -490,7 +500,7 @@ class FusionModule:
             for b in piece.basis if piece else ():
                 red = self._nf.get(b[:j] + (b[j] + 1,) + b[j + 1:])
                 if red is not None:
-                    img = integer_image(red[1])
+                    img = red[1:]
                     red = _IMAGE_POOL.setdefault(img, img)
                 images.append(red)
             table = self._actions[key] = tuple(images)
@@ -503,12 +513,12 @@ class FusionModule:
         denominator and summed in integers.
         """
         nf = self._nf
-        terms = [(nf[m][0], p[m], integer_image(nf[m][1])) for m in filter(nf.__contains__, p)]
+        terms = [(nf[m], p[m]) for m in filter(nf.__contains__, p)]
         if not terms:
             return True
-        den = lcm(*(img[1] for _, _, img in terms))
+        den = lcm(*(red[2] for red, _ in terms))
         acc: dict = {}
-        for ks, c, (entries, d) in terms:
+        for (ks, entries, d), c in terms:
             f = c * (den // d)
             for i, x in entries:
                 acc[(ks, i)] = acc.get((ks, i), 0) + f * x
@@ -534,14 +544,15 @@ class FusionModule:
     def poly_class(self, p: dict) -> "ModuleElement":
         coords: dict = {}
         for m, c in p.items():
-            red = self.reduce_monomial(m)
+            red = self.normal_form(m)
             if red is None:
                 continue
-            ks, vec = red
-            acc = coords.setdefault(ks, [Fraction(0)] * len(vec))
-            for i, x in enumerate(vec):
-                if x:
-                    acc[i] += c * x
+            ks, entries, den = red
+            acc = coords.get(ks)
+            if acc is None:
+                acc = coords[ks] = [Fraction(0)] * self.pieces[ks].dim
+            for i, x in entries:
+                acc[i] += Fraction(c * x, den)
         return ModuleElement(
             self, {ks: tuple(v) for ks, v in coords.items() if any(v)}
         )

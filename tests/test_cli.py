@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,72 @@ def test_crashing_claim_is_reported_as_error(capsys, monkeypatch, jobs):
                        "--jobs", str(jobs))
     assert code == EXIT_ERROR
     assert out.splitlines()[-1].endswith(", 1 error")
+
+
+def test_worker_dying_mid_batch_reports_every_claim(capsys, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched claim table reaches workers only through fork")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs as many CPUs as workers")
+    anchor, real = cli.CLAIM_KINDS["dims"]
+
+    def exit_on_2_2(cfg, claim, a):
+        if a == (2, 2):  # the second claim of the |A| = 4 batch
+            os._exit(1)
+        return real(cfg, claim, a)
+
+    def overdue(signum, frame):
+        raise TimeoutError("the pool did not finish after a worker died")
+
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, exit_on_2_2))
+    old = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(60)
+    try:
+        code, out, _ = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3",
+                           "--format", "json", "--jobs", "2")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == EXIT_ERROR == 4
+    records = [json.loads(line) for line in out.splitlines()]
+    want = cli.suite_claims("dims", RunConfig(max_n=2, max_entry=3))
+    assert sorted(r["claim"] for r in records) == sorted(cli.claim_id(*c) for c in want)
+    (planted,) = [r for r in records if r["claim"] == "dims[(2, 2)]"]
+    assert planted["status"] == "error"
+
+
+def test_claim_batches_hold_each_claim_once():
+    claims = cli.suite_claims("all", RunConfig())
+    batches = cli.claim_batches(claims)
+    position = {claim: i for i, claim in enumerate(claims)}
+    assert len(position) == len(claims)
+    assert sorted(position[c] for batch in batches for c in batch) == list(range(len(claims)))
+    for batch in batches:
+        assert [position[c] for c in batch] == sorted(position[c] for c in batch)
+
+    def size(claim):  # |A| of a composition claim, None for any other
+        params = claim[1]
+        return sum(params[0]) if params and isinstance(params[0], tuple) else None
+
+    # the singletons first, then one batch per |A|, largest first
+    sizes = [{size(c) for c in batch} for batch in batches]
+    singles = [batch for batch, s in zip(batches, sizes) if s == {None}]
+    assert all(len(batch) == 1 for batch in singles)
+    assert batches[: len(singles)] == singles
+    rest = [s.pop() for s in sizes[len(singles):] if len(s) == 1]
+    assert rest == sorted({size(c) for c in claims} - {None}, reverse=True)
+    assert len(singles) + len(rest) == len(batches)
+
+
+def test_pool_stream_equals_serial_stream(capsys):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs as many CPUs as workers")
+    args = ["verify", "all", "--max-n", "3", "--max-entry", "3", "--format", "json"]
+    code1, out1, _ = run(capsys, *args, "--jobs", "1")
+    code2, out2, _ = run(capsys, *args, "--jobs", "2")
+    strip = lambda s: re.sub(r'"ms": \d+', '"ms": 0', s)
+    assert code1 == code2
+    assert strip(out1) == strip(out2)
 
 
 def test_cache_roundtrip(tmp_path):

@@ -1,7 +1,7 @@
 """Quotient modules: generators, dimensions, characters, spans, tensors."""
 
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 
 import pytest
 from oracle_utils import quotient_reference
@@ -121,6 +121,27 @@ def test_build_matches_reference_route(a):
             for m in enumerate_monomials(n, k, s):
                 want = nf[m] if k <= module.kmax + 1 else None
                 assert module.reduce_monomial(m) == want, m
+
+
+def test_action_tables_match_dense_normal_forms():
+    # the integer images of the dense Fraction normal forms, as the action
+    # tables were first built; reduce_monomial itself is pinned to the
+    # reference route above
+    def integer_image(vec):
+        nonzero = [(i, x) for i, x in enumerate(vec) if x]
+        den = lcm(*(x.denominator for _, x in nonzero))
+        return tuple((i, x.numerator * (den // x.denominator)) for i, x in nonzero), den
+
+    grid = [a for n in range(1, 5) for a in combinations_with_replacement(range(1, 5), n)]
+    for a in grid:
+        module = fusion_module(a)
+        for ks, piece in module.pieces.items():
+            for j in range(module.n):
+                want = []
+                for b in piece.basis:
+                    red = module.reduce_monomial(b[:j] + (b[j] + 1,) + b[j + 1:])
+                    want.append(None if red is None else integer_image(red[1]))
+                assert module.action(j, ks) == tuple(want), (a, j, ks)
 
 
 def test_reduce_monomial_rejects_wrong_length():

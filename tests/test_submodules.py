@@ -1,5 +1,6 @@
 """Move surjections, their kernels, and the three kernel descriptions."""
 
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -94,16 +95,28 @@ def test_move_map_kernel_matches_rref_reference():
 
 def test_move_map_surjectivity_gate_fires(monkeypatch):
     target = fusion_module((1, 4))
-    real = target.reduce_monomial
+    real = target.normal_form
     # zero the images in one bidegree where the target is nonzero
     ks = next(ks for ks, p in sorted(target.pieces.items()) if ks[0] and p.dim)
 
     def planted(m):
         return None if (mono_degree(m), mono_weight(m)) == ks else real(m)
 
-    monkeypatch.setattr(target, "reduce_monomial", planted)
+    monkeypatch.setattr(target, "normal_form", planted)
     with pytest.raises(IntegrityError, match="not surjective"):
         QuotientMap((2, 3), 1, 2)
+
+
+def test_move_map_surjectivity_gate_fires_on_a_missing_source_monomial(monkeypatch):
+    source, target = fusion_module((2, 3, 4)), fusion_module((2, 2, 5))
+    # a target basis monomial dropped from a source basis that keeps others
+    ks, tpiece = next(
+        (ks, p) for ks, p in sorted(target.pieces.items()) if p.dim and source.dim_piece(*ks) > 1
+    )
+    piece = source.pieces[ks]
+    monkeypatch.setattr(piece, "basis", [m for m in piece.basis if m != tpiece.basis[0]])
+    with pytest.raises(IntegrityError, match=re.escape(f"not surjective at {ks}")):
+        QuotientMap((2, 3, 4), 2, 3)
 
 
 def test_move_map_well_definedness_gate_fires(monkeypatch):
