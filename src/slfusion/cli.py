@@ -478,21 +478,37 @@ def run_suite(suite: str, cfg: RunConfig) -> list[dict]:
     reports = []
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         batches = claim_batches(claims)
+        unfinished = []
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(_timed_batch, batch, cfg) for batch in batches]
             for batch, future in zip(batches, futures):
                 try:
                     reports.extend(future.result())
-                except Exception as exc:  # the worker died or its result was lost
-                    traceback.print_exception(exc, file=sys.stderr)
-                    reports.extend(_error_report(claim_id(*claim), claim[1], exc) for claim in batch)
+                except BrokenProcessPool:  # a worker died: every unfinished batch lands here
+                    unfinished.append(batch)
+                except Exception as exc:  # the batch's result was lost
+                    reports.extend(_batch_errors(batch, exc))
+        # rerun each unfinished batch alone, so a dead worker costs only its own batch
+        for batch in unfinished:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                try:
+                    reports.extend(pool.submit(_timed_batch, batch, cfg).result())
+                except Exception as exc:
+                    reports.extend(_batch_errors(batch, exc))
     else:
         for kind, params in claims:
             reports.append(_timed_claim(kind, params, cfg))
     reports.sort(key=lambda r: r["claim"])
     return reports
+
+
+def _batch_errors(batch, exc: Exception) -> list[dict]:
+    """One ``error`` record per claim of a batch whose worker gave no result."""
+    traceback.print_exception(exc, file=sys.stderr)
+    return [_error_report(claim_id(*claim), claim[1], exc) for claim in batch]
 
 
 def _timed_batch(batch, cfg):

@@ -16,6 +16,14 @@ and are compared symbolically; identities across charts are checked at
 random rational sample points, where the pushforward of a field through the
 inversion map is computed as multiplication of its series by -y(t)^2.
 
+The sampled checks run on integers.  A rational point ``x = P / D`` is
+cleared of denominators once, the inverse series comes from the
+division-free recurrence of ``inverse_numerators``, and field values are
+integer numerators over one known denominator, compared by
+cross-multiplying.  The Jacobian runs the same recurrence on integer
+value-derivative pairs and takes an integer Bareiss determinant, so it
+stays independent of the -y(t)^2 pushforward.
+
 The section-dimension recursion for nonnegative sorted bundle labels runs on
 two rewrite rules: decrement the last entry while adding the product of the
 leading entries plus one, and swap adjacent entries that differ by exactly
@@ -25,12 +33,13 @@ derivation chain is returned.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from random import Random
 
-from slfusion.laurent import Laurent
-from slfusion.linalg import IntegrityError
+from slfusion.laurent import Laurent, _det_rational
+from slfusion.linalg import IntEchelon, IntegrityError, _integer_row, exact_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +61,7 @@ class TruncatedSeries:
         self.coeffs = tuple(coeffs[:n])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.n, other.n)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: n - i]):
-                out[i + j] += a * b
-        return TruncatedSeries(out, n)
+        return TruncatedSeries(_series_product(self.coeffs[: other.n], other.coeffs[: self.n]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -72,62 +74,50 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)})"
 
     def invert(self) -> "TruncatedSeries":
-        return TruncatedSeries(invert_coefficients(self.coeffs), self.n)
+        den, p = integer_point(self.coeffs)
+        if not p[0]:
+            raise ValueError("constant term vanishes: the point misses the chart overlap")
+        r = inverse_numerators(p)
+        return TruncatedSeries([Fraction(den * rk, p[0] ** (k + 1)) for k, rk in enumerate(r)])
 
 
-def invert_coefficients(coeffs):
-    """Coefficients of the multiplicative inverse mod t^n.
+def _series_product(a, b) -> list:
+    """Coefficients of a(t) b(t) mod t^n for two length-n coefficient lists."""
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
-    Generic over any field elements supporting the four operations, so the
-    same recurrence also runs on dual numbers for exact differentiation.
+
+def integer_point(point) -> tuple[int, list[int]]:
+    """``(D, D·x)``: the lcm ``D`` of the denominators and the integer point."""
+    den = lcm(*(x.denominator for x in point))
+    return den, [x.numerator * (den // x.denominator) for x in point]
+
+
+def inverse_numerators(p, one=1, mul=operator.mul, add=operator.add, neg=operator.neg):
+    """Numerators ``r_k`` of the inverse of the series ``sum p_k t^k``.
+
+    The inverse has coefficients ``r_k / p_0^(k+1)``, and the recurrence is
+    division-free: ``r_0 = 1``, ``r_k = -sum_{j=1..k} p_j r_{k-j} p_0^(j-1)``.
+    It runs on integers, or on any ring given by ``one``, ``mul``, ``add``
+    and ``neg`` (the Jacobian runs it on value-derivative pairs).  With
+    ``x = p / D`` the inverse of ``x`` has coefficients ``D r_k / p_0^(k+1)``.
     """
-    x0 = coeffs[0]
-    try:
-        y0 = 1 / x0 if not isinstance(x0, DualNumber) else x0.inverse()
-    except ZeroDivisionError:
-        raise ValueError("constant term vanishes: the point misses the chart overlap")
-    out = [y0]
-    for k in range(1, len(coeffs)):
-        acc = None
-        for j in range(1, k + 1):
-            term = coeffs[j] * out[k - j]
-            acc = term if acc is None else acc + term
-        out.append(-y0 * acc)
-    return out
+    r, powers = [one], [one]  # powers[j] = p_0^j
+    for k in range(1, len(p)):
+        acc = mul(p[1], r[k - 1])
+        for j in range(2, k + 1):
+            acc = add(acc, mul(mul(p[j], r[k - j]), powers[j - 1]))
+        r.append(neg(acc))
+        powers.append(mul(powers[-1], p[0]))
+    return r
 
 
-class DualNumber:
-    """a + b*eps with eps^2 = 0, for exact forward differentiation."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, o):
-        o = o if isinstance(o, DualNumber) else DualNumber(o)
-        return DualNumber(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualNumber(-self.a, -self.b)
-
-    def __sub__(self, o):
-        return self + (-o if isinstance(o, DualNumber) else DualNumber(-Fraction(o)))
-
-    def __mul__(self, o):
-        o = o if isinstance(o, DualNumber) else DualNumber(o)
-        return DualNumber(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.a == 0:
-            raise ZeroDivisionError("dual number with zero real part")
-        inv = 1 / self.a
-        return DualNumber(inv, -self.b * inv * inv)
+# value-derivative pairs (a, b) for a + b*eps with eps^2 = 0
+_JETS = (
+    (1, 0),
+    lambda u, v: (u[0] * v[0], u[0] * v[1] + u[1] * v[0]),
+    lambda u, v: (u[0] + v[0], u[1] + v[1]),
+    lambda u: (-u[0], -u[1]),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +128,7 @@ class PolyVectorField:
     """First-order derivation sum_i c_i(x) d/dx_i with rational coefficients.
 
     Coefficient polynomials are sparse exponent-tuple dicts; only the slot-0
-    exponent may be negative.
+    exponent may be negative.  Integral coefficients are kept as ``int``.
     """
 
     __slots__ = ("n", "comps")
@@ -148,7 +138,11 @@ class PolyVectorField:
         self.comps: dict[int, dict] = {}
         if comps:
             for i, poly in comps.items():
-                clean = {m: Fraction(c) for m, c in poly.items() if c}
+                clean = {
+                    m: c if type(c) is int else exact_scalar(c)
+                    for m, c in poly.items()
+                    if c
+                }
                 for m in clean:
                     if len(m) != n or any(e < 0 for e in m[1:]):
                         raise ValueError("bad coefficient monomial")
@@ -163,7 +157,7 @@ class PolyVectorField:
         for i, poly in other.comps.items():
             acc = comps.setdefault(i, {})
             for m, c in poly.items():
-                v = acc.get(m, Fraction(0)) + c
+                v = acc.get(m, 0) + c
                 if v:
                     acc[m] = v
                 else:
@@ -177,13 +171,13 @@ class PolyVectorField:
         return self + (-other)
 
     def scale(self, c) -> "PolyVectorField":
-        c = Fraction(c)
+        c = exact_scalar(c)
         return PolyVectorField(
             self.n, {i: {m: c * v for m, v in p.items()} for i, p in self.comps.items()}
         )
 
     def mul_monomial(self, mono: tuple, coeff=1) -> "PolyVectorField":
-        coeff = Fraction(coeff)
+        coeff = exact_scalar(coeff)
         out = {}
         for i, poly in self.comps.items():
             out[i] = {
@@ -197,18 +191,6 @@ class PolyVectorField:
             and self.n == other.n
             and self.comps == other.comps
         )
-
-    def evaluate(self, point) -> list[Fraction]:
-        point = [Fraction(p) for p in point]
-        out = [Fraction(0)] * self.n
-        for i, poly in self.comps.items():
-            for m, c in poly.items():
-                v = c
-                for x, e in zip(point, m):
-                    if e:
-                        v *= x**e
-                out[i] += v
-        return out
 
     def coordinates(self):
         """Sorted (component, monomial) -> coefficient pairs."""
@@ -232,14 +214,18 @@ def _poly_repr(poly: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _poly_partial(poly: dict, j: int) -> dict:
-    out = {}
+def _gradient(poly: dict) -> dict[int, dict]:
+    """The nonzero partial derivatives of a polynomial, keyed by variable.
+
+    For a fixed variable distinct monomials have distinct derivatives, so
+    no coefficient cancels.
+    """
+    out: dict[int, dict] = {}
     for m, c in poly.items():
-        e = m[j]
-        if e:
-            dm = m[:j] + (e - 1,) + m[j + 1 :]
-            out[dm] = out.get(dm, Fraction(0)) + c * e
-    return {m: c for m, c in out.items() if c}
+        for j, e in enumerate(m):
+            if e:
+                out.setdefault(j, {})[m[:j] + (e - 1,) + m[j + 1 :]] = c * e
+    return out
 
 
 def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
@@ -254,22 +240,18 @@ def bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
         for m1, c1 in coeff_poly.items():
             for m2, c2 in dpoly.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                val = acc.get(m, Fraction(0)) + sign * c1 * c2
+                val = acc.get(m, 0) + sign * c1 * c2
                 if val:
                     acc[m] = val
                 else:
                     acc.pop(m, None)
 
-    for i, wpoly in w.comps.items():
-        for j, vpoly in v.comps.items():
-            d = _poly_partial(wpoly, j)
-            if d:
-                accumulate(vpoly, d, i, 1)
-    for i, vpoly in v.comps.items():
-        for j, wpoly in w.comps.items():
-            d = _poly_partial(vpoly, j)
-            if d:
-                accumulate(wpoly, d, i, -1)
+    for first, second, sign in ((v, w, 1), (w, v, -1)):
+        for i, poly in second.comps.items():
+            grad = _gradient(poly)
+            for j, coeff_poly in first.comps.items():
+                if j in grad:
+                    accumulate(coeff_poly, grad[j], i, sign)
     return PolyVectorField(n, comps)
 
 
@@ -379,26 +361,32 @@ def verify_vect_algebra(n: int) -> dict:
     The 4n-1 fields must be linearly independent over Q, every pairwise
     bracket must expand in the basis with integer coefficients, and the
     brackets must realize the truncated current-algebra relations together
-    with the grading-operator relations [L_i, x_j] = -j x_{i+j}.
+    with the grading-operator relations [L_i, x_j] = -j x_{i+j}.  Each
+    ordered bracket is computed once and serves both the relation checks
+    and the closure check; fields enter the span as sparse integer rows.
     """
     fields = standard_fields(n)
     keys = sorted(fields)
     coords = sorted({cm for f in fields.values() for cm, _ in f.coordinates()})
     index = {cm: i for i, cm in enumerate(coords)}
 
-    def vec(f: PolyVectorField):
-        out = [Fraction(0)] * len(coords)
-        for cm, c in f.coordinates():
-            out[index[cm]] = c
-        return out
-
-    from slfusion.linalg import IntEchelon
+    def row(f: PolyVectorField):
+        """The field as a sparse integer row; None if it leaves the coordinates."""
+        sparse = {}
+        for i, poly in f.comps.items():
+            for m, c in poly.items():
+                col = index.get((i, m))
+                if col is None:
+                    return None
+                sparse[col] = c
+        return _integer_row(sparse)
 
     ech = IntEchelon(len(coords))
     for k in keys:
-        ech.insert(vec(fields[k]))
+        ech.insert(row(fields[k]))
     rank = ech.dim
     independent = rank == len(keys) == 4 * n - 1
+    brackets = {(a, b): bracket(fields[a], fields[b]) for a in keys for b in keys}
 
     def expect(kind: str, i: int, c: int) -> PolyVectorField:
         if kind == "L":
@@ -408,11 +396,10 @@ def verify_vect_algebra(n: int) -> dict:
         base = fields[(kind, i)] if ok else PolyVectorField(n)
         return base.scale(c)
 
-    relations_ok = True
-    failures = []
+    checks = []
     for i in range(n):
         for j in range(n):
-            checks = [
+            checks += [
                 (("h", i), ("e", j), expect("e", i + j, 2)),
                 (("h", i), ("f", j), expect("f", i + j, -2)),
                 (("e", i), ("f", j), expect("h", i + j, 1)),
@@ -420,33 +407,27 @@ def verify_vect_algebra(n: int) -> dict:
                 (("f", i), ("f", j), PolyVectorField(n)),
                 (("h", i), ("h", j), PolyVectorField(n)),
             ]
-            for a, b, want in checks:
-                got = bracket(fields[a], fields[b])
-                if got != want:
-                    relations_ok = False
-                    failures.append((a, b, repr(got - want)))
     for i in range(n - 1):
         for j in range(n):
             for kind in ("e", "h", "f"):
-                got = bracket(fields[("L", i)], fields[(kind, j)])
-                want = expect(kind, i + j, -j)
-                if got != want:
-                    relations_ok = False
-                    failures.append((("L", i), (kind, j), repr(got - want)))
+                checks.append((("L", i), (kind, j), expect(kind, i + j, -j)))
         for j in range(n - 1):
-            got = bracket(fields[("L", i)], fields[("L", j)])
-            want = expect("L", i + j, i - j)
-            if got != want:
-                relations_ok = False
-                failures.append((("L", i), ("L", j), repr(got - want)))
+            checks.append((("L", i), ("L", j), expect("L", i + j, i - j)))
+    failures = []
+    for a, b, want in checks:
+        got = brackets[(a, b)]
+        if got != want:
+            failures.append((a, b, repr(got - want)))
+    relations_ok = not failures
     # closure with integer structure constants
     closed = True
-    for a in keys:
-        for b in keys:
-            br = bracket(fields[a], fields[b])
-            if not br.is_zero() and not ech.contains(vec(br)):
-                closed = False
-                failures.append((a, b, "bracket escapes the span"))
+    for (a, b), br in brackets.items():
+        if br.is_zero():
+            continue
+        sparse = row(br)
+        if sparse is None or not ech.contains(sparse):
+            closed = False
+            failures.append((a, b, "bracket escapes the span"))
     return {
         "ok": independent and relations_ok and closed,
         "n": n,
@@ -474,19 +455,6 @@ def rational_point(rng: Random, n: int, nonzero_first: bool = True) -> list[Frac
     return pt
 
 
-def pushforward_through_inversion(comp_values, ypoint) -> list[Fraction]:
-    """Components of a field after the chart change, at a given target point.
-
-    The differential of coefficientwise series inversion sends the series
-    V(t) to -y(t)^2 V(t); evaluating componentwise gives the pushed vector.
-    """
-    n = len(comp_values)
-    y = TruncatedSeries(ypoint, n)
-    v = TruncatedSeries(comp_values, n)
-    w = y * y * v
-    return [-c for c in w.coeffs]
-
-
 def chart_change_terms(kind: str, i: int) -> list[tuple]:
     """Expansion of an x-frame field over the y-frame: (kind, index, coefficient).
 
@@ -503,6 +471,38 @@ def chart_change_terms(kind: str, i: int) -> list[tuple]:
     raise ValueError(f"unknown field kind {kind!r}")
 
 
+def _integer_terms(field: PolyVectorField) -> list[tuple]:
+    """``(component, coefficient, variables)`` per term, for integer evaluation.
+
+    The sampler evaluates over a common denominator, which needs integer
+    coefficients and degree at most 2; a primed field outside that shape is
+    an ``IntegrityError``.  A term of degree ``d`` lists its variables with
+    multiplicity, e.g. ``x_1 x_3^2`` as ``(1, 3, 3)``.
+    """
+    out = []
+    for i, poly in field.comps.items():
+        for m, c in poly.items():
+            if type(c) is not int or min(m) < 0 or sum(m) > 2:
+                raise IntegrityError(
+                    f"primed field term {c}*x^{m} in slot {i} is not an integer "
+                    "polynomial of degree <= 2"
+                )
+            out.append((i, c, tuple(v for v, e in enumerate(m) for _ in range(e))))
+    return out
+
+
+def _numerators(terms, n: int, z, w: int) -> list[int]:
+    """Numerators over ``w^2`` of a field at the point ``z / w`` (``z`` integer)."""
+    wpow = (w * w, w, 1)  # by term degree
+    out = [0] * n
+    for i, c, variables in terms:
+        v = c * wpow[len(variables)]
+        for j in variables:
+            v *= z[j]
+        out[i] += v
+    return out
+
+
 def _chart_change_failures(n: int, samples: int, seed: int, expansion, key: str):
     """Sampled failures of the chart change of the primed x-frame fields.
 
@@ -511,28 +511,57 @@ def _chart_change_failures(n: int, samples: int, seed: int, expansion, key: str)
     its y-frame expansion as ``(kind, index, Laurent coefficient)`` terms
     evaluated at y_0; out-of-range targets are zero fields.  A failure is
     recorded as ``{key: (kind, i), "point": x}``.
+
+    All arithmetic is on integers.  With ``x = P / D`` (``D`` the lcm of the
+    denominators) the inverse series is ``y = D Y / p_0^n``, where
+    ``Y_k = r_k p_0^(n-1-k)`` comes from ``inverse_numerators``.  A field at
+    ``x`` is an integer numerator over ``D^2``, a field at ``y`` one over
+    ``p_0^(2n)``, and the pushforward ``-y^2 V`` is ``-(Y^2 V_num)`` over
+    ``p_0^(2n)`` as well; ``Y^2`` is formed once per point.  The Laurent
+    coefficients at ``y_0 = D / p_0`` are integer fractions, and the two
+    sides are compared by cross-multiplying.
     """
     labels = primed_labels(n)
-    fields = {lab: primed_field(n, *lab) for lab in labels}
+    fields = {lab: _integer_terms(primed_field(n, *lab)) for lab in labels}
+    # per label: (target label, sorted Laurent coefficient items) of its expansion
+    targets = {
+        lab: [
+            ((tk, ti), sorted(coeff.coeffs.items()))
+            for tk, ti, coeff in expansion(*lab)
+            if (tk, ti) in fields and not coeff.is_zero()
+        ]
+        for lab in labels
+    }
     rng = Random(seed)
     failures = []
     for _ in range(samples):
         xpt = rational_point(rng, n)
-        ypt = invert_coefficients(xpt)
-        y0 = ypt[0]
-        yvals = {lab: f.evaluate(ypt) for lab, f in fields.items()}
-        for kind, i in labels:
-            pushed = pushforward_through_inversion(fields[(kind, i)].evaluate(xpt), ypt)
-            rhs = [Fraction(0)] * n
-            for tk, ti, coeff in expansion(kind, i):
-                target = yvals.get((tk, ti))
-                if target is None or coeff.is_zero():
-                    continue
-                cval = coeff.eval_at(y0)
-                for idx, comp in enumerate(target):
-                    rhs[idx] += cval * comp
-            if pushed != rhs:
-                failures.append({key: (kind, i), "point": [str(x) for x in xpt]})
+        den, p = integer_point(xpt)
+        p0 = p[0]
+        ynum = [rk * p0 ** (n - 1 - k) for k, rk in enumerate(inverse_numerators(p))]
+        ysq = _series_product(ynum, ynum)
+        ypt = [den * v for v in ynum]
+        w = p0**n
+        yvals = {lab: _numerators(terms, n, ypt, w) for lab, terms in fields.items()}
+        for lab in labels:
+            vnum = _numerators(fields[lab], n, p, den)
+            pushed = [-v for v in _series_product(ysq, vnum)]
+            # the expansion is rhs / rhs_den; each coefficient
+            # sum_e c_e (D/p0)^e is taken as num / cden
+            rhs, rhs_den = [0] * n, 1
+            for target, items in targets[lab]:
+                lo = min(items[0][0], 0)
+                hi = max(items[-1][0], 0)
+                cden = lcm(*(c.denominator for _, c in items))
+                num = sum(
+                    c.numerator * (cden // c.denominator) * den ** (e - lo) * p0 ** (hi - e)
+                    for e, c in items
+                )
+                cden *= den**-lo * p0**hi
+                rhs = [u * cden + num * rhs_den * t for u, t in zip(rhs, yvals[target])]
+                rhs_den *= cden
+            if any(v * rhs_den != u for v, u in zip(pushed, rhs)):
+                failures.append({key: lab, "point": [str(x) for x in xpt]})
     return failures
 
 
@@ -586,26 +615,36 @@ def verify_chart_identities(n: int, samples: int = 20, seed: int = 0) -> dict:
 def jacobian_identity(n: int, samples: int = 20, seed: int = 0) -> dict:
     """det of the inversion map differential against (-1)^n / x_0^{2n}.
 
-    The Jacobian matrix is computed by running the inversion recurrence on
-    dual numbers (one eps direction per coordinate), so the derivative is
-    exact and independent of the series-multiplication shortcut.
+    The Jacobian is computed by running the division-free inversion
+    recurrence on integer value-derivative pairs, one direction ``p_j`` at a
+    time, so the derivative is exact and independent of the ``-y^2``
+    pushforward the chart checks use.  With ``x = P / D`` and
+    ``y_k = D r_k / p_0^(k+1)``, the quotient rule gives
+    ``dy_k/dx_j = D^2 N[j][k] / p_0^(k+2)`` with
+    ``N[j][k] = r_k' p_0 - (k+1) r_k p_0'``, so the identity is
+    ``det N · p_0^(2n) = (-1)^n p_0^(sum_k (k+2))``, checked on the integer
+    Bareiss determinant of ``N``.
     """
-    from slfusion.laurent import _det_rational
-
     rng = Random(seed)
     failures = []
+    order = n * (n + 3) // 2  # sum of k + 2 over k < n
     for _ in range(samples):
         xpt = rational_point(rng, n)
-        jac = []
+        den, p = integer_point(xpt)
+        p0 = p[0]
+        # num[j][k] = p0^(k+2) / D^2 * d y_k / d x_j; the determinant is transpose-invariant
+        num = []
         for j in range(n):
-            duals = [DualNumber(x, 1 if idx == j else 0) for idx, x in enumerate(xpt)]
-            col = invert_coefficients(duals)
-            jac.append([c.b for c in col])
-        # jac[j][k] = d y_k / d x_j; determinant is transpose-invariant
-        det = _det_rational(jac)
-        expected = Fraction((-1) ** n, 1) / xpt[0] ** (2 * n)
-        if det != expected:
-            failures.append({"point": [str(x) for x in xpt], "det": str(det)})
+            jets = [(v, int(i == j)) for i, v in enumerate(p)]
+            dp0 = jets[0][1]
+            num.append([
+                dr * p0 - (k + 1) * r * dp0
+                for k, (r, dr) in enumerate(inverse_numerators(jets, *_JETS))
+            ])
+        det = _det_rational(num)
+        if det * p0 ** (2 * n) != (-1) ** n * p0**order:
+            det_j = Fraction(den ** (2 * n) * det, p0**order)
+            failures.append({"point": [str(x) for x in xpt], "det": str(det_j)})
     return {"ok": not failures, "n": n, "samples": samples, "failures": failures[:5]}
 
 

@@ -13,17 +13,26 @@ polynomial" for ``g`` over ``Q[1/y]``, and keeps a kernel vector as a column
 of ``X`` with exponent ``-k`` when its constant terms are independent of the
 columns already kept.  The factorization is then checked exactly; a wrong
 answer raises ``IntegrityError`` instead of being returned.
+
+Determinants are fraction-free: rows (or, in ``laurent_det``, columns) are
+cleared of denominators once and the integer determinant comes from
+Bareiss's elimination.  Integral coefficients are kept as ``int``, so the
+twist-section rows of the transition matrices are integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from slfusion.linalg import IntEchelon, IntegrityError, format_scalar, kernel_basis
+from slfusion.linalg import IntEchelon, IntegrityError, exact_scalar, format_scalar, kernel_basis
 
 
 class Laurent:
-    """Laurent polynomial in one variable over Q."""
+    """Laurent polynomial in one variable over Q.
+
+    Integral coefficients are kept as ``int``, the others as ``Fraction``.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -31,17 +40,18 @@ class Laurent:
         self.coeffs = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = exact_scalar(c)
                 if c:
                     self.coeffs[int(e)] = c
 
     @staticmethod
     def const(c) -> "Laurent":
-        return Laurent({0: Fraction(c)})
+        return Laurent({0: c})
 
     @staticmethod
     def term(c, e: int) -> "Laurent":
-        return Laurent({e: Fraction(c)})
+        return Laurent({e: c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -57,13 +67,13 @@ class Laurent:
     def deg(self) -> int:
         return max(self.coeffs)
 
-    def __getitem__(self, e: int) -> Fraction:
-        return self.coeffs.get(e, Fraction(0))
+    def __getitem__(self, e: int) -> Fraction | int:
+        return self.coeffs.get(e, 0)
 
     def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return Laurent(out)
 
     def __neg__(self) -> "Laurent":
@@ -77,21 +87,11 @@ class Laurent:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Laurent(out)
-
-    def scale(self, c) -> "Laurent":
-        c = Fraction(c)
-        return Laurent({e: c * v for e, v in self.coeffs.items()})
 
     def shift(self, k: int) -> "Laurent":
         return Laurent({e + k: c for e, c in self.coeffs.items()})
-
-    def eval_at(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
-        if any(e < 0 for e in self.coeffs) and t == 0:
-            raise ZeroDivisionError("negative power at t = 0")
-        return sum((c * t**e for e, c in self.coeffs.items()), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.coeffs == other.coeffs
@@ -125,50 +125,99 @@ class Laurent:
 def laurent_det(matrix: list[list[Laurent]]) -> Laurent:
     """Exact determinant via column normalization plus interpolation.
 
-    Columns are shifted to polynomials, the polynomial determinant is found
-    by evaluating at enough rational points and Lagrange interpolation, and
-    the recorded shift is restored.
+    Each column is shifted to polynomials and scaled to integer coefficients
+    once; the integer determinant is then found at ``t = 1..deg+1`` (integer
+    Horner evaluation, Bareiss elimination) and Lagrange interpolation over
+    Q, divided by the column scales, gives the polynomial.  The recorded
+    shift is restored.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
     shift = 0
-    cols: list[list[Laurent]] = []
+    scale = 1
+    cols: list[list[list[int]]] = []  # dense integer coefficients, low to high
+    degree_bound = 0
     for c in range(size):
         col = [matrix[r][c] for r in range(size)]
         if all(x.is_zero() for x in col):
             return Laurent()
         o = min(x.ord for x in col if not x.is_zero())
+        deg = max(x.deg for x in col if not x.is_zero()) - o
+        den = lcm(*(v.denominator for x in col for v in x.coeffs.values()))
         shift += o
-        cols.append([x.shift(-o) for x in col])
-    degree_bound = sum(max((x.deg for x in col if not x.is_zero()), default=0) for col in cols)
-    points = [Fraction(i) for i in range(1, degree_bound + 2)]
+        scale *= den
+        degree_bound += deg
+        dense = []
+        for x in col:
+            coeffs = [0] * (deg + 1)
+            for e, v in x.coeffs.items():
+                coeffs[e - o] = v.numerator * (den // v.denominator)
+            dense.append(coeffs)
+        cols.append(dense)
+    points = range(1, degree_bound + 2)
     values = []
     for t in points:
-        rows = [[cols[c][r].eval_at(t) for c in range(size)] for r in range(size)]
-        values.append(_det_rational(rows))
-    poly = _lagrange(points, values)
+        rows = [[_horner(cols[c][r], t) for c in range(size)] for r in range(size)]
+        values.append(Fraction(_det_rational(rows), scale))
+    poly = _lagrange([Fraction(t) for t in points], values)
     return Laurent({e + shift: c for e, c in poly.items()})
 
 
-def _det_rational(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
+def _horner(coeffs: list[int], t: int) -> int:
+    acc = 0
+    for v in reversed(coeffs):
+        acc = acc * t + v
+    return acc
+
+
+def _det_rational(rows) -> Fraction | int:
+    """Determinant of a square matrix of ``int``/``Fraction`` entries.
+
+    Every row with a non-integer entry is scaled to integers by the lcm of
+    its denominators, the integer determinant comes from Bareiss's (1968)
+    fraction-free elimination, and the product of the row scales is divided
+    out at the end.  An all-integer matrix gives an ``int``.
+    """
+    work = []
+    scale = 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            work.append(list(row))
+            continue
+        den = lcm(*(x.denominator for x in row if type(x) is not int))
+        scale *= den
+        work.append([x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row])
+    det = _bareiss(work)
+    return det if scale == 1 else Fraction(det, scale)
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Integer determinant by fraction-free elimination; ``m`` is consumed.
+
+    After step ``k`` every entry below and right of the pivot is a
+    ``(k+1)``-minor of the input, so the division by the previous pivot is
+    exact and the entries never grow beyond the minors.
+    """
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p = m[k][k]
+        tail = m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            a = row[k]
+            if a:
+                row[k + 1 :] = [(x * p - a * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            elif p != prev:
+                row[k + 1 :] = [x * p // prev for x in row[k + 1 :]]
+        prev = p
+    return sign * m[-1][-1] if n else 1
 
 
 def _lagrange(points: list[Fraction], values: list[Fraction]) -> dict:

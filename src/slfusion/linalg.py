@@ -47,6 +47,13 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def exact_scalar(x) -> int | Fraction:
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def format_scalar(x: Fraction) -> str:
     """Canonical text form; ``parse_scalar`` round-trips it."""
     x = Fraction(x)

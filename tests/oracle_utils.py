@@ -7,15 +7,19 @@ produces inputs whose answer is known by construction; the reference kernel
 is read off the dense ``rref``; span intersections are computed by a
 Zassenhaus-style kernel that no library path uses; the module ideal is
 rebuilt by the plain degree recursion, one echelon insert per shifted row,
-with bases and normal forms read off its dense rows; and cyclic spans are
+with bases and normal forms read off its dense rows; cyclic spans are
 grown breadth-first, one element at a time, through ``apply`` and the
-``Fraction`` normal forms instead of the integer action tables.
+``Fraction`` normal forms instead of the integer action tables; and the
+geometry layer's ``Fraction`` routes (Gaussian determinants, the chart
+sampler with its ``-y^2`` pushforward, the dual-number Jacobian) check the
+integer ones.
 """
 
 from fractions import Fraction
 from random import Random
 
-from slfusion.laurent import Laurent
+from slfusion.geometry import primed_field, primed_labels, rational_point
+from slfusion.laurent import Laurent, _lagrange
 from slfusion.linalg import IntEchelon, enumerate_monomials, kernel_basis, rref, scale_to_int
 from slfusion.modules import (
     ModuleElement,
@@ -131,12 +135,12 @@ def _apply_move(work, move) -> list[list[Laurent]]:
     if move[0] == "row":
         _, r, pr, c = move
         e, pe = work[r][c], work[pr][c]
-        mult = Laurent.term(e[e.ord] / pe[pe.ord], e.ord - pe.ord)
+        mult = Laurent.term(Fraction(e[e.ord], pe[pe.ord]), e.ord - pe.ord)
         out[r] = [work[r][cc] - mult * work[pr][cc] for cc in range(size)]
     else:
         _, c, pc, r = move
         e, pe = work[r][c], work[r][pc]
-        mult = Laurent.term(e[e.deg] / pe[pe.deg], e.deg - pe.deg)
+        mult = Laurent.term(Fraction(e[e.deg], pe[pe.deg]), e.deg - pe.deg)
         for rr in range(size):
             out[rr][c] = work[rr][c] - mult * work[rr][pc]
     return out
@@ -333,3 +337,142 @@ def cyclic_span_reference(owner, ops, seeds) -> Subspace:
                 if span.insert(piece):
                     queue.append(piece)
     return span
+
+
+# ---------------------------------------------------------------------------
+# geometry: the Fraction routes
+
+
+def det_reference(rows) -> Fraction:
+    """Determinant by ``Fraction`` Gaussian elimination with row swaps."""
+    n = len(rows)
+    rows = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for r in range(c + 1, n):
+            if rows[r][c]:
+                f = rows[r][c] * inv
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def _laurent_value(x: Laurent, t: Fraction) -> Fraction:
+    return sum((c * t**e for e, c in x.coeffs.items()), Fraction(0))
+
+
+def laurent_det_reference(matrix) -> Laurent:
+    """Laurent determinant: columns shifted to polynomials, ``Fraction``
+    values at ``t = 1..deg+1``, Gaussian determinants, interpolation."""
+    size = len(matrix)
+    shift, degree_bound, cols = 0, 0, []
+    for c in range(size):
+        col = [matrix[r][c] for r in range(size)]
+        if all(x.is_zero() for x in col):
+            return Laurent()
+        o = min(x.ord for x in col if not x.is_zero())
+        shift += o
+        cols.append([x.shift(-o) for x in col])
+        degree_bound += max(x.deg for x in cols[-1] if not x.is_zero())
+    points = [Fraction(t) for t in range(1, degree_bound + 2)]
+    values = [
+        det_reference([[_laurent_value(cols[c][r], t) for c in range(size)] for r in range(size)])
+        for t in points
+    ]
+    return Laurent({e + shift: v for e, v in _lagrange(points, values).items()})
+
+
+class DualNumber:
+    """a + b*eps with eps^2 = 0 over Q, for exact forward differentiation."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    def __add__(self, o):
+        o = o if isinstance(o, DualNumber) else DualNumber(o)
+        return DualNumber(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DualNumber(-self.a, -self.b)
+
+    def __mul__(self, o):
+        o = o if isinstance(o, DualNumber) else DualNumber(o)
+        return DualNumber(self.a * o.a, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        inv = 1 / self.a
+        return DualNumber(inv, -self.b * inv * inv)
+
+
+def invert_reference(coeffs):
+    """Inverse series mod t^n by ``y_k = -y_0 sum_{j>=1} x_j y_{k-j}``, over
+    ``Fraction`` or ``DualNumber`` coefficients."""
+    x0 = coeffs[0]
+    y0 = x0.inverse() if isinstance(x0, DualNumber) else 1 / Fraction(x0)
+    out = [y0]
+    for k in range(1, len(coeffs)):
+        acc = coeffs[1] * out[k - 1]
+        for j in range(2, k + 1):
+            acc = acc + coeffs[j] * out[k - j]
+        out.append(-(y0 * acc))
+    return out
+
+
+def jacobian_reference(xpt):
+    """``jac[j][k] = d y_k / d x_j`` of series inversion, by dual numbers."""
+    jac = []
+    for j in range(len(xpt)):
+        duals = [DualNumber(x, 1 if idx == j else 0) for idx, x in enumerate(xpt)]
+        jac.append([c.b for c in invert_reference(duals)])
+    return jac
+
+
+def _field_value(field, point):
+    out = [Fraction(0)] * field.n
+    for i, poly in field.comps.items():
+        for m, c in poly.items():
+            v = Fraction(c)
+            for x, e in zip(point, m):
+                v *= x**e
+            out[i] += v
+    return out
+
+
+def chart_change_failures_reference(n, samples, seed, expansion, key):
+    """The chart sampler over ``Fraction``: the same draws, each field pushed
+    through the inversion as ``-y(t)^2 V(t)`` and compared with its y-frame
+    expansion evaluated at ``y_0``.  Returns every failure, untruncated."""
+    labels = primed_labels(n)
+    fields = {lab: primed_field(n, *lab) for lab in labels}
+    rng = Random(seed)
+    failures = []
+    for _ in range(samples):
+        xpt = rational_point(rng, n)
+        ypt = invert_reference(xpt)
+        ysq = [sum(ypt[j] * ypt[k - j] for j in range(k + 1)) for k in range(n)]
+        yvals = {lab: _field_value(f, ypt) for lab, f in fields.items()}
+        for lab in labels:
+            v = _field_value(fields[lab], xpt)
+            pushed = [-sum(ysq[j] * v[k - j] for j in range(k + 1)) for k in range(n)]
+            rhs = [Fraction(0)] * n
+            for tk, ti, coeff in expansion(*lab):
+                if (tk, ti) in yvals:
+                    cval = _laurent_value(coeff, ypt[0])
+                    rhs = [r + cval * t for r, t in zip(rhs, yvals[(tk, ti)])]
+            if pushed != rhs:
+                failures.append({key: lab, "point": [str(x) for x in xpt]})
+    return failures

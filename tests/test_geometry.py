@@ -5,7 +5,14 @@ from random import Random
 
 import pytest
 
-from oracle_utils import scrambled_diagonal, splitting_via_sections
+from oracle_utils import (
+    chart_change_failures_reference,
+    det_reference,
+    jacobian_reference,
+    laurent_det_reference,
+    scrambled_diagonal,
+    splitting_via_sections,
+)
 
 from slfusion import cli, geometry, laurent
 from slfusion._goldens import TRANSITION_GOLDEN
@@ -92,15 +99,57 @@ def test_jacobian_identity():
 
 def test_jacobian_two_by_two_at_unit_point():
     # hand check: at x = (1, 1) the 2x2 determinant is +1
-    from slfusion.geometry import DualNumber, invert_coefficients
-    from slfusion.laurent import _det_rational
+    jac = jacobian_reference([Fraction(1), Fraction(1)])
+    assert jac == [[-1, 2], [0, -1]]
+    assert det_reference(jac) == 1
 
-    x = [Fraction(1), Fraction(1)]
-    jac = []
-    for j in range(2):
-        duals = [DualNumber(v, 1 if idx == j else 0) for idx, v in enumerate(x)]
-        jac.append([c.b for c in invert_coefficients(duals)])
-    assert _det_rational(jac) == 1
+
+def test_jacobian_integer_route_matches_dual_numbers():
+    # dy_k/dx_j = D^2 N[j][k] / p0^(k+2), N from the recurrence on integer pairs
+    rng = Random(31)
+    for n in range(1, 6):
+        for _ in range(4):
+            xpt = rational_point(rng, n)
+            den, p = geometry.integer_point(xpt)
+            ref = jacobian_reference(xpt)
+            for j in range(n):
+                jets = [(v, int(i == j)) for i, v in enumerate(p)]
+                pairs = geometry.inverse_numerators(jets, *geometry._JETS)
+                for k, (r, dr) in enumerate(pairs):
+                    entry = dr * p[0] - (k + 1) * r * int(j == 0)
+                    assert Fraction(den**2 * entry, p[0] ** (k + 2)) == ref[j][k]
+
+
+def test_jacobian_gate_fires_on_a_recurrence_fault(monkeypatch):
+    real = geometry.inverse_numerators
+
+    def planted(p, *ring):
+        r = real(p, *ring)
+        if ring and len(r) > 1:  # value-derivative pairs: one derivative off by one
+            r[-1] = (r[-1][0], r[-1][1] + 1)
+        return r
+
+    monkeypatch.setattr(geometry, "inverse_numerators", planted)
+    rep = jacobian_identity(3, samples=5, seed=2)
+    assert not rep["ok"] and len(rep["failures"]) == 5
+    assert all(set(f) == {"point", "det"} for f in rep["failures"])
+
+
+def test_vect_algebra_gate_fires_on_a_planted_structure_constant(monkeypatch):
+    real = geometry.standard_fields
+
+    def planted(n):
+        fields = real(n)
+        # f_0 = -x_0^2 d_0 - 2 x_0 x_1 d_1 - ...: make the x_0 x_1 term -3
+        poly = fields[("f", 0)].comps[1]
+        (m,) = [m for m in poly if m[0] == m[1] == 1]
+        fields[("f", 0)] = fields[("f", 0)] + PolyVectorField(n, {1: {m: -1}})
+        return fields
+
+    monkeypatch.setattr(geometry, "standard_fields", planted)
+    rep = verify_vect_algebra(3)
+    assert rep["independent"] and not rep["relations_ok"] and not rep["ok"]
+    assert rep["failures"]
 
 
 def test_transition_matrix_n3_hand_derivation():
@@ -164,6 +213,76 @@ def test_chart_change_failures_are_reported(monkeypatch):
     ]
     assert all(set(f) == {"field", "point"} for f in chart["sample_failures"])
     assert all(set(f) == {"column", "point"} for f in trans["failures"])
+
+
+def _planted_expansions():
+    real = geometry.chart_change_terms
+
+    def wrong_constant(kind, i):
+        terms = real(kind, i)
+        return [("h", 1, Laurent.const(2))] + terms[1:] if (kind, i) == ("h", 1) else terms
+
+    def wrong_power(kind, i):
+        terms = real(kind, i)
+        return [("e", i, Laurent.term(-1, 1))] + terms[1:] if kind == "e" else terms
+
+    def fractional(kind, i):
+        return [("f", i, Laurent.term(Fraction(-1, 2), -2))] if kind == "f" else real(kind, i)
+
+    def dropped_term(kind, i):
+        return real(kind, i)[1:] if kind == "h" else real(kind, i)
+
+    def extra_binomial(kind, i):
+        extra = [("e", i, Laurent({-1: 1, 1: Fraction(1, 3)}))] if kind in "hL" else []
+        return real(kind, i) + extra
+
+    return [real, wrong_constant, wrong_power, fractional, dropped_term, extra_binomial]
+
+
+def test_chart_sampler_matches_fraction_route():
+    # the integer sampler and the Fraction sampler fail at the same
+    # (field, point) pairs, planted or not
+    for n in range(2, 6):
+        for plant in _planted_expansions():
+            got = geometry._chart_change_failures(n, 6, 40 + n, plant, "field")
+            want = chart_change_failures_reference(n, 6, 40 + n, plant, "field")
+            assert got == want, (n, plant.__name__)
+            assert bool(got) == (plant is not geometry.chart_change_terms)
+
+
+@pytest.mark.parametrize(
+    "poly", [{(0, 1, 0): Fraction(1, 2)}, {(0, 1, 2): 1}], ids=["half", "cubic"]
+)
+def test_chart_sampler_rejects_primed_fields_it_cannot_clear(monkeypatch, poly):
+    real = geometry.primed_field
+
+    def planted(n, kind, i):
+        field = real(n, kind, i)
+        return field + PolyVectorField(n, {1: poly}) if (kind, i) == ("h", 1) else field
+
+    monkeypatch.setattr(geometry, "primed_field", planted)
+    with pytest.raises(IntegrityError, match="degree <= 2"):
+        verify_transition_matrix(3, samples=2, seed=1)
+    with pytest.raises(IntegrityError, match="degree <= 2"):
+        verify_chart_identities(3, samples=2, seed=1)
+
+
+def test_laurent_det_matches_reference():
+    for n in range(2, 9):
+        mat = transition_matrix(n)
+        assert laurent_det(mat) == laurent_det_reference(mat), n
+    rng = Random(12)
+    for _ in range(40):
+        size = rng.randint(1, 4)
+        mat = [
+            [
+                Laurent({rng.randint(-2, 2): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for _ in range(rng.randint(0, 2))})
+                for _ in range(size)
+            ]
+            for _ in range(size)
+        ]
+        assert laurent_det(mat) == laurent_det_reference(mat), mat
 
 
 def test_transition_determinant_is_monomial():

@@ -1,13 +1,16 @@
-"""Property tests on random labels (skipped when hypothesis is missing)."""
+"""Property tests on random labels and matrices (skipped when hypothesis is missing)."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
-from oracle_utils import ideal_rows_reference  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from oracle_utils import det_reference, ideal_rows_reference  # noqa: E402
 
 from slfusion.dual import oracle_character  # noqa: E402
+from slfusion.laurent import _det_rational  # noqa: E402
 from slfusion.modules import FusionModule  # noqa: E402
 
 # sorted labels with n <= 4 and entries <= 5; (5,5,5,5) is the costliest
@@ -20,3 +23,33 @@ def test_build_matches_reference_and_dual_oracle(a):
     module = FusionModule(a)
     assert module.ideal_rows == ideal_rows_reference(a)
     assert module.character() == oracle_character(a)
+
+
+scalars = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square matrices of ``int``/``Fraction`` entries, size 1..6, some with
+    a zero leading pivot and some singular by construction."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "zero-pivot", "singular"]))
+    if shape == "zero-pivot":
+        rows[0][0] = 0
+    elif shape == "singular":
+        a, b = draw(scalars), draw(scalars)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(n - 1) // 2])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+@example([[Fraction(3, 7)]])
+@example([[0]])
+@example([[0, 1], [1, 0]])
+@example([[0, 2, 1], [0, 1, 1], [3, 0, 1]])
+def test_bareiss_matches_gaussian_reference(rows):
+    assert _det_rational(rows) == det_reference(rows)
