@@ -8,22 +8,29 @@ coefficients in the remaining variables.  The pairing sends the weight-q
 slice of e-degree s to symmetric polynomials of total degree s(n-1) - q, so
 assembling the constrained dimensions reproduces the bigraded character of
 M^A through a completely independent computation: no ideal, no quotient, no
-normal forms.
+normal forms.  The constraint rows of a slice are built block by block while
+the kernel reads them, so no block is built once the span is full.
 
-The shuffle product interleaves two symmetric polynomials over all
-order-preserving position splittings; it makes the direct sum of the duals
-over the stretched labels A(k) into a commutative graded ring generated in
-degree one, which is checked here by explicit rank computations.
+The shuffle product sums f(z_S) g(z_T) over the splittings of the variables
+into an s_1-set S and an s_2-set T, each in its order; it makes the direct
+sum of the duals over the stretched labels A(k) into a commutative graded
+ring generated in degree one, which is checked here by explicit rank
+computations.  This is the functional realization of Feigin and Stoyanovsky
+(hep-th/9308079), symmetrized, and on the monomial-symmetric basis it has a
+closed form: pad lam to s_1 parts and mu to s_2 parts with zeros and let
+nu = lam ∪ mu; then m_lam * m_mu = c · m_nu with
+c = prod_v binom(mult_nu(v), mult_lam(v)) over all values v, zeros
+included, since a monomial of shape nu arises once for each choice of the
+positions that carry lam.  A product costs one term per pair of terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, lcm, prod
+from math import comb, factorial, prod
 
-from slfusion.linalg import IntegrityError, IntEchelon, kernel_basis
+from slfusion.linalg import IntegrityError, IntEchelon, exact_scalar, kernel_basis
 from slfusion.modules import (
     GradedCharacter,
     relation_exponent,
@@ -35,91 +42,145 @@ from slfusion.modules import (
 def partitions_bounded(d: int, max_parts: int, max_part: int) -> list[tuple]:
     """Partitions of d with at most max_parts parts, each at most max_part.
 
-    Results are memoized and shared between callers, so the returned list
-    must not be mutated.
+    Listed by descending first part, then recursively.  Results are
+    memoized and shared between callers (the lists of smaller arguments
+    build the larger ones), so the returned list must not be mutated.
     """
-    if d < 0:
+    if d == 0:
+        return [()]
+    if d < 0 or max_parts <= 0:
         return []
-    out: list[tuple] = []
-
-    def rec(left: int, parts_left: int, cap: int, prefix: tuple) -> None:
-        if left == 0:
-            out.append(prefix)
-            return
-        if parts_left == 0:
-            return
-        for p in range(min(left, cap), 0, -1):
-            rec(left - p, parts_left - 1, p, prefix + (p,))
-
-    rec(d, max_parts, max_part, ())
-    return out
+    return [
+        (p,) + rest
+        for p in range(min(d, max_part), 0, -1)
+        for rest in partitions_bounded(d - p, max_parts - 1, p)
+    ]
 
 
-def _arrangements(counts: dict) -> int:
-    """Distinct linear arrangements of a multiset given as value -> count."""
-    total = sum(counts.values())
-    r = factorial(total)
-    for c in counts.values():
-        r //= factorial(c)
+@lru_cache(maxsize=1 << 14)
+def _arrangements(mu: tuple, i: int) -> int:
+    """Distinct orderings of the partition mu padded with zeros to i slots."""
+    r = factorial(i) // factorial(i - len(mu))
+    for v in set(mu):
+        r //= factorial(mu.count(v))
     return r
 
 
-def _multiset(parts, pad_to: int) -> dict:
-    counts: dict = {}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
-    zeros = pad_to - len(parts)
-    if zeros < 0:
-        raise ValueError("padding shorter than the partition")
-    if zeros:
-        counts[0] = counts.get(0, 0) + zeros
-    return counts
+def _code(lam: tuple, base: int) -> int:
+    """The partition lam as ``sum(base**(p-1) for p in lam)``: its
+    multiplicities as digits in base ``base``.  While no multiplicity
+    reaches ``base`` the code is unique, and the multiset union of two
+    partitions is the sum of their codes."""
+    return sum(base ** (p - 1) for p in lam)
+
+
+@lru_cache(maxsize=1 << 14)
+def _codes(d: int, parts: int, max_part: int, base: int) -> tuple:
+    """The ``_code`` of each partition in ``partitions_bounded(d, parts, max_part)``."""
+    return tuple(_code(lam, base) for lam in partitions_bounded(d, parts, max_part))
 
 
 @lru_cache(maxsize=1 << 10)
-def _column_index(d: int, s: int, max_part: int) -> dict:
-    """Partition -> column in ``partitions_bounded(d, s, max_part)``."""
-    return {lam: c for c, lam in enumerate(partitions_bounded(d, s, max_part))}
+def _code_columns(d: int, s: int, max_part: int) -> dict:
+    """``_code`` in base s + 1 -> column in ``partitions_bounded(d, s, max_part)``."""
+    return {code: c for c, code in enumerate(_codes(d, s, max_part, s + 1))}
+
+
+@lru_cache(maxsize=1 << 10)
+def _exponents(a: tuple, s: int) -> tuple:
+    """``(N_A(0), ..., N_A(s))``, computed once per label and variable count."""
+    return tuple(relation_exponent(a, i) for i in range(s + 1))
 
 
 @lru_cache(maxsize=1 << 15)
 def _constraint_block(n: int, s: int, d: int, i: int, m: int) -> tuple:
-    """The constraint rows of one (i, m), each a flat ``(col, coeff, col, ...)``.
+    """The constraint rows of one (i, m) as ``(coeffs, rows)``.
 
     One row per partition tau of d - m fitting in the trailing s - i slots:
     the coefficient of z^m * (tail monomial of shape tau) after substituting
     z_1 = ... = z_i = z.  A basis partition contributes to it iff it is tau
     plus a partition mu of m with at most i parts, and then with the number
-    of arrangements of mu padded by zeros to i slots.  The label enters the
-    constraints only through m < N_A(i), so the rows depend on (n, s, d, i, m)
-    alone and are shared by every label.
+    of arrangements of mu padded by zeros to i slots.  Each row is the tuple
+    of the columns of tau ∪ mu, one per mu, and ``coeffs`` lists the
+    arrangement counts in the same mu order for every row.  The label enters
+    the constraints only through m < N_A(i), so the rows depend on
+    (n, s, d, i, m) alone and are shared by every label.
     """
-    col = _column_index(d, s, n - 1)
-    fronts = [
-        (mu, _arrangements(_multiset(mu, i))) for mu in partitions_bounded(m, i, n - 1)
-    ]
-    rows = []
-    for tau in partitions_bounded(d - m, s - i, n - 1):
-        row = sorted((col[tuple(sorted(tau + mu, reverse=True))], c) for mu, c in fronts)
-        rows.append(tuple(x for pair in row for x in pair))
-    return tuple(rows)
+    base = s + 1  # a basis partition has at most s parts
+    col = _code_columns(d, s, n - 1)
+    fronts = partitions_bounded(m, i, n - 1)
+    coeffs = tuple(_arrangements(mu, i) for mu in fronts)
+    codes = _codes(m, i, n - 1, base)
+    rows = tuple(
+        tuple([col[t + u] for u in codes]) for t in _codes(d - m, s - i, n - 1, base)
+    )
+    return coeffs, rows
 
 
-def _pairs(row: tuple):
-    """The ``(column, coeff)`` pairs of a flat constraint row."""
-    it = iter(row)
-    return zip(it, it)
-
-
-def _constraint_blocks(a: tuple, s: int, d: int):
-    """The nonempty constraint blocks of the degree-d slice at s variables."""
-    n = len(a)
+def _block_keys(n: int, caps: tuple, s: int, d: int):
+    """The ``(i, m)`` of the nonempty constraint blocks of the degree-d slice
+    at s variables, in order; ``caps[i]`` is N_A(i) for 1 <= i <= s."""
     for i in range(1, s + 1):
         # mu needs m <= i(n-1) and tau needs d - m <= (s-i)(n-1)
         low = max(0, d - (s - i) * (n - 1))
-        high = min(relation_exponent(a, i), d + 1, i * (n - 1) + 1)
+        high = min(caps[i], d + 1, i * (n - 1) + 1)
         for m in range(low, high):
-            yield _constraint_block(n, s, d, i, m)
+            yield i, m
+
+
+def _constraint_blocks(n: int, caps: tuple, s: int, d: int):
+    """The nonempty constraint blocks of the degree-d slice at s variables."""
+    for i, m in _block_keys(n, caps, s, d):
+        yield _constraint_block(n, s, d, i, m)
+
+
+class _SliceRows:
+    """The constraint rows of one slice as ``{column: coeff}`` maps, built
+    block by block while they are read.
+
+    A block with a single partition mu (m <= 1, for one) has one entry per
+    row, so its rows are unit rows. These blocks are built first and their
+    rows come first, one per column; every other row follows with its unit
+    columns dropped, which leaves the span unchanged and spares the
+    elimination the unit columns, and a row left with one entry makes its
+    column a unit for the rows after it. ``kernel_basis`` stops reading once
+    its span is full, so the blocks after that point are never built.
+    ``len`` is the number of rows read so far (``perfbench/tracing.py``
+    sizes every kernel input with it).
+    """
+
+    __slots__ = ("n", "caps", "s", "d", "read")
+
+    def __init__(self, n: int, caps: tuple, s: int, d: int):
+        self.n, self.caps, self.s, self.d = n, caps, s, d
+        self.read = 0
+
+    def __iter__(self):
+        n, s, d = self.n, self.s, self.d
+        units: dict = {}
+        rest = []
+        for i, m in _block_keys(n, self.caps, s, d):
+            if len(partitions_bounded(m, i, n - 1)) == 1:
+                units.update(dict.fromkeys(cols[0] for cols in _constraint_block(n, s, d, i, m)[1]))
+            else:
+                rest.append((i, m))
+        for c in units:
+            self.read += 1
+            yield {c: 1}
+        for i, m in rest:
+            coeffs, rows = _constraint_block(n, s, d, i, m)
+            for cols in rows:
+                row = {c: x for c, x in zip(cols, coeffs) if c not in units}
+                if len(row) == 1:  # its column is a unit too
+                    (c,) = row
+                    units[c] = None
+                    row = {c: 1}
+                if row:
+                    self.read += 1
+                    yield row
+
+    def __len__(self) -> int:
+        return self.read
 
 
 def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[dict]:
@@ -134,11 +195,16 @@ def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[dict]:
     canonical = partitions_bounded(d, s, len(a) - 1)
     if basis is not canonical and list(basis) != canonical:
         raise ValueError("basis must be partitions_bounded(d, s, len(a) - 1)")
-    return [dict(_pairs(row)) for block in _constraint_blocks(a, s, d) for row in block]
+    blocks = _constraint_blocks(len(a), _exponents(tuple(a), s), s, d)
+    return [dict(zip(cols, coeffs)) for coeffs, rows in blocks for cols in rows]
 
 
 class DualSpace:
-    """Solutions of the divisibility constraints at a fixed variable count."""
+    """Solutions of the divisibility constraints at a fixed variable count.
+
+    The solutions of each degree are primitive integer vectors over the
+    basis, one per free column of the constraint rows.
+    """
 
     def __init__(self, a, s: int):
         self.a = validate_composition(a)
@@ -147,12 +213,13 @@ class DualSpace:
             raise ValueError("variable count must be nonnegative")
         self.n = len(self.a)
         self.by_degree: dict[int, dict] = {}
+        caps = _exponents(self.a, self.s)
         top = self.s * max(self.n - 1, 0)
         for d in range(top + 1):
             basis = partitions_bounded(d, self.s, self.n - 1)
             if not basis:
                 continue
-            kern = kernel_basis(constraint_rows(self.a, self.s, d, basis), len(basis))
+            kern = kernel_basis(_SliceRows(self.n, caps, self.s, d), len(basis))
             if kern:
                 self.by_degree[d] = {"basis": basis, "solutions": kern}
 
@@ -200,22 +267,26 @@ class SymPoly:
 
     Keys are partitions (weakly decreasing tuples without zeros) with at most
     ``nvars`` parts; m_lambda is the sum of all distinct monomials whose
-    exponent multiset is lambda padded with zeros.
+    exponent multiset is lambda padded with zeros.  Integral coefficients
+    are kept as ``int``, the others as ``Fraction``.
     """
 
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs: dict):
         self.nvars = int(nvars)
-        clean = {}
+        clean: dict = {}
         for lam, c in coeffs.items():
             lam = tuple(sorted((p for p in lam if p), reverse=True))
             if len(lam) > self.nvars:
                 raise ValueError("partition longer than the variable count")
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
             if c:
-                clean[lam] = clean.get(lam, Fraction(0)) + c
-        self.coeffs = {lam: c for lam, c in clean.items() if c}
+                clean[lam] = clean.get(lam, 0) + c
+        self.coeffs = {
+            lam: c if type(c) is int else exact_scalar(c) for lam, c in clean.items() if c
+        }
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -223,33 +294,8 @@ class SymPoly:
     def max_part(self) -> int:
         return max((lam[0] for lam in self.coeffs if lam), default=0)
 
-    def expand(self) -> dict:
-        """Full monomial dict: exponent tuple -> coefficient."""
-        out: dict = {}
-        for lam, c in self.coeffs.items():
-            padded = lam + (0,) * (self.nvars - len(lam))
-            seen = set()
-            for perm in _distinct_permutations(padded):
-                if perm not in seen:
-                    seen.add(perm)
-                    out[perm] = out.get(perm, Fraction(0)) + c
-        return out
-
-    @staticmethod
-    def from_monomials(nvars: int, monos: dict) -> "SymPoly":
-        """Collect a symmetric monomial dict; raises if not symmetric."""
-        coeffs: dict = {}
-        for mono, c in monos.items():
-            lam = tuple(sorted((p for p in mono if p), reverse=True))
-            if mono == lam + (0,) * (nvars - len(lam)):
-                coeffs[lam] = c
-        sym = SymPoly(nvars, coeffs)
-        if sym.expand() != {m: c for m, c in monos.items() if c}:
-            raise ValueError("monomial dict is not symmetric")
-        return sym
-
     def vector(self, basis: list[tuple]):
-        return [self.coeffs.get(lam, Fraction(0)) for lam in basis]
+        return [self.coeffs.get(lam, 0) for lam in basis]
 
     def __eq__(self, other):
         return (
@@ -263,11 +309,12 @@ class SymPoly:
             raise ValueError("variable counts differ")
         c = dict(self.coeffs)
         for lam, v in other.coeffs.items():
-            c[lam] = c.get(lam, Fraction(0)) + v
+            c[lam] = c.get(lam, 0) + v
         return SymPoly(self.nvars, c)
 
     def __rmul__(self, scalar):
-        return SymPoly(self.nvars, {lam: Fraction(scalar) * c for lam, c in self.coeffs.items()})
+        scalar = exact_scalar(scalar)
+        return SymPoly(self.nvars, {lam: scalar * c for lam, c in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -276,69 +323,52 @@ class SymPoly:
         return f"SymPoly({self.nvars} vars; {terms})"
 
 
-def _distinct_permutations(values: tuple):
-    """All distinct orderings of a value tuple (small inputs only)."""
-    values = tuple(values)
-    if not values:
-        yield ()
-        return
-    seen_first = set()
-    for i, v in enumerate(values):
-        if v in seen_first:
-            continue
-        seen_first.add(v)
-        rest = values[:i] + values[i + 1 :]
-        for tail in _distinct_permutations(rest):
-            yield (v,) + tail
-
-
-def _integer_terms(monos: dict) -> tuple[int, list]:
-    """``(D, [(mono, D * c)])`` with D the lcm of the coefficient denominators."""
-    den = lcm(1, *(c.denominator for c in monos.values()))
-    return den, [(m, c.numerator * (den // c.denominator)) for m, c in monos.items()]
+@lru_cache(maxsize=1 << 16)
+def _shuffle_term(lam: tuple, s1: int, mu: tuple, s2: int) -> tuple[tuple, int]:
+    """``(nu, c)`` with the shuffle of m_lam (s1 variables) and m_mu (s2
+    variables) equal to ``c * m_nu``: nu = lam ∪ mu and
+    c = prod_v binom(mult_nu(v), mult_lam(v)), zeros included."""
+    nu = tuple(sorted(lam + mu, reverse=True))
+    c = comb(s1 + s2 - len(nu), s1 - len(lam))
+    for v in set(lam):
+        c *= comb(nu.count(v), lam.count(v))
+    return nu, c
 
 
 def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
-    """Sum of f(z_sigma) g(z_tau) over all order-preserving interleavings.
+    """Sum of f(z_S) g(z_T) over the order-preserving splittings of the
+    s_1 + s_2 variables into an s_1-set S and an s_2-set T.
 
-    The result lives in s_1 + s_2 variables and is symmetric; per-variable
-    degrees never exceed those of the factors.  The sum is accumulated on
-    integer numerators over the product of the factors' common denominators.
+    The result is symmetric in s_1 + s_2 variables and per-variable degrees
+    never exceed those of the factors.  It is read off the closed form
+    m_lam * m_mu = c · m_nu (see the module docstring), one term per pair of
+    terms of f and g, with no expansion into monomials.
     """
     s1, s2 = f.nvars, g.nvars
-    s = s1 + s2
-    fden, fm = _integer_terms(f.expand())
-    gden, gm = _integer_terms(g.expand())
-    terms = [(alpha + beta, ca * cb) for alpha, ca in fm for beta, cb in gm]
-    monos: dict = {}
-    for positions in combinations(range(s), s1):
-        # slot p of the result takes entry src[p] of the exponents alpha + beta
-        src = [0] * s
-        rest = iter(range(s1, s))
-        for p in range(s):
-            src[p] = positions.index(p) if p in positions else next(rest)
-        for exps, c in terms:
-            key = tuple([exps[j] for j in src])
-            monos[key] = monos.get(key, 0) + c
-    den = fden * gden
-    return SymPoly.from_monomials(s, {m: Fraction(c, den) for m, c in monos.items() if c})
+    out: dict = {}
+    for lam, x in f.coeffs.items():
+        for mu, y in g.coeffs.items():
+            nu, c = _shuffle_term(lam, s1, mu, s2)
+            out[nu] = out.get(nu, 0) + c * x * y
+    return SymPoly(s1 + s2, out)
 
 
 def satisfies_constraints(a, h: SymPoly) -> bool:
     """Membership of a homogeneous slice in the constrained dual space."""
     a = validate_composition(a)
     n = len(a)
-    if h.is_zero():
+    if h.is_zero() or not n:  # the empty label has no constraints
         return True
-    if h.max_part() >= n and n >= 1:
+    if h.max_part() >= n:
         return False
-    degrees = {sum(lam) for lam in h.coeffs}
-    for d in degrees:
-        col = _column_index(d, h.nvars, n - 1)
-        vec = {col[lam]: c for lam, c in h.coeffs.items() if lam in col}
-        for block in _constraint_blocks(a, h.nvars, d):
-            for row in block:
-                if sum(r * vec[c] for c, r in _pairs(row) if c in vec):
+    s = h.nvars
+    caps = _exponents(a, s)
+    for d in {sum(lam) for lam in h.coeffs}:
+        col = _code_columns(d, s, n - 1)
+        vec = {col[_code(lam, s + 1)]: c for lam, c in h.coeffs.items() if sum(lam) == d}
+        for coeffs, rows in _constraint_blocks(n, caps, s, d):
+            for cols in rows:
+                if sum(r * vec[c] for c, r in zip(cols, coeffs) if c in vec):
                     return False
     return True
 

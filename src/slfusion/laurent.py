@@ -11,7 +11,9 @@ is read off the section counts ``h0(E(k))`` of the twists.
 at twist ``k`` it takes the kernel of the linear system "``y^k M g`` is
 polynomial" for ``g`` over ``Q[1/y]``, and keeps a kernel vector as a column
 of ``X`` with exponent ``-k`` when its constant terms are independent of the
-columns already kept.  The factorization is then checked exactly; a wrong
+columns already kept.  A column may be scaled by any nonzero constant, so
+the primitive integer kernel vectors serve as they are and ``X`` is
+integral.  The factorization is then checked exactly; a wrong
 answer raises ``IntegrityError`` instead of being returned.
 
 Determinants are fraction-free: rows (or, in ``laurent_det``, columns) are

@@ -15,11 +15,11 @@ single integer combination, and only the nonzero entries are ever touched.
 ``IntEchelon`` takes dense rational rows as well as sparse integer maps; a
 rational row is scaled to integers by ``_integer_row``, the one converter.
 ``kernel_basis`` is fraction-free too: it reads the null space off the reduced
-integer rows.  Rationals appear only in ``kernel_basis`` vectors and in
-dense normal forms built on demand, so the results are exact by
-construction.  The dense ``Fraction``
-``rref`` is not called by the library: it stays only as the independent
-reference the tests check ``IntEchelon`` and ``kernel_basis`` against.
+integer rows as primitive integer vectors.  Rationals appear only in the
+rows callers pass in and in dense normal forms built on demand, so the
+results are exact by construction.  The dense ``Fraction`` ``rref`` is not
+called by the library: it stays only as the independent reference the
+tests check ``IntEchelon`` and ``kernel_basis`` against.
 """
 
 from __future__ import annotations
@@ -162,34 +162,44 @@ def rref(rows, ncols: int | None = None):
 
 
 def kernel_basis(rows, ncols: int):
-    """Basis of the right null space, one vector per free column, fraction-free.
+    """Basis of the right null space, one primitive integer vector per free column.
 
-    The rows (dense sequences or ``{column: value}`` maps, integer or
-    rational) are scaled to integers by ``_integer_row`` and go into an
-    ``IntEchelon``; insertion stops once the span is full.  For each free
-    column ``fc`` the vector has a 1 at ``fc`` and ``-row[fc] / row[pc]`` at
-    the pivot column ``pc`` of each reduced row: exactly the basis read off
-    ``rref``, as ``Fraction`` tuples.  With no rows it is the identity basis.
+    ``rows`` is any iterable of dense sequences or ``{column: value}`` maps
+    (integer or rational entries); each is scaled to integers by
+    ``_integer_row`` and goes into an ``IntEchelon``.  Rows are read one at a
+    time and reading stops as soon as the span is full, so a lazy iterable
+    is never read further than needed.  For each free column ``fc`` the
+    vector is the one read off ``rref`` (1 at ``fc``, ``-row[fc] / row[pc]``
+    at the pivot column ``pc`` of each reduced row) scaled to a primitive
+    integer tuple, positive at ``fc``.  With no rows it is the identity basis.
     """
     ech = IntEchelon(ncols)
-    for row in rows:
-        if ech.dim == ncols:
-            break
-        ech.insert(_integer_row(row))
+    if ncols:
+        for row in rows:
+            ech.insert(_integer_row(row))
+            if ech.dim == ncols:
+                break
     pivots = ech.pivots
     if len(pivots) == ncols:
         return []
-    zero, one = Fraction(0), Fraction(1)
     pivot_set = set(pivots)
-    vecs = {fc: [zero] * ncols for fc in range(ncols) if fc not in pivot_set}
-    for fc, vec in vecs.items():
-        vec[fc] = one
+    # free column -> (pivot column, entry, leading entry) of the rows hitting it
+    hits: dict[int, list] = {fc: [] for fc in range(ncols) if fc not in pivot_set}
     for pc, row in zip(pivots, ech.sparse_rows()):
         lead = row[pc]
         for c, x in row.items():
             if c != pc:
-                vecs[c][pc] = Fraction(-x, lead)
-    return [tuple(vec) for vec in vecs.values()]
+                hits[c].append((pc, x, lead))
+    out = []
+    for fc, entries in hits.items():
+        mult = lcm(1, *(lead for _, _, lead in entries))
+        vec = [0] * ncols
+        vec[fc] = g = mult
+        for pc, x, lead in entries:
+            vec[pc] = y = -x * (mult // lead)
+            g = gcd(g, y)
+        out.append(tuple(vec) if g == 1 else tuple(x // g for x in vec))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -114,21 +114,37 @@ def ideal_generators(a) -> list[tuple[int, int, dict]]:
     return out
 
 
-@lru_cache(maxsize=1 << 12)
+# The column maps of every verify-all and benchmark label fit with room to
+# spare (about 0.12 M entries); one (4,4,4,4,4,4) build alone asks for 0.8 M.
+SHIFT_MEMO_ENTRIES = 1 << 18
+# column entries held by the shift_columns memo, and how often it was emptied
+_shift_memo = {"entries": 0, "clears": 0}
+
+
+@lru_cache(maxsize=None)
 def shift_columns(n: int, k: int, s: int) -> tuple:
     """Column maps of multiplication by e_j into bidegree (k, s), one per j.
 
     Entry j lists, for each monomial of bidegree (k-1, s-j) in
     ``enumerate_monomials`` order, the position of its e_j multiple among
     the monomials of (k, s); it is empty when (k-1, s-j) has no monomials.
-    The maps depend on no label, so every module build shares them.
+    The maps depend on no label, so every module build shares them.  The
+    memo is bounded by its total column entries, not by its key count: it
+    is emptied before it would exceed ``SHIFT_MEMO_ENTRIES``.
     Memoized and shared: do not mutate.
     """
     index = {m: i for i, m in enumerate(enumerate_monomials(n, k, s))}
-    return tuple(
+    maps = tuple(
         tuple(index[m[:j] + (m[j] + 1,) + m[j + 1:]] for m in enumerate_monomials(n, k - 1, s - j))
         for j in range(n)
     )
+    size = sum(map(len, maps))
+    if _shift_memo["entries"] + size > SHIFT_MEMO_ENTRIES:
+        shift_columns.cache_clear()
+        _shift_memo["entries"] = 0
+        _shift_memo["clears"] += 1
+    _shift_memo["entries"] += size
+    return maps
 
 
 class GradedCharacter:

@@ -12,11 +12,17 @@ grown breadth-first, one element at a time, through ``apply`` and the
 ``Fraction`` normal forms instead of the integer action tables; and the
 geometry layer's ``Fraction`` routes (Gaussian determinants, the chart
 sampler with its ``-y^2`` pushforward, the dual-number Jacobian) check the
-integer ones.
+integer ones; and the shuffle product is checked against the expanding
+route, which writes both factors out as monomials and sums over every
+interleaving of the variables.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from random import Random
+
+from slfusion.dual import SymPoly
 
 from slfusion.geometry import primed_field, primed_labels, rational_point
 from slfusion.laurent import Laurent, _lagrange
@@ -476,3 +482,78 @@ def chart_change_failures_reference(n, samples, seed, expansion, key):
             if pushed != rhs:
                 failures.append({key: lab, "point": [str(x) for x in xpt]})
     return failures
+
+
+# ---------------------------------------------------------------------------
+# dual: the expanding shuffle route
+
+
+def _distinct_permutations(values: tuple):
+    """All distinct orderings of a value tuple (small inputs only)."""
+    values = tuple(values)
+    if not values:
+        yield ()
+        return
+    seen_first = set()
+    for i, v in enumerate(values):
+        if v in seen_first:
+            continue
+        seen_first.add(v)
+        rest = values[:i] + values[i + 1 :]
+        for tail in _distinct_permutations(rest):
+            yield (v,) + tail
+
+
+def expand(p: SymPoly) -> dict:
+    """Full monomial dict of a symmetric polynomial: exponent tuple -> coefficient."""
+    out: dict = {}
+    for lam, c in p.coeffs.items():
+        padded = lam + (0,) * (p.nvars - len(lam))
+        for perm in _distinct_permutations(padded):
+            out[perm] = out.get(perm, 0) + Fraction(c)
+    return out
+
+
+def from_monomials(nvars: int, monos: dict) -> SymPoly:
+    """Collect a symmetric monomial dict; raises if it is not symmetric."""
+    coeffs: dict = {}
+    for mono, c in monos.items():
+        lam = tuple(sorted((p for p in mono if p), reverse=True))
+        if mono == lam + (0,) * (nvars - len(lam)):
+            coeffs[lam] = c
+    sym = SymPoly(nvars, coeffs)
+    if expand(sym) != {m: c for m, c in monos.items() if c}:
+        raise ValueError("monomial dict is not symmetric")
+    return sym
+
+
+def _integer_terms(monos: dict) -> tuple[int, list]:
+    """``(D, [(mono, D * c)])`` with D the lcm of the coefficient denominators."""
+    den = lcm(1, *(c.denominator for c in monos.values()))
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in monos.items()]
+
+
+def shuffle_reference(f: SymPoly, g: SymPoly) -> SymPoly:
+    """Sum of f(z_sigma) g(z_tau) over all order-preserving interleavings.
+
+    Both factors are expanded into monomials and every term pair is placed
+    on every choice of the s_1 positions of f, on integer numerators over
+    the product of the factors' common denominators.
+    """
+    s1, s2 = f.nvars, g.nvars
+    s = s1 + s2
+    fden, fm = _integer_terms(expand(f))
+    gden, gm = _integer_terms(expand(g))
+    terms = [(alpha + beta, ca * cb) for alpha, ca in fm for beta, cb in gm]
+    monos: dict = {}
+    for positions in combinations(range(s), s1):
+        # slot p of the result takes entry src[p] of the exponents alpha + beta
+        src = [0] * s
+        rest = iter(range(s1, s))
+        for p in range(s):
+            src[p] = positions.index(p) if p in positions else next(rest)
+        for exps, c in terms:
+            key = tuple([exps[j] for j in src])
+            monos[key] = monos.get(key, 0) + c
+    den = fden * gden
+    return from_monomials(s, {m: Fraction(c, den) for m, c in monos.items() if c})

@@ -1,12 +1,20 @@
 """The symmetric-polynomial dual realization and the shuffle ring."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 from random import Random
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # optional test dependency: the seeded checks still run
+    given = None
+
+from oracle_utils import expand, from_monomials, shuffle_reference
+
+from slfusion import cli, dual
 from slfusion.dual import (
     DualSpace,
     SymPoly,
@@ -117,28 +125,68 @@ def test_constraint_rows_are_fresh_copies():
         constraint_rows(a, s, d, basis[::-1])
 
 
-def reference_shuffle(f, g):
-    """Plain Fraction sum over every interleaving of the expanded factors."""
-    s = f.nvars + g.nvars
-    monos = {}
-    for positions in combinations(range(s), f.nvars):
-        rest = [p for p in range(s) if p not in positions]
-        for alpha, ca in f.expand().items():
-            for beta, cb in g.expand().items():
-                exps = [0] * s
-                for p, e in zip(positions + tuple(rest), alpha + beta):
-                    exps[p] = e
-                monos[tuple(exps)] = monos.get(tuple(exps), 0) + ca * cb
-    return SymPoly.from_monomials(s, monos)
+def random_sympoly(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        lam = tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, nvars))), reverse=True))
+        terms[lam] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return SymPoly(nvars, terms)
 
 
 def test_shuffle_matches_reference():
+    # the closed form against the expanding route
     rng = Random(17)
     polys = [p for a in [(2, 3), (2, 2, 2)] for s in range(4) for p in DualSpace(a, s).solution_polys()]
     polys.append(SymPoly(2, {(1,): Fraction(-3, 4), (1, 1): Fraction(5, 6)}))
-    for _ in range(25):
+    polys += [random_sympoly(rng, rng.randint(0, 3)) for _ in range(20)]
+    for _ in range(60):
         f, g = rng.choice(polys), rng.choice(polys)
-        assert shuffle_product(f, g) == reference_shuffle(f, g)
+        assert shuffle_product(f, g) == shuffle_reference(f, g), (f, g)
+
+
+if given is not None:
+
+    def _partitions(nvars):
+        return st.lists(st.integers(1, 3), max_size=nvars).map(
+            lambda parts: tuple(sorted(parts, reverse=True))
+        )
+
+    _coeffs = st.one_of(
+        st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+    _sympolys = st.integers(0, 3).flatmap(
+        lambda nvars: st.dictionaries(_partitions(nvars), _coeffs, max_size=3).map(
+            lambda terms: SymPoly(nvars, terms)
+        )
+    )
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_sympolys, _sympolys)
+    def test_shuffle_closed_form_property(f, g):
+        assert shuffle_product(f, g) == shuffle_reference(f, g)
+
+
+@pytest.fixture
+def wrong_binomial(monkeypatch):
+    """binom(n, k) + 1 for 0 < k < n, planted in the shuffle's closed form."""
+    monkeypatch.setattr(dual, "comb", lambda n, k: comb(n, k) + (0 < k < n))
+    dual._shuffle_term.cache_clear()
+    yield
+    dual._shuffle_term.cache_clear()
+
+
+def test_planted_wrong_binomial_is_caught(wrong_binomial):
+    rng = Random(29)
+    pairs = [(random_sympoly(rng, 2), random_sympoly(rng, 2)) for _ in range(20)]
+    assert any(shuffle_product(f, g) != shuffle_reference(f, g) for f, g in pairs)
+    if given is not None:
+        with pytest.raises(AssertionError):
+            test_shuffle_closed_form_property()
+    # the ring claim catches it through the merged constraints; the n <= 2
+    # claims do not, since their degree-one bases are single m-terms
+    rep = cli.run_claim("ring", ((2, 2, 2), 2), cli.RunConfig())
+    assert rep["status"] == "fail" and not rep["got"]["generated"]
+    assert coordinate_ring_component((2, 2, 2), 2)["constraint_failures"] > 0
 
 
 def test_shuffle_constants():
@@ -146,6 +194,14 @@ def test_shuffle_constants():
     assert shuffle_product(one1, one1).coeffs == {(): Fraction(2)}
     z1 = SymPoly(1, {(1,): 1})
     assert shuffle_product(z1, one1).coeffs == {(1,): Fraction(1)}
+    # z_1 z_2 comes from both splittings of two variables
+    assert shuffle_product(z1, z1).coeffs == {(1, 1): 2}
+    # m_(2) in 2 variables times 1 in 2 variables: one of the three zeros of
+    # nu = (2) padded to 4 parts goes to lam, binom(3, 1) * binom(1, 1)
+    assert shuffle_product(SymPoly(2, {(2,): 1}), SymPoly(2, {(): 1})).coeffs == {(2,): 3}
+    # m_(2,1) * m_(1) in 2 + 1 variables: nu = (2,1,1), binom(2,1) for the 1s
+    h = shuffle_product(SymPoly(2, {(2, 1): 5}), SymPoly(1, {(1,): Fraction(1, 2)}))
+    assert h.coeffs == {(2, 1, 1): 5} and type(h.coeffs[(2, 1, 1)]) is int
 
 
 def test_shuffle_commutative_and_bilinear():
@@ -192,6 +248,19 @@ def test_coordinate_ring_components():
     assert rep["dim"] == 16 and rep["generated"]
 
 
+def test_ring_reach():
+    # beyond the pinned suite's n <= 2, k <= 2 ring claims
+    for a in [(2, 3, 3), (2, 2, 2, 2)]:
+        rep = coordinate_ring_component(a, 3)
+        assert rep["dim_ok"] and rep["generated"], a
+    # the component dimensions follow the Hilbert polynomial prod(k a_i - k + 1)
+    for a in [(2, 3), (2, 2, 2)]:
+        for k in range(1, 5):
+            rep = coordinate_ring_component(a, k, check_generation=False if k == 4 else None)
+            assert rep["dim"] == prod(k * x - k + 1 for x in a) and rep["dim_ok"], (a, k)
+            assert rep.get("generated", True), (a, k)
+
+
 def test_constraint_membership_rejects():
     # z_1 z_2 passes the (2,2) constraints, z_1 + z_2 does not pass at (3,3)...
     # use a concrete failing slice: the constant violates the (2,2) s=2 rule
@@ -203,6 +272,6 @@ def test_constraint_membership_rejects():
 
 def test_sympoly_expand_symmetry_roundtrip():
     p = SymPoly(3, {(2, 1): Fraction(3), (1,): Fraction(-1, 2)})
-    assert SymPoly.from_monomials(3, p.expand()) == p
+    assert from_monomials(3, expand(p)) == p
     with pytest.raises(ValueError):
-        SymPoly.from_monomials(2, {(1, 0): Fraction(1)})  # not symmetric
+        from_monomials(2, {(1, 0): Fraction(1)})  # not symmetric

@@ -207,13 +207,47 @@ if given is not None:
         check_echelon_against_rref(mat, len(mat[0]))
 
 
+def primitive_rref_kernel(mat, cols_n):
+    """The rref kernel with each vector scaled by a positive rational to a
+    primitive integer vector; it stays positive at its free column, where
+    rref puts a 1.  Returns ``(free columns, vectors)``."""
+    _, _, pivots = rref(mat, cols_n)
+    vecs = []
+    for vec in rref_kernel(mat, cols_n):
+        den = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (den // x.denominator) for x in vec]
+        g = gcd(*ints)
+        vecs.append(tuple(x // g for x in ints))
+    return [c for c in range(cols_n) if c not in pivots], vecs
+
+
 def check_kernel_against_rref(mat, cols_n):
-    """The integer kernel is exactly the rref kernel, from either row form."""
-    want = rref_kernel(mat, cols_n)
+    """The integer kernel is exactly the scaled rref kernel, from either row
+    form and from a one-pass iterator: primitive integer vectors, each
+    positive at its free column."""
+    free, want = primitive_rref_kernel(mat, cols_n)
     got = kernel_basis(mat, cols_n)
     assert got == want
-    assert all(type(x) is Fraction for vec in got for x in vec)
+    assert all(type(x) is int for vec in got for x in vec)
+    assert all(gcd(*vec) == 1 and vec[fc] > 0 for fc, vec in zip(free, got))
     assert kernel_basis([{c: x for c, x in enumerate(r) if x} for r in mat], cols_n) == want
+    assert kernel_basis(iter(mat), cols_n) == want
+
+
+def test_kernel_basis_stops_reading_at_a_full_span():
+    def rows(tail):
+        yield [1, 1, 0]
+        yield {1: 2, 2: 1}
+        yield [0, 0, 5]
+        yield from tail
+
+    def poisoned():
+        raise AssertionError("read past a full span")
+        yield
+
+    assert kernel_basis(rows(poisoned()), 3) == []
+    assert kernel_basis(rows([]), 4) == [(0, 0, 0, 1)]
+    assert kernel_basis(rows([]), 5) == [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
 
 
 def random_fraction_matrix(rng, rows_n, cols_n):

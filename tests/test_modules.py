@@ -14,6 +14,7 @@ from slfusion.linalg import (
     rref,
     scale_to_int,
 )
+from slfusion import modules
 from slfusion.modules import (
     FusionModule,
     GradedCharacter,
@@ -121,6 +122,28 @@ def test_build_matches_reference_route(a):
             for m in enumerate_monomials(n, k, s):
                 want = nf[m] if k <= module.kmax + 1 else None
                 assert module.reduce_monomial(m) == want, m
+
+
+def reset_shift_memo():
+    modules.shift_columns.cache_clear()
+    modules._shift_memo.update(entries=0, clears=0)
+
+
+def test_shift_columns_memo_is_bounded_by_entries():
+    memo, bound = modules._shift_memo, modules.SHIFT_MEMO_ENTRIES
+    reset_shift_memo()
+    try:
+        # the frontier labels of the benchmark's build phase fit without a clear
+        for a in [(4, 4, 4, 4, 4), (3, 4, 4, 4, 5)]:
+            assert FusionModule(a).total_dim == prod(a)
+        assert memo["clears"] == 0 and 0 < memo["entries"] <= bound
+        # one n = 6 build needs about 0.8 M entries over 970 bidegrees: the
+        # memo is emptied on the way and ends under the bound
+        assert FusionModule((4, 4, 4, 4, 4, 4)).total_dim == 4**6
+        assert memo["clears"] > 0 and 0 < memo["entries"] <= bound
+        assert modules.shift_columns.cache_info().currsize < 970
+    finally:
+        reset_shift_memo()
 
 
 def test_action_tables_match_dense_normal_forms():
