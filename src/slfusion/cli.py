@@ -696,6 +696,8 @@ def cmd_verify(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    if not suite_claims(args.suite, cfg):
+        parser.error(f"suite {args.suite!r} selects no claim at these bounds")
     reports = run_suite(args.suite, cfg)
     emit(reports, args.format)
     if any(rep.get("integrity") for rep in reports):

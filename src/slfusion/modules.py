@@ -34,7 +34,9 @@ and kept as an integer table (``FusionModule.action``); tensor modules
 compose their factors' tables.  Cyclic spans, the closure check of a
 subspace, the vanishing test of a polynomial class and the kernels of the
 move maps run on these images in integer arithmetic, with no per-step
-element or ``Fraction``.
+element or ``Fraction``.  One element class, ``ModuleElement``, serves both
+owner kinds: sparse exact coordinates over the piece bases, acted on by the
+variables through the same tables.
 
 Everything here is exact: quotient bases, normal forms, graded characters,
 cyclic spans and tensor modules with diagonal operators.
@@ -49,8 +51,8 @@ from math import lcm, prod
 from slfusion.linalg import (
     IntegrityError,
     IntEchelon,
+    _integer_row,
     enumerate_monomials,
-    mono_mul,
     poly_var,
 )
 
@@ -486,21 +488,6 @@ class FusionModule:
             raise ValueError(f"monomial in {len(m)} variables fed to a module with {self.n}")
         return self._nf.get(m)
 
-    def reduce_monomial(self, m: tuple):
-        """Normal form of an ambient monomial: (bidegree, coords) or None.
-
-        ``coords`` is a dense ``Fraction`` tuple over the piece basis, built
-        from ``normal_form`` on every call.
-        """
-        red = self.normal_form(m)
-        if red is None:
-            return None
-        ks, entries, den = red
-        vec = [Fraction(0)] * self.pieces[ks].dim
-        for i, x in entries:
-            vec[i] = Fraction(x, den)
-        return ks, tuple(vec)
-
     def action(self, j: int, ks: tuple) -> tuple:
         """Images of the basis of piece ``ks`` under e_j, memoized per (j, ks).
 
@@ -554,8 +541,7 @@ class FusionModule:
         tops = [(ks, p) for ks, p in self.pieces.items() if ks[0] == self.kmax and p.dim]
         if sum(p.dim for _, p in tops) != 1:
             raise IntegrityError(f"top band of {self.a} is not a line")
-        (k, s), piece = tops[0]
-        return ModuleElement(self, {(k, s): (Fraction(1),)})
+        return ModuleElement(self, {tops[0][0]: {0: Fraction(1)}})
 
     def poly_class(self, p: dict) -> "ModuleElement":
         coords: dict = {}
@@ -564,33 +550,36 @@ class FusionModule:
             if red is None:
                 continue
             ks, entries, den = red
-            acc = coords.get(ks)
-            if acc is None:
-                acc = coords[ks] = [Fraction(0)] * self.pieces[ks].dim
+            acc = coords.setdefault(ks, {})
             for i, x in entries:
-                acc[i] += Fraction(c * x, den)
-        return ModuleElement(
-            self, {ks: tuple(v) for ks, v in coords.items() if any(v)}
-        )
+                acc[i] = acc.get(i, 0) + Fraction(c * x, den)
+        return ModuleElement(self, coords)
 
     def basis_element(self, k: int, s: int, i: int) -> "ModuleElement":
-        piece = self.pieces[(k, s)]
-        vec = [Fraction(0)] * piece.dim
-        vec[i] = Fraction(1)
-        return ModuleElement(self, {(k, s): tuple(vec)})
+        return ModuleElement(self, {(k, s): {i: Fraction(1)}})
 
     def __repr__(self):
         return f"FusionModule(a={self.a}, dim={self.total_dim})"
 
 
 class ModuleElement:
-    """Element of a fusion module stored as per-bidegree coordinates."""
+    """Element of a fusion or tensor module, sparse over its piece bases.
+
+    ``coords`` maps a bidegree to ``{position: value}``, nonzero exact values
+    only, over the owner's basis of that piece (for a tensor module the
+    positions of ``piece_key_index``).  ``apply`` runs on the owner's integer
+    action tables, the ones the cyclic spans use.
+    """
 
     __slots__ = ("owner", "coords")
 
     def __init__(self, owner, coords: dict):
         self.owner = owner
-        self.coords = {ks: tuple(v) for ks, v in coords.items() if any(v)}
+        self.coords = {}
+        for ks, vec in coords.items():
+            vec = {i: x for i, x in vec.items() if x}
+            if vec:
+                self.coords[ks] = vec
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -601,57 +590,51 @@ class ModuleElement:
     def __add__(self, other) -> "ModuleElement":
         if other.owner is not self.owner:
             raise ValueError("elements of different modules")
-        coords = {ks: list(v) for ks, v in self.coords.items()}
-        for ks, v in other.coords.items():
-            acc = coords.setdefault(ks, [Fraction(0)] * len(v))
-            for i, x in enumerate(v):
-                acc[i] += x
-        return ModuleElement(self.owner, {ks: tuple(v) for ks, v in coords.items()})
+        coords = {ks: dict(vec) for ks, vec in self.coords.items()}
+        for ks, vec in other.coords.items():
+            acc = coords.setdefault(ks, {})
+            for i, x in vec.items():
+                acc[i] = acc.get(i, 0) + x
+        return ModuleElement(self.owner, coords)
 
     def __rmul__(self, c) -> "ModuleElement":
         c = Fraction(c)
-        return ModuleElement(
-            self.owner, {ks: tuple(c * x for x in v) for ks, v in self.coords.items()}
-        )
+        coords = {ks: {i: c * x for i, x in vec.items()} for ks, vec in self.coords.items()}
+        return ModuleElement(self.owner, coords)
 
     def __sub__(self, other) -> "ModuleElement":
         return self + (-1) * other
 
     def representative(self) -> dict:
-        """A polynomial representative built from quotient basis monomials."""
+        """A polynomial representative built from quotient basis monomials.
+
+        Defined for elements of a fusion module, whose pieces have monomial
+        bases.
+        """
         rep: dict = {}
         for ks, vec in self.coords.items():
-            piece = self.owner.pieces[ks]
-            for i, c in enumerate(vec):
-                if c:
-                    rep[piece.basis[i]] = rep.get(piece.basis[i], 0) + c
+            basis = self.owner.pieces[ks].basis
+            for i, c in vec.items():
+                rep[basis[i]] = c
         return rep
 
-    def apply(self, p: dict) -> "ModuleElement":
-        """Class of p * (representative), reduced through normal forms."""
-        owner = self.owner
-        out: dict = {}
-        for ks, vec in self.coords.items():
-            piece = owner.pieces[ks]
-            for i, c in enumerate(vec):
-                if not c:
-                    continue
-                b = piece.basis[i]
-                for pm, pc in p.items():
-                    if len(pm) != owner.n:
-                        raise ValueError(
-                            f"operator in {len(pm)} variables on a module with {owner.n}"
-                        )
-                    red = owner.reduce_monomial(mono_mul(b, pm))
-                    if red is None:
-                        continue
-                    tks, tvec = red
-                    acc = out.setdefault(tks, [Fraction(0)] * len(tvec))
-                    f = c * pc
-                    for j, x in enumerate(tvec):
-                        if x:
-                            acc[j] += f * x
-        return ModuleElement(owner, {ks: tuple(v) for ks, v in out.items()})
+    def apply(self, op) -> "ModuleElement":
+        """Image under a variable operator, in the forms ``cyclic_span`` takes.
+
+        Every slice is mapped through ``owner.action``: the integer image of
+        basis vector i over its denominator, times the coordinate at i.
+        """
+        var, j = _span_variable(self.owner, op)
+        out = {}
+        for (k, s), vec in self.coords.items():
+            table = self.owner.action(var, (k, s))
+            acc = out[(k + 1, s + j)] = {}
+            for i, x in vec.items():
+                if table[i] is not None:
+                    entries, den = table[i]
+                    for t, y in entries:
+                        acc[t] = acc.get(t, 0) + Fraction(x * y, den)
+        return ModuleElement(self.owner, out)
 
 
 _MODULE_CACHE: dict[tuple, FusionModule] = {}
@@ -756,18 +739,19 @@ class TensorModule:
         self.piece_basis(k, s)
         return self._piece_index[(k, s)][1]
 
-    def piece_dim(self, k: int, s: int) -> int:
+    def dim_piece(self, k: int, s: int) -> int:
         return len(self.piece_basis(k, s))
 
-    def zero(self) -> "TensorElement":
-        return TensorElement(self, {})
+    def zero(self) -> ModuleElement:
+        return ModuleElement(self, {})
 
-    def cyclic_tensor(self) -> "TensorElement":
+    def cyclic_tensor(self) -> ModuleElement:
         """v_{A_1} tensor ... tensor v_{A_r}, the bidegree (0,0) line."""
-        key = tuple((0, 0, 0) for _ in self.factors)
-        return TensorElement(self, {(0, 0): {key: Fraction(1)}})
+        return ModuleElement(self, {(0, 0): {0: Fraction(1)}})
 
     def op_diag(self, j: int):
+        if j < 0:
+            raise ValueError(f"no variable e_{j}: indices start at 0")
         if not any(j < f.n for f in self.factors):
             raise ValueError(f"diagonal operator e_{j} misses every factor")
         return ("diag", j)
@@ -775,15 +759,11 @@ class TensorModule:
     def op_factor(self, m: int, j: int):
         if not 0 <= m < len(self.factors):
             raise ValueError("factor index out of range")
+        if j < 0:
+            raise ValueError(f"no variable e_{j}: indices start at 0")
         if j >= self.factors[m].n:
             raise ValueError(f"factor {m} has no variable e_{j}")
         return ("factor", m, j)
-
-    def _op_factors(self, op: tuple) -> tuple[list, int]:
-        """The factors an operator acts on and its variable index."""
-        if op[0] == "diag":
-            return [m for m, f in enumerate(self.factors) if op[1] < f.n], op[1]
-        return [op[1]], op[2]
 
     def action(self, op: tuple, ks: tuple) -> list:
         """Images of the basis of piece ``ks`` under an operator.
@@ -795,7 +775,11 @@ class TensorModule:
         None for zero, as for a fusion module.  Not memoized: a span asks
         for each (op, ks) once, and tensor modules are short-lived.
         """
-        factors, j = self._op_factors(op)
+        j = op[-1]
+        if op[0] == "factor":
+            factors = [op[1]]
+        else:
+            factors = [m for m, f in enumerate(self.factors) if j < f.n]
         target = self.piece_key_index(ks[0] + 1, ks[1] + j)
         table = []
         for key in self.piece_basis(*ks):
@@ -826,71 +810,6 @@ class TensorModule:
         return f"TensorModule({[f.a for f in self.factors]}, dim={self.total_dim})"
 
 
-class TensorElement:
-    """Element of a tensor module, sparse over per-bidegree basis keys."""
-
-    __slots__ = ("owner", "coords")
-
-    def __init__(self, owner, coords: dict):
-        self.owner = owner
-        self.coords = {
-            ks: {key: c for key, c in vec.items() if c}
-            for ks, vec in coords.items()
-            if any(vec.values())
-        }
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def support(self):
-        return sorted(self.coords)
-
-    def __add__(self, other) -> "TensorElement":
-        if other.owner is not self.owner:
-            raise ValueError("elements of different modules")
-        coords = {ks: dict(vec) for ks, vec in self.coords.items()}
-        for ks, vec in other.coords.items():
-            acc = coords.setdefault(ks, {})
-            for key, c in vec.items():
-                acc[key] = acc.get(key, Fraction(0)) + c
-        return TensorElement(self.owner, coords)
-
-    def __rmul__(self, c) -> "TensorElement":
-        c = Fraction(c)
-        return TensorElement(
-            self.owner,
-            {ks: {key: c * x for key, x in vec.items()} for ks, vec in self.coords.items()},
-        )
-
-    def apply(self, op: tuple) -> "TensorElement":
-        """Image under an operator from ``op_diag`` or ``op_factor``."""
-        owner = self.owner
-        targets, j = owner._op_factors(op)
-        out: dict = {}
-        for (k, s), vec in self.coords.items():
-            for key, c in vec.items():
-                for m in targets:
-                    f = owner.factors[m]
-                    km, sm, im = key[m]
-                    base = f.pieces[(km, sm)].basis[im]
-                    ej = tuple(1 if t == j else 0 for t in range(f.n))
-                    red = f.reduce_monomial(mono_mul(base, ej))
-                    if red is None:
-                        continue
-                    (tk, ts), tvec = red
-                    tot = (k + 1, s + j)
-                    acc = out.setdefault(tot, {})
-                    for i2, x in enumerate(tvec):
-                        if x:
-                            nkey = key[:m] + ((tk, ts, i2),) + key[m + 1 :]
-                            v = acc.get(nkey, Fraction(0)) + c * x
-                            if v:
-                                acc[nkey] = v
-                            else:
-                                acc.pop(nkey, None)
-        return TensorElement(owner, out)
-
-
 def tensor(modules, require_same_n: bool = True) -> TensorModule:
     """Tensor product; by default all factors must share the variable count."""
     return TensorModule(list(modules), require_same_n=require_same_n)
@@ -901,25 +820,16 @@ def tensor(modules, require_same_n: bool = True) -> TensorModule:
 
 
 class Subspace:
-    """Graded subspace of a fusion or tensor module, one echelon per bidegree."""
+    """Graded subspace of a fusion or tensor module, one echelon per bidegree.
+
+    An element's slice goes into the echelon of its bidegree as the integer
+    multiple ``_integer_row`` makes of its coordinates; the echelon rows are
+    integer rows over the owner's piece basis, the same for both owner kinds.
+    """
 
     def __init__(self, owner):
         self.owner = owner
         self.spans: dict[tuple[int, int], IntEchelon] = {}
-
-    def _dense(self, ks, el):
-        if isinstance(el, TensorElement):
-            index = self.owner.piece_key_index(*ks)
-            vec = [Fraction(0)] * len(index)
-            for key, c in el.coords[ks].items():
-                vec[index[key]] = c
-            return vec
-        return el.coords[ks]
-
-    def _piece_dim(self, ks) -> int:
-        if isinstance(self.owner, TensorModule):
-            return self.owner.piece_dim(*ks)
-        return self.owner.dim_piece(*ks)
 
     def _check_owner(self, el) -> None:
         if el.owner is not self.owner:
@@ -932,22 +842,17 @@ class Subspace:
             return False
         if len(el.coords) != 1:
             raise ValueError("subspace insertion expects a bihomogeneous element")
-        (ks,) = el.coords
+        ((ks, vec),) = el.coords.items()
         ech = self.spans.get(ks)
         if ech is None:
-            ech = self.spans[ks] = IntEchelon(self._piece_dim(ks))
-        return ech.insert(self._dense(ks, el))
+            ech = self.spans[ks] = IntEchelon(self.owner.dim_piece(*ks))
+        return ech.insert(_integer_row(vec))
 
     def contains(self, el) -> bool:
         self._check_owner(el)
-        if el.is_zero():
-            return True
-        for piece in _slices(el):
-            (ks,) = piece.coords
+        for ks, vec in el.coords.items():
             ech = self.spans.get(ks)
-            if ech is None:
-                return False
-            if not ech.contains(self._dense(ks, piece)):
+            if ech is None or not ech.contains(_integer_row(vec)):
                 return False
         return True
 
@@ -963,10 +868,10 @@ class Subspace:
 
     def closed_under(self, op) -> bool:
         """True if the operator (as for ``cyclic_span``) maps the subspace into itself."""
-        var = _span_variable(self.owner, op)
-        for ks, ech in self.spans.items():
-            target = self.spans.get(_target_bidegree(ks, var))
-            table = self.owner.action(var, ks)
+        var, j = _span_variable(self.owner, op)
+        for (k, s), ech in self.spans.items():
+            target = self.spans.get((k + 1, s + j))
+            table = self.owner.action(var, (k, s))
             for row in ech.sparse_rows():
                 img = map_row(row, table)
                 if img and (target is None or not target.contains(img)):
@@ -994,51 +899,32 @@ class Subspace:
 
     def basis_elements(self):
         """Bihomogeneous module elements forming a basis of the subspace."""
-        out = []
-        for ks in sorted(self.spans):
-            ech = self.spans[ks]
-            if isinstance(self.owner, TensorModule):
-                keys = self.owner.piece_basis(*ks)
-                for row in ech.rows:
-                    vec = {keys[i]: Fraction(x) for i, x in enumerate(row) if x}
-                    out.append(TensorElement(self.owner, {ks: vec}))
-            else:
-                for row in ech.rows:
-                    out.append(
-                        ModuleElement(self.owner, {ks: tuple(Fraction(x) for x in row)})
-                    )
-        return out
+        return [
+            ModuleElement(self.owner, {ks: row})
+            for ks in sorted(self.spans)
+            for row in self.spans[ks].sparse_rows()
+        ]
 
 
-def _slices(el):
-    """Split an element into its bihomogeneous slices."""
-    cls = TensorElement if isinstance(el, TensorElement) else ModuleElement
-    return [cls(el.owner, {ks: el.coords[ks]}) for ks in sorted(el.coords)]
+def _span_variable(owner, op) -> tuple:
+    """The operator as ``(var, j)``: the form ``owner.action`` takes, checked.
 
-
-def _span_variable(owner, op):
-    """The operator in the form ``owner.action`` takes, checked.
-
-    On a fusion module an operator is a variable ``poly_var(n, j)`` and
-    becomes the index j; on a tensor module it is an ``op_diag`` or
-    ``op_factor`` tuple.  Anything else is a ``ValueError``.
+    On a fusion module an operator is a variable ``poly_var(n, j)`` and var
+    is the index j; on a tensor module it is an ``op_diag`` or ``op_factor``
+    tuple and var is that tuple.  Either raises the bidegree by (1, j).
+    Anything else is a ``ValueError``.
     """
     if isinstance(owner, TensorModule):
         if isinstance(op, tuple) and len(op) == 2 and op[0] == "diag":
-            return owner.op_diag(op[1])
+            return owner.op_diag(op[1]), op[1]
         if isinstance(op, tuple) and len(op) == 3 and op[0] == "factor":
-            return owner.op_factor(op[1], op[2])
+            return owner.op_factor(op[1], op[2]), op[2]
     elif isinstance(op, dict) and len(op) == 1:
         ((m, c),) = op.items()
         n = owner.n
         if c == 1 and isinstance(m, tuple) and len(m) == n and sorted(m) == [0] * (n - 1) + [1]:
-            return m.index(1)
-    raise ValueError(f"cyclic spans take variable operators e_j, got {op!r}")
-
-
-def _target_bidegree(ks: tuple, var) -> tuple:
-    """Where the operator ``var`` (from ``_span_variable``) sends bidegree ks."""
-    return (ks[0] + 1, ks[1] + (var if isinstance(var, int) else var[-1]))
+            return m.index(1), m.index(1)
+    raise ValueError(f"elements and spans take variable operators e_j, got {op!r}")
 
 
 def cyclic_span(owner, ops, seeds, max_dim: int | None = None) -> Subspace:
@@ -1049,14 +935,16 @@ def cyclic_span(owner, ops, seeds, max_dim: int | None = None) -> Subspace:
     (1, j).  A degree-k slice is therefore final once every slice of degree
     k-1 has been mapped, so bidegrees are walked in increasing degree and
     each final slice's reduced echelon rows are mapped once through the
-    owner's integer action tables into the target echelons; a full target
-    is skipped.  A span that grows past ``max_dim`` raises IntegrityError.
+    owner's integer action tables (``map_row``) into the target echelons; a
+    full target is skipped.  Seeds are ``ModuleElement``s of the owner, one
+    insert per slice.  A span that grows past ``max_dim`` raises
+    IntegrityError.
     """
     variables = [_span_variable(owner, op) for op in ops]
     span = Subspace(owner)
     for seed in seeds:
-        for piece in _slices(seed):
-            span.insert(piece)
+        for ks in sorted(seed.coords):
+            span.insert(ModuleElement(seed.owner, {ks: seed.coords[ks]}))
     spans = span.spans
     k = min((ks[0] for ks in spans), default=0)
     while any(ks[0] >= k for ks in spans):
@@ -1064,11 +952,11 @@ def cyclic_span(owner, ops, seeds, max_dim: int | None = None) -> Subspace:
             rows = spans[ks].sparse_rows()
             if not rows:
                 continue
-            for var in variables:
-                tks = _target_bidegree(ks, var)
+            for var, j in variables:
+                tks = (k + 1, ks[1] + j)
                 ech = spans.get(tks)
                 if ech is None:
-                    ech = spans[tks] = IntEchelon(span._piece_dim(tks))
+                    ech = spans[tks] = IntEchelon(owner.dim_piece(*tks))
                 if ech.dim == ech.ncols:
                     continue
                 table = owner.action(var, ks)

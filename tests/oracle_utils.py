@@ -8,11 +8,12 @@ is read off the dense ``rref``; span intersections are computed by a
 Zassenhaus-style kernel that no library path uses; the module ideal is
 rebuilt by the plain degree recursion, one echelon insert per shifted row,
 with bases and normal forms read off its dense rows; cyclic spans are
-grown breadth-first, one element at a time, through ``apply`` and the
-``Fraction`` normal forms instead of the integer action tables; and the
-geometry layer's ``Fraction`` routes (Gaussian determinants, the chart
-sampler with its ``-y^2`` pushforward, the dual-number Jacobian) check the
-integer ones; and the shuffle product is checked against the expanding
+grown breadth-first, one element at a time, through ``apply_reference``,
+which multiplies basis monomials and reduces them to dense ``Fraction``
+normal forms (``reduce_monomial``) instead of reading the integer action
+tables; the geometry layer's ``Fraction`` routes (Gaussian determinants,
+the chart sampler with its ``-y^2`` pushforward, the dual-number Jacobian)
+check the integer ones; and the shuffle product is checked against the expanding
 route, which writes both factors out as monomials and sums over every
 interleaving of the variables.
 """
@@ -26,11 +27,18 @@ from slfusion.dual import SymPoly
 
 from slfusion.geometry import primed_field, primed_labels, rational_point
 from slfusion.laurent import Laurent, _lagrange
-from slfusion.linalg import IntEchelon, enumerate_monomials, kernel_basis, rref, scale_to_int
+from slfusion.linalg import (
+    IntEchelon,
+    enumerate_monomials,
+    kernel_basis,
+    mono_mul,
+    rref,
+    scale_to_int,
+)
 from slfusion.modules import (
     ModuleElement,
     Subspace,
-    TensorElement,
+    TensorModule,
     ideal_generators,
     validate_composition,
 )
@@ -321,25 +329,93 @@ def quotient_reference(a):
     return rows, bases, nf
 
 
+def reduce_monomial(module, m):
+    """Normal form of an ambient monomial: ``(bidegree, coords)`` or None.
+
+    ``coords`` is a dense ``Fraction`` tuple over the piece basis, built
+    from ``normal_form`` on every call: the dense reference that the
+    integer action tables are checked against.
+    """
+    red = module.normal_form(m)
+    if red is None:
+        return None
+    ks, entries, den = red
+    vec = [Fraction(0)] * module.pieces[ks].dim
+    for i, x in entries:
+        vec[i] = Fraction(x, den)
+    return ks, tuple(vec)
+
+
+def apply_reference(el: ModuleElement, op) -> ModuleElement:
+    """The image of an element, one basis monomial at a time.
+
+    On a fusion module ``op`` is any polynomial: each basis monomial of the
+    element times each monomial of ``op`` goes through ``reduce_monomial``.
+    On a tensor module ``op`` is an ``op_diag``/``op_factor`` tuple: in each
+    basis key, the monomial of every factor that ``op`` acts on is
+    multiplied by e_j and reduced in that factor, and the new key is looked
+    up in ``piece_key_index``.  No action table is read.
+    """
+    owner, out = el.owner, {}
+    for (k, s), vec in el.coords.items():
+        for i, c in vec.items():
+            if isinstance(owner, TensorModule):
+                images = _tensor_key_images(owner, op, k, s, i)
+            else:
+                images = _monomial_images(owner, owner.pieces[(k, s)].basis[i], op)
+            for ks, t, x in images:
+                acc = out.setdefault(ks, {})
+                acc[t] = acc.get(t, 0) + c * x
+    return ModuleElement(owner, out)
+
+
+def _monomial_images(module, b, poly):
+    """``(bidegree, position, value)`` terms of the class of ``b * poly``."""
+    for pm, pc in poly.items():
+        if len(pm) != module.n:
+            raise ValueError(f"operator in {len(pm)} variables on a module with {module.n}")
+        red = reduce_monomial(module, mono_mul(b, pm))
+        if red is not None:
+            ks, vec = red
+            yield from ((ks, t, pc * x) for t, x in enumerate(vec) if x)
+
+
+def _tensor_key_images(owner, op, k, s, i):
+    """``(bidegree, position, value)`` terms of e_j on basis key i of (k, s)."""
+    j = op[-1]
+    if op[0] == "factor":
+        factors = [op[1]]
+    else:
+        factors = [m for m, f in enumerate(owner.factors) if j < f.n]
+    key = owner.piece_basis(k, s)[i]
+    index = owner.piece_key_index(k + 1, s + j)
+    for m in factors:
+        f = owner.factors[m]
+        km, sm, im = key[m]
+        ej = tuple(int(t == j) for t in range(f.n))
+        for (tk, ts), t, x in _monomial_images(f, f.pieces[(km, sm)].basis[im], {ej: 1}):
+            yield (k + 1, s + j), index[key[:m] + ((tk, ts, t),) + key[m + 1:]], x
+
+
 def _slices(el):
     """An element's bihomogeneous slices, in bidegree order."""
-    cls = TensorElement if isinstance(el, TensorElement) else ModuleElement
-    return [cls(el.owner, {ks: el.coords[ks]}) for ks in sorted(el.coords)]
+    return [ModuleElement(el.owner, {ks: el.coords[ks]}) for ks in sorted(el.coords)]
 
 
 def cyclic_span_reference(owner, ops, seeds) -> Subspace:
     """Smallest graded subspace holding the seeds and closed under ops.
 
     Breadth-first: every element that grows the span is queued, and each
-    queued element is pushed through every operator with ``apply``.  Works
-    for any operator ``apply`` takes, variables or not.
+    queued element is pushed through every operator with
+    ``apply_reference``, so no action table is read.  On a fusion module
+    the operators may be any polynomials, variables or not.
     """
     span = Subspace(owner)
     queue = [piece for seed in seeds for piece in _slices(seed) if span.insert(piece)]
     while queue:
         el = queue.pop()
         for op in ops:
-            for piece in _slices(el.apply(op)):
+            for piece in _slices(apply_reference(el, op)):
                 if span.insert(piece):
                     queue.append(piece)
     return span

@@ -393,3 +393,14 @@ def test_frontier_module_cache_roundtrip(tmp_path):
     assert loaded is not None
     assert loaded.character() == built.character()
     assert loaded.ideal_rows == built.ideal_rows
+
+
+def test_verify_with_no_claim_is_a_usage_error(capsys):
+    # a request that checks nothing must not report success
+    for argv in (["vectorfields", "--n", "0"], ["vectorfields", "--n", "-2"],
+                 ["splitting", "--n", "99"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert "selects no claim" in err, argv
+    code, out, _ = run(capsys, "verify", "vectorfields", "--n", "2")
+    assert code == EXIT_OK and "1 passed, 0 failed" in out

@@ -1,10 +1,16 @@
 """Quotient modules: generators, dimensions, characters, spans, tensors."""
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm, prod
 
 import pytest
-from oracle_utils import quotient_reference
+from oracle_utils import (
+    apply_reference,
+    cyclic_span_reference,
+    quotient_reference,
+    reduce_monomial,
+)
 
 from slfusion.linalg import (
     IntegrityError,
@@ -15,9 +21,11 @@ from slfusion.linalg import (
     scale_to_int,
 )
 from slfusion import modules
+from slfusion.cli import RunConfig, suite_claims
 from slfusion.modules import (
     FusionModule,
     GradedCharacter,
+    ModuleElement,
     Subspace,
     TensorModule,
     cyclic_span,
@@ -121,7 +129,7 @@ def test_build_matches_reference_route(a):
         for s in range((n - 1) * k + 1):
             for m in enumerate_monomials(n, k, s):
                 want = nf[m] if k <= module.kmax + 1 else None
-                assert module.reduce_monomial(m) == want, m
+                assert reduce_monomial(module, m) == want, m
 
 
 def reset_shift_memo():
@@ -162,7 +170,7 @@ def test_action_tables_match_dense_normal_forms():
             for j in range(module.n):
                 want = []
                 for b in piece.basis:
-                    red = module.reduce_monomial(b[:j] + (b[j] + 1,) + b[j + 1:])
+                    red = reduce_monomial(module, b[:j] + (b[j] + 1,) + b[j + 1:])
                     want.append(None if red is None else integer_image(red[1]))
                 assert module.action(j, ks) == tuple(want), (a, j, ks)
 
@@ -171,7 +179,7 @@ def test_reduce_monomial_rejects_wrong_length():
     mod = fusion_module((2, 3))
     for m in [(1,), (0, 1, 0), ()]:
         with pytest.raises(ValueError, match="variables"):
-            mod.reduce_monomial(m)
+            reduce_monomial(mod, m)
     with pytest.raises(ValueError, match="variables"):
         mod.poly_class({(1, 0, 0): 1})
 
@@ -204,14 +212,17 @@ def test_h0_grading_bookkeeping():
 def test_act_examples():
     mod = fusion_module((2, 2))
     v = mod.cyclic_vector()
-    one = {(0, 0): 1}
-    assert v.apply(one).coords == v.coords
-    assert v.apply({(0, 2): 1}).is_zero()  # e_1^2 lies in the ideal
+    e0, e1 = poly_var(2, 0), poly_var(2, 1)
+    assert v.apply(e1).coords == mod.poly_class(e1).coords
+    assert v.apply(e1).apply(e1).is_zero()  # e_1^2 lies in the ideal
     mod23 = fusion_module((2, 3))
     v23 = mod23.cyclic_vector()
     top = sum(x - 1 for x in (2, 3))
-    assert not v23.apply({(top, 0): 1}).is_zero()
-    assert v23.apply({(top + 1, 0): 1}).is_zero()
+    for _ in range(top):
+        v23 = v23.apply(e0)
+    assert v23.coords == mod23.poly_class({(top, 0): 1}).coords
+    assert not v23.is_zero()
+    assert v23.apply(e0).is_zero()
 
 
 def test_nilpotency_of_first_variable():
@@ -228,7 +239,7 @@ def test_nilpotency_of_first_variable():
 
 def test_variable_count_mismatch():
     mod = fusion_module((2, 2))
-    with pytest.raises(ValueError, match="variables"):
+    with pytest.raises(ValueError, match="variable operators e_j"):
         mod.cyclic_vector().apply({(1, 0, 0): 1})
 
 
@@ -288,12 +299,120 @@ def test_cyclic_span_rejects_non_variable_operators(op):
 
 def test_cyclic_span_rejects_non_tensor_operators():
     t = TensorModule([fusion_module((2, 2)), fusion_module((2,))], require_same_n=False)
-    with pytest.raises(ValueError, match="variable operators"):
-        cyclic_span(t, [poly_var(2, 0)], [t.cyclic_tensor()])
-    with pytest.raises(ValueError, match="misses every factor"):
-        cyclic_span(t, [("diag", 2)], [t.cyclic_tensor()])
-    with pytest.raises(ValueError, match="has no variable"):
-        cyclic_span(t, [("factor", 1, 1)], [t.cyclic_tensor()])
+    cases = [
+        (poly_var(2, 0), "variable operators"),
+        (("diag", 2), "misses every factor"),
+        (("factor", 1, 1), "has no variable"),
+        (("diag", -1), "indices start at 0"),
+        (("factor", 0, -1), "indices start at 0"),
+    ]
+    for op, message in cases:
+        with pytest.raises(ValueError, match=message):
+            cyclic_span(t, [op], [t.cyclic_tensor()])
+        with pytest.raises(ValueError, match=message):
+            t.cyclic_tensor().apply(op)
+    with pytest.raises(ValueError, match="indices start at 0"):
+        t.op_diag(-1)
+    with pytest.raises(ValueError, match="indices start at 0"):
+        t.op_factor(0, -1)
+
+
+def full_element(owner, pieces):
+    """An element with a distinct nonzero value at every basis position."""
+    return ModuleElement(
+        owner,
+        {(k, s): {i: Fraction(i + 1, k + 1) for i in range(d)} for (k, s), d in pieces.items()},
+    )
+
+
+def tg_tensors():
+    """The tensor products that the default ``tg`` claims build."""
+    for kind, params in suite_claims("descriptions", RunConfig()):
+        if kind == "tg":
+            a, b = params
+            yield tensor([fusion_module(a), fusion_module((1,) * (len(a) - len(b)) + b)])
+
+
+def tensor_ops(t):
+    ops = [t.op_diag(j) for j in range(t.n)]
+    ops += [t.op_factor(m, j) for m, f in enumerate(t.factors) for j in range(f.n)]
+    return ops
+
+
+def test_apply_matches_reference_on_fusion_modules():
+    # the action tables against the per-monomial Fraction route, with every
+    # basis vector of every piece in one element
+    grid = [a for n in range(1, 4) for a in combinations_with_replacement(range(1, 5), n)]
+    for a in grid:
+        mod = fusion_module(a)
+        el = full_element(mod, mod.character().table)
+        for j in range(mod.n):
+            op = poly_var(mod.n, j)
+            assert el.apply(op).coords == apply_reference(el, op).coords, (a, j)
+
+
+def test_apply_matches_reference_on_tg_tensors():
+    count = 0
+    for t in tg_tensors():
+        el = full_element(t, t.character().table)
+        for op in tensor_ops(t):
+            assert el.apply(op).coords == apply_reference(el, op).coords, (t, op)
+        count += 1
+    assert count == 253  # every default tg claim
+
+
+def test_reference_catches_a_corrupted_tensor_table(monkeypatch):
+    t = tensor([fusion_module((2, 2)), fusion_module((2, 2))])
+    ops = [t.op_diag(j) for j in range(2)]
+    v = t.cyclic_tensor()
+    want = cyclic_span_reference(t, ops, [v])
+    assert want == cyclic_span(t, ops, [v]) and want.dim == 9
+    real = TensorModule.action
+
+    def planted(self, op, ks):
+        # e_0 (v (x) v) loses its second-factor term
+        table = real(self, op, ks)
+        if op == ("diag", 0) and ks == (0, 0):
+            entries, den = table[0]
+            table = [(entries[:1], den)] + table[1:]
+        return table
+
+    monkeypatch.setattr(TensorModule, "action", planted)
+    assert v.apply(ops[0]).coords != apply_reference(v, ops[0]).coords
+    assert cyclic_span(t, ops, [v]) != want
+    assert cyclic_span_reference(t, ops, [v]) == want
+
+
+def test_reference_catches_a_corrupted_fusion_table(monkeypatch):
+    # most images are single entries; (3, 3, 4) is the first label on the
+    # n <= 4, entries <= 4 grid with an image of two entries, and that image
+    # gets one sign flipped, which turns it off its line
+    mod = fusion_module((3, 3, 4))
+    j, ks, i = next(
+        (j, ks, i)
+        for ks in sorted(mod.pieces)
+        for j in range(mod.n)
+        for i, img in enumerate(mod.action(j, ks))
+        if img is not None and len(img[0]) > 1
+    )
+    op, seed = poly_var(3, j), mod.basis_element(*ks, i)
+    want = cyclic_span_reference(mod, [op], [seed])
+    assert want == cyclic_span(mod, [op], [seed])
+    real = FusionModule.action
+
+    def planted(self, var, at):
+        table = real(self, var, at)
+        if self is mod and (var, at) == (j, ks):
+            entries, den = table[i]
+            flipped = ((entries[0][0], -entries[0][1]),) + entries[1:]
+            table = table[:i] + ((flipped, den),) + table[i + 1:]
+        return table
+
+    monkeypatch.setattr(FusionModule, "action", planted)
+    el = full_element(mod, mod.character().table)
+    assert el.apply(op).coords != apply_reference(el, op).coords
+    assert cyclic_span(mod, [op], [seed]) != want
+    assert cyclic_span_reference(mod, [op], [seed]) == want
 
 
 def test_elements_of_another_module_are_rejected():
