@@ -1,11 +1,15 @@
 """On-disk cache of built modules, keyed by a content hash of the input.
 
-Each cache file stores the per-bidegree ideal echelon rows (primitive integer
-vectors); restoring a module replays the cheap normal-form reconstruction but
-skips the elimination.  The encoding is versioned and self-describing; any
-version or label mismatch triggers a full rebuild, never a partial read.
-Files are written under a temporary name and renamed into place, so a killed
-run never leaves a truncated entry.
+Format 2 stores each bidegree with an ideal part as ``[k, s, free, rows]``:
+the basis columns, as positions in ``enumerate_monomials`` order, and the
+non-unit rows of the reduced ideal echelon form as flat ``[c0, x0, c1, x1,
+...]`` lists sorted by column.  The unit rows, about nine in ten, are implied:
+every column neither free nor a row lead.  A load skips the elimination; it
+checks the layout, the dimension, the zero band and that every generator of
+I_A reduces to zero (not closure under the e_j), and raises
+``IntegrityError`` on a fault.  Any version or label mismatch triggers a full
+rebuild, never a partial read.  Files are written under a temporary name and
+renamed into place, so a killed run never leaves a truncated entry.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import json
 import os
 from pathlib import Path
 
-from slfusion.modules import FusionModule, fusion_module, validate_composition
+from slfusion.linalg import enumerate_monomials
+from slfusion.modules import _MODULE_CACHE, FusionModule, fusion_module, validate_composition
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def cache_key(a) -> str:
@@ -42,29 +47,28 @@ class ModuleCache:
             data = json.loads(path.read_text())
             if data.get("version") != FORMAT_VERSION or tuple(data.get("a", ())) != a:
                 return None
-            # FusionModule._restore reads the rows and checks their entries
-            rows = {(int(k), int(s)): rws for k, s, rws in data["pieces"]}
-            return FusionModule(a, _piece_rows=rows)
+            # FusionModule._restore checks the pieces and certifies the generators
+            pieces = {(k, s): (free, rows) for k, s, free, rows in data["pieces"]}
+            return FusionModule(a, _piece_rows=pieces)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError):
             return None
 
     def store(self, module: FusionModule) -> None:
-        data = {
-            "version": FORMAT_VERSION,
-            "a": list(module.a),
-            "total_dim": module.total_dim,
-            "pieces": [
-                [k, s, [list(r) for r in rows]]
-                for (k, s), rows in sorted(module.ideal_rows.items())
-                if rows
-            ],
-        }
+        data = {"version": FORMAT_VERSION, "a": list(module.a), "total_dim": module.total_dim}
+        data["pieces"] = pieces = []
+        for (k, s), piece in sorted(module.pieces.items()):
+            monos = enumerate_monomials(module.n, k, s)
+            if piece.dim < len(monos):  # the piece has an ideal part
+                basis = set(piece.basis)
+                free = [c for c, m in enumerate(monos) if m in basis]
+                rows = [[v for c in sorted(row) for v in (c, row[c])] for row in piece.rows]
+                pieces.append([k, s, free, rows])
         # write beside the target and rename into place, so a killed run leaves
         # no file or a complete one; the pid keeps concurrent writers apart
         path = self.path_for(module.a)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(data))
+            tmp.write_text(json.dumps(data, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -72,8 +76,6 @@ class ModuleCache:
 
     def get(self, a) -> FusionModule:
         """Load from disk or build and store; in-memory memoization applies."""
-        from slfusion.modules import _MODULE_CACHE
-
         a = validate_composition(a)
         mod = _MODULE_CACHE.get(a)
         if mod is None:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from slfusion.linalg import (
     IntegrityError,
@@ -266,6 +266,34 @@ def map_row(row: dict, table) -> dict:
 # the quotient modules
 
 
+def _stored_piece(ks: tuple, width: int, free: list, flat_rows: list) -> tuple[list, list]:
+    """The checked ``(free, rows)`` of one stored piece, rows as sparse maps."""
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise IntegrityError(f"stored {what} at {ks}")
+
+    def columns(cols: list, what: str) -> None:
+        check(all(type(c) is int for c in cols), "non-integer column")
+        check(all(x < y for x, y in zip(cols, cols[1:])), f"{what} columns are not ascending")
+        check(not cols or 0 <= cols[0] and cols[-1] < width, f"{what} column out of range")
+
+    columns(free, "free")
+    free_set, rows, last = set(free), [], -1
+    for flat in flat_rows:
+        check(len(flat) >= 4 and not len(flat) % 2, "row is not two or more (column, entry) pairs")
+        cols, vals = flat[::2], flat[1::2]
+        columns(cols, "row")
+        check(all(type(x) is int for x in vals), "non-integer entry")
+        check(all(vals), "zero entry")
+        check(vals[0] > 0 and gcd(*vals) == 1, "row is not primitive with a positive lead")
+        check(cols[0] > last, "row leads are not distinct and ascending")
+        check(cols[0] not in free_set, "row lead is a free column")
+        check(free_set.issuperset(cols[1:]), "row is not reduced: an entry off the free columns")
+        rows.append(dict(zip(cols, vals)))
+        last = cols[0]
+    return free, rows
+
+
 class QuotientPiece:
     """One bidegree slice: quotient basis monomials plus the non-unit rows.
 
@@ -358,15 +386,25 @@ class FusionModule:
                     else:
                         rows.append(row)
                 cur[s] = (units, rows)
-                self._add_piece(k, s, monos, units, rows)
+                leads = {min(row) for row in rows}
+                free = [c for c in range(width) if c not in units and c not in leads]
+                self._add_piece(k, s, monos, free, rows)
             prev = cur
         self._certify_zero_band()
 
     def _restore(self, piece_rows: dict) -> None:
-        """Rebuild pieces from stored dense echelon rows (skips the elimination).
+        """Rebuild pieces from stored free columns and non-unit rows.
 
-        Each row is read into the sparse form the build produces: a row with
-        one nonzero entry is a unit column, the rest are non-unit rows.
+        ``piece_rows`` maps each bidegree with an ideal part to ``(free,
+        rows)`` as the cache stores them (see ``slfusion.cache``), checked by
+        ``_stored_piece``: columns ascend and lie in range, a row holds two or
+        more nonzero ``int`` entries (no ``bool``) and is primitive with a
+        positive lead, leads ascend, no lead is free and every other entry is
+        free.  The unit columns are the ones neither free nor a row lead.
+        The pieces go through ``_add_piece`` as in the build.  Beyond the
+        dimension and zero-band gates every generator of I_A must reduce to
+        zero.  That certificate is partial: closure under the e_j is not
+        checked (a naive check costs over twenty times as much).
         """
         n = self.n
         for k in range(0, self.kmax + 2):
@@ -374,40 +412,28 @@ class FusionModule:
                 monos = enumerate_monomials(n, k, s)
                 if not monos:
                     continue
-                units: set[int] = set()
-                rows, pivots = [], []
-                for dense in piece_rows.get((k, s), []):
-                    if len(dense) != len(monos):
-                        raise IntegrityError(f"stored row width mismatch at {(k, s)}")
-                    row = {c: x for c, x in enumerate(dense) if x}
-                    if not row:
-                        raise IntegrityError(f"stored zero row at {(k, s)}")
-                    if any(type(x) is not int for x in row.values()):
-                        raise IntegrityError(f"stored non-integer entry at {(k, s)}")
-                    pivots.append(min(row))
-                    if len(row) == 1:
-                        units.add(pivots[-1])
-                    else:
-                        rows.append(row)
-                if sorted(pivots) != pivots or len(set(pivots)) != len(pivots):
-                    raise IntegrityError(f"stored rows not in echelon order at {(k, s)}")
-                self._add_piece(k, s, monos, units, rows)
+                free, rows = piece_rows.get((k, s), (range(len(monos)), []))
+                self._add_piece(k, s, monos, *_stored_piece((k, s), len(monos), free, rows))
+        if not set(piece_rows) <= set(self.pieces):
+            raise IntegrityError(f"stored pieces outside the bidegrees of {self.a}")
         self._certify_zero_band()
+        for k, zpow, g in ideal_generators(self.a):
+            if not self.poly_vanishes(g):
+                raise IntegrityError(
+                    f"stored rows do not contain the generator at {(k, k * (n - 1) - zpow)}"
+                )
 
-    def _add_piece(self, k: int, s: int, monos, units: set, rows: list) -> None:
-        """The piece at (k, s) from its unit columns and non-unit rows.
+    def _add_piece(self, k: int, s: int, monos, free: list, rows: list) -> None:
+        """The piece at (k, s) from its free columns and non-unit rows.
 
-        The basis is every other column that leads no row.  Normal forms go
-        into the module's flat table as integer images: basis monomial i is
-        ``((i, 1),)`` over 1, and the leading monomial of a non-unit row
-        reduces to minus the row's free entries over its leading entry (a
-        primitive row makes that denominator the least one).  Unit
-        monomials, and rows with no free entry, reduce to zero and are not
-        stored.
+        Normal forms go into the module's flat table as integer images:
+        basis monomial i is ``((i, 1),)`` over 1, and the leading monomial
+        of a non-unit row reduces to minus the row's free entries over its
+        leading entry (a primitive row makes that denominator the least
+        one).  Unit monomials, and rows with no free entry, reduce to zero
+        and are not stored.
         """
         ks = (k, s)
-        leads = {min(row) for row in rows}
-        free = [c for c in range(len(monos)) if c not in units and c not in leads]
         basis = [monos[c] for c in free]
         nf = self._nf
         for i, m in enumerate(basis):
@@ -432,34 +458,6 @@ class FusionModule:
                 raise IntegrityError(
                     f"nonzero piece at certified-zero bidegree ({band}, {s}) for {self.a}"
                 )
-
-    @property
-    def ideal_rows(self) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-        """The reduced ideal rows of every bidegree, dense, sorted by pivot.
-
-        Unit rows and non-unit rows together, i.e. the canonical fully
-        reduced echelon form of each ideal slice.  Built on every access and
-        not kept: read it once and hold the result if it is needed twice.
-        """
-        out = {}
-        for (k, s), piece in self.pieces.items():
-            monos = enumerate_monomials(self.n, k, s)
-            basis = set(piece.basis)
-            leads = {min(row): row for row in piece.rows}
-            dense = []
-            for c, m in enumerate(monos):
-                row = leads.get(c)
-                if row is None and m in basis:
-                    continue
-                vec = [0] * len(monos)
-                if row is None:
-                    vec[c] = 1
-                else:
-                    for t, x in row.items():
-                        vec[t] = x
-                dense.append(tuple(vec))
-            out[(k, s)] = dense
-        return out
 
     # -- queries ------------------------------------------------------------
 

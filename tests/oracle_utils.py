@@ -7,7 +7,8 @@ produces inputs whose answer is known by construction; the reference kernel
 is read off the dense ``rref``; span intersections are computed by a
 Zassenhaus-style kernel that no library path uses; the module ideal is
 rebuilt by the plain degree recursion, one echelon insert per shifted row,
-with bases and normal forms read off its dense rows; cyclic spans are
+with bases and normal forms read off its dense rows, and ``ideal_rows``
+writes a built module's pieces out as the same dense rows; cyclic spans are
 grown breadth-first, one element at a time, through ``apply_reference``,
 which multiplies basis monomials and reduces them to dense ``Fraction``
 normal forms (``reduce_monomial``) instead of reading the integer action
@@ -260,6 +261,30 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         inter = intersect_spans(a.spans[ks], b.spans[ks])
         if inter.dim:
             out.spans[ks] = inter
+    return out
+
+
+def ideal_rows(module):
+    """The reduced ideal rows of every bidegree of a module, dense, sorted by pivot.
+
+    Unit rows and non-unit rows together, i.e. the canonical fully reduced
+    echelon form of each ideal slice, written out from the pieces: every
+    column that is neither a basis monomial nor a row lead is a unit row.
+    """
+    out = {}
+    for (k, s), piece in module.pieces.items():
+        monos = enumerate_monomials(module.n, k, s)
+        width, basis = len(monos), set(piece.basis)
+        leads = {min(row): row for row in piece.rows}
+        dense = []
+        for c, m in enumerate(monos):
+            if m in basis:
+                continue
+            vec = [0] * width
+            for t, x in leads.get(c, {c: 1}).items():
+                vec[t] = x
+            dense.append(tuple(vec))
+        out[(k, s)] = dense
     return out
 
 

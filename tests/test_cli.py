@@ -6,9 +6,11 @@ import multiprocessing
 import os
 import re
 import signal
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from oracle_utils import ideal_rows
 
 from slfusion import cache as cache_mod
 from slfusion import cli, geometry
@@ -23,7 +25,7 @@ from slfusion.cli import (
     run_suite,
 )
 from slfusion.linalg import IntegrityError
-from slfusion.modules import FusionModule
+from slfusion.modules import FusionModule, ideal_generators
 
 
 def run(capsys, *argv):
@@ -325,20 +327,67 @@ def test_cache_version_mismatch_rebuilds(tmp_path):
     assert cache.load((2, 2)) is None  # triggers rebuild, never partial read
 
 
+def test_cache_version_1_payload_loads_as_none(tmp_path):
+    # a dense-row payload of the old format, written where format 2 looks
+    a = (2, 2, 3)
+    cache = ModuleCache(tmp_path)
+    module = FusionModule(a)
+    dense = ideal_rows(module)
+    data = {
+        "version": 1,
+        "a": list(a),
+        "total_dim": module.total_dim,
+        "pieces": [[k, s, [list(r) for r in rows]] for (k, s), rows in sorted(dense.items()) if rows],
+    }
+    cache.path_for(a).write_text(json.dumps(data))
+    assert cache.load(a) is None
+
+
+# (2, 3, 4, 5) stores at (6, 7), width 7, free [5], rows [[2, 3, 5, -1],
+# [3, 1, 5, 1], [4, 1, 5, 2]]: columns 0, 1 and 6 are units, and (6, 7) is
+# the bidegree of a generator
+PLANT_LABEL, PLANT_PIECE = (2, 3, 4, 5), (6, 7)
+
+
+def _set_entry(row, i, x):
+    row[i] = x
+
+
+# each plant edits the stored piece [k, s, free, rows] in place
 @pytest.mark.parametrize(
     "plant, match",
-    [(lambda row: [0] * len(row), "zero row"), (lambda row: [x / 2 for x in row], "non-integer")],
+    [
+        (lambda p: _set_entry(p[3][0], 3, 0), "zero entry"),
+        (lambda p: p[3].__setitem__(0, [x / 2 if i % 2 else x for i, x in enumerate(p[3][0])]),
+         "non-integer"),
+        (lambda p: _set_entry(p[3][0], 3, True), "non-integer entry"),
+        (lambda p: _set_entry(p[3][2], 2, 7), "out of range"),
+        (lambda p: p[3].insert(1, list(p[3][0])), "leads are not distinct"),
+        (lambda p: p[2].insert(0, p[3][0][0]), "lead is a free column"),
+        (lambda p: p[3][0].extend([6, 1]), "not reduced"),
+        (lambda p: p[3].__setitem__(0, p[3][0][:2]), "two or more"),
+        (lambda p: p[2].append(5), "free columns are not ascending"),
+        (lambda p: p[3].__setitem__(1, [2 * x if i % 2 else x for i, x in enumerate(p[3][1])]),
+         "not primitive"),
+        (lambda p: _set_entry(p[3][1], 1, -1), "positive lead"),
+        (lambda p: _set_entry(p, 0, 99), "outside the bidegrees"),
+        # [2, 3, 5, -1] -> [2, 3, 5, 2] keeps the layout, the dimension and the
+        # zero band, so only the generator certificate can see it
+        (lambda p: _set_entry(p[3][0], 3, 2), "do not contain the generator"),
+    ],
 )
 def test_cache_load_rejects_bad_rows(tmp_path, plant, match):
     cache = ModuleCache(tmp_path)
-    cache.get((2, 3))
-    path = cache.path_for((2, 3))
+    cache.get(PLANT_LABEL)
+    path = cache.path_for(PLANT_LABEL)
     data = json.loads(path.read_text())
-    rows = data["pieces"][-1][2]
-    rows[-1] = plant(rows[-1])
+    piece = next(p for p in data["pieces"] if tuple(p[:2]) == PLANT_PIECE)
+    assert piece[2:] == [[5], [[2, 3, 5, -1], [3, 1, 5, 1], [4, 1, 5, 2]]]
+    assert PLANT_PIECE in {(k, 3 * k - zpow) for k, zpow, _ in ideal_generators(PLANT_LABEL)}
+    plant(piece)
     path.write_text(json.dumps(data))
     with pytest.raises(IntegrityError, match=match):
-        cache.load((2, 3))
+        cache.load(PLANT_LABEL)
 
 
 def test_cache_spot_check(tmp_path):
@@ -382,6 +431,18 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [cache.path_for((2, 3)).name]
 
 
+def assert_same_module(loaded, built):
+    assert loaded is not None
+    assert loaded._nf == built._nf
+    assert {ks: p.basis for ks, p in loaded.pieces.items()} == {
+        ks: p.basis for ks, p in built.pieces.items()
+    }
+    assert {ks: p.rows for ks, p in loaded.pieces.items()} == {
+        ks: p.rows for ks, p in built.pieces.items()
+    }
+    assert loaded.character() == built.character()
+
+
 def test_frontier_module_cache_roundtrip(tmp_path):
     # n = 5 frontier label, dim 1024
     a = (4, 4, 4, 4, 4)
@@ -390,9 +451,20 @@ def test_frontier_module_cache_roundtrip(tmp_path):
     cache = ModuleCache(tmp_path)
     cache.store(built)
     loaded = cache.load(a)
-    assert loaded is not None
-    assert loaded.character() == built.character()
-    assert loaded.ideal_rows == built.ideal_rows
+    assert_same_module(loaded, built)
+    assert ideal_rows(loaded) == ideal_rows(built)
+    assert cache.path_for(a).stat().st_size < 100_000
+
+
+def test_module_cache_roundtrip_small_labels(tmp_path):
+    # every n <= 4, entries <= 4 label comes back with the built module's
+    # normal forms, piece bases and piece rows
+    cache = ModuleCache(tmp_path)
+    for n in range(1, 5):
+        for a in combinations_with_replacement(range(1, 5), n):
+            built = FusionModule(a)
+            cache.store(built)
+            assert_same_module(cache.load(a), built)
 
 
 def test_verify_with_no_claim_is_a_usage_error(capsys):
