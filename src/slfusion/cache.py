@@ -4,12 +4,14 @@ Format 2 stores each bidegree with an ideal part as ``[k, s, free, rows]``:
 the basis columns, as positions in ``enumerate_monomials`` order, and the
 non-unit rows of the reduced ideal echelon form as flat ``[c0, x0, c1, x1,
 ...]`` lists sorted by column.  The unit rows, about nine in ten, are implied:
-every column neither free nor a row lead.  A load skips the elimination; it
-checks the layout, the dimension, the zero band and that every generator of
-I_A reduces to zero (not closure under the e_j), and raises
-``IntegrityError`` on a fault.  Any version or label mismatch triggers a full
-rebuild, never a partial read.  Files are written under a temporary name and
-renamed into place, so a killed run never leaves a truncated entry.
+every column neither free nor a row lead.  A piece wholly in the ideal is
+``[k, s, [], []]``; neither the store nor the load lists its monomials.  A
+load skips the elimination; it checks the layout, the dimension, the zero
+band and that every generator of I_A reduces to zero (not closure under the
+e_j), and raises ``IntegrityError`` on a fault.  Any version or label
+mismatch triggers a full rebuild, never a partial read.  Files are written
+under a temporary name and renamed into place, so a killed run never leaves
+a truncated entry.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class ModuleCache:
         data = {"version": FORMAT_VERSION, "a": list(module.a), "total_dim": module.total_dim}
         data["pieces"] = pieces = []
         for (k, s), piece in sorted(module.pieces.items()):
+            if not piece.dim:  # wholly ideal: all unit rows, nothing to list
+                pieces.append([k, s, [], []])
+                continue
             monos = enumerate_monomials(module.n, k, s)
             if piece.dim < len(monos):  # the piece has an ideal part
                 basis = set(piece.basis)
@@ -89,15 +94,20 @@ class ModuleCache:
         return mod
 
     def stored_labels(self) -> list[tuple]:
+        """Labels of the current-format files, sorted by label.
+
+        Not by file name: the names hash ``FORMAT_VERSION``, so their order
+        would change the label ``spot_check`` draws with every format bump.
+        """
         out = []
-        for path in sorted(self.root.glob("module-*.json")):
+        for path in self.root.glob("module-*.json"):
             try:
                 data = json.loads(path.read_text())
                 if data.get("version") == FORMAT_VERSION:
                     out.append(tuple(data["a"]))
             except (ValueError, KeyError, json.JSONDecodeError):
                 continue
-        return out
+        return sorted(out)
 
     def spot_check(self, rng) -> dict | None:
         """Rebuild one random cached module from scratch and compare characters."""

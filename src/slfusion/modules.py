@@ -22,7 +22,18 @@ shifted non-unit rows and the generator are reduced against the units by
 dropping the unit columns, and only what is left goes into an ``IntEchelon``
 (the Macaulay-matrix split of F4: monomial rows are handled symbolically).
 A row that comes out as a single entry joins the units.  Units plus rows are
-exactly the canonical fully reduced echelon form of the ideal slice.  Normal
+exactly the canonical fully reduced echelon form of the ideal slice.
+
+Most slices below the certified-zero band lie wholly in the ideal (the
+quotient has only prod(a_i) dimensions), and most of those are forced: a
+bidegree (k, s) with k >= 1 whose every predecessor (k-1, s-j) lies wholly
+in the ideal does too, because every degree-k monomial is e_j times a
+monomial of some predecessor and the ideal is closed under each e_j.  The
+build records such a slice as a zero piece without listing its monomials,
+shifting columns or forming its generator; a slice that is still computed
+takes the whole column map of a wholly-ideal predecessor as units and forms
+its generator only while it is not yet full.  The rule is exact, not a
+heuristic: the dimension gate still counts every piece.  Normal
 forms are kept in one flat table per module,
 ``{monomial: ((k, s), entries, den)}``, holding only the monomials whose class
 is nonzero: the class is ``sum(x * basis[i] for i, x in entries) / den``, an
@@ -83,8 +94,8 @@ def generating_slice(n: int, k: int, zpow: int) -> dict:
 
     Supported on all monomials of bidegree (k, k(n-1) - zpow), each with its
     multinomial coefficient, keyed in ``enumerate_monomials`` order.
-    Results are memoized, so one dict is shared by every caller (and by
-    every ``ideal_generators`` list): do not mutate it.
+    Results are memoized, so one dict is shared by every caller: do not
+    mutate it.
     """
     w = k * (n - 1) - zpow
     facts = [1] * (k + 1)
@@ -99,25 +110,26 @@ def generating_slice(n: int, k: int, zpow: int) -> dict:
     return out
 
 
-def ideal_generators(a) -> list[tuple[int, int, dict]]:
-    """Bihomogeneous generators of I_A up to one degree past the top band.
+def generator_keys(a) -> list[tuple[int, int]]:
+    """The generators of I_A up to one degree past the top band, as (k, zpow).
 
-    Returns records ``(k, zpow, poly)`` for 1 <= k <= 1 + sum(a_i - 1) and
-    0 <= zpow < N_A(k); the polynomial has bidegree (k, k(n-1) - zpow).
+    Pairs with 1 <= k <= 1 + sum(a_i - 1) and 0 <= zpow < N_A(k) (capped at
+    the k(n-1) + 1 powers of z in E(z)^k), in degree then z-power order.
+    The generator itself is ``generating_slice(n, k, zpow)``, of bidegree
+    (k, k(n-1) - zpow); it is formed only where it is needed.
     """
     a = validate_composition(a)
     n = len(a)
-    kmax = sum(x - 1 for x in a)
-    out = []
-    for k in range(1, kmax + 2):
-        cap = min(relation_exponent(a, k), k * (n - 1) + 1)
-        for zpow in range(cap):
-            out.append((k, zpow, generating_slice(n, k, zpow)))
-    return out
+    return [
+        (k, zpow)
+        for k in range(1, sum(x - 1 for x in a) + 2)
+        for zpow in range(min(relation_exponent(a, k), k * (n - 1) + 1))
+    ]
 
 
-# The column maps of every verify-all and benchmark label fit with room to
-# spare (about 0.12 M entries); one (4,4,4,4,4,4) build alone asks for 0.8 M.
+# Only slices the build computes are shifted: the column maps of every
+# verify-all and benchmark label take about 23k entries, and one cold
+# (4,4,4,4,4,4) build about 91k, both with room to spare.
 SHIFT_MEMO_ENTRIES = 1 << 18
 # column entries held by the shift_columns memo, and how often it was emptied
 _shift_memo = {"entries": 0, "clears": 0}
@@ -313,6 +325,12 @@ class QuotientPiece:
         return len(self.basis)
 
 
+# the one piece of every slice wholly in the ideal (shared: do not mutate),
+# and the build's mark for such a slice in place of its units and rows
+ZERO_PIECE = QuotientPiece([], [])
+ALL_IDEAL = object()
+
+
 class FusionModule:
     """The bigraded quotient C[e_0..e_{n-1}] / I_A with exact normal forms."""
 
@@ -341,56 +359,79 @@ class FusionModule:
 
     def _build(self) -> None:
         n = self.n
-        gens = {(k, k * (n - 1) - zpow): poly for k, zpow, poly in ideal_generators(self.a)}
+        gens = set(generator_keys(self.a))
         # the ideal in degree k is spanned by e_j times its degree k-1 rows
         # plus the degree-k generators; prev keeps, per weight of degree k-1,
-        # the unit columns and the non-unit rows
-        prev: dict[int, tuple[set, list]] = {}
+        # the unit columns and the non-unit rows, or ALL_IDEAL (every weight
+        # 0 <= s <= (n-1)k of degree k has monomials)
+        prev: dict[int, tuple | object] = {}
         for k in range(0, self.kmax + 2):
-            cur: dict[int, tuple[set, list]] = {}
+            cur: dict[int, tuple | object] = {}
             for s in range(0, (n - 1) * k + 1):
-                monos = enumerate_monomials(n, k, s)
-                if not monos:
-                    continue
-                width = len(monos)
-                units: set[int] = set()
-                shifted = []
-                for j, cols in enumerate(shift_columns(n, k, s)):
-                    below = prev.get(s - j)
-                    if below is None or not (below[0] or below[1]):
-                        continue
-                    prev_units, prev_rows = below
-                    units.update(map(cols.__getitem__, prev_units))
-                    shifted.extend((cols, row) for row in prev_rows)
-                # reducing a row against the unit rows drops its unit columns;
-                # once the span is full no further row can change it
-                ech = IntEchelon(width)
-                for cols, row in shifted:
-                    if len(units) + ech.dim == width:
-                        break
-                    red = {t: x for c, x in row.items() if (t := cols[c]) not in units}
-                    if red:
-                        ech.insert(red)
-                gen = gens.get((k, s))
-                if gen is not None and len(units) + ech.dim < width:
-                    # a generating slice lists its bidegree in column order
-                    if list(gen) != monos:
-                        raise IntegrityError(f"generator at {(k, s)} is not a full slice")
-                    red = {t: c for t, c in enumerate(gen.values()) if t not in units}
-                    if red:
-                        ech.insert(red)
-                rows = []
-                for row in ech.sparse_rows():
-                    if len(row) == 1:
-                        units.update(row)
-                    else:
-                        rows.append(row)
-                cur[s] = (units, rows)
-                leads = {min(row) for row in rows}
-                free = [c for c in range(width) if c not in units and c not in leads]
-                self._add_piece(k, s, monos, free, rows)
+                below = [(j, prev[s - j]) for j in range(n) if s - j in prev]
+                if below and all(b is ALL_IDEAL for _, b in below):
+                    # e_j times a wholly-ideal predecessor: wholly ideal
+                    cur[s] = self._all_ideal(k, s)
+                else:
+                    cur[s] = self._slice(k, s, below, (k, k * (n - 1) - s) in gens)
             prev = cur
         self._certify_zero_band()
+
+    def _slice(self, k: int, s: int, below: list, has_gen: bool):
+        """Eliminate the ideal slice at (k, s) and add its piece.
+
+        ``below`` lists ``(j, state)`` for the predecessors (k-1, s-j), and
+        ``has_gen`` says whether I_A has a generator here.  Returns the
+        slice's ``(units, rows)``, or ALL_IDEAL when no column is free.
+        """
+        n = self.n
+        monos = enumerate_monomials(n, k, s)
+        width = len(monos)
+        units: set[int] = set()
+        shifted = []
+        maps = shift_columns(n, k, s) if below else ()
+        for j, state in below:
+            cols = maps[j]
+            if state is ALL_IDEAL:
+                units.update(cols)
+                continue
+            prev_units, prev_rows = state
+            units.update(map(cols.__getitem__, prev_units))
+            shifted.extend((cols, row) for row in prev_rows)
+        # reducing a row against the unit rows drops its unit columns;
+        # once the span is full no further row can change it
+        ech = IntEchelon(width)
+        for cols, row in shifted:
+            if len(units) + ech.dim == width:
+                break
+            red = {t: x for c, x in row.items() if (t := cols[c]) not in units}
+            if red:
+                ech.insert(red)
+        if has_gen and len(units) + ech.dim < width:
+            gen = generating_slice(n, k, k * (n - 1) - s)
+            # a generating slice lists its bidegree in column order
+            if list(gen) != monos:
+                raise IntegrityError(f"generator at {(k, s)} is not a full slice")
+            red = {t: c for t, c in enumerate(gen.values()) if t not in units}
+            if red:
+                ech.insert(red)
+        rows = []
+        for row in ech.sparse_rows():
+            if len(row) == 1:
+                units.update(row)
+            else:
+                rows.append(row)
+        if len(units) == width:
+            return self._all_ideal(k, s)
+        leads = {min(row) for row in rows}
+        free = [c for c in range(width) if c not in units and c not in leads]
+        self._add_piece(k, s, monos, free, rows)
+        return units, rows
+
+    def _all_ideal(self, k: int, s: int):
+        """Record (k, s) as a slice wholly in the ideal; returns ALL_IDEAL."""
+        self.pieces[(k, s)] = ZERO_PIECE
+        return ALL_IDEAL
 
     def _restore(self, piece_rows: dict) -> None:
         """Rebuild pieces from stored free columns and non-unit rows.
@@ -400,28 +441,33 @@ class FusionModule:
         ``_stored_piece``: columns ascend and lie in range, a row holds two or
         more nonzero ``int`` entries (no ``bool``) and is primitive with a
         positive lead, leads ascend, no lead is free and every other entry is
-        free.  The unit columns are the ones neither free nor a row lead.
-        The pieces go through ``_add_piece`` as in the build.  Beyond the
-        dimension and zero-band gates every generator of I_A must reduce to
-        zero.  That certificate is partial: closure under the e_j is not
-        checked (a naive check costs over twenty times as much).
+        free.  The unit columns are the ones neither free nor a row lead; a
+        piece stored as ``([], [])`` is wholly ideal and is taken without
+        listing its monomials.  The other pieces go through ``_add_piece`` as
+        in the build.  Beyond the dimension and zero-band gates every
+        generator of I_A must reduce to zero (``surviving_generator``).  That
+        certificate is partial: closure under the e_j is not checked (a naive
+        check costs over twenty times as much).
         """
         n = self.n
         for k in range(0, self.kmax + 2):
             for s in range(0, (n - 1) * k + 1):
-                monos = enumerate_monomials(n, k, s)
-                if not monos:
+                stored = piece_rows.get((k, s))
+                if stored == ([], []):
+                    self._all_ideal(k, s)
                     continue
-                free, rows = piece_rows.get((k, s), (range(len(monos)), []))
+                monos = enumerate_monomials(n, k, s)
+                free, rows = stored if stored is not None else (range(len(monos)), [])
                 self._add_piece(k, s, monos, *_stored_piece((k, s), len(monos), free, rows))
         if not set(piece_rows) <= set(self.pieces):
             raise IntegrityError(f"stored pieces outside the bidegrees of {self.a}")
         self._certify_zero_band()
-        for k, zpow, g in ideal_generators(self.a):
-            if not self.poly_vanishes(g):
-                raise IntegrityError(
-                    f"stored rows do not contain the generator at {(k, k * (n - 1) - zpow)}"
-                )
+        found = self.surviving_generator(self.a)
+        if found is not None:
+            k, zpow = found
+            raise IntegrityError(
+                f"stored rows do not contain the generator at {(k, k * (n - 1) - zpow)}"
+            )
 
     def _add_piece(self, k: int, s: int, monos, free: list, rows: list) -> None:
         """The piece at (k, s) from its free columns and non-unit rows.
@@ -506,6 +552,23 @@ class FusionModule:
                 images.append(red)
             table = self._actions[key] = tuple(images)
         return table
+
+    def surviving_generator(self, a) -> tuple[int, int] | None:
+        """The first generator ``(k, zpow)`` of I_a whose class here is nonzero.
+
+        ``a`` is a label with this module's variable count; None when every
+        generator of ``generator_keys(a)`` vanishes here.  A generator whose
+        bidegree holds no piece or a zero piece vanishes by construction
+        (no monomial there has a nonzero normal form), so it is not reduced:
+        the answer is that of reducing every generator.
+        """
+        n = self.n
+        for k, zpow in generator_keys(a):
+            if self.dim_piece(k, k * (n - 1) - zpow) and not self.poly_vanishes(
+                generating_slice(n, k, zpow)
+            ):
+                return k, zpow
+        return None
 
     def poly_vanishes(self, p: dict) -> bool:
         """True if the class of the polynomial ``p`` is zero.

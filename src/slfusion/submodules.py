@@ -62,15 +62,16 @@ class QuotientMap:
     """The bidegree-preserving monomial-class surjection M^A -> M^{A_{i,j}}.
 
     Well-definedness is certified by reducing every generator of the source
-    ideal to zero in the target.  Since I_A lies in I_{A_{i,j}} in every
-    bidegree, with the same column order, the target basis is a subset of
-    the source basis, and the kernel is read off in closed form: each other
-    source basis monomial m gives the row ``den*e_m - sum(x * e_col(c))``
-    from its target normal form, one sparse integer row per kernel
-    dimension.  Surjectivity is certified by finding every target basis
-    monomial in the source basis with its own unit vector as normal form,
-    and by counting them up to the target dimension.  No elimination runs
-    here; the rows are kept per bidegree for ``kernel``.
+    ideal to zero in the target (``surviving_generator``, which skips the
+    bidegrees where the target piece is zero).  Since I_A lies in
+    I_{A_{i,j}} in every bidegree, with the same column order, the target
+    basis is a subset of the source basis, and the kernel is read off in
+    closed form: each other source basis monomial m gives the row
+    ``den*e_m - sum(x * e_col(c))`` from its target normal form, one sparse
+    integer row per kernel dimension.  Surjectivity is certified by finding
+    every target basis monomial in the source basis with its own unit vector
+    as normal form, and by counting them up to the target dimension.  No
+    elimination runs here; the rows are kept per bidegree for ``kernel``.
     """
 
     def __init__(self, a, i: int, j: int, strict: bool = True):
@@ -124,14 +125,13 @@ class QuotientMap:
             raise IntegrityError(f"map {self.a} -> {target.a} not surjective")
 
     def _certify_well_defined(self) -> None:
-        from slfusion.modules import ideal_generators
-
-        for k, zpow, poly in ideal_generators(self.a):
-            if not self.target.poly_vanishes(poly):
-                raise IntegrityError(
-                    f"map {self.a} -> {self.target.a} not well defined: "
-                    f"source relation at degree {k}, z^{zpow} survives"
-                )
+        found = self.target.surviving_generator(self.a)
+        if found is not None:
+            k, zpow = found
+            raise IntegrityError(
+                f"map {self.a} -> {self.target.a} not well defined: "
+                f"source relation at degree {k}, z^{zpow} survives"
+            )
 
     def apply(self, el: ModuleElement) -> ModuleElement:
         if el.owner is not self.source:

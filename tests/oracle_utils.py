@@ -40,7 +40,8 @@ from slfusion.modules import (
     ModuleElement,
     Subspace,
     TensorModule,
-    ideal_generators,
+    generating_slice,
+    relation_exponent,
     validate_composition,
 )
 
@@ -261,6 +262,23 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         inter = intersect_spans(a.spans[ks], b.spans[ks])
         if inter.dim:
             out.spans[ks] = inter
+    return out
+
+
+def ideal_generators(a) -> list[tuple[int, int, dict]]:
+    """Bihomogeneous generators of I_A up to one degree past the top band.
+
+    Returns records ``(k, zpow, poly)`` for 1 <= k <= 1 + sum(a_i - 1) and
+    0 <= zpow < N_A(k); the polynomial has bidegree (k, k(n-1) - zpow).
+    """
+    a = validate_composition(a)
+    n = len(a)
+    kmax = sum(x - 1 for x in a)
+    out = []
+    for k in range(1, kmax + 2):
+        cap = min(relation_exponent(a, k), k * (n - 1) + 1)
+        for zpow in range(cap):
+            out.append((k, zpow, generating_slice(n, k, zpow)))
     return out
 
 

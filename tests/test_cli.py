@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from oracle_utils import ideal_rows
+from oracle_utils import ideal_generators, ideal_rows
 
 from slfusion import cache as cache_mod
 from slfusion import cli, geometry
@@ -25,7 +25,7 @@ from slfusion.cli import (
     run_suite,
 )
 from slfusion.linalg import IntegrityError
-from slfusion.modules import FusionModule, ideal_generators
+from slfusion.modules import FusionModule
 
 
 def run(capsys, *argv):
@@ -374,6 +374,9 @@ def _set_entry(row, i, x):
         # [2, 3, 5, -1] -> [2, 3, 5, 2] keeps the layout, the dimension and the
         # zero band, so only the generator certificate can see it
         (lambda p: _set_entry(p[3][0], 3, 2), "do not contain the generator"),
+        # the nonzero piece written as a wholly-ideal one, which a load takes
+        # without listing its monomials: the dimension gate sees it
+        (lambda p: p.__setitem__(slice(2, None), [[], []]), "dim mismatch"),
     ],
 )
 def test_cache_load_rejects_bad_rows(tmp_path, plant, match):
@@ -398,6 +401,22 @@ def test_cache_spot_check(tmp_path):
     cache.get((1, 3))
     result = cache.spot_check(Random(3))
     assert result is not None and result["ok"]
+
+
+def test_cache_spot_check_draws_by_label_not_file_name(tmp_path, monkeypatch):
+    from random import Random
+
+    # file names hash FORMAT_VERSION, so a format bump reorders them; the
+    # label a seed draws must not move with it
+    labels = [(2, 2), (1, 3), (2, 3), (1, 1, 2), (3, 3), (1, 2, 2)]
+    want = [sorted(labels)[Random(seed).randrange(len(labels))] for seed in range(10)]
+    for version in (2, 3, 4):
+        monkeypatch.setattr(cache_mod, "FORMAT_VERSION", version)
+        cache = ModuleCache(tmp_path / f"v{version}")
+        for a in labels:
+            cache.get(a)
+        assert cache.stored_labels() == sorted(labels)
+        assert [cache.spot_check(Random(seed))["label"] for seed in range(10)] == want
 
 
 def test_build_with_cache_dir(capsys, tmp_path):

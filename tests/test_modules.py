@@ -8,6 +8,7 @@ import pytest
 from oracle_utils import (
     apply_reference,
     cyclic_span_reference,
+    ideal_generators,
     ideal_rows,
     quotient_reference,
     reduce_monomial,
@@ -31,7 +32,6 @@ from slfusion.modules import (
     TensorModule,
     cyclic_span,
     fusion_module,
-    ideal_generators,
     label_character,
     match_characters,
     relation_exponent,
@@ -139,7 +139,7 @@ def reset_shift_memo():
     modules._shift_memo.update(entries=0, clears=0)
 
 
-def test_shift_columns_memo_is_bounded_by_entries():
+def test_shift_columns_memo_is_bounded_by_entries(monkeypatch):
     memo, bound = modules._shift_memo, modules.SHIFT_MEMO_ENTRIES
     reset_shift_memo()
     try:
@@ -147,13 +147,79 @@ def test_shift_columns_memo_is_bounded_by_entries():
         for a in [(4, 4, 4, 4, 4), (3, 4, 4, 4, 5)]:
             assert FusionModule(a).total_dim == prod(a)
         assert memo["clears"] == 0 and 0 < memo["entries"] <= bound
-        # one n = 6 build needs about 0.8 M entries over 970 bidegrees: the
-        # memo is emptied on the way and ends under the bound
+        # so does one n = 6 build: it shifts only the slices that are not
+        # forced wholly ideal, about 91k entries
+        reset_shift_memo()
         assert FusionModule((4, 4, 4, 4, 4, 4)).total_dim == 4**6
-        assert memo["clears"] > 0 and 0 < memo["entries"] <= bound
-        assert modules.shift_columns.cache_info().currsize < 970
+        assert memo["clears"] == 0 and 80_000 < memo["entries"] <= 100_000
+        # under a lower bound the same build empties the memo on the way
+        # and ends under the bound
+        reset_shift_memo()
+        monkeypatch.setattr(modules, "SHIFT_MEMO_ENTRIES", 1 << 14)
+        assert FusionModule((4, 4, 4, 4, 4, 4)).total_dim == 4**6
+        assert memo["clears"] > 0 and 0 < memo["entries"] <= 1 << 14
+        assert modules.shift_columns.cache_info().currsize < 429
     finally:
         reset_shift_memo()
+
+
+def cold_build_counts(a) -> dict:
+    """Memo misses of one build of ``a`` with every shared memo emptied first."""
+    memos = {
+        "enumerate_monomials": modules.enumerate_monomials,
+        "shift_columns": modules.shift_columns,
+        "generating_slice": modules.generating_slice,
+    }
+    for memo in memos.values():
+        memo.cache_clear()
+    modules._shift_memo.update(entries=0, clears=0)
+    try:
+        assert FusionModule(a).total_dim == prod(a)
+        return {name: memo.cache_info().misses for name, memo in memos.items()}
+    finally:
+        reset_shift_memo()
+
+
+def test_wholly_ideal_slices_skip_their_work():
+    # a slice whose predecessors are all wholly ideal is recorded as a zero
+    # piece: no monomial list, column map or generator is formed for it (a
+    # build that lists every slice misses 694, 561 and 455 times)
+    assert cold_build_counts((4, 4, 4, 4, 4)) == {
+        "enumerate_monomials": 347,
+        "shift_columns": 260,
+        "generating_slice": 95,
+    }
+    # 561 bidegrees: (0, 0) and the 260 shifted slices are computed, the
+    # other 300 are forced wholly ideal; they hold 16,363 of the 20,349
+    # ambient monomials
+    module, n = fusion_module((4, 4, 4, 4, 4)), 5
+    forced = [
+        (k, s)
+        for k, s in module.pieces
+        if k and not any(module.dim_piece(k - 1, s - j) for j in range(n))
+    ]
+    assert len(module.pieces) == 561 and len(forced) == 300
+    assert sum(len(enumerate_monomials(n, *ks)) for ks in forced) == 16_363
+    assert all(module.pieces[ks] is modules.ZERO_PIECE for ks in forced)
+
+
+def test_all_ideal_rule_misfire_trips_the_dimension_gate(monkeypatch):
+    # (1, 0) of (2, 3) holds e_0, a basis monomial; its one predecessor
+    # (0, 0) is not wholly ideal, so the rule never marks it
+    real = FusionModule._slice
+    seen = []
+
+    def forced(self, k, s, below, has_gen):
+        if (k, s) != (1, 0):
+            return real(self, k, s, below, has_gen)
+        seen.append(below)
+        return self._all_ideal(k, s)
+
+    monkeypatch.setattr(FusionModule, "_slice", forced)
+    with pytest.raises(IntegrityError, match="dim mismatch"):
+        FusionModule((2, 3))
+    (below,) = seen
+    assert [state is modules.ALL_IDEAL for _, state in below] == [False]
 
 
 def test_action_tables_match_dense_normal_forms():

@@ -7,6 +7,7 @@ import pytest
 
 from oracle_utils import (
     cyclic_span_reference,
+    ideal_generators,
     reduce_monomial,
     rref_kernel,
     subspace_intersection,
@@ -127,13 +128,41 @@ def test_move_map_surjectivity_gate_fires_on_a_missing_source_monomial(monkeypat
 
 def test_move_map_well_definedness_gate_fires(monkeypatch):
     fusion_module((2, 3)), fusion_module((1, 4))  # built before the plant
-    real = modules.ideal_generators
-    # a planted source relation e_0 that does not vanish in the target
-    monkeypatch.setattr(
-        modules, "ideal_generators", lambda a: real(a) + [(1, 0, poly_var(len(a), 0))]
-    )
-    with pytest.raises(IntegrityError, match="not well defined"):
+    real = modules.generator_keys
+    # a planted source relation e_0 (the z^1 coefficient of E(z) at n = 2)
+    # that does not vanish in the target
+    assert modules.generating_slice(2, 1, 1) == poly_var(2, 0)
+    monkeypatch.setattr(modules, "generator_keys", lambda a: real(a) + [(1, 1)])
+    with pytest.raises(IntegrityError, match="not well defined: source relation at degree 1, z"):
         QuotientMap((2, 3), 1, 2)
+
+
+MOVES = [
+    (a, i, j)
+    for n in range(2, 5)
+    for a in combinations_with_replacement(range(1, 5), n)
+    for i in range(1, n)
+    for j in range(i + 1, n + 1)
+    if a[i - 1] > 1
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_surviving_generator_matches_reducing_every_generator(n):
+    # the certificate skips the bidegrees where the module's piece is zero;
+    # it must name the same first survivor as reducing every generator, on
+    # each move (no survivor) and on each reversed move (survivors)
+    for a, i, j in (m for m in MOVES if len(m[0]) == n):
+        source = fusion_module(a)
+        target = fusion_module(tuple(sorted(move_composition(a, i, j))))
+        for here, label in [(target, source.a), (source, target.a)]:
+            survivors = [
+                (k, zpow)
+                for k, zpow, poly in ideal_generators(label)
+                if not here.poly_vanishes(poly)
+            ]
+            assert bool(survivors) == (here is source)
+            assert here.surviving_generator(label) == (survivors[0] if survivors else None)
 
 
 def test_kernel_closure_gate_fires():
