@@ -41,19 +41,6 @@ from slfusion._goldens import TRANSITION_GOLDEN
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTEGRITY, EXIT_ERROR = 0, 1, 2, 3, 4
 
-SUITES = (
-    "dims",
-    "dual-oracle",
-    "submodules",
-    "filtration",
-    "descriptions",
-    "vectorfields",
-    "transition",
-    "splitting",
-    "cohomology",
-    "all",
-)
-
 CACHE_ENV = "SLFUSION_CACHE_DIR"
 
 
@@ -155,7 +142,7 @@ def claim_id(kind: str, params: tuple) -> str:
 def run_claim(kind: str, params: tuple, cfg: RunConfig) -> dict:
     claim = claim_id(kind, params)
     try:
-        anchor, check = CLAIM_KINDS[kind]
+        anchor, _, check, _ = CLAIM_KINDS[kind]
         return report(claim, anchor, *check(cfg, claim, *params))
     except IntegrityError as exc:
         rep = report(claim, "integrity", {"params": params}, "no integrity error", str(exc), None, False)
@@ -349,100 +336,77 @@ def _cache_spot(cfg, claim):
     return inputs, "characters equal", result["ok"], None, result["ok"]
 
 
-# claim kind -> (anchor, check)
+# ---------------------------------------------------------------------------
+# the claim table: each kind's parameter grid at the configured bounds
+
+
+def _grid(cfg, max_n=None, max_entry=None, min_entry=1):
+    """Sorted labels within cfg's bounds and the given tighter ones."""
+    return composition_grid(min(cfg.max_n, max_n or cfg.max_n),
+                            min(cfg.max_entry, max_entry or cfg.max_entry), min_entry)
+
+
+def _n_range(cfg, lo, hi):
+    """The one-parameter claims n = lo..hi, or only ``cfg.only_n`` when set."""
+    if cfg.only_n is not None:
+        return [(cfg.only_n,)] if lo <= cfg.only_n <= hi else []
+    return [(n,) for n in range(lo, hi + 1)]
+
+
+def _increasing_moves(cfg):
+    """(a, i) for strictly increasing labels, n = 2, 3, and every slot i."""
+    return [(a, i) for a in _grid(cfg, 3) if all(x < y for x, y in zip(a, a[1:]))
+            for i in range(1, len(a))]
+
+
+# claim kind -> (anchor, suite, check, params); params(cfg) lists the
+# parameter tuples of the kind's claims.  Suite "all" holds every kind; a
+# kind whose suite is "all" runs in no other suite.
 CLAIM_KINDS = {
-    "dims": ("dim-product", _dims),
-    "dual": ("dual-oracle", _dual),
-    "submodule": ("kernel-dim", _submodule),
-    "filtration": ("filtration-chain", _filtration),
-    "tg": ("tensor-merge", _tg),
-    "mprop": ("tensor-description", _mprop),
-    "emb": ("increasing-tensor-description", _emb),
-    "inductive": ("inductive-description", _inductive),
-    "demazure": ("peel-top-entry", _demazure),
-    "nilpotency": ("second-variable-nilpotency", _nilpotency),
-    "vect": ("field-algebra", _vect),
-    "chart": ("chart-identities", _chart),
-    "jacobian": ("inversion-jacobian", _jacobian),
-    "transition": ("transition-matrix", _transition),
-    "splitting": ("splitting-type", _splitting),
-    "cohomology": ("section-recursion", _cohomology),
-    "pullback": ("pullback-sections", _pullback),
-    "ring": ("ring-component", _ring),
-    "cache-spot": ("cache-roundtrip", _cache_spot),
+    "dims": ("dim-product", "dims", _dims, lambda cfg: [(a,) for a in _grid(cfg)]),
+    "dual": ("dual-oracle", "dual-oracle", _dual,
+             lambda cfg: [(a,) for a in _grid(cfg, 3) + [b for b in _grid(cfg, 4, 3) if len(b) == 4]]),
+    "ring": ("ring-component", "dual-oracle", _ring,
+             lambda cfg: [(a, k) for a in _grid(cfg, 2, 3) for k in (1, 2)]),
+    "submodule": ("kernel-dim", "submodules", _submodule,
+                  lambda cfg: [(a, i) for a in _grid(cfg) for i in valid_adjacent_moves(a)]),
+    "filtration": ("filtration-chain", "filtration", _filtration,
+                   lambda cfg: [((4, 5, 6, 9), 3)] + [(a, i) for a in _grid(cfg)
+                                                      for i in range(1, len(a)) if a[i - 1] >= 2]),
+    "tg": ("tensor-merge", "descriptions", _tg,
+           lambda cfg: [(a, b) for a in _grid(cfg, 3, 3) for b in _grid(cfg, len(a), 3)]),
+    "mprop": ("tensor-description", "descriptions", _mprop, _increasing_moves),
+    "inductive": ("inductive-description", "descriptions", _inductive, _increasing_moves),
+    "emb": ("increasing-tensor-description", "descriptions", _emb,
+            lambda cfg: [(a, i) for a, i in _increasing_moves(cfg)
+                         if all(a[j] - a[j - 1] > 1 for j in range(i + 1, len(a)))]),
+    "demazure": ("peel-top-entry", "descriptions", _demazure,
+                 lambda cfg: [(a,) for a in _grid(cfg, 3) if len(a) >= 2]),
+    "nilpotency": ("second-variable-nilpotency", "descriptions", _nilpotency,
+                   lambda cfg: [(a,) for a in _grid(cfg, 3) if len(a) >= 2]),
+    "vect": ("field-algebra", "vectorfields", _vect, lambda cfg: _n_range(cfg, 1, 6)),
+    "jacobian": ("inversion-jacobian", "transition", _jacobian, lambda cfg: _n_range(cfg, 1, 6)),
+    "chart": ("chart-identities", "transition", _chart, lambda cfg: _n_range(cfg, 2, 5)),
+    "transition": ("transition-matrix", "transition", _transition, lambda cfg: _n_range(cfg, 2, 5)),
+    "splitting": ("splitting-type", "splitting", _splitting, lambda cfg: _n_range(cfg, 2, 5)),
+    "cohomology": ("section-recursion", "cohomology", _cohomology,
+                   lambda cfg: [(b,) for b in _grid(cfg, 4, 4, min_entry=0)]),
+    "pullback": ("pullback-sections", "cohomology", _pullback,
+                 lambda cfg: [(a,) for a in _grid(cfg)]),
+    "cache-spot": ("cache-roundtrip", "all", _cache_spot, lambda cfg: [()]),
 }
 
-
-# ---------------------------------------------------------------------------
-# suite construction
+SUITES = (*dict.fromkeys(s for _, s, _, _ in CLAIM_KINDS.values() if s != "all"), "all")
 
 
 def suite_claims(suite: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
-    claims: list[tuple[str, tuple]] = []
-    if suite in ("dims", "all"):
-        for a in composition_grid(cfg.max_n, cfg.max_entry):
-            claims.append(("dims", (a,)))
-    if suite in ("dual-oracle", "all"):
-        for a in composition_grid(min(3, cfg.max_n), cfg.max_entry):
-            claims.append(("dual", (a,)))
-        if cfg.max_n >= 4:
-            for a in sorted_compositions(4, min(3, cfg.max_entry)):
-                claims.append(("dual", (a,)))
-        for a in composition_grid(min(2, cfg.max_n), min(3, cfg.max_entry)):
-            for k in (1, 2):
-                claims.append(("ring", (a, k)))
-    if suite in ("submodules", "all"):
-        for a in composition_grid(cfg.max_n, cfg.max_entry):
-            for i in valid_adjacent_moves(a):
-                claims.append(("submodule", (a, i)))
-    if suite in ("filtration", "all"):
-        claims.append(("filtration", ((4, 5, 6, 9), 3)))
-        for a in composition_grid(cfg.max_n, cfg.max_entry):
-            for i in range(1, len(a)):
-                if a[i - 1] >= 2:
-                    claims.append(("filtration", (a, i)))
-    if suite in ("descriptions", "all"):
-        for a in composition_grid(min(3, cfg.max_n), min(3, cfg.max_entry)):
-            for b in composition_grid(len(a), min(3, cfg.max_entry)):
-                if len(b) <= len(a):
-                    claims.append(("tg", (a, b)))
-        for a in composition_grid(min(3, cfg.max_n), cfg.max_entry):
-            n = len(a)
-            if n >= 2 and all(x < y for x, y in zip(a, a[1:])):
-                for i in range(1, n):
-                    claims.append(("mprop", (a, i)))
-                    claims.append(("inductive", (a, i)))
-                    if all(a[j] - a[j - 1] > 1 for j in range(i + 1, n)):
-                        claims.append(("emb", (a, i)))
-            if n >= 2:
-                claims.append(("demazure", (a,)))
-                claims.append(("nilpotency", (a,)))
-    def n_range(lo, hi):
-        if cfg.only_n is not None:
-            return [cfg.only_n] if lo <= cfg.only_n <= hi else []
-        return list(range(lo, hi + 1))
-
-    if suite in ("vectorfields", "all"):
-        for n in n_range(1, 6):
-            claims.append(("vect", (n,)))
-    if suite in ("transition", "all"):
-        for n in n_range(1, 6):
-            claims.append(("jacobian", (n,)))
-        for n in n_range(2, 5):
-            claims.append(("chart", (n,)))
-            claims.append(("transition", (n,)))
-    if suite in ("splitting", "all"):
-        for n in n_range(2, 5):
-            claims.append(("splitting", (n,)))
-    if suite in ("cohomology", "all"):
-        for n in range(1, min(4, cfg.max_n) + 1):
-            for label in sorted_compositions(n, min(4, cfg.max_entry), min_entry=0):
-                claims.append(("cohomology", (label,)))
-        for a in composition_grid(cfg.max_n, cfg.max_entry):
-            claims.append(("pullback", (a,)))
-    if suite == "all":
-        claims.append(("cache-spot", ()))
-    return claims
+    """The suite's claims at cfg's bounds, kind by kind in table order."""
+    return [
+        (kind, params)
+        for kind, (_, kind_suite, _, grid) in CLAIM_KINDS.items()
+        if suite in (kind_suite, "all")
+        for params in grid(cfg)
+    ]
 
 
 def _check_jobs(jobs: int, name: str = "jobs") -> None:
@@ -681,8 +645,6 @@ def cmd_invert(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.suite not in SUITES:
-        parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
     try:
         _check_jobs(args.jobs, "--jobs")
         cfg = RunConfig(

@@ -16,16 +16,16 @@ the primitive integer kernel vectors serve as they are and ``X`` is
 integral.  The factorization is then checked exactly; a wrong
 answer raises ``IntegrityError`` instead of being returned.
 
-Determinants are fraction-free: rows (or, in ``laurent_det``, columns) are
-cleared of denominators once and the integer determinant comes from
-Bareiss's elimination.  Integral coefficients are kept as ``int``, so the
-twist-section rows of the transition matrices are integer rows.
+Determinants come from Bareiss's fraction-free elimination, run on the
+Laurent entries themselves: every division it makes is exact, and
+``Laurent.__floordiv__`` checks that it is.  Integral coefficients are kept
+as ``int``, so the twist-section rows of the transition matrices are
+integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from slfusion.linalg import IntEchelon, IntegrityError, exact_scalar, format_scalar, kernel_basis
 
@@ -92,6 +92,42 @@ class Laurent:
                 out[e] = out.get(e, 0) + c1 * c2
         return Laurent(out)
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __floordiv__(self, other: "Laurent") -> "Laurent":
+        """Exact quotient; ``IntegrityError`` unless ``other`` divides ``self``.
+
+        Long division from the top term.  A nonzero remainder narrower than
+        ``other`` (top minus bottom exponent) cannot be a multiple of it.
+        """
+        if not other.coeffs:
+            raise ZeroDivisionError("Laurent division by zero")
+        top = other.deg
+        lead = other.coeffs[top]
+        width = top - other.ord
+        rem = dict(self.coeffs)
+        quot = {}
+        while rem:
+            e = max(rem)
+            if e - min(rem) < width:
+                raise IntegrityError(f"{other} does not divide {self}")
+            c = rem[e]
+            if type(c) is int and type(lead) is int and not c % lead:
+                c //= lead
+            else:
+                c = exact_scalar(Fraction(c) / lead)
+            shift = e - top
+            quot[shift] = c
+            for ge, gc in other.coeffs.items():
+                k = ge + shift
+                v = rem.get(k, 0) - c * gc
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+        return Laurent(quot)
+
     def shift(self, k: int) -> "Laurent":
         return Laurent({e + k: c for e, c in self.coeffs.items()})
 
@@ -125,91 +161,31 @@ class Laurent:
 
 
 def laurent_det(matrix: list[list[Laurent]]) -> Laurent:
-    """Exact determinant via column normalization plus interpolation.
-
-    Each column is shifted to polynomials and scaled to integer coefficients
-    once; the integer determinant is then found at ``t = 1..deg+1`` (integer
-    Horner evaluation, Bareiss elimination) and Lagrange interpolation over
-    Q, divided by the column scales, gives the polynomial.  The recorded
-    shift is restored.
-    """
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
+    """Exact determinant by Bareiss's elimination over ``Q[y, 1/y]``."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
-    shift = 0
-    scale = 1
-    cols: list[list[list[int]]] = []  # dense integer coefficients, low to high
-    degree_bound = 0
-    for c in range(size):
-        col = [matrix[r][c] for r in range(size)]
-        if all(x.is_zero() for x in col):
-            return Laurent()
-        o = min(x.ord for x in col if not x.is_zero())
-        deg = max(x.deg for x in col if not x.is_zero()) - o
-        den = lcm(*(v.denominator for x in col for v in x.coeffs.values()))
-        shift += o
-        scale *= den
-        degree_bound += deg
-        dense = []
-        for x in col:
-            coeffs = [0] * (deg + 1)
-            for e, v in x.coeffs.items():
-                coeffs[e - o] = v.numerator * (den // v.denominator)
-            dense.append(coeffs)
-        cols.append(dense)
-    points = range(1, degree_bound + 2)
-    values = []
-    for t in points:
-        rows = [[_horner(cols[c][r], t) for c in range(size)] for r in range(size)]
-        values.append(Fraction(_det_rational(rows), scale))
-    poly = _lagrange([Fraction(t) for t in points], values)
-    return Laurent({e + shift: c for e, c in poly.items()})
+    return _bareiss([list(row) for row in matrix], one=Laurent.const(1))
 
 
-def _horner(coeffs: list[int], t: int) -> int:
-    acc = 0
-    for v in reversed(coeffs):
-        acc = acc * t + v
-    return acc
-
-
-def _det_rational(rows) -> Fraction | int:
-    """Determinant of a square matrix of ``int``/``Fraction`` entries.
-
-    Every row with a non-integer entry is scaled to integers by the lcm of
-    its denominators, the integer determinant comes from Bareiss's (1968)
-    fraction-free elimination, and the product of the row scales is divided
-    out at the end.  An all-integer matrix gives an ``int``.
-    """
-    work = []
-    scale = 1
-    for row in rows:
-        if all(type(x) is int for x in row):
-            work.append(list(row))
-            continue
-        den = lcm(*(x.denominator for x in row if type(x) is not int))
-        scale *= den
-        work.append([x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row])
-    det = _bareiss(work)
-    return det if scale == 1 else Fraction(det, scale)
-
-
-def _bareiss(m: list[list[int]]) -> int:
-    """Integer determinant by fraction-free elimination; ``m`` is consumed.
+def _bareiss(m: list[list], one=1):
+    """Determinant by fraction-free elimination; ``m`` is consumed.
 
     After step ``k`` every entry below and right of the pivot is a
     ``(k+1)``-minor of the input, so the division by the previous pivot is
-    exact and the entries never grow beyond the minors.
+    exact over any integral domain (Bareiss 1968) and the entries never grow
+    beyond the minors.  ``one`` is the ring's unit: ``1`` for integer
+    matrices, ``Laurent.const(1)`` for Laurent ones, whose ``//`` is exact
+    division.
     """
     n = len(m)
-    sign, prev = 1, 1
+    swaps, prev = 0, one
     for k in range(n - 1):
         if not m[k][k]:
             piv = next((r for r in range(k + 1, n) if m[r][k]), None)
             if piv is None:
-                return 0
+                return m[k][k]
             m[k], m[piv] = m[piv], m[k]
-            sign = -sign
+            swaps += 1
         p = m[k][k]
         tail = m[k][k + 1 :]
         for row in m[k + 1 :]:
@@ -219,28 +195,9 @@ def _bareiss(m: list[list[int]]) -> int:
             elif p != prev:
                 row[k + 1 :] = [x * p // prev for x in row[k + 1 :]]
         prev = p
-    return sign * m[-1][-1] if n else 1
-
-
-def _lagrange(points: list[Fraction], values: list[Fraction]) -> dict:
-    """Interpolating polynomial as {exponent: coefficient} (Newton form)."""
-    k = len(points)
-    coeffs = list(values)
-    for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
-    # Horner over the Newton basis: p = c_{k-1}; p = p*(t - x_i) + c_i
-    poly = {0: coeffs[-1]}
-    for i in range(k - 2, -1, -1):
-        nxt: dict = {}
-        for e, v in poly.items():
-            nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + v
-            nxt[e] = nxt.get(e, Fraction(0)) - points[i] * v
-        nxt[0] = nxt.get(0, Fraction(0)) + coeffs[i]
-        poly = nxt
-    return {e: v for e, v in poly.items() if v}
-
-
+    if not n:
+        return one
+    return -m[-1][-1] if swaps % 2 else m[-1][-1]
 
 
 def _twist_rows(matrix, k: int, bound: int):

@@ -43,8 +43,12 @@ class IntegrityError(Exception):
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse ``a`` or ``a/b`` into a rational in lowest terms."""
-    return Fraction(text.strip())
+    """Parse ``a`` or ``a/b`` into a rational in lowest terms; ``ValueError``
+    for malformed text or a zero denominator."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def exact_scalar(x) -> int | Fraction:

@@ -27,7 +27,7 @@ from random import Random
 from slfusion.dual import SymPoly
 
 from slfusion.geometry import primed_field, primed_labels, rational_point
-from slfusion.laurent import Laurent, _lagrange
+from slfusion.laurent import Laurent
 from slfusion.linalg import (
     IntEchelon,
     enumerate_monomials,
@@ -491,6 +491,25 @@ def det_reference(rows) -> Fraction:
 
 def _laurent_value(x: Laurent, t: Fraction) -> Fraction:
     return sum((c * t**e for e, c in x.coeffs.items()), Fraction(0))
+
+
+def _lagrange(points: list[Fraction], values: list[Fraction]) -> dict:
+    """Interpolating polynomial as {exponent: coefficient} (Newton form)."""
+    k = len(points)
+    coeffs = list(values)
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
+    # Horner over the Newton basis: p = c_{k-1}; p = p*(t - x_i) + c_i
+    poly = {0: coeffs[-1]}
+    for i in range(k - 2, -1, -1):
+        nxt: dict = {}
+        for e, v in poly.items():
+            nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + v
+            nxt[e] = nxt.get(e, Fraction(0)) - points[i] * v
+        nxt[0] = nxt.get(0, Fraction(0)) + coeffs[i]
+        poly = nxt
+    return {e: v for e, v in poly.items() if v}
 
 
 def laurent_det_reference(matrix) -> Laurent:

@@ -112,6 +112,18 @@ def test_invert_command(capsys):
     assert code == 2
 
 
+def test_invert_rejects_zero_denominator(capsys):
+    code, _, err = run(capsys, "invert", "--a", "1,1/0")
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_cohomology_over_the_sum_limit_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "cohomology", "--a", "10001")
+    assert code == 2
+    assert "sum to at most 10000" in err
+
+
 def test_unknown_suite_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2
@@ -196,10 +208,44 @@ def test_verify_all_stream_matches_benchmark_reference():
     assert workloads.stream_reference(reports, seed)["stream_sha256"] == want["stream_sha256"]
 
 
+def test_every_kind_names_a_suite():
+    assert cli.SUITES == ("dims", "dual-oracle", "submodules", "filtration", "descriptions",
+                          "vectorfields", "transition", "splitting", "cohomology", "all")
+    for kind, (anchor, suite, check, params) in cli.CLAIM_KINDS.items():
+        assert suite in cli.SUITES, kind
+        assert callable(check) and callable(params), kind
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(max_n=2, max_entry=3)])
+def test_named_suites_partition_verify_all(cfg):
+    named = [claim for suite in cli.SUITES if suite != "all" for claim in cli.suite_claims(suite, cfg)]
+    everything = cli.suite_claims("all", cfg)
+    assert sorted(map(repr, named + [("cache-spot", ())])) == sorted(map(repr, everything))
+    assert len(set(map(repr, everything))) == len(everything)
+
+
+def test_only_n_restricts_the_n_indexed_kinds():
+    claims = cli.suite_claims("all", RunConfig(max_n=1, max_entry=1, only_n=3))
+    n_indexed = {"vect", "jacobian", "chart", "transition", "splitting"}
+    assert sorted(c for c in claims if c[0] in n_indexed) == sorted(
+        (kind, (3,)) for kind in n_indexed
+    )
+
+
+def test_every_claim_kind_has_a_benchmark_group():
+    # perfbench's layer_metrics looks every traced claim kind up in CLAIM_GROUPS
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert set(cli.CLAIM_KINDS) <= set(tracing.CLAIM_GROUPS)
+
+
 def test_check_without_verdict_fails_not_skips(monkeypatch):
     # only the explicit SKIPPED marker skips a claim
     verdictless = lambda cfg, claim, a: ({"a": a}, 1, 1, None, None)
-    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", ("dim-product", verdictless))
+    anchor, suite, _, params = cli.CLAIM_KINDS["dims"]
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, suite, verdictless, params))
     (rep,) = run_suite("dims", RunConfig(max_n=1, max_entry=1))
     assert rep["status"] == "fail"
 
@@ -210,14 +256,14 @@ def test_crashing_claim_is_reported_as_error(capsys, monkeypatch, jobs):
         pytest.skip("the patched claim table reaches workers only through fork")
     if jobs > (os.cpu_count() or 1):
         pytest.skip("needs as many CPUs as workers")
-    anchor, real = cli.CLAIM_KINDS["dims"]
+    anchor, suite, real, params = cli.CLAIM_KINDS["dims"]
 
     def crash_on_2_3(cfg, claim, a):
         if a == (2, 3):
             raise ZeroDivisionError("planted")
         return real(cfg, claim, a)
 
-    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, crash_on_2_3))
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, suite, crash_on_2_3, params))
     code, out, err = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3",
                          "--format", "json", "--jobs", str(jobs))
     assert code == EXIT_ERROR == 4
@@ -241,7 +287,7 @@ def test_worker_dying_mid_batch_reports_every_claim(capsys, monkeypatch):
         pytest.skip("the patched claim table reaches workers only through fork")
     if (os.cpu_count() or 1) < 2:
         pytest.skip("needs as many CPUs as workers")
-    anchor, real = cli.CLAIM_KINDS["dims"]
+    anchor, suite, real, params = cli.CLAIM_KINDS["dims"]
 
     def exit_on_2_2(cfg, claim, a):
         if a == (2, 2):  # the second claim of the |A| = 4 batch
@@ -251,7 +297,7 @@ def test_worker_dying_mid_batch_reports_every_claim(capsys, monkeypatch):
     def overdue(signum, frame):
         raise TimeoutError("the pool did not finish after a worker died")
 
-    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, exit_on_2_2))
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, suite, exit_on_2_2, params))
     old = signal.signal(signal.SIGALRM, overdue)
     signal.alarm(60)
     try:

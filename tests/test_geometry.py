@@ -285,6 +285,37 @@ def test_laurent_det_matches_reference():
         assert laurent_det(mat) == laurent_det_reference(mat), mat
 
 
+def test_splitting_factor_determinants_match_reference(monkeypatch):
+    # the X and P of every certified factorization, n = 2..8
+    seen = []
+    real = laurent.laurent_det
+
+    def recording(matrix):
+        seen.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(laurent, "laurent_det", recording)
+    for n in range(2, 9):
+        splitting_type(transition_matrix(n))
+    assert len(seen) == 3 * 7
+    for mat in seen:
+        assert real(mat) == laurent_det_reference(mat)
+
+
+def test_laurent_floordiv_is_exact_or_raises():
+    y = Laurent.term(1, 1)
+    one = Laurent.const(1)
+    assert ((y + one) * (y * y + one)) // (y * y + one) == y + one
+    assert Laurent.term(6, -2) // Laurent.term(4, 1) == Laurent.term(Fraction(3, 2), -3)
+    with pytest.raises(IntegrityError, match="does not divide"):
+        (y + one) // (y * y + one)
+    with pytest.raises(IntegrityError, match="does not divide"):
+        (y * y + one) // (y + one)
+    with pytest.raises(ZeroDivisionError):
+        y // Laurent()
+    assert not Laurent() and y
+
+
 def test_transition_determinant_is_monomial():
     for n in (2, 3, 4, 5):
         det = laurent_det(transition_matrix(n))
@@ -440,6 +471,15 @@ def test_cohomology_dim_guards():
         cohomology_dim((2, 1))
     with pytest.raises(ValueError, match="nonnegative"):
         cohomology_dim((-1, 2))
+
+
+def test_cohomology_dim_at_the_sum_limit():
+    # one R1 step per unit of the entry sum: 10,000 steps are a valid chain
+    assert cohomology_dim((4999, 5001))["dim"] == 5000 * 5002
+    with pytest.raises(ValueError, match="sum to at most 10000"):
+        cohomology_dim((10001,))
+    with pytest.raises(ValueError, match="sum to at most 10000"):
+        cohomology_dim((3000, 3000, 3000, 3001))
 
 
 def test_pullback_examples():
