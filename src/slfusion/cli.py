@@ -639,8 +639,7 @@ def cmd_invert(args, parser) -> int:
         parser.error("expected a comma list of rationals")
     if not coeffs or coeffs[0] == 0:
         parser.error("constant term must be nonzero (point misses the chart overlap)")
-    inv = geo.TruncatedSeries(coeffs).invert()
-    print(",".join(str(c) for c in inv.coeffs))
+    print(",".join(str(c) for c in geo.invert_series(coeffs)))
     return EXIT_OK
 
 

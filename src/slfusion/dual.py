@@ -394,13 +394,13 @@ def stretched_label(a, k: int) -> tuple:
     return tuple(k * x - k + 1 for x in a)
 
 
-def coordinate_ring_component(a, k: int, check_generation: bool | None = None) -> dict:
+def coordinate_ring_component(a, k: int) -> dict:
     """Dimension of the degree-k ring component, and its generation in degree 1.
 
-    The component is the dual space of the stretched label A(k); when the
-    generation check runs (k = 2 or 3 by default), every k-fold shuffle of
-    degree-one basis elements is verified to satisfy the A(k) constraints and
-    the collected products must have full rank in every variable count.
+    The component is the dual space of the stretched label A(k); for k = 2
+    and 3 the generation check runs: every k-fold shuffle of degree-one basis
+    elements is verified to satisfy the A(k) constraints and the collected
+    products must have full rank in every variable count.
     """
     a = validate_composition(a, allow_empty=False)
     ak = stretched_label(a, k)
@@ -414,9 +414,7 @@ def coordinate_ring_component(a, k: int, check_generation: bool | None = None) -
         "dim_ok": oracle_total == expected,
         "expected_dim": expected,
     }
-    if check_generation is None:
-        check_generation = k in (2, 3)
-    if not check_generation:
+    if k not in (2, 3):
         return result
     base: list[SymPoly] = []
     for s in range(sum(x - 1 for x in a) + 1):

@@ -10,11 +10,12 @@ x(t) y(t) = 1 mod t^n.  The distinguished vector fields on the cell are
     L_i = sum_{j>=1} j x_j d/dx_{i+j},
 
 and the fields tangent to the fibers of the projection to the first
-coordinate line admit the primed trivializing frames below.  Chart-change
-identities are verified exactly: identities within one chart are polynomial
-and are compared symbolically; identities across charts are checked at
-random rational sample points, where the pushforward of a field through the
-inversion map is computed as multiplication of its series by -y(t)^2.
+coordinate line are framed by the primed fields: the (n-1)-cell's standard
+frame written on x_1..x_{n-1}.  Chart-change identities are verified
+exactly: identities within one chart are polynomial and are compared
+symbolically; identities across charts are checked at random rational
+sample points, where the pushforward of a field through the inversion map
+is computed as multiplication of its series by -y(t)^2.
 
 The sampled checks run on integers.  A rational point ``x = P / D`` is
 cleared of denominators once, the inverse series comes from the
@@ -46,39 +47,12 @@ from slfusion.linalg import IntEchelon, IntegrityError, _integer_row, exact_scal
 # truncated series
 
 
-class TruncatedSeries:
-    """Element of Q[t]/t^n as a coefficient tuple."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, coeffs, n: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
-        if n is None:
-            n = len(coeffs)
-        if len(coeffs) < n:
-            coeffs += [Fraction(0)] * (n - len(coeffs))
-        self.n = n
-        self.coeffs = tuple(coeffs[:n])
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries(_series_product(self.coeffs[: other.n], other.coeffs[: self.n]))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"TruncatedSeries({list(self.coeffs)})"
-
-    def invert(self) -> "TruncatedSeries":
-        den, p = integer_point(self.coeffs)
-        if not p[0]:
-            raise ValueError("constant term vanishes: the point misses the chart overlap")
-        r = inverse_numerators(p)
-        return TruncatedSeries([Fraction(den * rk, p[0] ** (k + 1)) for k, rk in enumerate(r)])
+def invert_series(coeffs) -> list[Fraction]:
+    """Coefficients of the inverse of ``sum c_k t^k`` in Q[t]/t^n, n = len(coeffs)."""
+    den, p = integer_point([Fraction(c) for c in coeffs])
+    if not p or not p[0]:
+        raise ValueError("constant term vanishes: the point misses the chart overlap")
+    return [Fraction(den * rk, p[0] ** (k + 1)) for k, rk in enumerate(inverse_numerators(p))]
 
 
 def _series_product(a, b) -> list:
@@ -263,83 +237,61 @@ def _mono(n: int, pairs: dict | None = None) -> tuple:
     return tuple(m)
 
 
+FIELD_KINDS = ("e", "h", "f", "L")
+
+
+def standard_field(n: int, kind: str, i: int) -> PolyVectorField:
+    """The distinguished field ``(kind, i)`` on the n-variable cell.
+
+    e_i, h_i and f_i exist for 0 <= i < n and L_i for 0 <= i < n-1; any
+    other index gives the zero field, so frame identities can be written
+    uniformly.  An unknown kind is a ``ValueError``.
+    """
+    if kind not in FIELD_KINDS:
+        raise ValueError(f"unknown field kind {kind!r}")
+    if not 0 <= i < n - (kind == "L"):
+        return PolyVectorField(n)
+    if kind == "e":
+        return PolyVectorField(n, {i: {_mono(n): 1}})
+    if kind == "h":
+        return PolyVectorField(n, {i + j: {_mono(n, {j: 1}): -2} for j in range(n - i)})
+    if kind == "L":
+        return PolyVectorField(n, {i + j: {_mono(n, {j: 1}): j} for j in range(1, n - i)})
+    comps: dict = {}
+    for j in range(n - i):
+        acc = comps[i + j] = {}
+        for a in range(j + 1):  # the term x_a x_{j-a}
+            m = tuple((t == a) + (t == j - a) for t in range(n))
+            acc[m] = acc.get(m, 0) - 1
+    return PolyVectorField(n, comps)
+
+
 def standard_fields(n: int) -> dict:
     """The 4n-1 distinguished fields on the big cell, keyed (kind, index)."""
     if n < 1:
         raise ValueError("need at least one variable")
-    out = {}
-    for i in range(n):
-        out[("e", i)] = PolyVectorField(n, {i: {_mono(n): 1}})
-        out[("h", i)] = PolyVectorField(
-            n, {i + j: {_mono(n, {j: 1}): -2} for j in range(n - i)}
-        )
-        fcomp: dict = {}
-        for j in range(n - i):
-            acc: dict = {}
-            for a in range(j + 1):
-                b = j - a
-                if a == b:
-                    m = _mono(n, {a: 2})
-                else:
-                    m = tuple(
-                        (1 if t == a else 0) + (1 if t == b else 0) for t in range(n)
-                    )
-                acc[m] = acc.get(m, 0) - 1
-            fcomp[i + j] = acc
-        out[("f", i)] = PolyVectorField(n, fcomp)
-    for i in range(n - 1):
-        out[("L", i)] = PolyVectorField(
-            n, {i + j: {_mono(n, {j: 1}): j} for j in range(1, n - i)}
-        )
-    return out
+    return {
+        (kind, i): standard_field(n, kind, i)
+        for kind in FIELD_KINDS
+        for i in range(n - (kind == "L"))
+    }
 
 
 def primed_field(n: int, kind: str, i: int) -> PolyVectorField:
-    """Trivializing frame fields tangent to the fibers over the first line.
+    """The frame field ``(kind, i)`` tangent to the fibers over the first line.
 
-    Defined for i >= 1 (L also at larger i); out-of-range indices give the
-    zero field so chart-change identities can be written uniformly.
+    It is the (n-1)-cell's standard field ``(kind, i-1)`` written on
+    x_1..x_{n-1}: every variable and every component moves one slot up.
+    Out-of-range indices (and n = 1) give the zero field.
     """
-    zero = PolyVectorField(n)
-    if kind == "e":
-        if not 1 <= i <= n - 1:
-            return zero
-        return PolyVectorField(n, {i: {_mono(n): 1}})
-    if kind == "h":
-        if not 1 <= i <= n - 1:
-            return zero
-        return PolyVectorField(
-            n, {i + j - 1: {_mono(n, {j: 1}): -2} for j in range(1, n - i + 1)}
-        )
-    if kind == "f":
-        if not 1 <= i <= n - 1:
-            return zero
-        comps: dict = {}
-        for j in range(1, n - i + 1):
-            acc: dict = {}
-            for al in range(1, j + 1):
-                be = j + 1 - al
-                if be < 1:
-                    continue
-                if al == be:
-                    m = _mono(n, {al: 2})
-                else:
-                    m = tuple(
-                        (1 if t == al else 0) + (1 if t == be else 0) for t in range(n)
-                    )
-                acc[m] = acc.get(m, 0) - 1
-            comps[i + j - 1] = acc
-        return PolyVectorField(n, comps)
-    if kind == "L":
-        if not 1 <= i <= n - 2:
-            return zero
-        return PolyVectorField(
-            n, {i + j: {_mono(n, {j + 1: 1}): j} for j in range(1, n - i)}
-        )
-    raise ValueError(f"unknown field kind {kind!r}")
-
-
-PRIMED_KINDS = ("e", "h", "L", "f")
+    field = standard_field(n - 1, kind, i - 1)
+    return PolyVectorField(
+        n,
+        {
+            c + 1: {(0,) + m: v for m, v in poly.items()}
+            for c, poly in field.comps.items()
+        },
+    )
 
 
 def primed_labels(n: int) -> list[tuple[str, int]]:
@@ -389,12 +341,7 @@ def verify_vect_algebra(n: int) -> dict:
     brackets = {(a, b): bracket(fields[a], fields[b]) for a in keys for b in keys}
 
     def expect(kind: str, i: int, c: int) -> PolyVectorField:
-        if kind == "L":
-            ok = 0 <= i <= n - 2
-        else:
-            ok = 0 <= i <= n - 1
-        base = fields[(kind, i)] if ok else PolyVectorField(n)
-        return base.scale(c)
+        return fields.get((kind, i), PolyVectorField(n)).scale(c)
 
     checks = []
     for i in range(n):
@@ -444,11 +391,12 @@ def verify_vect_algebra(n: int) -> dict:
 # chart changes
 
 
-def rational_point(rng: Random, n: int, nonzero_first: bool = True) -> list[Fraction]:
+def rational_point(rng: Random, n: int) -> list[Fraction]:
+    """A random rational point of the chart overlap: x_0 != 0."""
     pt = []
     for i in range(n):
         num = rng.randint(-9, 9)
-        if i == 0 and nonzero_first:
+        if i == 0:
             while num == 0:
                 num = rng.randint(-9, 9)
         pt.append(Fraction(num, rng.randint(1, 4)))

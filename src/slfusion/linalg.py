@@ -115,19 +115,6 @@ def enumerate_monomials(n: int, k: int, s: int) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials: dict {exponent tuple -> coefficient}
-
-
-def poly_var(n: int, j: int) -> dict:
-    """The variable e_j as a polynomial in n variables."""
-    if not 0 <= j < n:
-        raise ValueError(f"variable index {j} out of range for {n} variables")
-    m = [0] * n
-    m[j] = 1
-    return {tuple(m): 1}
-
-
-# ---------------------------------------------------------------------------
 # dense exact row reduction
 
 

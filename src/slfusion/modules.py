@@ -64,7 +64,6 @@ from slfusion.linalg import (
     IntEchelon,
     _integer_row,
     enumerate_monomials,
-    poly_var,
 )
 
 UNSORTED_MSG = "composition must be nondecreasing"
@@ -356,6 +355,15 @@ class FusionModule:
                 f"product formula gives {expected}; character "
                 f"{self.character().poly_str()}"
             )
+
+    @classmethod
+    def zero_module(cls, label) -> "FusionModule":
+        """The module of a label with a zero entry, which is zero (as in
+        ``label_character``): no pieces, so every normal form is None."""
+        mod = cls.__new__(cls)
+        mod.a, mod.n, mod.total_dim = tuple(label), len(label), 0
+        mod.pieces, mod._nf, mod._actions = {}, {}, {}
+        return mod
 
     def _build(self) -> None:
         n = self.n
@@ -738,12 +746,10 @@ class TensorModule:
     every factor that has the variable e_j.
     """
 
-    def __init__(self, factors, require_same_n: bool = False):
+    def __init__(self, factors):
         self.factors = list(factors)
         if not self.factors:
             raise ValueError("tensor of zero factors")
-        if require_same_n and len({f.n for f in self.factors}) > 1:
-            raise ValueError("tensor factors must share the variable count")
         self.n = max(f.n for f in self.factors)
         self.total_dim = prod(f.total_dim for f in self.factors)
         self._piece_index: dict = {}
@@ -871,11 +877,6 @@ class TensorModule:
         return f"TensorModule({[f.a for f in self.factors]}, dim={self.total_dim})"
 
 
-def tensor(modules, require_same_n: bool = True) -> TensorModule:
-    """Tensor product; by default all factors must share the variable count."""
-    return TensorModule(list(modules), require_same_n=require_same_n)
-
-
 # ---------------------------------------------------------------------------
 # subspaces and cyclic spans
 
@@ -970,28 +971,25 @@ class Subspace:
 def _span_variable(owner, op) -> tuple:
     """The operator as ``(var, j)``: the form ``owner.action`` takes, checked.
 
-    On a fusion module an operator is a variable ``poly_var(n, j)`` and var
-    is the index j; on a tensor module it is an ``op_diag`` or ``op_factor``
-    tuple and var is that tuple.  Either raises the bidegree by (1, j).
-    Anything else is a ``ValueError``.
+    On a fusion module an operator is a variable index ``j``, an ``int``
+    with 0 <= j < n (not a ``bool``), and var is j; on a tensor module it is
+    an ``op_diag`` or ``op_factor`` tuple and var is that tuple.  Either
+    raises the bidegree by (1, j).  Anything else is a ``ValueError``.
     """
     if isinstance(owner, TensorModule):
         if isinstance(op, tuple) and len(op) == 2 and op[0] == "diag":
             return owner.op_diag(op[1]), op[1]
         if isinstance(op, tuple) and len(op) == 3 and op[0] == "factor":
             return owner.op_factor(op[1], op[2]), op[2]
-    elif isinstance(op, dict) and len(op) == 1:
-        ((m, c),) = op.items()
-        n = owner.n
-        if c == 1 and isinstance(m, tuple) and len(m) == n and sorted(m) == [0] * (n - 1) + [1]:
-            return m.index(1), m.index(1)
+    elif type(op) is int and 0 <= op < owner.n:
+        return op, op
     raise ValueError(f"elements and spans take variable operators e_j, got {op!r}")
 
 
 def cyclic_span(owner, ops, seeds, max_dim: int | None = None) -> Subspace:
     """Smallest graded subspace containing the seeds and closed under ops.
 
-    Every operator is a variable e_j (``poly_var`` on a fusion module,
+    Every operator is a variable e_j (its index j on a fusion module,
     ``op_diag``/``op_factor`` on a tensor module), raising the bidegree by
     (1, j).  A degree-k slice is therefore final once every slice of degree
     k-1 has been mapped, so bidegrees are walked in increasing degree and
@@ -1058,8 +1056,7 @@ def verify_demazure(a) -> dict:
     if n < 2:
         raise ValueError("need at least two entries")
     mod = fusion_module(a)
-    ops = [poly_var(n, j) for j in range(1, n)]
-    span = cyclic_span(mod, ops, [mod.cyclic_vector()])
+    span = cyclic_span(mod, range(1, n), [mod.cyclic_vector()])
     sub_char = label_character(a[:-1])
     ok1, shift1 = match_characters(span.character(), sub_char, reindex=1)
     quot = mod.character() - span.character()
@@ -1091,7 +1088,7 @@ def verify_tensor_embedding(a, b) -> dict:
         raise ValueError("second factor must not be longer than the first")
     bpad = (1,) * (len(a) - len(b)) + b
     c = tuple(x + y - 1 for x, y in zip(a, bpad))
-    t = tensor([fusion_module(a), fusion_module(bpad)])
+    t = TensorModule([fusion_module(a), fusion_module(bpad)])
     ops = [t.op_diag(j) for j in range(len(a))]
     span = cyclic_span(t, ops, [t.cyclic_tensor()], max_dim=10 * prod(c))
     mc = fusion_module(c)

@@ -22,9 +22,9 @@ from slfusion.linalg import (
     IntegrityError,
     IntEchelon,
     kernel_basis,  # no caller here: perfbench/tracing.py patches this name
-    poly_var,
 )
 from slfusion.modules import (
+    FusionModule,
     GradedCharacter,
     ModuleElement,
     Subspace,
@@ -72,13 +72,18 @@ class QuotientMap:
     every target basis monomial in the source basis with its own unit vector
     as normal form, and by counting them up to the target dimension.  No
     elimination runs here; the rows are kept per bidegree for ``kernel``.
+
+    With ``strict=False`` a move may put a zero entry in the target label,
+    which names the zero module: it has no pieces, so every source basis
+    monomial is a unit kernel row, nothing is covered and no generator is
+    reduced.
     """
 
     def __init__(self, a, i: int, j: int, strict: bool = True):
         self.a = validate_composition(a, allow_empty=False)
         self.move = (i, j)
         target_label = move_composition(self.a, i, j)
-        if any(x < 1 for x in target_label):
+        if strict and min(target_label) < 1:
             raise ValueError("move produces a nonpositive entry")
         if strict and any(x > y for x, y in zip(target_label, target_label[1:])):
             raise ValueError(
@@ -88,7 +93,11 @@ class QuotientMap:
         # sorted label names the same quotient ring
         self.target_label = target_label
         self.source = fusion_module(self.a)
-        self.target = fusion_module(tuple(sorted(target_label)))
+        self.target = (
+            fusion_module(tuple(sorted(target_label)))
+            if min(target_label)
+            else FusionModule.zero_module(target_label)
+        )
         self._certify_well_defined()
         self.kernels: dict = {}
         target = self.target
@@ -148,20 +157,15 @@ class QuotientMap:
 
 
 class Submodule:
-    """A kernel S_{i,j}(A) inside its parent module, closed under all e_l.
+    """A kernel S_{i,j}(A) inside its parent module, closed under all e_l."""
 
-    When the move target has a zero entry it names the zero module, so the
-    kernel is the whole parent; that case carries no quotient map.
-    """
-
-    def __init__(self, a, move, parent, subspace, qmap: QuotientMap | None):
+    def __init__(self, a, move, parent, subspace, qmap: QuotientMap):
         self.a = a
         self.move = move
         self.parent = parent
         self.subspace = subspace
         self.qmap = qmap
-        if qmap is not None:
-            self._certify_closure()
+        self._certify_closure()
         i, j = move
         if j == i + 1:
             expected = eq_first_dim(a, i)
@@ -175,26 +179,14 @@ class Submodule:
     def from_map(cls, qmap: QuotientMap) -> "Submodule":
         return cls(qmap.a, qmap.move, qmap.source, qmap.kernel(), qmap)
 
-    @classmethod
-    def whole_module(cls, a, move) -> "Submodule":
-        parent = fusion_module(a)
-        sub = Subspace(parent)
-        for ks, piece in parent.pieces.items():
-            for idx in range(piece.dim):
-                sub.insert(parent.basis_element(*ks, idx))
-        return cls(a, move, parent, sub, None)
-
     def _certify_closure(self) -> None:
-        n = self.parent.n
-        for l in range(n):
-            if not self.subspace.closed_under(poly_var(n, l)):
+        for l in range(self.parent.n):
+            if not self.subspace.closed_under(l):
                 raise IntegrityError(
                     f"kernel of {self.a} move {self.move} not closed under e_{l}"
                 )
 
     def map_image_is_zero(self, el) -> bool:
-        if self.qmap is None:
-            return True
         return self.qmap.apply(el).is_zero()
 
     @property
@@ -212,10 +204,6 @@ def submodule_S(a, i: int, j: int | None = None, strict: bool = True) -> Submodu
     """S_{i,j}(A): the kernel of the move surjection (default j = i+1)."""
     if j is None:
         j = i + 1
-    a = validate_composition(a, allow_empty=False)
-    target = move_composition(a, i, j)
-    if any(x < 1 for x in target) and not strict:
-        return Submodule.whole_module(a, (i, j))
     return Submodule.from_map(QuotientMap(a, i, j, strict=strict))
 
 
@@ -238,8 +226,7 @@ def generators_w(a, i: int) -> list[ModuleElement]:
 def span_of_w(a, i: int) -> Subspace:
     """Span of the w generators under all of e_0..e_{n-1}."""
     mod = fusion_module(validate_composition(a))
-    ops = [poly_var(mod.n, l) for l in range(mod.n)]
-    return cyclic_span(mod, ops, generators_w(a, i))
+    return cyclic_span(mod, range(mod.n), generators_w(a, i))
 
 
 def verify_w_generators(sub: Submodule) -> dict:
@@ -340,8 +327,7 @@ def verify_filtration(a, i: int) -> dict:
         # recursive step: peel the span of the lowest w generator
         w = generators_w(b, i)[0]
         bmod = fusion_module(b)
-        ops = [poly_var(n, l) for l in range(n)]
-        span = cyclic_span(bmod, ops, [w])
+        span = cyclic_span(bmod, range(n), [w])
         contained = sub.subspace.includes(span)
         label = _peel_label(b, i)
         layer_char = label_character(label)
@@ -396,7 +382,7 @@ def _span_vs_kernel(a, i: int, factor1: tuple, factor2: tuple) -> dict:
     n = len(a)
     m1 = fusion_module(factor1)
     m2 = fusion_module(factor2)
-    tens = TensorModule([m1, m2], require_same_n=False)
+    tens = TensorModule([m1, m2])
     ops = [tens.op_diag(jj) for jj in range(n - 2) if any(jj < f.n for f in tens.factors)]
     ops.append(tens.op_factor(1, n - i - 1))
     sub = submodule_S(a, i, strict=False)
@@ -476,7 +462,7 @@ def verify_inductive_description(a, i: int) -> dict:
             if image.is_zero():
                 raise IntegrityError("reindexed kernel element vanished upstairs")
             seeds.append(image)
-        span = cyclic_span(mod, [poly_var(n, 0)], seeds)
+        span = cyclic_span(mod, [0], seeds)
         sub = submodule_S(a, i, strict=False)
         ok = span == sub.subspace
         return {
@@ -490,7 +476,7 @@ def verify_inductive_description(a, i: int) -> dict:
     # i = n-1: compare with M^{(a_1..a_{n-2})} tensor an e_0-string
     m1 = fusion_module(a[: n - 2])
     m2 = fusion_module((a[n - 1] - a[n - 2] + 1,))
-    tens = TensorModule([m1, m2], require_same_n=False)
+    tens = TensorModule([m1, m2])
     ops = [tens.op_factor(0, j) for j in range(m1.n)]
     ops.append(tens.op_factor(1, 0))
     span = cyclic_span(tens, ops, [tens.cyclic_tensor()])
@@ -522,7 +508,6 @@ def nilpotency_e1(a) -> dict:
     if n < 2:
         raise ValueError("need at least two entries")
     mod = fusion_module(a)
-    e1 = poly_var(n, 1)
     el = mod.cyclic_vector()
     measured = 0
     last = el
@@ -530,7 +515,7 @@ def nilpotency_e1(a) -> dict:
         if measured > mod.kmax + 1:
             raise IntegrityError("e_1 fails to act nilpotently")
         last = el
-        el = el.apply(e1)
+        el = el.apply(1)
         measured += 1
     formula = sum(a[: n - 1]) - n + 1
     return {
@@ -539,7 +524,7 @@ def nilpotency_e1(a) -> dict:
         "holds": measured == formula,
         "deviation": measured - formula,
         "last_nonzero_support": last.support(),
-        "kills_last": last.apply(e1).is_zero(),
+        "kills_last": last.apply(1).is_zero(),
     }
 
 

@@ -13,10 +13,10 @@ grown breadth-first, one element at a time, through ``apply_reference``,
 which multiplies basis monomials and reduces them to dense ``Fraction``
 normal forms (``reduce_monomial``) instead of reading the integer action
 tables; the geometry layer's ``Fraction`` routes (Gaussian determinants,
-the chart sampler with its ``-y^2`` pushforward, the dual-number Jacobian)
-check the integer ones; and the shuffle product is checked against the expanding
-route, which writes both factors out as monomials and sums over every
-interleaving of the variables.
+the chart sampler with its ``-y^2`` pushforward on the explicitly written
+primed frame, the dual-number Jacobian) check the integer ones; and the
+shuffle product is checked against the expanding route, which writes both
+factors out as monomials and sums over every interleaving of the variables.
 """
 
 from fractions import Fraction
@@ -26,7 +26,7 @@ from random import Random
 
 from slfusion.dual import SymPoly
 
-from slfusion.geometry import primed_field, primed_labels, rational_point
+from slfusion.geometry import PolyVectorField, primed_labels, rational_point
 from slfusion.laurent import Laurent
 from slfusion.linalg import (
     IntEchelon,
@@ -392,14 +392,17 @@ def reduce_monomial(module, m):
 def apply_reference(el: ModuleElement, op) -> ModuleElement:
     """The image of an element, one basis monomial at a time.
 
-    On a fusion module ``op`` is any polynomial: each basis monomial of the
-    element times each monomial of ``op`` goes through ``reduce_monomial``.
+    On a fusion module ``op`` is any polynomial, or a variable index j for
+    the polynomial e_j: each basis monomial of the element times each
+    monomial of ``op`` goes through ``reduce_monomial``.
     On a tensor module ``op`` is an ``op_diag``/``op_factor`` tuple: in each
     basis key, the monomial of every factor that ``op`` acts on is
     multiplied by e_j and reduced in that factor, and the new key is looked
     up in ``piece_key_index``.  No action table is read.
     """
     owner, out = el.owner, {}
+    if isinstance(op, int):
+        op = variable(owner.n, op)
     for (k, s), vec in el.coords.items():
         for i, c in vec.items():
             if isinstance(owner, TensorModule):
@@ -410,6 +413,11 @@ def apply_reference(el: ModuleElement, op) -> ModuleElement:
                 acc = out.setdefault(ks, {})
                 acc[t] = acc.get(t, 0) + c * x
     return ModuleElement(owner, out)
+
+
+def variable(n: int, j: int) -> dict:
+    """The variable e_j as a polynomial in n variables."""
+    return {tuple(int(t == j) for t in range(n)): 1}
 
 
 def _monomial_images(module, b, poly):
@@ -435,8 +443,8 @@ def _tensor_key_images(owner, op, k, s, i):
     for m in factors:
         f = owner.factors[m]
         km, sm, im = key[m]
-        ej = tuple(int(t == j) for t in range(f.n))
-        for (tk, ts), t, x in _monomial_images(f, f.pieces[(km, sm)].basis[im], {ej: 1}):
+        ej = variable(f.n, j)
+        for (tk, ts), t, x in _monomial_images(f, f.pieces[(km, sm)].basis[im], ej):
             yield (k + 1, s + j), index[key[:m] + ((tk, ts, t),) + key[m + 1:]], x
 
 
@@ -451,7 +459,8 @@ def cyclic_span_reference(owner, ops, seeds) -> Subspace:
     Breadth-first: every element that grows the span is queued, and each
     queued element is pushed through every operator with
     ``apply_reference``, so no action table is read.  On a fusion module
-    the operators may be any polynomials, variables or not.
+    the operators may be any polynomials, variables or not, or variable
+    indices.
     """
     span = Subspace(owner)
     queue = [piece for seed in seeds for piece in _slices(seed) if span.insert(piece)]
@@ -596,12 +605,57 @@ def _field_value(field, point):
     return out
 
 
+def _mono(n: int, pairs: dict | None = None) -> tuple:
+    m = [0] * n
+    for i, e in (pairs or {}).items():
+        m[i] = e
+    return tuple(m)
+
+
+def primed_field_reference(n: int, kind: str, i: int) -> PolyVectorField:
+    """The primed frame written out explicitly, field by field.
+
+    e'_i = d/dx_i, h'_i = -2 sum_{j>=1} x_j d/dx_{i+j-1},
+    f'_i = - sum_{j>=1} (sum_{a+b=j+1, a,b>=1} x_a x_b) d/dx_{i+j-1} and
+    L'_i = sum_{j>=1} j x_{j+1} d/dx_{i+j}, for i >= 1 (L' below n-2, the
+    others below n); other indices give the zero field.
+    """
+    zero = PolyVectorField(n)
+    if kind not in ("e", "h", "f", "L"):
+        raise ValueError(f"unknown field kind {kind!r}")
+    if not 1 <= i <= n - 1 - (kind == "L"):
+        return zero
+    if kind == "e":
+        return PolyVectorField(n, {i: {_mono(n): 1}})
+    if kind == "h":
+        return PolyVectorField(
+            n, {i + j - 1: {_mono(n, {j: 1}): -2} for j in range(1, n - i + 1)}
+        )
+    if kind == "L":
+        return PolyVectorField(
+            n, {i + j: {_mono(n, {j + 1: 1}): j} for j in range(1, n - i)}
+        )
+    comps: dict = {}
+    for j in range(1, n - i + 1):
+        acc: dict = {}
+        for al in range(1, j + 1):
+            be = j + 1 - al
+            if al == be:
+                m = _mono(n, {al: 2})
+            else:
+                m = tuple((1 if t == al else 0) + (1 if t == be else 0) for t in range(n))
+            acc[m] = acc.get(m, 0) - 1
+        comps[i + j - 1] = acc
+    return PolyVectorField(n, comps)
+
+
 def chart_change_failures_reference(n, samples, seed, expansion, key):
-    """The chart sampler over ``Fraction``: the same draws, each field pushed
-    through the inversion as ``-y(t)^2 V(t)`` and compared with its y-frame
-    expansion evaluated at ``y_0``.  Returns every failure, untruncated."""
+    """The chart sampler over ``Fraction``: the same draws, each field (from
+    ``primed_field_reference``) pushed through the inversion as
+    ``-y(t)^2 V(t)`` and compared with its y-frame expansion evaluated at
+    ``y_0``.  Returns every failure, untruncated."""
     labels = primed_labels(n)
-    fields = {lab: primed_field(n, *lab) for lab in labels}
+    fields = {lab: primed_field_reference(n, *lab) for lab in labels}
     rng = Random(seed)
     failures = []
     for _ in range(samples):

@@ -61,6 +61,14 @@ def test_submodule_command(capsys):
     assert "dim = 2" in out
 
 
+def test_submodule_move_errors_are_usage_errors(capsys):
+    code, _, err = run(capsys, "submodule", "--a", "1,2", "--i", "1")
+    assert code == 2 and "move produces a nonpositive entry" in err
+    code, _, err = run(capsys, "submodule", "--a", "2,2,2", "--i", "2")
+    assert code == 2 and "gives the unsorted label (2, 1, 3)" in err
+    assert "Traceback" not in err
+
+
 def test_filtration_command(capsys):
     code, out, _ = run(capsys, "filtration", "--a", "2,2,3", "--i", "1")
     assert code == EXIT_OK

@@ -10,6 +10,7 @@ from oracle_utils import (
     det_reference,
     jacobian_reference,
     laurent_det_reference,
+    primed_field_reference,
     scrambled_diagonal,
     splitting_via_sections,
 )
@@ -18,14 +19,17 @@ from slfusion import cli, geometry, laurent
 from slfusion._goldens import TRANSITION_GOLDEN
 from slfusion.geometry import (
     PolyVectorField,
-    TruncatedSeries,
+    _series_product,
     bracket,
     cohomology_dim,
     expected_splitting,
+    invert_series,
     jacobian_identity,
+    primed_field,
     primed_labels,
     pullback_degree,
     rational_point,
+    standard_field,
     standard_fields,
     transition_matrix,
     verify_chart_identities,
@@ -37,22 +41,23 @@ from slfusion.linalg import IntegrityError
 
 
 def test_series_inversion_examples():
-    assert TruncatedSeries([1, 0, 0]).invert().coeffs == (1, 0, 0)
-    assert TruncatedSeries([1, 1, 0]).invert().coeffs == (1, -1, 1)
-    assert TruncatedSeries([2, 0]).invert().coeffs == (Fraction(1, 2), 0)
-    with pytest.raises(ValueError, match="chart"):
-        TruncatedSeries([0, 1]).invert()
+    assert invert_series([1, 0, 0]) == [1, 0, 0]
+    assert invert_series([1, 1, 0]) == [1, -1, 1]
+    assert invert_series([2, 0]) == [Fraction(1, 2), 0]
+    assert invert_series(["1/3", Fraction(1, 2)]) == [3, Fraction(-9, 2)]
+    for bad in ([0, 1], []):
+        with pytest.raises(ValueError, match="chart"):
+            invert_series(bad)
 
 
 def test_series_inversion_involution():
     rng = Random(2)
     for n in range(1, 6):
         for _ in range(10):
-            pt = rational_point(rng, n)
-            x = TruncatedSeries(pt)
-            y = x.invert()
-            assert (x * y).coeffs == (1,) + (0,) * (n - 1)
-            assert y.invert().coeffs == x.coeffs
+            x = rational_point(rng, n)
+            y = invert_series(x)
+            assert _series_product(x, y) == [1] + [0] * (n - 1)
+            assert invert_series(y) == x
 
 
 def test_standard_fields_smallest():
@@ -65,6 +70,74 @@ def test_standard_fields_smallest():
     for i in range(2):
         comps = f2[("e", i)].comps
         assert all(m == (0, 0) for poly in comps.values() for m in poly)
+
+
+def test_standard_field_out_of_range_and_unknown_kind():
+    for n in range(1, 5):
+        fields = standard_fields(n)
+        for kind in ("e", "h", "f", "L"):
+            for i in range(-1, n + 2):
+                want = fields.get((kind, i), PolyVectorField(n))
+                assert standard_field(n, kind, i) == want, (n, kind, i)
+    assert len(standard_fields(4)) == 15
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="unknown field kind"):
+            standard_field(n, "g", 0)
+        with pytest.raises(ValueError, match="unknown field kind"):
+            primed_field(n, "g", 99)
+
+
+def test_primed_field_is_the_shifted_smaller_frame():
+    # the explicitly written primed frame, field by field, equals the
+    # (n-1)-cell's standard frame moved one slot up, zeros included
+    nonzero = 0
+    for n in range(1, 11):
+        for kind in ("e", "h", "f", "L"):
+            for i in range(-1, n + 2):
+                got = primed_field(n, kind, i)
+                assert got == primed_field_reference(n, kind, i), (n, kind, i)
+                assert got.n == n
+                nonzero += not got.is_zero()
+    # 4(n-1) - 1 fields per n = 2..10
+    assert nonzero == sum(4 * (n - 1) - 1 for n in range(2, 11))
+    assert {lab for lab in primed_labels(5)} == {
+        (kind, i) for kind in ("e", "h", "f", "L") for i in range(-1, 7)
+        if not primed_field(5, kind, i).is_zero()
+    }
+
+
+def _claims_under_primed_shift(monkeypatch, n, shift):
+    """The chart[n] and transition[n] records with every primed field taken
+    from the smaller frame at index i - 1 + shift instead of i - 1."""
+    real = geometry.primed_field
+    monkeypatch.setattr(geometry, "primed_field", lambda n, kind, i: real(n, kind, i + shift))
+    cfg = cli.RunConfig(samples=3)
+    return cli.run_claim("chart", (n,), cfg), cli.run_claim("transition", (n,), cfg)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_primed_index_fault_fails_the_chart_claim(monkeypatch, n):
+    # the smaller frame's field taken at index i instead of i-1
+    chart, trans = _claims_under_primed_shift(monkeypatch, n, 1)
+    assert (chart["claim"], chart["status"]) == (f"chart[{n}]", "fail")
+    assert chart["got"]["symbolic_failures"] and not chart.get("integrity")
+    # the y-frame expansions do not depend on the index, so a frame shifted
+    # up by one still satisfies every sampled chart change: only the
+    # symbolic identities of chart[n] see this fault
+    assert not chart["got"]["sample_failures"]
+    assert (trans["claim"], trans["status"]) == (f"transition[{n}]", "pass")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_primed_index_fault_below_fails_chart_and_transition_claims(monkeypatch, n):
+    # the smaller frame's field taken at index i-2 instead of i-1: the
+    # expansion of the top field now reaches past the frame
+    chart, trans = _claims_under_primed_shift(monkeypatch, n, -1)
+    assert (chart["claim"], chart["status"]) == (f"chart[{n}]", "fail")
+    assert chart["got"]["symbolic_failures"] and chart["got"]["sample_failures"]
+    assert (trans["claim"], trans["status"]) == (f"transition[{n}]", "fail")
+    assert trans["got"] == {"sampled_ok": False, "golden_ok": True}
+    assert not chart.get("integrity") and not trans.get("integrity")
 
 
 def test_bracket_relations():

@@ -2,6 +2,7 @@
 
 import re
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -14,7 +15,7 @@ from oracle_utils import (
 )
 
 from slfusion import modules, submodules
-from slfusion.linalg import IntegrityError, mono_degree, mono_weight, poly_var, rref
+from slfusion.linalg import IntegrityError, mono_degree, mono_weight, rref
 from slfusion.modules import (
     ModuleElement,
     Subspace,
@@ -131,10 +132,57 @@ def test_move_map_well_definedness_gate_fires(monkeypatch):
     real = modules.generator_keys
     # a planted source relation e_0 (the z^1 coefficient of E(z) at n = 2)
     # that does not vanish in the target
-    assert modules.generating_slice(2, 1, 1) == poly_var(2, 0)
+    assert modules.generating_slice(2, 1, 1) == {(1, 0): 1}
     monkeypatch.setattr(modules, "generator_keys", lambda a: real(a) + [(1, 1)])
     with pytest.raises(IntegrityError, match="not well defined: source relation at degree 1, z"):
         QuotientMap((2, 3), 1, 2)
+
+
+ZERO_TARGET_MOVES = [
+    (a, i, j)
+    for n in range(2, 5)
+    for a in combinations_with_replacement(range(1, 5), n)
+    for i in range(1, n)
+    for j in range(i + 1, n + 1)
+    if a[i - 1] == 1
+]
+
+
+def all_unit_subspace(module):
+    """The whole module as a subspace: one unit vector per basis position."""
+    whole = Subspace(module)
+    for ks, piece in module.pieces.items():
+        for r in range(piece.dim):
+            whole.insert(ModuleElement(module, {ks: {r: 1}}))
+    return whole
+
+
+def test_zero_target_move_kernel_is_the_whole_module():
+    # a move onto a zero entry maps onto the zero module: the closed form
+    # makes every source monomial a unit kernel row, and the kernel passes
+    # the closure gate (and, on adjacent moves, the dimension gate)
+    assert len(ZERO_TARGET_MOVES) == 112
+    for a, i, j in ZERO_TARGET_MOVES:
+        with pytest.raises(ValueError, match="nonpositive"):
+            QuotientMap(a, i, j)
+        sub = submodule_S(a, i, j, strict=False)
+        qmap = sub.qmap
+        assert qmap.target.total_dim == 0 and not qmap.target.pieces, (a, i, j)
+        assert sub.dim == prod(a), (a, i, j)
+        assert sub.subspace == all_unit_subspace(sub.parent) == qmap.kernel(), (a, i, j)
+        top = sub.parent.top_class()
+        assert sub.map_image_is_zero(top) and qmap.apply(top).owner is qmap.target
+        assert verify_exactness(sub)["ok"]
+
+
+def test_zero_target_dimension_gate_fires():
+    qmap = QuotientMap((1, 2, 3), 1, 2, strict=False)
+    assert Submodule.from_map(qmap).dim == eq_first_dim((1, 2, 3), 1) == 6
+    # the cyclic vector's unit row dropped: what is left is still closed
+    # under every e_l, so only the dimension gate can see it
+    del qmap.kernels[(0, 0)]
+    with pytest.raises(IntegrityError, match="got 5, formula gives 6"):
+        Submodule.from_map(qmap)
 
 
 MOVES = [
@@ -379,4 +427,4 @@ def test_kernel_closure_under_all_variables():
     sub = submodule_S((2, 3, 4), 2)
     for el in sub.subspace.basis_elements():
         for j in range(3):
-            assert sub.subspace.contains(el.apply(poly_var(3, j)))
+            assert sub.subspace.contains(el.apply(j))
