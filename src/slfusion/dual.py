@@ -11,6 +11,20 @@ M^A through a completely independent computation: no ideal, no quotient, no
 normal forms.  The constraint rows of a slice are built block by block while
 the kernel reads them, so no block is built once the span is full.
 
+Write D(s, d) for the degree-d slice at s variables.  For s >= 1 the map
+f -> ([z_s^j] f), j = 0..n-1, embeds D(s, d) into the sum of the D(s-1, d-j):
+  - f has degree at most n-1 in z_s, so these coefficients determine it;
+  - each coefficient is symmetric in z_1..z_{s-1} of degree d - j;
+  - a constraint with i <= s-1 substituted variables keeps z_s among the
+    remaining ones, so f meets it iff every coefficient meets the same
+    constraint (same cap N_A(i)) at s-1 variables.
+So D(s, d) = 0 whenever every D(s-1, d-j) is zero, and such a slice is
+skipped without building a constraint block.  The rule rests on the dual
+model alone, not on the module build, so the oracle stays independent.  The
+spaces are memoized per (A, s) by ``dual_space``, which the dimension table,
+the oracle character and the ring components all read, so each space is
+solved once while it stays in the memo.
+
 The shuffle product sums f(z_S) g(z_T) over the splittings of the variables
 into an s_1-set S and an s_2-set T, each in its order; it makes the direct
 sum of the duals over the stretched labels A(k) into a commutative graded
@@ -199,27 +213,48 @@ def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[dict]:
     return [dict(zip(cols, coeffs)) for coeffs, rows in blocks for cols in rows]
 
 
+def _variable_count(s) -> int:
+    """s itself if it is a nonnegative ``int`` (not a ``bool``), else a
+    ``ValueError``: a variable count is a memo key and a recursion index."""
+    if type(s) is not int or s < 0:
+        raise ValueError(f"variable count must be a nonnegative int, got {s!r}")
+    return s
+
+
+def _live_degrees(below, part: int) -> list:
+    """The degrees d with d - j among the nonzero degrees ``below`` of the
+    space at one variable fewer, for some 0 <= j <= part: by the restriction
+    rule the only degrees where the slice can be nonzero."""
+    return sorted({d + j for d in below for j in range(part + 1)})
+
+
 class DualSpace:
     """Solutions of the divisibility constraints at a fixed variable count.
 
     The solutions of each degree are primitive integer vectors over the
-    basis, one per free column of the constraint rows.
+    basis, one per free column of the constraint rows.  For s >= 1 only the
+    degrees d with some D(s-1, d-j) nonzero, 0 <= j < n, are solved (the
+    restriction rule of the module docstring); the others, like every slice
+    with a zero kernel, get no ``by_degree`` entry.  The predecessor is read
+    from the memo of ``dual_space``, so a space built directly builds its
+    predecessors there.
     """
 
     def __init__(self, a, s: int):
         self.a = validate_composition(a)
-        self.s = int(s)
-        if self.s < 0:
-            raise ValueError("variable count must be nonnegative")
+        self.s = _variable_count(s)
         self.n = len(self.a)
         self.by_degree: dict[int, dict] = {}
-        caps = _exponents(self.a, self.s)
-        top = self.s * max(self.n - 1, 0)
-        for d in range(top + 1):
-            basis = partitions_bounded(d, self.s, self.n - 1)
+        caps = _exponents(self.a, s)
+        part = max(self.n - 1, 0)
+        live = range(s * part + 1)
+        if s:
+            live = _live_degrees(_dual_space(self.a, s - 1).by_degree, part)
+        for d in live:
+            basis = partitions_bounded(d, s, part)
             if not basis:
                 continue
-            kern = kernel_basis(_SliceRows(self.n, caps, self.s, d), len(basis))
+            kern = kernel_basis(_SliceRows(self.n, caps, s, d), len(basis))
             if kern:
                 self.by_degree[d] = {"basis": basis, "solutions": kern}
 
@@ -241,6 +276,18 @@ class DualSpace:
                 }
                 out.append(SymPoly(self.s, coeffs))
         return out
+
+
+@lru_cache(maxsize=1 << 10)
+def _dual_space(a: tuple, s: int) -> DualSpace:
+    return DualSpace(a, s)
+
+
+def dual_space(a, s: int) -> DualSpace:
+    """The memoized ``DualSpace(a, s)``, solved once per (A, s) while it stays
+    in the bounded memo.  The space is shared by every caller, so it must not
+    be mutated."""
+    return _dual_space(validate_composition(a), _variable_count(s))
 
 
 def oracle_character(a) -> GradedCharacter:
@@ -418,7 +465,7 @@ def coordinate_ring_component(a, k: int) -> dict:
         return result
     base: list[SymPoly] = []
     for s in range(sum(x - 1 for x in a) + 1):
-        base.extend(DualSpace(a, s).solution_polys())
+        base.extend(_dual_space(a, s).solution_polys())
     products = _shuffle_powers(base, k)
     spans: dict = {}
     constraint_failures = 0
@@ -456,9 +503,7 @@ def dual_dimension_table(a) -> dict:
     a = validate_composition(a)
     table: dict = {}
     for s in range(sum(x - 1 for x in a) + 1):
-        space = DualSpace(a, s)
+        space = _dual_space(a, s)
         for d in sorted(space.by_degree):
-            dim = space.dim_degree(d)
-            if dim:
-                table[(s, d)] = dim
+            table[(s, d)] = space.dim_degree(d)
     return table

@@ -458,7 +458,10 @@ def _chart_change_failures(n: int, samples: int, seed: int, expansion, key: str)
     through the series inversion and compared with ``expansion(kind, i)``,
     its y-frame expansion as ``(kind, index, Laurent coefficient)`` terms
     evaluated at y_0; out-of-range targets are zero fields.  A failure is
-    recorded as ``{key: (kind, i), "point": x}``.
+    recorded as ``{key: (kind, i), "point": x}``.  A primed field that is
+    identically zero is a failure ``{key: (kind, i), "point": None}`` of its
+    own: the expansions do not depend on the index, so a frame whose top
+    fields vanish (shifted up by one) would meet every sampled identity.
 
     All arithmetic is on integers.  With ``x = P / D`` (``D`` the lcm of the
     denominators) the inverse series is ``y = D Y / p_0^n``, where
@@ -481,7 +484,7 @@ def _chart_change_failures(n: int, samples: int, seed: int, expansion, key: str)
         for lab in labels
     }
     rng = Random(seed)
-    failures = []
+    failures = [{key: lab, "point": None} for lab in labels if not fields[lab]]
     for _ in range(samples):
         xpt = rational_point(rng, n)
         den, p = integer_point(xpt)

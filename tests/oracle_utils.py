@@ -14,8 +14,9 @@ which multiplies basis monomials and reduces them to dense ``Fraction``
 normal forms (``reduce_monomial``) instead of reading the integer action
 tables; the geometry layer's ``Fraction`` routes (Gaussian determinants,
 the chart sampler with its ``-y^2`` pushforward on the explicitly written
-primed frame, the dual-number Jacobian) check the integer ones; and the
-shuffle product is checked against the expanding route, which writes both
+primed frame, the dual-number Jacobian) check the integer ones; the dual
+spaces are solved at every degree, without the restriction rule's skip; and
+the shuffle product is checked against the expanding route, which writes both
 factors out as monomials and sums over every interleaving of the variables.
 """
 
@@ -24,7 +25,12 @@ from itertools import combinations
 from math import lcm
 from random import Random
 
-from slfusion.dual import SymPoly
+from slfusion.dual import (
+    SymPoly,
+    _exponents,
+    _SliceRows,
+    partitions_bounded,
+)
 
 from slfusion.geometry import PolyVectorField, primed_labels, rational_point
 from slfusion.laurent import Laurent
@@ -677,7 +683,23 @@ def chart_change_failures_reference(n, samples, seed, expansion, key):
 
 
 # ---------------------------------------------------------------------------
-# dual: the expanding shuffle route
+# dual: every degree solved, and the expanding shuffle route
+
+
+def dual_by_degree_reference(a: tuple, s: int) -> dict:
+    """``DualSpace(a, s).by_degree`` with every degree solved from scratch:
+    no predecessor is read, so no slice is skipped by the restriction rule."""
+    n = len(a)
+    caps = _exponents(a, s)
+    by_degree = {}
+    for d in range(s * max(n - 1, 0) + 1):
+        basis = partitions_bounded(d, s, n - 1)
+        if not basis:
+            continue
+        kern = kernel_basis(_SliceRows(n, caps, s, d), len(basis))
+        if kern:
+            by_degree[d] = {"basis": basis, "solutions": kern}
+    return by_degree
 
 
 def _distinct_permutations(values: tuple):

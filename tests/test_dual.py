@@ -12,7 +12,7 @@ try:
 except ImportError:  # optional test dependency: the seeded checks still run
     given = None
 
-from oracle_utils import expand, from_monomials, shuffle_reference
+from oracle_utils import dual_by_degree_reference, expand, from_monomials, shuffle_reference
 
 from slfusion import cli, dual
 from slfusion.dual import (
@@ -20,6 +20,8 @@ from slfusion.dual import (
     SymPoly,
     constraint_rows,
     coordinate_ring_component,
+    dual_dimension_table,
+    dual_space,
     oracle_character,
     partitions_bounded,
     satisfies_constraints,
@@ -45,6 +47,92 @@ def test_dual_space_examples():
     space = DualSpace((2, 2), 2)
     assert space.dim == 1  # the double-substitution constraint kills all but z1 z2
     assert space.dim_degree(2) == 1
+
+
+@pytest.mark.parametrize("s", [True, False, 2.7, 2.0, "1", None, -1])
+def test_dual_space_takes_only_an_int_variable_count(s):
+    # a variable count is a memo key and a recursion index
+    with pytest.raises(ValueError, match="variable count"):
+        DualSpace((2, 2), s)
+    with pytest.raises(ValueError, match="variable count"):
+        dual_space((2, 2), s)
+
+
+def dual_grid():
+    labels = [a for n in range(1, 5) for a in combinations_with_replacement(range(1, 5), n)]
+    return labels + [(2, 3, 4, 5, 6), (3, 3, 3, 3, 3)]
+
+
+def test_restriction_skip_matches_every_degree_solved():
+    # the skip of every slice whose predecessors are all zero leaves the
+    # bases and the solutions exactly as the unskipped solve gives them,
+    # one variable count past the top included
+    skipped = 0
+    for a in dual_grid():
+        for s in range(sum(x - 1 for x in a) + 2):
+            want = dual_by_degree_reference(a, s)
+            assert dual_space(a, s).by_degree == want, (a, s)
+            if s:
+                below = dual_space(a, s - 1).by_degree
+                live = {d + j for d in below for j in range(len(a))}
+                skipped += sum(d not in live for d in range(s * (len(a) - 1) + 1))
+    assert skipped > 500
+
+
+@pytest.fixture
+def empty_memo():
+    dual._dual_space.cache_clear()
+    yield
+    dual._dual_space.cache_clear()
+
+
+def test_standalone_space_equals_the_table_space(empty_memo):
+    # built on its own, a space builds its predecessors through the memo
+    for a, s in [((2, 3, 4), 4), ((3, 3, 4, 4), 6), ((2, 2, 4, 5), 7)]:
+        dual._dual_space.cache_clear()
+        alone = DualSpace(a, s)
+        assert dual._dual_space.cache_info().currsize == s
+        table = dual_dimension_table(a)
+        assert alone.by_degree == dual_space(a, s).by_degree
+        assert {d: alone.dim_degree(d) for d in alone.by_degree} == {
+            d: dim for (t, d), dim in table.items() if t == s
+        }
+
+
+def test_each_space_is_solved_once(monkeypatch, empty_memo):
+    solved = []
+    real = DualSpace.__init__
+
+    def counted(self, a, s):
+        solved.append((tuple(a), s))
+        real(self, a, s)
+
+    monkeypatch.setattr(DualSpace, "__init__", counted)
+    for a in [(2, 2), (2, 3, 4), (3, 3)]:
+        assert oracle_character(a) == fusion_module(a).character()
+        dual_dimension_table(a)
+    # the ring reads the (3, 3) table and the (2, 2) degree-one spaces again
+    assert coordinate_ring_component((2, 2), 2)["generated"]
+    assert DualSpace((2, 3, 4), 3).by_degree == dual_space((2, 3, 4), 3).by_degree
+    assert dual_space((2, 2), 1) is dual_space([2, 2], 1)
+    # only the standalone space is solved a second time
+    assert len(solved) == len(set(solved)) + 1
+    assert set(solved) == {(a, s) for a in [(2, 2), (2, 3, 4), (3, 3)]
+                           for s in range(sum(x - 1 for x in a) + 1)}
+
+
+def test_planted_predecessor_fault_is_caught(monkeypatch, empty_memo):
+    # the top nonzero degree of the space at one variable fewer read as zero
+    real = dual._live_degrees
+
+    def planted(below, part):
+        if len(below) > 1:
+            below = {d: e for d, e in below.items() if d != max(below)}
+        return real(below, part)
+
+    monkeypatch.setattr(dual, "_live_degrees", planted)
+    with pytest.raises(AssertionError):
+        test_oracle_equals_module_character()
 
 
 def test_oracle_character_small():
@@ -186,7 +274,11 @@ def test_planted_wrong_binomial_is_caught(wrong_binomial):
     # claims do not, since their degree-one bases are single m-terms
     rep = cli.run_claim("ring", ((2, 2, 2), 2), cli.RunConfig())
     assert rep["status"] == "fail" and not rep["got"]["generated"]
-    assert coordinate_ring_component((2, 2, 2), 2)["constraint_failures"] > 0
+    # the dual spaces do not use the coefficient, so the dimension holds and
+    # only the shuffled products leave the A(2) constraints
+    rep = coordinate_ring_component((2, 2, 2), 2)
+    assert rep["dim_ok"] and rep["generated"] is False
+    assert rep["constraint_failures"] > 0
 
 
 def test_shuffle_constants():

@@ -122,10 +122,23 @@ def test_primed_index_fault_fails_the_chart_claim(monkeypatch, n):
     assert (chart["claim"], chart["status"]) == (f"chart[{n}]", "fail")
     assert chart["got"]["symbolic_failures"] and not chart.get("integrity")
     # the y-frame expansions do not depend on the index, so a frame shifted
-    # up by one still satisfies every sampled chart change: only the
-    # symbolic identities of chart[n] see this fault
-    assert not chart["got"]["sample_failures"]
-    assert (trans["claim"], trans["status"]) == (f"transition[{n}]", "pass")
+    # up by one satisfies every sampled chart change; the frame gate sees
+    # its top fields vanish, in chart[n] and in transition[n]
+    zero = [("e", n - 1), ("h", n - 1), ("L", n - 2), ("f", n - 1)]
+    assert chart["got"]["sample_failures"] == [
+        {"field": list(lab), "point": None} for lab in zero
+    ]
+    assert (trans["claim"], trans["status"]) == (f"transition[{n}]", "fail")
+    assert trans["got"] == {"sampled_ok": False, "golden_ok": True}
+    assert not trans.get("integrity")
+    cols = geometry.verify_transition_matrix(n, samples=3)["failures"]
+    assert cols == [{"column": lab, "point": None} for lab in zero]
+
+
+def test_no_primed_field_is_zero():
+    # on working code the frame gate records nothing
+    for n in range(2, 9):
+        assert not any(primed_field(n, *lab).is_zero() for lab in primed_labels(n)), n
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
