@@ -8,10 +8,12 @@ every column neither free nor a row lead.  A piece wholly in the ideal is
 ``[k, s, [], []]``; neither the store nor the load lists its monomials.  A
 load skips the elimination; it checks the layout, the dimension, the zero
 band and that every generator of I_A reduces to zero (not closure under the
-e_j), and raises ``IntegrityError`` on a fault.  Any version or label
-mismatch triggers a full rebuild, never a partial read.  Files are written
-under a temporary name and renamed into place, so a killed run never leaves
-a truncated entry.
+e_j), and raises ``IntegrityError`` on a fault.  A file that is not JSON,
+not an object, of another version, or whose ``a`` is not a nondecreasing
+list of positive integers naming the requested label is a miss: ``get``
+rebuilds and overwrites it, never reading it in part, and ``stored_labels``
+skips it.  Files are written under a temporary name and renamed into place,
+so a killed run never leaves a truncated entry.
 """
 
 from __future__ import annotations
@@ -32,6 +34,21 @@ def cache_key(a) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _payload(path: Path) -> dict | None:
+    """The parsed file if it is a current-format object whose ``a`` is a
+    nondecreasing list of positive ints, else None."""
+    try:
+        data = json.loads(path.read_text())
+    except (FileNotFoundError, ValueError):  # missing, or not UTF-8 JSON
+        return None
+    if type(data) is not dict or data.get("version") != FORMAT_VERSION:
+        return None
+    a = data.get("a")
+    if type(a) is not list or not all(type(x) is int and x > 0 for x in a) or a != sorted(a):
+        return None
+    return data
+
+
 class ModuleCache:
     def __init__(self, root):
         self.root = Path(root)
@@ -42,17 +59,14 @@ class ModuleCache:
 
     def load(self, a) -> FusionModule | None:
         a = validate_composition(a)
-        path = self.path_for(a)
-        if not path.exists():
+        data = _payload(self.path_for(a))
+        if data is None or tuple(data["a"]) != a:
             return None
         try:
-            data = json.loads(path.read_text())
-            if data.get("version") != FORMAT_VERSION or tuple(data.get("a", ())) != a:
-                return None
             # FusionModule._restore checks the pieces and certifies the generators
             pieces = {(k, s): (free, rows) for k, s, free, rows in data["pieces"]}
             return FusionModule(a, _piece_rows=pieces)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
+        except (ValueError, KeyError, TypeError):
             return None
 
     def store(self, module: FusionModule) -> None:
@@ -80,17 +94,19 @@ class ModuleCache:
             raise
 
     def get(self, a) -> FusionModule:
-        """Load from disk or build and store; in-memory memoization applies."""
+        """Load from disk, or build and store over a missing or unreadable
+        file; in-memory memoization applies."""
         a = validate_composition(a)
         mod = _MODULE_CACHE.get(a)
         if mod is None:
             mod = self.load(a)
-            if mod is None:
-                mod = fusion_module(a)
-            else:
+            if mod is not None:
                 _MODULE_CACHE[a] = mod
-        if not self.path_for(a).exists():
-            self.store(mod)
+                return mod
+            mod = fusion_module(a)
+        elif self.path_for(a).exists():
+            return mod
+        self.store(mod)
         return mod
 
     def stored_labels(self) -> list[tuple]:
@@ -99,15 +115,8 @@ class ModuleCache:
         Not by file name: the names hash ``FORMAT_VERSION``, so their order
         would change the label ``spot_check`` draws with every format bump.
         """
-        out = []
-        for path in self.root.glob("module-*.json"):
-            try:
-                data = json.loads(path.read_text())
-                if data.get("version") == FORMAT_VERSION:
-                    out.append(tuple(data["a"]))
-            except (ValueError, KeyError, json.JSONDecodeError):
-                continue
-        return sorted(out)
+        payloads = (_payload(path) for path in self.root.glob("module-*.json"))
+        return sorted(tuple(data["a"]) for data in payloads if data is not None)
 
     def spot_check(self, rng) -> dict | None:
         """Rebuild one random cached module from scratch and compare characters."""

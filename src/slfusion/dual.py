@@ -8,8 +8,10 @@ coefficients in the remaining variables.  The pairing sends the weight-q
 slice of e-degree s to symmetric polynomials of total degree s(n-1) - q, so
 assembling the constrained dimensions reproduces the bigraded character of
 M^A through a completely independent computation: no ideal, no quotient, no
-normal forms.  The constraint rows of a slice are built block by block while
-the kernel reads them, so no block is built once the span is full.
+normal forms.  The constraint rows of a slice are one lazy stream, block by
+block in (i, m) order, which the kernel and the membership test both read;
+the kernel stops reading, and no further block is built, once its span is
+full.
 
 Write D(s, d) for the degree-d slice at s variables.  For s >= 1 the map
 f -> ([z_s^j] f), j = 0..n-1, embeds D(s, d) into the sum of the D(s-1, d-j):
@@ -21,7 +23,7 @@ f -> ([z_s^j] f), j = 0..n-1, embeds D(s, d) into the sum of the D(s-1, d-j):
 So D(s, d) = 0 whenever every D(s-1, d-j) is zero, and such a slice is
 skipped without building a constraint block.  The rule rests on the dual
 model alone, not on the module build, so the oracle stays independent.  The
-spaces are memoized per (A, s) by ``dual_space``, which the dimension table,
+spaces are memoized per (A, s) by ``_dual_space``, which the dimension table,
 the oracle character and the ring components all read, so each space is
 solved once while it stays in the memo.
 
@@ -131,36 +133,13 @@ def _constraint_block(n: int, s: int, d: int, i: int, m: int) -> tuple:
     return coeffs, rows
 
 
-def _block_keys(n: int, caps: tuple, s: int, d: int):
-    """The ``(i, m)`` of the nonempty constraint blocks of the degree-d slice
-    at s variables, in order; ``caps[i]`` is N_A(i) for 1 <= i <= s."""
-    for i in range(1, s + 1):
-        # mu needs m <= i(n-1) and tau needs d - m <= (s-i)(n-1)
-        low = max(0, d - (s - i) * (n - 1))
-        high = min(caps[i], d + 1, i * (n - 1) + 1)
-        for m in range(low, high):
-            yield i, m
-
-
-def _constraint_blocks(n: int, caps: tuple, s: int, d: int):
-    """The nonempty constraint blocks of the degree-d slice at s variables."""
-    for i, m in _block_keys(n, caps, s, d):
-        yield _constraint_block(n, s, d, i, m)
-
-
 class _SliceRows:
-    """The constraint rows of one slice as ``{column: coeff}`` maps, built
-    block by block while they are read.
+    """The constraint rows of one slice as fresh ``{column: coeff}`` maps.
 
-    A block with a single partition mu (m <= 1, for one) has one entry per
-    row, so its rows are unit rows. These blocks are built first and their
-    rows come first, one per column; every other row follows with its unit
-    columns dropped, which leaves the span unchanged and spares the
-    elimination the unit columns, and a row left with one entry makes its
-    column a unit for the rows after it. ``kernel_basis`` stops reading once
-    its span is full, so the blocks after that point are never built.
-    ``len`` is the number of rows read so far (``perfbench/tracing.py``
-    sizes every kernel input with it).
+    The nonempty blocks come in (i, m) order, each built when the reader
+    reaches it; ``kernel_basis`` stops reading once its span is full, so the
+    blocks after that point are never built.  ``len`` is the number of rows
+    read so far (``perfbench/tracing.py`` sizes every kernel input with it).
     """
 
     __slots__ = ("n", "caps", "s", "d", "read")
@@ -171,46 +150,17 @@ class _SliceRows:
 
     def __iter__(self):
         n, s, d = self.n, self.s, self.d
-        units: dict = {}
-        rest = []
-        for i, m in _block_keys(n, self.caps, s, d):
-            if len(partitions_bounded(m, i, n - 1)) == 1:
-                units.update(dict.fromkeys(cols[0] for cols in _constraint_block(n, s, d, i, m)[1]))
-            else:
-                rest.append((i, m))
-        for c in units:
-            self.read += 1
-            yield {c: 1}
-        for i, m in rest:
-            coeffs, rows = _constraint_block(n, s, d, i, m)
-            for cols in rows:
-                row = {c: x for c, x in zip(cols, coeffs) if c not in units}
-                if len(row) == 1:  # its column is a unit too
-                    (c,) = row
-                    units[c] = None
-                    row = {c: 1}
-                if row:
+        for i in range(1, s + 1):
+            # mu needs m <= i(n-1) and tau needs d - m <= (s-i)(n-1)
+            low = max(0, d - (s - i) * (n - 1))
+            for m in range(low, min(self.caps[i], d + 1, i * (n - 1) + 1)):
+                coeffs, rows = _constraint_block(n, s, d, i, m)
+                for cols in rows:
                     self.read += 1
-                    yield row
+                    yield dict(zip(cols, coeffs))
 
     def __len__(self) -> int:
         return self.read
-
-
-def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[dict]:
-    """Divisibility constraints on the degree-d slice at s variables.
-
-    One row per (i, m, tau) with 1 <= i <= s, m < N_A(i) and tau a partition
-    of d - m fitting in the trailing s - i slots: the coefficient of
-    z^m * (tail monomial of shape tau) after the substitution must vanish.
-    Rows are fresh ``{column: coeff}`` maps over ``basis``, which must be
-    ``partitions_bounded(d, s, len(a) - 1)``.
-    """
-    canonical = partitions_bounded(d, s, len(a) - 1)
-    if basis is not canonical and list(basis) != canonical:
-        raise ValueError("basis must be partitions_bounded(d, s, len(a) - 1)")
-    blocks = _constraint_blocks(len(a), _exponents(tuple(a), s), s, d)
-    return [dict(zip(cols, coeffs)) for coeffs, rows in blocks for cols in rows]
 
 
 def _variable_count(s) -> int:
@@ -236,7 +186,7 @@ class DualSpace:
     degrees d with some D(s-1, d-j) nonzero, 0 <= j < n, are solved (the
     restriction rule of the module docstring); the others, like every slice
     with a zero kernel, get no ``by_degree`` entry.  The predecessor is read
-    from the memo of ``dual_space``, so a space built directly builds its
+    from the memo ``_dual_space``, so a space built directly builds its
     predecessors there.
     """
 
@@ -280,14 +230,8 @@ class DualSpace:
 
 @lru_cache(maxsize=1 << 10)
 def _dual_space(a: tuple, s: int) -> DualSpace:
+    """The memoized ``DualSpace(a, s)``; it is shared, so it must not be mutated."""
     return DualSpace(a, s)
-
-
-def dual_space(a, s: int) -> DualSpace:
-    """The memoized ``DualSpace(a, s)``, solved once per (A, s) while it stays
-    in the bounded memo.  The space is shared by every caller, so it must not
-    be mutated."""
-    return _dual_space(validate_composition(a), _variable_count(s))
 
 
 def oracle_character(a) -> GradedCharacter:
@@ -413,10 +357,9 @@ def satisfies_constraints(a, h: SymPoly) -> bool:
     for d in {sum(lam) for lam in h.coeffs}:
         col = _code_columns(d, s, n - 1)
         vec = {col[_code(lam, s + 1)]: c for lam, c in h.coeffs.items() if sum(lam) == d}
-        for coeffs, rows in _constraint_blocks(n, caps, s, d):
-            for cols in rows:
-                if sum(r * vec[c] for c, r in zip(cols, coeffs) if c in vec):
-                    return False
+        for row in _SliceRows(n, caps, s, d):
+            if sum(x * vec[c] for c, x in row.items() if c in vec):
+                return False
     return True
 
 
@@ -492,7 +435,6 @@ def coordinate_ring_component(a, k: int) -> dict:
             "generated": not deficits and constraint_failures == 0,
             "constraint_failures": constraint_failures,
             "rank_deficits": deficits,
-            "product_count": len(products),
         }
     )
     return result

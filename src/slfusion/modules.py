@@ -1065,14 +1065,9 @@ def verify_demazure(a) -> dict:
     return {
         "ok": ok1 and ok2,
         "span_dim": span.dim,
-        "span_ok": ok1,
         "span_shift": shift1,
-        "span_character": span.character().poly_str(),
         "quotient_dim": quot.total(),
-        "quotient_ok": ok2,
         "quotient_shift": shift2,
-        "quotient_character": quot.poly_str(),
-        "quotient_label": quot_label,
     }
 
 
@@ -1099,6 +1094,4 @@ def verify_tensor_embedding(a, b) -> dict:
         "span_dim": span.dim,
         "expected_dim": mc.total_dim,
         "shift": shift,
-        "span_character": span.character().poly_str(),
-        "expected_character": mc.character().poly_str(),
     }

@@ -240,8 +240,6 @@ def verify_w_generators(sub: Submodule) -> dict:
         "membership": membership,
         "span_dim": span.dim,
         "kernel_dim": sub.dim,
-        "span_character": span.character().poly_str(),
-        "kernel_character": sub.character().poly_str(),
     }
 
 
@@ -263,8 +261,6 @@ def verify_sum_decomposition(a, i: int, j: int) -> dict:
         "sum_dim": total.dim,
         "target_dim": big.dim,
         "parts": [p.dim for p in parts],
-        "sum_character": total.character().poly_str(),
-        "target_character": big.character().poly_str(),
     }
 
 
@@ -398,13 +394,10 @@ def _span_vs_kernel(a, i: int, factor1: tuple, factor2: tuple) -> dict:
     return {
         "ok": good and span.dim == sub.dim and string_ok,
         "factors": (factor1, factor2),
-        "ambient_dim": tens.total_dim,
         "span_dim": span.dim,
         "kernel_dim": sub.dim,
         "shift": shift,
         "string_ok": string_ok,
-        "span_character": span.character().poly_str(),
-        "kernel_character": sub.character().poly_str(),
     }
 
 
@@ -470,8 +463,6 @@ def verify_inductive_description(a, i: int) -> dict:
             "mode": "e0-span",
             "span_dim": span.dim,
             "kernel_dim": sub.dim,
-            "span_character": span.character().poly_str(),
-            "kernel_character": sub.character().poly_str(),
         }
     # i = n-1: compare with M^{(a_1..a_{n-2})} tensor an e_0-string
     m1 = fusion_module(a[: n - 2])
@@ -490,8 +481,6 @@ def verify_inductive_description(a, i: int) -> dict:
         "span_dim": span.dim,
         "kernel_dim": sub.dim,
         "shift": shift,
-        "span_character": span.character().poly_str(),
-        "kernel_character": sub.character().poly_str(),
     }
 
 
@@ -521,9 +510,7 @@ def nilpotency_e1(a) -> dict:
     return {
         "measured": measured,
         "formula": formula,
-        "holds": measured == formula,
         "deviation": measured - formula,
-        "last_nonzero_support": last.support(),
         "kills_last": last.apply(1).is_zero(),
     }
 

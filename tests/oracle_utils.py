@@ -15,7 +15,9 @@ normal forms (``reduce_monomial``) instead of reading the integer action
 tables; the geometry layer's ``Fraction`` routes (Gaussian determinants,
 the chart sampler with its ``-y^2`` pushforward on the explicitly written
 primed frame, the dual-number Jacobian) check the integer ones; the dual
-spaces are solved at every degree, without the restriction rule's skip; and
+constraint rows are listed as the kernel reads them, for the test that pins
+them against a scan of the whole basis; the dual spaces are solved at every
+degree, without the restriction rule's skip; and
 the shuffle product is checked against the expanding route, which writes both
 factors out as monomials and sums over every interleaving of the variables.
 """
@@ -683,7 +685,24 @@ def chart_change_failures_reference(n, samples, seed, expansion, key):
 
 
 # ---------------------------------------------------------------------------
-# dual: every degree solved, and the expanding shuffle route
+# dual: the constraint rows as a list, every degree solved, and the
+# expanding shuffle route
+
+
+def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[dict]:
+    """Divisibility constraints on the degree-d slice at s variables, as the
+    list of the maps the kernel reads from ``_SliceRows``.
+
+    One row per (i, m, tau) with 1 <= i <= s, m < N_A(i) and tau a partition
+    of d - m fitting in the trailing s - i slots: the coefficient of
+    z^m * (tail monomial of shape tau) after the substitution must vanish.
+    Rows are ``{column: coeff}`` maps over ``basis``, which must be
+    ``partitions_bounded(d, s, len(a) - 1)``.
+    """
+    canonical = partitions_bounded(d, s, len(a) - 1)
+    if basis is not canonical and list(basis) != canonical:
+        raise ValueError("basis must be partitions_bounded(d, s, len(a) - 1)")
+    return list(_SliceRows(len(a), _exponents(tuple(a), s), s, d))
 
 
 def dual_by_degree_reference(a: tuple, s: int) -> dict:

@@ -13,7 +13,7 @@ import pytest
 from oracle_utils import ideal_generators, ideal_rows
 
 from slfusion import cache as cache_mod
-from slfusion import cli, geometry
+from slfusion import cli, geometry, modules
 from slfusion.cache import ModuleCache
 from slfusion.cli import (
     EXIT_ERROR,
@@ -471,6 +471,50 @@ def test_cache_spot_check_draws_by_label_not_file_name(tmp_path, monkeypatch):
             cache.get(a)
         assert cache.stored_labels() == sorted(labels)
         assert [cache.spot_check(Random(seed))["label"] for seed in range(10)] == want
+
+
+# valid JSON that is not a current-format object naming a label
+NOT_A_LABEL_OBJECT = [
+    [], 5, "x", None,
+    {"version": 2},
+    {"version": 2, "a": 5},
+    {"version": 2, "a": ["x"]},
+    {"version": 2, "a": [1.0, 2]},
+    {"version": 2, "a": [True, 2]},
+    {"version": 2, "a": [0, 2]},
+    {"version": 2, "a": [2, 1]},
+]
+
+
+@pytest.mark.parametrize("payload", NOT_A_LABEL_OBJECT)
+def test_cache_payload_that_is_not_a_label_object_is_a_miss(tmp_path, monkeypatch, payload):
+    from random import Random
+
+    a = (1, 2)
+    cache = ModuleCache(tmp_path)
+    cache.get((2, 2))
+    cache.store(FusionModule(a))
+    path = cache.path_for(a)
+    path.write_text(json.dumps(payload))
+    assert cache.load(a) is None
+    assert cache.stored_labels() == [(2, 2)]
+    assert all(cache.spot_check(Random(seed)) == {"label": (2, 2), "ok": True} for seed in range(3))
+    # get goes to disk only on an in-memory miss; it rebuilds and overwrites
+    monkeypatch.delitem(modules._MODULE_CACHE, a, raising=False)
+    assert cache.get(a).total_dim == 2
+    assert_same_module(cache.load(a), FusionModule(a))
+    assert cache.stored_labels() == [(1, 2), (2, 2)]
+
+
+def test_cli_rebuilds_over_a_payload_that_is_not_an_object(capsys, tmp_path, monkeypatch):
+    a = (1, 2)
+    path = ModuleCache(tmp_path).path_for(a)
+    for argv in (["build", "--a", "1,2"], ["verify", "dims", "--max-n", "2", "--max-entry", "2"]):
+        path.write_text("[]")
+        monkeypatch.delitem(modules._MODULE_CACHE, a, raising=False)
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK and out and not err, (argv, err)
+        assert json.loads(path.read_text())["a"] == list(a)
 
 
 def test_build_with_cache_dir(capsys, tmp_path):

@@ -12,16 +12,20 @@ try:
 except ImportError:  # optional test dependency: the seeded checks still run
     given = None
 
-from oracle_utils import dual_by_degree_reference, expand, from_monomials, shuffle_reference
+from oracle_utils import (
+    constraint_rows,
+    dual_by_degree_reference,
+    expand,
+    from_monomials,
+    shuffle_reference,
+)
 
 from slfusion import cli, dual
 from slfusion.dual import (
     DualSpace,
     SymPoly,
-    constraint_rows,
     coordinate_ring_component,
     dual_dimension_table,
-    dual_space,
     oracle_character,
     partitions_bounded,
     satisfies_constraints,
@@ -54,8 +58,6 @@ def test_dual_space_takes_only_an_int_variable_count(s):
     # a variable count is a memo key and a recursion index
     with pytest.raises(ValueError, match="variable count"):
         DualSpace((2, 2), s)
-    with pytest.raises(ValueError, match="variable count"):
-        dual_space((2, 2), s)
 
 
 def dual_grid():
@@ -71,9 +73,9 @@ def test_restriction_skip_matches_every_degree_solved():
     for a in dual_grid():
         for s in range(sum(x - 1 for x in a) + 2):
             want = dual_by_degree_reference(a, s)
-            assert dual_space(a, s).by_degree == want, (a, s)
+            assert dual._dual_space(a, s).by_degree == want, (a, s)
             if s:
-                below = dual_space(a, s - 1).by_degree
+                below = dual._dual_space(a, s - 1).by_degree
                 live = {d + j for d in below for j in range(len(a))}
                 skipped += sum(d not in live for d in range(s * (len(a) - 1) + 1))
     assert skipped > 500
@@ -93,7 +95,7 @@ def test_standalone_space_equals_the_table_space(empty_memo):
         alone = DualSpace(a, s)
         assert dual._dual_space.cache_info().currsize == s
         table = dual_dimension_table(a)
-        assert alone.by_degree == dual_space(a, s).by_degree
+        assert alone.by_degree == dual._dual_space(a, s).by_degree
         assert {d: alone.dim_degree(d) for d in alone.by_degree} == {
             d: dim for (t, d), dim in table.items() if t == s
         }
@@ -113,8 +115,7 @@ def test_each_space_is_solved_once(monkeypatch, empty_memo):
         dual_dimension_table(a)
     # the ring reads the (3, 3) table and the (2, 2) degree-one spaces again
     assert coordinate_ring_component((2, 2), 2)["generated"]
-    assert DualSpace((2, 3, 4), 3).by_degree == dual_space((2, 3, 4), 3).by_degree
-    assert dual_space((2, 2), 1) is dual_space([2, 2], 1)
+    assert DualSpace((2, 3, 4), 3).by_degree == dual._dual_space((2, 3, 4), 3).by_degree
     # only the standalone space is solved a second time
     assert len(solved) == len(set(solved)) + 1
     assert set(solved) == {(a, s) for a in [(2, 2), (2, 3, 4), (3, 3)]
@@ -211,6 +212,41 @@ def test_constraint_rows_are_fresh_copies():
     assert constraint_rows(a, s, d, basis) == want
     with pytest.raises(ValueError):
         constraint_rows(a, s, d, basis[::-1])
+    # a reader of the stream may mutate the row it holds; the next row and
+    # the next read of the slice are unchanged
+    stream = dual._SliceRows(len(a), dual._exponents(a, s), s, d)
+    for got, row in zip(stream, want, strict=True):
+        assert got == row
+        got[0] = 999
+        got.clear()
+    assert len(stream) == len(want) > 1
+    assert list(dual._SliceRows(len(a), dual._exponents(a, s), s, d)) == want
+
+
+def drop_block(monkeypatch):
+    """Plant the loss of one constraint block in the shared row stream: the
+    (2, 2) constant term at two variables, (n, s, d, i, m) = (2, 2, 0, 2, 0)."""
+    real = dual._constraint_block
+
+    def planted(n, s, d, i, m):
+        coeffs, rows = real(n, s, d, i, m)
+        return (coeffs, ()) if (n, s, d, i, m) == (2, 2, 0, 2, 0) else (coeffs, rows)
+
+    monkeypatch.setattr(dual, "_constraint_block", planted)
+
+
+def test_dropped_block_fails_the_oracle(monkeypatch, empty_memo):
+    drop_block(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_oracle_equals_module_character()
+
+
+def test_dropped_block_passes_a_rejected_polynomial(monkeypatch):
+    # the constant at two variables breaks the (2, 2) double substitution
+    const2 = SymPoly(2, {(): 1})
+    assert not satisfies_constraints((2, 2), const2)
+    drop_block(monkeypatch)
+    assert satisfies_constraints((2, 2), const2)
 
 
 def random_sympoly(rng, nvars):
