@@ -11,8 +11,8 @@ band and that every generator of I_A reduces to zero (not closure under the
 e_j), and raises ``IntegrityError`` on a fault.  A file that is not JSON,
 not an object, of another version, or whose ``a`` is not a nondecreasing
 list of positive integers naming the requested label is a miss: ``get``
-rebuilds and overwrites it, never reading it in part, and ``stored_labels``
-skips it.  Files are written under a temporary name and renamed into place,
+overwrites it with the memoized or a rebuilt module, never reading it in
+part, and ``stored_labels`` skips it.  Files are written under a temporary name and renamed into place,
 so a killed run never leaves a truncated entry.
 """
 
@@ -94,8 +94,8 @@ class ModuleCache:
             raise
 
     def get(self, a) -> FusionModule:
-        """Load from disk, or build and store over a missing or unreadable
-        file; in-memory memoization applies."""
+        """The memoized module, else a load from disk, else a build; a
+        missing or rejected file is stored over, memo hit or not."""
         a = validate_composition(a)
         mod = _MODULE_CACHE.get(a)
         if mod is None:
@@ -104,7 +104,7 @@ class ModuleCache:
                 _MODULE_CACHE[a] = mod
                 return mod
             mod = fusion_module(a)
-        elif self.path_for(a).exists():
+        elif (data := _payload(self.path_for(a))) is not None and tuple(data["a"]) == a:
             return mod
         self.store(mod)
         return mod

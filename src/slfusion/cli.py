@@ -121,14 +121,7 @@ def composition_grid(max_n: int, max_entry: int, min_entry: int = 1):
 
 def valid_adjacent_moves(a):
     """Positions i where the move (i, i+1) keeps the label sorted positive."""
-    out = []
-    for i in range(1, len(a)):
-        target = sm.move_composition(a, i, i + 1)
-        if all(x >= 1 for x in target) and all(
-            x <= y for x, y in zip(target, target[1:])
-        ):
-            out.append(i)
-    return out
+    return [i for i in range(1, len(a)) if sm.move_rejection(a, i, i + 1) is None]
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +576,16 @@ def cmd_build(args, parser) -> int:
 
 def cmd_submodule(args, parser) -> int:
     try:
-        sub = sm.submodule_S(args.a, args.i)
+        rejection = sm.move_rejection(args.a, args.i, args.i + 1)
     except ValueError as exc:
-        parser.error(str(exc))
+        rejection = str(exc)
+    if rejection:
+        parser.error(rejection)
+    sub = sm.submodule_S(args.a, args.i)
     print(f"S_({args.i},{args.i + 1}) of {args.a}")
     print(f"dim = {sub.dim} (formula {sm.eq_first_dim(args.a, args.i)})")
     print(f"character = {sub.character().poly_str()}")
-    print(f"quotient label = {sub.qmap.target_label}, dim {sub.qmap.target.total_dim}")
+    print(f"quotient label = {sub.target_label}, dim {sub.target.total_dim}")
     return EXIT_OK
 
 

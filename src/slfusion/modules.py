@@ -572,29 +572,11 @@ class FusionModule:
         """
         n = self.n
         for k, zpow in generator_keys(a):
-            if self.dim_piece(k, k * (n - 1) - zpow) and not self.poly_vanishes(
+            if self.dim_piece(k, k * (n - 1) - zpow) and not self.poly_class(
                 generating_slice(n, k, zpow)
-            ):
+            ).is_zero():
                 return k, zpow
         return None
-
-    def poly_vanishes(self, p: dict) -> bool:
-        """True if the class of the polynomial ``p`` is zero.
-
-        The normal forms of its monomials are brought to one common
-        denominator and summed in integers.
-        """
-        nf = self._nf
-        terms = [(nf[m], p[m]) for m in filter(nf.__contains__, p)]
-        if not terms:
-            return True
-        den = lcm(*(red[2] for red, _ in terms))
-        acc: dict = {}
-        for (ks, entries, d), c in terms:
-            f = c * (den // d)
-            for i, x in entries:
-                acc[(ks, i)] = acc.get((ks, i), 0) + f * x
-        return not any(acc.values())
 
     # -- elements -----------------------------------------------------------
 
@@ -613,15 +595,17 @@ class FusionModule:
         return ModuleElement(self, {tops[0][0]: {0: Fraction(1)}})
 
     def poly_class(self, p: dict) -> "ModuleElement":
-        coords: dict = {}
-        for m, c in p.items():
-            red = self.normal_form(m)
-            if red is None:
-                continue
-            ks, entries, den = red
-            acc = coords.setdefault(ks, {})
+        """The class of ``p``: its monomials' normal forms summed over one
+        common denominator, with ``Fraction`` values only for nonzero sums."""
+        terms = [(red, c) for m, c in p.items() if (red := self.normal_form(m)) is not None]
+        den = lcm(*(red[2] for red, _ in terms))
+        acc: dict = {}
+        for (ks, entries, d), c in terms:
+            f = c * (den // d)
+            vec = acc.setdefault(ks, {})
             for i, x in entries:
-                acc[i] = acc.get(i, 0) + Fraction(c * x, den)
+                vec[i] = vec.get(i, 0) + f * x
+        coords = {ks: {i: Fraction(x, den) for i, x in vec.items() if x} for ks, vec in acc.items()}
         return ModuleElement(self, coords)
 
     def basis_element(self, k: int, s: int, i: int) -> "ModuleElement":
@@ -652,27 +636,6 @@ class ModuleElement:
 
     def is_zero(self) -> bool:
         return not self.coords
-
-    def support(self):
-        return sorted(self.coords)
-
-    def __add__(self, other) -> "ModuleElement":
-        if other.owner is not self.owner:
-            raise ValueError("elements of different modules")
-        coords = {ks: dict(vec) for ks, vec in self.coords.items()}
-        for ks, vec in other.coords.items():
-            acc = coords.setdefault(ks, {})
-            for i, x in vec.items():
-                acc[i] = acc.get(i, 0) + x
-        return ModuleElement(self.owner, coords)
-
-    def __rmul__(self, c) -> "ModuleElement":
-        c = Fraction(c)
-        coords = {ks: {i: c * x for i, x in vec.items()} for ks, vec in self.coords.items()}
-        return ModuleElement(self.owner, coords)
-
-    def __sub__(self, other) -> "ModuleElement":
-        return self + (-1) * other
 
     def representative(self) -> dict:
         """A polynomial representative built from quotient basis monomials.

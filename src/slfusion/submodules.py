@@ -2,11 +2,13 @@
 
 Moving one unit from slot i to slot j of a composition weakens the defining
 relations, so the monomial-class map M^A -> M^{A_{i,j}} is a well-defined
-surjection of bigraded modules.  Its kernel S_{i,j}(A) is studied here three
-ways: through explicit generators (slices of powers of the generating
-polynomial applied to the cyclic vector), through a peeling filtration whose
-layers are smaller modules of the same family, and through spans inside
-tensor products of smaller modules.
+surjection of bigraded modules.  ``QuotientMap`` is the one object for a
+move: building it certifies the map and its kernel S_{i,j}(A).  The kernel
+is studied here three ways: through explicit generators (slices of powers of
+the generating polynomial applied to the cyclic vector), through a peeling
+filtration whose layers are smaller modules of the same family, and through
+spans inside tensor products of smaller modules.  User input takes only the
+moves that ``move_rejection`` passes: positive, sorted target labels.
 
 All comparisons are bigraded-character equalities together with explicit
 span and rank computations; isomorphisms are never assumed.  Cross-module
@@ -58,49 +60,56 @@ def eq_first_dim(a, i: int) -> int:
     return rest * (a[i] - a[i - 1] + 1)
 
 
+def move_rejection(a, i: int, j: int) -> str | None:
+    """Why user input may not name the move (i, j) on ``a``, or None: the
+    target label must be positive and sorted.  The library takes any move."""
+    target = move_composition(a, i, j)
+    if min(target) < 1:
+        return "move produces a nonpositive entry"
+    if any(x > y for x, y in zip(target, target[1:])):
+        return f"move ({i},{j}) on {tuple(a)} gives the unsorted label {target}"
+    return None
+
+
 class QuotientMap:
-    """The bidegree-preserving monomial-class surjection M^A -> M^{A_{i,j}}.
+    """The move surjection M^A -> M^{A_{i,j}} and its kernel S_{i,j}(A).
 
-    Well-definedness is certified by reducing every generator of the source
-    ideal to zero in the target (``surviving_generator``, which skips the
-    bidegrees where the target piece is zero).  Since I_A lies in
-    I_{A_{i,j}} in every bidegree, with the same column order, the target
-    basis is a subset of the source basis, and the kernel is read off in
-    closed form: each other source basis monomial m gives the row
+    Building it runs four gates.  Well-definedness: every generator of the
+    source ideal reduces to zero in the target (``surviving_generator``,
+    which skips the bidegrees where the target piece is zero).  Since I_A
+    lies in I_{A_{i,j}} in every bidegree, with the same column order, the
+    target basis is a subset of the source basis, and the kernel is read off
+    in closed form: each other source basis monomial m gives the row
     ``den*e_m - sum(x * e_col(c))`` from its target normal form, one sparse
-    integer row per kernel dimension.  Surjectivity is certified by finding
-    every target basis monomial in the source basis with its own unit vector
-    as normal form, and by counting them up to the target dimension.  No
-    elimination runs here; the rows are kept per bidegree for ``kernel``.
+    integer row per kernel dimension.  Surjectivity: every target basis
+    monomial is in the source basis with its own unit vector as normal form,
+    and they count up to the target dimension.  Closure: the kernel is
+    closed under every e_l.  Dimension: for an adjacent move the kernel has
+    dimension ``eq_first_dim``.
 
-    With ``strict=False`` a move may put a zero entry in the target label,
-    which names the zero module: it has no pieces, so every source basis
-    monomial is a unit kernel row, nothing is covered and no generator is
-    reduced.
+    An unsorted target label names the ring of its sorted label (the
+    defining ideal depends only on the multiset of entries).  A zero entry
+    names the zero module: it has no pieces, so every source basis monomial
+    is a unit kernel row, nothing is covered and no generator is reduced.
     """
 
-    def __init__(self, a, i: int, j: int, strict: bool = True):
+    def __init__(self, a, i: int, j: int):
         self.a = validate_composition(a, allow_empty=False)
         self.move = (i, j)
-        target_label = move_composition(self.a, i, j)
-        if strict and min(target_label) < 1:
-            raise ValueError("move produces a nonpositive entry")
-        if strict and any(x > y for x, y in zip(target_label, target_label[1:])):
-            raise ValueError(
-                f"move ({i},{j}) on {self.a} gives the unsorted label {target_label}"
-            )
-        # the defining ideal only depends on the multiset of entries, so the
-        # sorted label names the same quotient ring
-        self.target_label = target_label
+        self.target_label = target_label = move_composition(self.a, i, j)
         self.source = fusion_module(self.a)
-        self.target = (
+        self.target = target = (
             fusion_module(tuple(sorted(target_label)))
             if min(target_label)
             else FusionModule.zero_module(target_label)
         )
-        self._certify_well_defined()
-        self.kernels: dict = {}
-        target = self.target
+        found = target.surviving_generator(self.a)
+        if found is not None:
+            raise IntegrityError(
+                f"map {self.a} -> {target.a} not well defined: "
+                f"source relation at degree {found[0]}, z^{found[1]} survives"
+            )
+        self._rows: dict = {}
         covered = 0
         for ks, piece in self.source.pieces.items():
             if not piece.dim:
@@ -129,17 +138,20 @@ class QuotientMap:
                 row[r] = red[2]
                 rows.append(row)
             if rows:
-                self.kernels[ks] = rows
+                self._rows[ks] = rows
         if covered != target.total_dim:
             raise IntegrityError(f"map {self.a} -> {target.a} not surjective")
-
-    def _certify_well_defined(self) -> None:
-        found = self.target.surviving_generator(self.a)
-        if found is not None:
-            k, zpow = found
+        self._kernel = None
+        kernel = self.kernel()
+        for l in range(self.source.n):
+            if not kernel.closed_under(l):
+                raise IntegrityError(
+                    f"kernel of {self.a} move {self.move} not closed under e_{l}"
+                )
+        if j == i + 1 and kernel.dim != eq_first_dim(self.a, i):
             raise IntegrityError(
-                f"map {self.a} -> {self.target.a} not well defined: "
-                f"source relation at degree {k}, z^{zpow} survives"
+                f"kernel dim for {self.a} move {self.move}: got {kernel.dim}, "
+                f"formula gives {eq_first_dim(self.a, i)}"
             )
 
     def apply(self, el: ModuleElement) -> ModuleElement:
@@ -148,63 +160,26 @@ class QuotientMap:
         return self.target.poly_class(el.representative())
 
     def kernel(self) -> Subspace:
-        sub = Subspace(self.source)
-        for ks, rows in self.kernels.items():
-            ech = sub.spans[ks] = IntEchelon(self.source.dim_piece(*ks))
-            for row in rows:
-                ech.insert(row)
-        return sub
-
-
-class Submodule:
-    """A kernel S_{i,j}(A) inside its parent module, closed under all e_l."""
-
-    def __init__(self, a, move, parent, subspace, qmap: QuotientMap):
-        self.a = a
-        self.move = move
-        self.parent = parent
-        self.subspace = subspace
-        self.qmap = qmap
-        self._certify_closure()
-        i, j = move
-        if j == i + 1:
-            expected = eq_first_dim(a, i)
-            if self.dim != expected:
-                raise IntegrityError(
-                    f"kernel dim for {a} move {move}: got {self.dim}, "
-                    f"formula gives {expected}"
-                )
-
-    @classmethod
-    def from_map(cls, qmap: QuotientMap) -> "Submodule":
-        return cls(qmap.a, qmap.move, qmap.source, qmap.kernel(), qmap)
-
-    def _certify_closure(self) -> None:
-        for l in range(self.parent.n):
-            if not self.subspace.closed_under(l):
-                raise IntegrityError(
-                    f"kernel of {self.a} move {self.move} not closed under e_{l}"
-                )
-
-    def map_image_is_zero(self, el) -> bool:
-        return self.qmap.apply(el).is_zero()
+        """The kernel S_{i,j}(A) as a subspace of the source module."""
+        if self._kernel is None:
+            sub = self._kernel = Subspace(self.source)
+            for ks, rows in self._rows.items():
+                ech = sub.spans[ks] = IntEchelon(self.source.dim_piece(*ks))
+                for row in rows:
+                    ech.insert(row)
+        return self._kernel
 
     @property
     def dim(self) -> int:
-        return self.subspace.dim
+        return self.kernel().dim
 
     def character(self) -> GradedCharacter:
-        return self.subspace.character()
-
-    def __repr__(self):
-        return f"Submodule(a={self.a}, move={self.move}, dim={self.dim})"
+        return self.kernel().character()
 
 
-def submodule_S(a, i: int, j: int | None = None, strict: bool = True) -> Submodule:
+def submodule_S(a, i: int, j: int | None = None) -> QuotientMap:
     """S_{i,j}(A): the kernel of the move surjection (default j = i+1)."""
-    if j is None:
-        j = i + 1
-    return Submodule.from_map(QuotientMap(a, i, j, strict=strict))
+    return QuotientMap(a, i, i + 1 if j is None else j)
 
 
 def generators_w(a, i: int) -> list[ModuleElement]:
@@ -229,12 +204,12 @@ def span_of_w(a, i: int) -> Subspace:
     return cyclic_span(mod, range(mod.n), generators_w(a, i))
 
 
-def verify_w_generators(sub: Submodule) -> dict:
+def verify_w_generators(sub: QuotientMap) -> dict:
     """Check kernel membership of every w_j and that their span is the kernel."""
     i = sub.move[0]
-    membership = [sub.map_image_is_zero(w) for w in generators_w(sub.a, i)]
+    membership = [sub.apply(w).is_zero() for w in generators_w(sub.a, i)]
     span = span_of_w(sub.a, i)
-    ok = all(membership) and span == sub.subspace
+    ok = all(membership) and span == sub.kernel()
     return {
         "ok": ok,
         "membership": membership,
@@ -248,14 +223,14 @@ def verify_sum_decomposition(a, i: int, j: int) -> dict:
     a = validate_composition(a, allow_empty=False)
     if j <= i:
         raise ValueError("need j > i")
-    big = submodule_S(a, i, j, strict=False)
+    big = submodule_S(a, i, j)
     if j == i + 1:
         return {"ok": True, "sum_dim": big.dim, "target_dim": big.dim, "parts": [big.dim]}
-    parts = [submodule_S(a, l, l + 1, strict=False) for l in range(i, j)]
-    total = parts[0].subspace
+    parts = [submodule_S(a, l, l + 1) for l in range(i, j)]
+    total = parts[0].kernel()
     for p in parts[1:]:
-        total = subspace_sum(total, p.subspace)
-    ok = total == big.subspace
+        total = subspace_sum(total, p.kernel())
+    ok = total == big.kernel()
     return {
         "ok": ok,
         "sum_dim": total.dim,
@@ -301,7 +276,7 @@ def verify_filtration(a, i: int) -> dict:
     layers = []
     ok = True
     b = a
-    sub = submodule_S(b, i, strict=False)
+    sub = submodule_S(b, i)
     while True:
         stop = _stop_rule(b, i)
         if stop is not None:
@@ -324,12 +299,12 @@ def verify_filtration(a, i: int) -> dict:
         w = generators_w(b, i)[0]
         bmod = fusion_module(b)
         span = cyclic_span(bmod, range(n), [w])
-        contained = sub.subspace.includes(span)
+        contained = sub.kernel().includes(span)
         label = _peel_label(b, i)
         layer_char = label_character(label)
         good1, shift1 = match_characters(span.character(), layer_char, reindex=0)
         b_next = tuple(sorted(move_composition(b, i - 1, i)))
-        sub_next = submodule_S(b_next, i, strict=False)
+        sub_next = submodule_S(b_next, i)
         quot_char = sub.character() - span.character()
         good2, shift2 = match_characters(quot_char, sub_next.character(), reindex=0)
         good = contained and good1 and good2
@@ -381,7 +356,7 @@ def _span_vs_kernel(a, i: int, factor1: tuple, factor2: tuple) -> dict:
     tens = TensorModule([m1, m2])
     ops = [tens.op_diag(jj) for jj in range(n - 2) if any(jj < f.n for f in tens.factors)]
     ops.append(tens.op_factor(1, n - i - 1))
-    sub = submodule_S(a, i, strict=False)
+    sub = submodule_S(a, i)
     span = cyclic_span(tens, ops, [tens.cyclic_tensor()], max_dim=2 * sub.dim)
     good, shift = match_characters(sub.character(), span.character(), reindex=0)
     # the second-factor string has exactly a_{i+1} - a_i + 1 rungs
@@ -446,18 +421,18 @@ def verify_inductive_description(a, i: int) -> dict:
         raise ValueError("need n >= 2 and 1 <= i < n")
     if i < n - 1:
         short = a[:-1]
-        sub_short = submodule_S(short, i, strict=False)
+        sub_short = submodule_S(short, i)
         mod = fusion_module(a)
         seeds = []
-        for el in sub_short.subspace.basis_elements():
+        for el in sub_short.kernel().basis_elements():
             shifted = {(0,) + m: c for m, c in el.representative().items()}
             image = mod.poly_class(shifted)
             if image.is_zero():
                 raise IntegrityError("reindexed kernel element vanished upstairs")
             seeds.append(image)
         span = cyclic_span(mod, [0], seeds)
-        sub = submodule_S(a, i, strict=False)
-        ok = span == sub.subspace
+        sub = submodule_S(a, i)
+        ok = span == sub.kernel()
         return {
             "ok": ok,
             "mode": "e0-span",
@@ -471,7 +446,7 @@ def verify_inductive_description(a, i: int) -> dict:
     ops = [tens.op_factor(0, j) for j in range(m1.n)]
     ops.append(tens.op_factor(1, 0))
     span = cyclic_span(tens, ops, [tens.cyclic_tensor()])
-    sub = submodule_S(a, i, strict=False)
+    sub = submodule_S(a, i)
     if span.dim != tens.total_dim:
         raise IntegrityError("factor operators fail to fill the tensor product")
     ok, shift = match_characters(sub.character(), span.character(), reindex=0)
@@ -515,10 +490,10 @@ def nilpotency_e1(a) -> dict:
     }
 
 
-def verify_exactness(sub: Submodule) -> dict:
+def verify_exactness(sub: QuotientMap) -> dict:
     """Character additivity along the kernel/image split of the move map."""
-    parent = sub.parent.character()
-    target = sub.qmap.target.character()
+    parent = sub.source.character()
+    target = sub.target.character()
     ok = parent == sub.character() + target
     return {
         "ok": ok,

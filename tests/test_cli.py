@@ -506,6 +506,22 @@ def test_cache_payload_that_is_not_a_label_object_is_a_miss(tmp_path, monkeypatc
     assert cache.stored_labels() == [(1, 2), (2, 2)]
 
 
+@pytest.mark.parametrize("other_label", [False, True])
+def test_get_of_a_memoized_module_stores_over_a_rejected_file(tmp_path, other_label):
+    a = (1, 2)
+    cache = ModuleCache(tmp_path)
+    cache.get((2, 2))
+    module = cache.get(a)
+    assert modules._MODULE_CACHE[a] is module
+    path = cache.path_for(a)
+    # a file _payload rejects, or a current-format file of another label
+    path.write_text(cache.path_for((2, 2)).read_text() if other_label else "[]")
+    assert cache.get(a) is module
+    assert json.loads(path.read_text())["a"] == list(a)
+    assert_same_module(cache.load(a), module)
+    assert cache.stored_labels() == [(1, 2), (2, 2)]
+
+
 def test_cli_rebuilds_over_a_payload_that_is_not_an_object(capsys, tmp_path, monkeypatch):
     a = (1, 2)
     path = ModuleCache(tmp_path).path_for(a)

@@ -25,10 +25,10 @@ from slfusion.modules import (
 )
 from slfusion.submodules import (
     QuotientMap,
-    Submodule,
     eq_first_dim,
     generators_w,
     move_composition,
+    move_rejection,
     nilpotency_e1,
     span_of_w,
     submodule_S,
@@ -60,12 +60,22 @@ def test_quotient_map_examples():
 
 
 def test_move_guards():
-    with pytest.raises(ValueError, match="nonpositive"):
-        QuotientMap((1, 1), 1, 2)
-    with pytest.raises(ValueError, match="unsorted"):
-        QuotientMap((2, 2, 2), 2, 3)
-    # the non-strict path names the same ideal through the sorted label
-    sub = submodule_S((2, 2, 3, 3), 2, strict=False)
+    assert move_rejection((1, 1), 1, 2) == "move produces a nonpositive entry"
+    assert move_rejection((2, 2, 2), 2, 3) == (
+        "move (2,3) on (2, 2, 2) gives the unsorted label (2, 1, 3)"
+    )
+    assert move_rejection((2, 2, 3, 3), 2, 3) is not None
+    assert move_rejection((2, 3, 4), 2, 3) is None
+    with pytest.raises(ValueError, match="need 1 <= i < j"):
+        move_rejection((2, 2), 2, 2)
+    # the library takes the rejected moves: a zero entry names the zero
+    # module, an unsorted label the ring of its sorted label
+    assert submodule_S((1, 1), 1).target.total_dim == 0
+    assert submodule_S((1, 1), 1).dim == eq_first_dim((1, 1), 1) == 1
+    sub = submodule_S((2, 2, 2), 2)
+    assert sub.target.a == (1, 2, 3) and sub.target_label == (2, 1, 3)
+    assert sub.dim == eq_first_dim((2, 2, 2), 2) == 2
+    sub = submodule_S((2, 2, 3, 3), 2)
     assert sub.dim == eq_first_dim((2, 2, 3, 3), 2) == 12
 
 
@@ -82,7 +92,7 @@ def adjacent_moves():
 
 def test_move_map_kernel_matches_rref_reference():
     for a, i in adjacent_moves():
-        qmap = QuotientMap(a, i, i + 1, strict=False)
+        qmap = QuotientMap(a, i, i + 1)
         want = Subspace(qmap.source)
         for ks, piece in qmap.source.pieces.items():
             if not piece.dim:
@@ -163,26 +173,35 @@ def test_zero_target_move_kernel_is_the_whole_module():
     # the closure gate (and, on adjacent moves, the dimension gate)
     assert len(ZERO_TARGET_MOVES) == 112
     for a, i, j in ZERO_TARGET_MOVES:
-        with pytest.raises(ValueError, match="nonpositive"):
-            QuotientMap(a, i, j)
-        sub = submodule_S(a, i, j, strict=False)
-        qmap = sub.qmap
-        assert qmap.target.total_dim == 0 and not qmap.target.pieces, (a, i, j)
+        assert move_rejection(a, i, j) == "move produces a nonpositive entry"
+        sub = submodule_S(a, i, j)
+        assert sub.target.total_dim == 0 and not sub.target.pieces, (a, i, j)
         assert sub.dim == prod(a), (a, i, j)
-        assert sub.subspace == all_unit_subspace(sub.parent) == qmap.kernel(), (a, i, j)
-        top = sub.parent.top_class()
-        assert sub.map_image_is_zero(top) and qmap.apply(top).owner is qmap.target
+        assert sub.kernel() == all_unit_subspace(sub.source), (a, i, j)
+        image = sub.apply(sub.source.top_class())
+        assert image.is_zero() and image.owner is sub.target
         assert verify_exactness(sub)["ok"]
 
 
-def test_zero_target_dimension_gate_fires():
-    qmap = QuotientMap((1, 2, 3), 1, 2, strict=False)
-    assert Submodule.from_map(qmap).dim == eq_first_dim((1, 2, 3), 1) == 6
+def planted_kernel(monkeypatch, plant):
+    """Make QuotientMap.kernel hand its gates the kernel as ``plant`` edits it."""
+    real = QuotientMap.kernel
+
+    def kernel(self):
+        sub = real(self)
+        plant(sub)
+        return sub
+
+    monkeypatch.setattr(QuotientMap, "kernel", kernel)
+
+
+def test_zero_target_dimension_gate_fires(monkeypatch):
+    assert QuotientMap((1, 2, 3), 1, 2).dim == eq_first_dim((1, 2, 3), 1) == 6
     # the cyclic vector's unit row dropped: what is left is still closed
     # under every e_l, so only the dimension gate can see it
-    del qmap.kernels[(0, 0)]
+    planted_kernel(monkeypatch, lambda sub: sub.spans.pop((0, 0), None))
     with pytest.raises(IntegrityError, match="got 5, formula gives 6"):
-        Submodule.from_map(qmap)
+        QuotientMap((1, 2, 3), 1, 2)
 
 
 MOVES = [
@@ -207,21 +226,19 @@ def test_surviving_generator_matches_reducing_every_generator(n):
             survivors = [
                 (k, zpow)
                 for k, zpow, poly in ideal_generators(label)
-                if not here.poly_vanishes(poly)
+                if not here.poly_class(poly).is_zero()
             ]
             assert bool(survivors) == (here is source)
             assert here.surviving_generator(label) == (survivors[0] if survivors else None)
 
 
-def test_kernel_closure_gate_fires():
-    qmap = QuotientMap((2, 3, 4), 2, 3)
-    assert Submodule.from_map(qmap).dim == eq_first_dim((2, 3, 4), 2)
+def test_kernel_closure_gate_fires(monkeypatch):
+    assert QuotientMap((2, 3, 4), 2, 3).dim == eq_first_dim((2, 3, 4), 2)
     # the kernel with its top bidegree removed: e_l maps the bidegrees
     # just below it out of the planted subspace
-    planted = qmap.kernel()
-    del planted.spans[max(planted.spans)]
+    planted_kernel(monkeypatch, lambda sub: sub.spans.pop(max(sub.spans)))
     with pytest.raises(IntegrityError, match=r"not closed under e_\d"):
-        Submodule((2, 3, 4), (2, 3), qmap.source, planted, qmap)
+        QuotientMap((2, 3, 4), 2, 3)
 
 
 GRID = [a for n in range(1, 5) for a in combinations_with_replacement(range(1, 5), n)]
@@ -332,8 +349,8 @@ def test_sum_decomposition():
 def test_intersection_inclusion_exclusion():
     s12 = submodule_S((2, 3, 4), 1)
     s23 = submodule_S((2, 3, 4), 2)
-    s13 = submodule_S((2, 3, 4), 1, 3, strict=False)
-    meet = subspace_intersection(s12.subspace, s23.subspace)
+    s13 = submodule_S((2, 3, 4), 1, 3)
+    meet = subspace_intersection(s12.kernel(), s23.kernel())
     assert meet.dim == s12.dim + s23.dim - s13.dim == 3
     assert label_character((3,)).total() == 3
 
@@ -425,6 +442,6 @@ def test_nilpotency_measurement():
 
 def test_kernel_closure_under_all_variables():
     sub = submodule_S((2, 3, 4), 2)
-    for el in sub.subspace.basis_elements():
+    for el in sub.kernel().basis_elements():
         for j in range(3):
-            assert sub.subspace.contains(el.apply(j))
+            assert sub.kernel().contains(el.apply(j))
