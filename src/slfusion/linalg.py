@@ -70,14 +70,6 @@ def format_scalar(x: Fraction) -> str:
 # monomials
 
 
-def mono_degree(m: tuple) -> int:
-    return sum(m)
-
-
-def mono_weight(m: tuple) -> int:
-    return sum(i * e for i, e in enumerate(m))
-
-
 def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -522,9 +522,6 @@ class FusionModule:
         p = self.pieces.get((k, s))
         return p.dim if p else 0
 
-    def h0_eigenvalue(self, k: int) -> int:
-        return self.lowest_h0 + 2 * k
-
     def piece(self, k: int, s: int) -> QuotientPiece | None:
         return self.pieces.get((k, s))
 
@@ -620,8 +617,8 @@ class ModuleElement:
 
     ``coords`` maps a bidegree to ``{position: value}``, nonzero exact values
     only, over the owner's basis of that piece (for a tensor module the
-    positions of ``piece_key_index``).  ``apply`` runs on the owner's integer
-    action tables, the ones the cyclic spans use.
+    block positions of ``TensorModule.blocks``).  ``apply`` runs on the
+    owner's integer action tables, the ones the cyclic spans use.
     """
 
     __slots__ = ("owner", "coords")
@@ -701,82 +698,59 @@ def label_character(label) -> GradedCharacter:
 
 
 class TensorModule:
-    """Tensor product of fusion modules with diagonal and per-factor operators.
+    """Two-factor tensor product P (x) Q, with diagonal and per-factor operators.
 
-    Bidegrees add across factors.  The factors may live over different
+    Bidegrees add across the factors.  The piece at (k, s) is the sum of the
+    blocks P(k1, s1) (x) Q(k - k1, s - s1) over the nonzero pieces of P in
+    bidegree order, and basis vector i1 (x) i2 of a block sits at
+    ``offset + i1 * d2 + i2`` (``blocks``): the lexicographic order of the
+    keys ((k1, s1, i1), (k2, s2, i2)).  The factors may live over different
     variable counts (needed when a submodule is modeled inside a product of
     smaller modules); the diagonal operator e_j sums the factor actions over
-    every factor that has the variable e_j.
+    the factors that have the variable e_j.
     """
 
     def __init__(self, factors):
         self.factors = list(factors)
-        if not self.factors:
-            raise ValueError("tensor of zero factors")
+        if len(self.factors) != 2:
+            raise ValueError(f"a tensor module takes two factors, got {len(self.factors)}")
         self.n = max(f.n for f in self.factors)
         self.total_dim = prod(f.total_dim for f in self.factors)
-        self._piece_index: dict = {}
-        # per factor, its nonzero pieces in bidegree order
-        self._nonzero_pieces = [
-            sorted((ks, p.dim) for ks, p in f.pieces.items() if p.dim) for f in self.factors
-        ]
+        # the first factor's nonzero bidegrees, in order
+        self._first = sorted(ks for ks, p in self.factors[0].pieces.items() if p.dim)
+        self._blocks: dict = {}
 
     def character(self) -> GradedCharacter:
-        table = {(0, 0): 1}
-        for f in self.factors:
-            nxt: dict = {}
-            for (k1, s1), d1 in table.items():
-                for (k2, s2), d2 in f.character().table.items():
-                    ks = (k1 + k2, s1 + s2)
-                    nxt[ks] = nxt.get(ks, 0) + d1 * d2
-            table = nxt
+        p, q = (f.character().table for f in self.factors)
+        table: dict = {}
+        for (k1, s1), d1 in p.items():
+            for (k2, s2), d2 in q.items():
+                ks = (k1 + k2, s1 + s2)
+                table[ks] = table.get(ks, 0) + d1 * d2
         return GradedCharacter(table)
 
-    def piece_basis(self, k: int, s: int) -> list[tuple]:
-        """Ordered basis keys: tuples over factors of (k_m, s_m, index).
-
-        Keys are listed in lexicographic order.
-        """
-        cached = self._piece_index.get((k, s))
-        if cached is not None:
-            return cached[0]
-        last = len(self.factors) - 1
-
-        def tails(m: int, left_k: int, left_s: int) -> list[tuple]:
-            if m == last:
-                dim = self.factors[m].dim_piece(left_k, left_s)
-                return [((left_k, left_s, i),) for i in range(dim)]
-            out: list[tuple] = []
-            for (km, sm), dim in self._nonzero_pieces[m]:
-                if km > left_k:
-                    break
-                if sm > left_s:
-                    continue
-                rest = tails(m + 1, left_k - km, left_s - sm)
-                if not rest:
-                    continue
-                for i in range(dim):
-                    head = ((km, sm, i),)
-                    out.extend([head + t for t in rest])
-            return out
-
-        keys = tails(0, k, s) if k >= 0 and s >= 0 else []
-        index = {key: i for i, key in enumerate(keys)}
-        self._piece_index[(k, s)] = (keys, index)
-        return keys
-
-    def piece_key_index(self, k: int, s: int) -> dict:
-        self.piece_basis(k, s)
-        return self._piece_index[(k, s)][1]
+    def blocks(self, k: int, s: int) -> tuple[dict, int]:
+        """``({(k1, s1): (offset, d1, d2)}, dim)`` for the piece at (k, s),
+        memoized: one entry per nonzero block P(k1, s1) (x) Q(k - k1, s - s1)
+        of dimensions d1 and d2, in order of offset."""
+        found = self._blocks.get((k, s))
+        if found is None:
+            p, q = self.factors
+            table, dim = {}, 0
+            for k1, s1 in self._first:
+                d2 = q.dim_piece(k - k1, s - s1)
+                if d2:
+                    d1 = p.dim_piece(k1, s1)
+                    table[(k1, s1)] = (dim, d1, d2)
+                    dim += d1 * d2
+            found = self._blocks[(k, s)] = (table, dim)
+        return found
 
     def dim_piece(self, k: int, s: int) -> int:
-        return len(self.piece_basis(k, s))
-
-    def zero(self) -> ModuleElement:
-        return ModuleElement(self, {})
+        return self.blocks(k, s)[1]
 
     def cyclic_tensor(self) -> ModuleElement:
-        """v_{A_1} tensor ... tensor v_{A_r}, the bidegree (0,0) line."""
+        """v_P (x) v_Q, the bidegree (0,0) line."""
         return ModuleElement(self, {(0, 0): {0: Fraction(1)}})
 
     def op_diag(self, j: int):
@@ -798,42 +772,40 @@ class TensorModule:
     def action(self, op: tuple, ks: tuple) -> list:
         """Images of the basis of piece ``ks`` under an operator.
 
-        Composed from the factors' tables (``FusionModule.action``): a basis
-        key maps to the sum, over the factors the operator acts on, of the
-        key with that factor's entry replaced by its image.  Entries are
-        integer images ``(entries, den)`` over the basis of (k+1, s+j), or
-        None for zero, as for a fusion module.  Not memoized: a span asks
-        for each (op, ks) once, and tensor modules are short-lived.
+        Composed from the factors' tables (``FusionModule.action``): e_j on
+        i1 (x) i2 is (e_j i1) (x) i2 plus i1 (x) (e_j i2), over the factors
+        the operator acts on, placed by block offset.  Entries are integer
+        images ``(entries, den)`` over the basis of (k+1, s+j), or None for
+        zero, as for a fusion module.  Not memoized: a span asks for each
+        (op, ks) once, and tensor modules are short-lived.
         """
         j = op[-1]
-        if op[0] == "factor":
-            factors = [op[1]]
-        else:
-            factors = [m for m, f in enumerate(self.factors) if j < f.n]
-        target = self.piece_key_index(ks[0] + 1, ks[1] + j)
+        p, q = self.factors
+        acts = (op[1] == 0, op[1] == 1) if op[0] == "factor" else (j < p.n, j < q.n)
+        k, s = ks
+        target = self.blocks(k + 1, s + j)[0]
         table = []
-        for key in self.piece_basis(*ks):
-            images = []
-            for m in factors:
-                km, sm, im = key[m]
-                img = self.factors[m].action(j, (km, sm))[im]
-                if img is not None:
-                    head, tail = key[:m], key[m + 1:]
-                    entries = tuple(
-                        (target[head + ((km + 1, sm + j, i),) + tail], x) for i, x in img[0]
-                    )
-                    images.append((entries, img[1]))
-            if len(images) < 2:
-                table.append(images[0] if images else None)
-                continue
-            # distinct factors move a key to distinct keys, but their sum
-            # still needs one denominator
-            den = lcm(*(d for _, d in images))
-            acc: dict[int, int] = {}
-            for entries, d in images:
-                for t, x in entries:
-                    acc[t] = acc.get(t, 0) + (den // d) * x
-            table.append((tuple(acc.items()), den))
+        for (k1, s1), (_, d1, d2) in self.blocks(k, s)[0].items():
+            left = p.action(j, (k1, s1)) if acts[0] else (None,) * d1
+            right = q.action(j, (k - k1, s - s1)) if acts[1] else (None,) * d2
+            # e_j on P lands in block (k1+1, s1+j), whose Q dimension is
+            # still d2; e_j on Q lands in block (k1, s1), of Q dimension e2
+            lo = target.get((k1 + 1, s1 + j), (0,))[0]
+            ro, _, e2 = target.get((k1, s1), (0, 0, 0))
+            for i1, li in enumerate(left):
+                for i2, ri in enumerate(right):
+                    images = []
+                    if li is not None:
+                        images.append((tuple((lo + t * d2 + i2, x) for t, x in li[0]), li[1]))
+                    if ri is not None:
+                        images.append((tuple((ro + i1 * e2 + t, x) for t, x in ri[0]), ri[1]))
+                    if len(images) < 2:
+                        table.append(images[0] if images else None)
+                        continue
+                    # the two terms sit at distinct positions, but their sum
+                    # still needs one denominator
+                    den = lcm(li[1], ri[1])
+                    table.append((tuple((t, den // d * x) for img, d in images for t, x in img), den))
         return table
 
     def __repr__(self):
@@ -1034,27 +1006,34 @@ def verify_demazure(a) -> dict:
     }
 
 
+_MERGE_CACHE: dict[tuple, dict] = {}
+
+
 def verify_tensor_embedding(a, b) -> dict:
     """Diagonal span of v_A (x) v_B against the merged-composition module.
 
     B is padded with leading 1 entries to the length of A; the merged label
-    adds the tuples entrywise and subtracts 1 in every slot.
+    adds the tuples entrywise and subtracts 1 in every slot.  The report is
+    memoized per (A, padded B): B and (1,) + B name the same computation.
     """
     a = validate_composition(a, allow_empty=False)
     b = validate_composition(b, allow_empty=False)
     if len(b) > len(a):
         raise ValueError("second factor must not be longer than the first")
     bpad = (1,) * (len(a) - len(b)) + b
-    c = tuple(x + y - 1 for x, y in zip(a, bpad))
-    t = TensorModule([fusion_module(a), fusion_module(bpad)])
-    ops = [t.op_diag(j) for j in range(len(a))]
-    span = cyclic_span(t, ops, [t.cyclic_tensor()], max_dim=10 * prod(c))
-    mc = fusion_module(c)
-    ok, shift = match_characters(span.character(), mc.character(), reindex=0)
-    return {
-        "ok": ok and span.dim == mc.total_dim,
-        "merged": c,
-        "span_dim": span.dim,
-        "expected_dim": mc.total_dim,
-        "shift": shift,
-    }
+    rep = _MERGE_CACHE.get((a, bpad))
+    if rep is None:
+        c = tuple(x + y - 1 for x, y in zip(a, bpad))
+        t = TensorModule([fusion_module(a), fusion_module(bpad)])
+        ops = [t.op_diag(j) for j in range(len(a))]
+        span = cyclic_span(t, ops, [t.cyclic_tensor()], max_dim=10 * prod(c))
+        mc = fusion_module(c)
+        ok, shift = match_characters(span.character(), mc.character(), reindex=0)
+        rep = _MERGE_CACHE[(a, bpad)] = {
+            "ok": ok and span.dim == mc.total_dim,
+            "merged": c,
+            "span_dim": span.dim,
+            "expected_dim": mc.total_dim,
+            "shift": shift,
+        }
+    return dict(rep)

@@ -177,9 +177,22 @@ class QuotientMap:
         return self.kernel().character()
 
 
+_MAP_CACHE: dict[tuple, QuotientMap] = {}
+
+
 def submodule_S(a, i: int, j: int | None = None) -> QuotientMap:
-    """S_{i,j}(A): the kernel of the move surjection (default j = i+1)."""
-    return QuotientMap(a, i, i + 1 if j is None else j)
+    """S_{i,j}(A): the kernel of the move surjection (default j = i+1).
+
+    Memoized per move, as ``fusion_module`` memoizes modules: a map is
+    immutable once built, and no caller edits its kernel.  A memoized map
+    whose source is no longer the memoized module of A is built again, so
+    its kernel stays comparable with subspaces of ``fusion_module(a)``.
+    """
+    key = (validate_composition(a, allow_empty=False), i, i + 1 if j is None else j)
+    qmap = _MAP_CACHE.get(key)
+    if qmap is None or qmap.source is not fusion_module(key[0]):
+        qmap = _MAP_CACHE[key] = QuotientMap(*key)
+    return qmap
 
 
 def generators_w(a, i: int) -> list[ModuleElement]:

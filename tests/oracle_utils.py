@@ -406,18 +406,19 @@ def apply_reference(el: ModuleElement, op) -> ModuleElement:
     On a tensor module ``op`` is an ``op_diag``/``op_factor`` tuple: in each
     basis key, the monomial of every factor that ``op`` acts on is
     multiplied by e_j and reduced in that factor, and the new key is looked
-    up in ``piece_key_index``.  No action table is read.
+    up in the keys ``tensor_piece_keys`` lists.  No action table is read.
     """
     owner, out = el.owner, {}
     if isinstance(op, int):
         op = variable(owner.n, op)
     for (k, s), vec in el.coords.items():
+        if isinstance(owner, TensorModule):
+            images = _tensor_key_images(owner, op, k, s)
+        else:
+            basis = owner.pieces[(k, s)].basis
+            images = {i: _monomial_images(owner, basis[i], op) for i in vec}
         for i, c in vec.items():
-            if isinstance(owner, TensorModule):
-                images = _tensor_key_images(owner, op, k, s, i)
-            else:
-                images = _monomial_images(owner, owner.pieces[(k, s)].basis[i], op)
-            for ks, t, x in images:
+            for ks, t, x in images[i]:
                 acc = out.setdefault(ks, {})
                 acc[t] = acc.get(t, 0) + c * x
     return ModuleElement(owner, out)
@@ -439,21 +440,39 @@ def _monomial_images(module, b, poly):
             yield from ((ks, t, pc * x) for t, x in enumerate(vec) if x)
 
 
-def _tensor_key_images(owner, op, k, s, i):
-    """``(bidegree, position, value)`` terms of e_j on basis key i of (k, s)."""
+def tensor_piece_keys(owner, k: int, s: int) -> list[tuple]:
+    """The basis keys ((k1, s1, i1), (k2, s2, i2)) of piece (k, s) of a
+    tensor module, in lexicographic order: the positions the reference
+    assigns, listed from the factors alone."""
+    first, second = owner.factors
+    return sorted(
+        ((k1, s1, i1), (k - k1, s - s1, i2))
+        for (k1, s1), piece in first.pieces.items()
+        if k1 <= k and s1 <= s
+        for i1 in range(piece.dim)
+        for i2 in range(second.dim_piece(k - k1, s - s1))
+    )
+
+
+def _tensor_key_images(owner, op, k, s):
+    """Per basis key of (k, s), the ``(bidegree, position, value)`` terms of e_j on it."""
     j = op[-1]
     if op[0] == "factor":
         factors = [op[1]]
     else:
         factors = [m for m, f in enumerate(owner.factors) if j < f.n]
-    key = owner.piece_basis(k, s)[i]
-    index = owner.piece_key_index(k + 1, s + j)
-    for m in factors:
-        f = owner.factors[m]
-        km, sm, im = key[m]
-        ej = variable(f.n, j)
-        for (tk, ts), t, x in _monomial_images(f, f.pieces[(km, sm)].basis[im], ej):
-            yield (k + 1, s + j), index[key[:m] + ((tk, ts, t),) + key[m + 1:]], x
+    index = {key: t for t, key in enumerate(tensor_piece_keys(owner, k + 1, s + j))}
+    out = []
+    for key in tensor_piece_keys(owner, k, s):
+        terms = []
+        for m in factors:
+            f = owner.factors[m]
+            km, sm, im = key[m]
+            ej = variable(f.n, j)
+            for (tk, ts), t, x in _monomial_images(f, f.pieces[(km, sm)].basis[im], ej):
+                terms.append(((k + 1, s + j), index[key[:m] + ((tk, ts, t),) + key[m + 1:]], x))
+        out.append(terms)
+    return out
 
 
 def _slices(el):

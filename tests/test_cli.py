@@ -13,7 +13,7 @@ import pytest
 from oracle_utils import ideal_generators, ideal_rows
 
 from slfusion import cache as cache_mod
-from slfusion import cli, geometry, modules
+from slfusion import cli, geometry, modules, submodules
 from slfusion.cache import ModuleCache
 from slfusion.cli import (
     EXIT_ERROR,
@@ -94,6 +94,16 @@ def test_splitting_command(capsys):
     assert code == EXIT_FAIL
     assert str([2, 1, 1] + [0] * 13 + [-1, -1, -2]) in out
     assert "differs" in out
+
+
+def test_splitting_over_the_cap_is_a_usage_error(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"transition_matrix({n}) was called")
+
+    monkeypatch.setattr(geometry, "transition_matrix", refuse)
+    code, out, err = run(capsys, "splitting", "--n", str(cli.MAX_SPLITTING_N + 1))
+    assert code == 2 and out == ""
+    assert f"need --n at most {cli.MAX_SPLITTING_N}" in err
 
 
 def test_transition_claim_builds_the_matrix_once(monkeypatch):
@@ -201,6 +211,24 @@ def test_run_suite_reports_sorted():
     claims = [r["claim"] for r in reports]
     assert claims == sorted(claims)
     assert all(r["status"] == "pass" for r in reports)
+
+
+def test_records_do_not_depend_on_claim_order(monkeypatch):
+    # the move-map and tensor-merge memos fill up in claim order; run from
+    # empty memos with the claims reversed, every record must come out the
+    # same apart from ms
+    cfg = RunConfig(max_n=3, max_entry=3)
+
+    def records():
+        monkeypatch.setattr(submodules, "_MAP_CACHE", {})
+        monkeypatch.setattr(modules, "_MERGE_CACHE", {})
+        return [{k: v for k, v in r.items() if k != "ms"} for r in run_suite("all", cfg)]
+
+    forward = records()
+    real = cli.suite_claims
+    monkeypatch.setattr(cli, "suite_claims", lambda suite, cfg: real(suite, cfg)[::-1])
+    assert cli.suite_claims("all", cfg) == real("all", cfg)[::-1]
+    assert len(forward) == 456 and records() == forward
 
 
 def test_verify_all_stream_matches_benchmark_reference():

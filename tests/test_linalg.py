@@ -16,8 +16,6 @@ from slfusion.linalg import (
     enumerate_monomials,
     format_scalar,
     kernel_basis,
-    mono_degree,
-    mono_weight,
     parse_scalar,
     rref,
     scale_to_int,
@@ -85,12 +83,6 @@ def test_counts_match_series_expansion():
         for k in range(0, 13):
             for s in range(0, (n - 1) * k + 1):
                 assert len(enumerate_monomials(n, k, s)) == table.get((k, s), 0), (n, k, s)
-
-
-def test_degree_weight_helpers():
-    m = (2, 0, 3)
-    assert mono_degree(m) == 5
-    assert mono_weight(m) == 6
 
 
 def test_rref_trivial_cases():

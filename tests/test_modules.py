@@ -271,8 +271,6 @@ def test_character_total_is_dimension():
 def test_h0_grading_bookkeeping():
     mod = fusion_module((2, 3))
     assert mod.lowest_h0 == -3
-    assert mod.h0_eigenvalue(0) == -3
-    assert mod.h0_eigenvalue(mod.kmax) == 3
 
 
 def test_act_examples():
@@ -502,6 +500,13 @@ def test_elements_of_another_module_are_rejected():
         Subspace(t1).insert(t2.cyclic_tensor())
     with pytest.raises(ValueError, match="different modules"):
         Subspace(m22).includes(span)
+
+
+def test_tensor_module_takes_two_factors():
+    m = fusion_module((2, 2))
+    for factors in ([m], [m, m, m]):
+        with pytest.raises(ValueError, match="takes two factors"):
+            TensorModule(factors)
 
 
 def test_tensor_dims():
