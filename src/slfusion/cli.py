@@ -12,7 +12,8 @@ outcome does not depend on execution order.
 
 Exit codes: 0 all pass, 1 at least one verification failure, 2 usage error,
 3 internal integrity error, 4 a claim (or command) raised an unexpected
-exception.  An integrity error outranks a crash, which outranks a failure.
+exception, 141 (128 + SIGPIPE) the reader of stdout closed it early.  An
+integrity error outranks a crash, which outranks a failure.
 A crashing claim is reported with status ``error`` and the exception text in
 ``got``; the other claims still run and report.
 """
@@ -40,6 +41,7 @@ from slfusion.laurent import splitting_type
 from slfusion._goldens import TRANSITION_GOLDEN
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTEGRITY, EXIT_ERROR = 0, 1, 2, 3, 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for ``yes | head``
 
 CACHE_ENV = "SLFUSION_CACHE_DIR"
 # the largest n the splitting command takes: its time grows about like n^2.2
@@ -727,7 +729,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a closed pipe shows here, inside the guard
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point it at devnull so that
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -70,10 +70,6 @@ def format_scalar(x: Fraction) -> str:
 # monomials
 
 
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=1 << 14)
 def enumerate_monomials(n: int, k: int, s: int) -> list[tuple]:
     """All exponent tuples of degree k and weight s, in the global order.
@@ -222,16 +218,6 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def scale_to_int(vec) -> tuple[int, ...] | None:
-    """Primitive integer multiple of a dense rational vector (None if zero).
-
-    A dense view of ``_integer_row``: the residual against the empty span.
-    The library passes rational rows to ``IntEchelon`` directly; tests use
-    this to scale ``rref`` rows.
-    """
-    return IntEchelon(len(vec)).residual(vec)
-
-
 class IntEchelon:
     """Reduced echelon span of primitive integer rows with incremental insert.
 
@@ -347,6 +333,3 @@ class IntEchelon:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntEchelon) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ncols, tuple(self.rows)))

@@ -46,8 +46,9 @@ compose their factors' tables.  Cyclic spans, the closure check of a
 subspace, the vanishing test of a polynomial class and the kernels of the
 move maps run on these images in integer arithmetic, with no per-step
 element or ``Fraction``.  One element class, ``ModuleElement``, serves both
-owner kinds: sparse exact coordinates over the piece bases, acted on by the
-variables through the same tables.
+owner kinds: sparse exact coordinates over the piece bases.  Elements and
+spans share one action routine, ``map_row``, which maps a row through a
+table to its exact image ``(entries, den)``.
 
 Everything here is exact: quotient bases, normal forms, graded characters,
 cyclic spans and tensor modules with diagonal operators.
@@ -241,20 +242,15 @@ def match_characters(c1: GradedCharacter, c2: GradedCharacter, reindex: int = 0)
     return (c2r.shift(du, dq) == c1), (du, dq)
 
 
-# one shared copy of each distinct integer image held by a module's table:
-# most images repeat across pieces and modules (unit vectors, mostly); it
-# holds no more than the tables of the memoized modules do
-_IMAGE_POOL: dict[tuple, tuple] = {}
+def map_row(row: dict, table) -> tuple[dict, int]:
+    """The image of a sparse row under a table, as ``(entries, den)``.
 
-
-def map_row(row: dict, table) -> dict:
-    """A positive multiple of the image of a sparse integer row under a table.
-
-    ``row`` is a ``{position: int}`` map over a piece basis and ``table``
-    holds the integer images of those basis vectors (``action``); the
-    images are summed over the lcm of their denominators, so no rational
-    number is formed.  The result is a ``{position: int}`` map, empty when
-    the image is zero.
+    ``row`` is a ``{position: value}`` map over a piece basis and ``table``
+    holds the integer images of those basis vectors (``action``).  The
+    image is ``entries / den``: the basis images are summed over the lcm
+    ``den`` of their denominators, so an integer row maps to integer
+    ``entries`` with no rational number formed.  ``entries`` is a
+    ``{position: value}`` map, empty when the image is zero.
     """
     den = 1
     for c in row:
@@ -270,7 +266,7 @@ def map_row(row: dict, table) -> dict:
         f = x * (den // d)
         for t, y in entries:
             acc[t] = acc.get(t, 0) + f * y
-    return {t: y for t, y in acc.items() if y}
+    return {t: y for t, y in acc.items() if y}, den
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +351,6 @@ class FusionModule:
                 f"product formula gives {expected}; character "
                 f"{self.character().poly_str()}"
             )
-
-    @classmethod
-    def zero_module(cls, label) -> "FusionModule":
-        """The module of a label with a zero entry, which is zero (as in
-        ``label_character``): no pieces, so every normal form is None."""
-        mod = cls.__new__(cls)
-        mod.a, mod.n, mod.total_dim = tuple(label), len(label), 0
-        mod.pieces, mod._nf, mod._actions = {}, {}, {}
-        return mod
 
     def _build(self) -> None:
         n = self.n
@@ -522,9 +509,6 @@ class FusionModule:
         p = self.pieces.get((k, s))
         return p.dim if p else 0
 
-    def piece(self, k: int, s: int) -> QuotientPiece | None:
-        return self.pieces.get((k, s))
-
     def normal_form(self, m: tuple):
         """Normal form of an ambient monomial as ``(bidegree, entries, den)``.
 
@@ -551,10 +535,7 @@ class FusionModule:
             images = []
             for b in piece.basis if piece else ():
                 red = self._nf.get(b[:j] + (b[j] + 1,) + b[j + 1:])
-                if red is not None:
-                    img = red[1:]
-                    red = _IMAGE_POOL.setdefault(img, img)
-                images.append(red)
+                images.append(None if red is None else red[1:])
             table = self._actions[key] = tuple(images)
         return table
 
@@ -577,19 +558,9 @@ class FusionModule:
 
     # -- elements -----------------------------------------------------------
 
-    def zero(self) -> "ModuleElement":
-        return ModuleElement(self, {})
-
     def cyclic_vector(self) -> "ModuleElement":
         """The class of 1 (image of the product of the lowest-weight lines)."""
         return self.poly_class({(0,) * self.n if self.n else (): 1})
-
-    def top_class(self) -> "ModuleElement":
-        """The unique class in the top degree band (highest-weight line)."""
-        tops = [(ks, p) for ks, p in self.pieces.items() if ks[0] == self.kmax and p.dim]
-        if sum(p.dim for _, p in tops) != 1:
-            raise IntegrityError(f"top band of {self.a} is not a line")
-        return ModuleElement(self, {tops[0][0]: {0: Fraction(1)}})
 
     def poly_class(self, p: dict) -> "ModuleElement":
         """The class of ``p``: its monomials' normal forms summed over one
@@ -604,9 +575,6 @@ class FusionModule:
                 vec[i] = vec.get(i, 0) + f * x
         coords = {ks: {i: Fraction(x, den) for i, x in vec.items() if x} for ks, vec in acc.items()}
         return ModuleElement(self, coords)
-
-    def basis_element(self, k: int, s: int, i: int) -> "ModuleElement":
-        return ModuleElement(self, {(k, s): {i: Fraction(1)}})
 
     def __repr__(self):
         return f"FusionModule(a={self.a}, dim={self.total_dim})"
@@ -650,19 +618,14 @@ class ModuleElement:
     def apply(self, op) -> "ModuleElement":
         """Image under a variable operator, in the forms ``cyclic_span`` takes.
 
-        Every slice is mapped through ``owner.action``: the integer image of
-        basis vector i over its denominator, times the coordinate at i.
+        Every slice is mapped through ``owner.action`` by ``map_row``, as a
+        span row is, and its image divided by the common denominator.
         """
         var, j = _span_variable(self.owner, op)
         out = {}
         for (k, s), vec in self.coords.items():
-            table = self.owner.action(var, (k, s))
-            acc = out[(k + 1, s + j)] = {}
-            for i, x in vec.items():
-                if table[i] is not None:
-                    entries, den = table[i]
-                    for t, y in entries:
-                        acc[t] = acc.get(t, 0) + Fraction(x * y, den)
+            entries, den = map_row(vec, self.owner.action(var, (k, s)))
+            out[(k + 1, s + j)] = {t: Fraction(y, den) for t, y in entries.items()}
         return ModuleElement(self.owner, out)
 
 
@@ -679,18 +642,27 @@ def fusion_module(a) -> FusionModule:
     return mod
 
 
-def label_character(label) -> GradedCharacter:
-    """Character of the module named by a possibly-unsorted integer label.
+def label_module(label) -> FusionModule:
+    """The module named by a possibly-unsorted integer label.
 
-    Entries are sorted first (the defining relations only see the multiset);
-    any zero entry gives the zero module.
+    Entries are sorted first, giving the memoized ``fusion_module`` (the
+    defining relations only see the multiset).  A zero entry gives the zero
+    module: a fresh one with no pieces, so every normal form is None.
     """
     label = tuple(int(x) for x in label)
     if any(x < 0 for x in label):
         raise ValueError("negative entry in module label")
-    if any(x == 0 for x in label):
-        return GradedCharacter({})
-    return fusion_module(tuple(sorted(label))).character()
+    if all(label):
+        return fusion_module(tuple(sorted(label)))
+    mod = FusionModule.__new__(FusionModule)
+    mod.a, mod.n, mod.total_dim = label, len(label), 0
+    mod.pieces, mod._nf, mod._actions = {}, {}, {}
+    return mod
+
+
+def label_character(label) -> GradedCharacter:
+    """Character of the module named by a label (see ``label_module``)."""
+    return label_module(label).character()
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +842,7 @@ class Subspace:
             target = self.spans.get((k + 1, s + j))
             table = self.owner.action(var, (k, s))
             for row in ech.sparse_rows():
-                img = map_row(row, table)
+                img, _ = map_row(row, table)
                 if img and (target is None or not target.contains(img)):
                     return False
         return True
@@ -955,7 +927,7 @@ def cyclic_span(owner, ops, seeds, max_dim: int | None = None) -> Subspace:
                     continue
                 table = owner.action(var, ks)
                 for row in rows:
-                    img = map_row(row, table)
+                    img, _ = map_row(row, table)
                     if img and ech.insert(img) and ech.dim == ech.ncols:
                         break
         if max_dim is not None and span.dim > max_dim:

@@ -26,7 +26,6 @@ from slfusion.linalg import (
     kernel_basis,  # no caller here: perfbench/tracing.py patches this name
 )
 from slfusion.modules import (
-    FusionModule,
     GradedCharacter,
     ModuleElement,
     Subspace,
@@ -35,6 +34,7 @@ from slfusion.modules import (
     fusion_module,
     generating_slice,
     label_character,
+    label_module,
     match_characters,
     relation_exponent,
     subspace_sum,
@@ -87,10 +87,10 @@ class QuotientMap:
     closed under every e_l.  Dimension: for an adjacent move the kernel has
     dimension ``eq_first_dim``.
 
-    An unsorted target label names the ring of its sorted label (the
-    defining ideal depends only on the multiset of entries).  A zero entry
-    names the zero module: it has no pieces, so every source basis monomial
-    is a unit kernel row, nothing is covered and no generator is reduced.
+    The target is ``label_module(target_label)``: an unsorted label names
+    the ring of its sorted label, and a zero entry names the zero module,
+    which has no pieces: every source basis monomial is then a unit kernel
+    row, nothing is covered and no generator is reduced.
     """
 
     def __init__(self, a, i: int, j: int):
@@ -98,11 +98,7 @@ class QuotientMap:
         self.move = (i, j)
         self.target_label = target_label = move_composition(self.a, i, j)
         self.source = fusion_module(self.a)
-        self.target = target = (
-            fusion_module(tuple(sorted(target_label)))
-            if min(target_label)
-            else FusionModule.zero_module(target_label)
-        )
+        self.target = target = label_module(target_label)
         found = target.surviving_generator(self.a)
         if found is not None:
             raise IntegrityError(
@@ -115,7 +111,7 @@ class QuotientMap:
             if not piece.dim:
                 continue
             col = {m: r for r, m in enumerate(piece.basis)}
-            tpiece = target.piece(*ks)
+            tpiece = target.pieces.get(ks)
             image_cols = []
             for t, m in enumerate(tpiece.basis if tpiece else ()):
                 r = col.get(m)

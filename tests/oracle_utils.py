@@ -40,9 +40,7 @@ from slfusion.linalg import (
     IntEchelon,
     enumerate_monomials,
     kernel_basis,
-    mono_mul,
     rref,
-    scale_to_int,
 )
 from slfusion.modules import (
     ModuleElement,
@@ -52,6 +50,16 @@ from slfusion.modules import (
     relation_exponent,
     validate_composition,
 )
+
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two monomials, as exponent tuples."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def scale_to_int(vec) -> tuple[int, ...] | None:
+    """Primitive integer multiple of a dense rational vector (None if zero)."""
+    return IntEchelon(len(vec)).residual(vec)
 
 
 def h0_twist(matrix, k, bound):

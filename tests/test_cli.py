@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from slfusion.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
     EXIT_OK,
+    EXIT_PIPE,
     RunConfig,
     claim_seed,
     main,
@@ -166,6 +169,32 @@ def test_run_suite_rejects_jobs_out_of_range(monkeypatch, jobs):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match="jobs must be between 1 and the CPU count"):
         run_suite("dims", RunConfig(max_n=1, max_entry=2, jobs=jobs))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv", [["verify", "dims", "--max-n", "3", "--format", "json"], ["build", "--a", "2,2"]]
+)
+def test_closed_stdout_pipe_exits_141_without_traceback(argv, unbuffered):
+    # the read end is closed before the command writes, as when ``head`` has
+    # already left: buffered output meets the broken pipe at the final flush,
+    # unbuffered output at its first write
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "slfusion.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_PIPE == 141
+    assert done.stderr == ""
 
 
 def test_cache_dir_only_on_commands_that_use_it(capsys, tmp_path):

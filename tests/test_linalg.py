@@ -9,7 +9,7 @@ try:
 except ImportError:  # optional test dependency: the seeded loops still run
     given = None
 
-from oracle_utils import rref_kernel
+from oracle_utils import rref_kernel, scale_to_int
 
 from slfusion.linalg import (
     IntEchelon,
@@ -18,7 +18,6 @@ from slfusion.linalg import (
     kernel_basis,
     parse_scalar,
     rref,
-    scale_to_int,
 )
 
 

@@ -10,16 +10,16 @@ from oracle_utils import (
     cyclic_span_reference,
     ideal_generators,
     ideal_rows,
+    mono_mul,
     quotient_reference,
     reduce_monomial,
+    scale_to_int,
 )
 
 from slfusion.linalg import (
     IntegrityError,
     enumerate_monomials,
-    mono_mul,
     rref,
-    scale_to_int,
 )
 from slfusion import modules
 from slfusion.cli import RunConfig, suite_claims
@@ -32,6 +32,7 @@ from slfusion.modules import (
     cyclic_span,
     fusion_module,
     label_character,
+    label_module,
     match_characters,
     relation_exponent,
     validate_composition,
@@ -308,8 +309,8 @@ def test_variable_count_mismatch():
 
 def test_top_class_is_a_line():
     mod = fusion_module((2, 3))
-    top = mod.top_class()
-    assert list(top.coords) == [(mod.kmax, 0)]
+    top = {ks: d for ks, d in mod.character().table.items() if ks[0] == mod.kmax}
+    assert top == {(mod.kmax, 0): 1}
 
 
 def test_cyclic_span_trivial_and_full():
@@ -466,7 +467,7 @@ def test_reference_catches_a_corrupted_fusion_table(monkeypatch):
         for i, img in enumerate(mod.action(j, ks))
         if img is not None and len(img[0]) > 1
     )
-    op, seed = j, mod.basis_element(*ks, i)
+    op, seed = j, ModuleElement(mod, {ks: {i: 1}})
     want = cyclic_span_reference(mod, [op], [seed])
     assert want == cyclic_span(mod, [op], [seed])
     real = FusionModule.action
@@ -494,7 +495,7 @@ def test_elements_of_another_module_are_rejected():
     with pytest.raises(ValueError, match="different module"):
         span.contains(m22.cyclic_vector())
     with pytest.raises(ValueError, match="different module"):
-        span.contains(m22.zero())
+        span.contains(ModuleElement(m22, {}))
     t1, t2 = TensorModule([m22, m23]), TensorModule([m22, m23])
     with pytest.raises(ValueError, match="different module"):
         Subspace(t1).insert(t2.cyclic_tensor())
@@ -562,6 +563,23 @@ def test_deletion_of_leading_ones():
 def test_label_character_handles_zero_and_order():
     assert label_character((2, 0)).total() == 0
     assert label_character((3, 1)) == fusion_module((1, 3)).character()
+
+
+def test_label_module_names_every_label():
+    # a negative entry names no module, for either routine
+    for name in (label_module, label_character):
+        with pytest.raises(ValueError, match="negative entry"):
+            name((2, -1))
+    # an unsorted label names the memoized module of its sorted label
+    assert label_module((3, 2)) is fusion_module((2, 3))
+    assert label_character((3, 2)) == fusion_module((2, 3)).character()
+    # a zero entry names a fresh zero module that keeps the label as given
+    zero = label_module((2, 0))
+    assert zero.a == (2, 0) and zero.n == 2 and zero.total_dim == 0
+    assert not zero.pieces and zero.character() == GradedCharacter({})
+    assert zero.normal_form((1, 0)) is None
+    assert label_module((2, 0)) is not zero
+    assert label_character((2, 0)) == GradedCharacter({})
 
 
 def test_match_characters_shift_and_reindex():

@@ -178,7 +178,8 @@ def test_zero_target_move_kernel_is_the_whole_module():
         assert sub.target.total_dim == 0 and not sub.target.pieces, (a, i, j)
         assert sub.dim == prod(a), (a, i, j)
         assert sub.kernel() == all_unit_subspace(sub.source), (a, i, j)
-        image = sub.apply(sub.source.top_class())
+        top = max(ks for ks, piece in sub.source.pieces.items() if piece.dim)
+        image = sub.apply(ModuleElement(sub.source, {top: {0: 1}}))
         assert image.is_zero() and image.owner is sub.target
         assert verify_exactness(sub)["ok"]
 
