@@ -6,7 +6,9 @@ Every claim instance produces one report record
 
 with a stable claim id; suites emit their reports sorted by claim id, so two
 runs with the same configuration and seed agree byte for byte apart from the
-timing fields.  All randomness (sample points for the chart checks, the cache
+timing fields.  A record holds the values as the checks built them (tuples
+included, every dict key a string); the JSON output writes tuples as lists.
+All randomness (sample points for the chart checks, the cache
 spot check) flows from the single configured seed, hashed per claim so the
 outcome does not depend on execution order.
 
@@ -28,8 +30,8 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
+from itertools import combinations_with_replacement
+from math import comb, prod
 from random import Random
 
 from slfusion.linalg import IntegrityError, parse_scalar
@@ -47,6 +49,12 @@ CACHE_ENV = "SLFUSION_CACHE_DIR"
 # the largest n the splitting command takes: its time grows about like n^2.2
 # with the (4n-5)-square Laurent matrix, and n = 72 took 56 s (2-core Xeon)
 MAX_SPLITTING_N = 72
+# the most ambient monomials a label given on the command line may have: a
+# build walks every monomial of degree at most sum(a_i - 1) + 1, so
+# C(n + sum(a_i - 1) + 1, n) bounds its work.  The cap refuses requests that
+# cannot finish; it is not a time bound: (2^12), 5.2e6 monomials, passes and
+# took 25 s to build cold (2-core Xeon).  The library stays uncapped.
+MAX_AMBIENT_MONOMIALS = 10**7
 
 
 @dataclass
@@ -69,18 +77,6 @@ def claim_seed(seed: int, claim: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, fm.GradedCharacter):
-        return value.poly_str()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 # the ``ok`` of a claim that was not run
 SKIPPED = object()
 
@@ -90,10 +86,10 @@ def report(claim, anchor, inputs, expected, got, shift, ok):
     return {
         "claim": claim,
         "anchor": anchor,
-        "inputs": _jsonable(inputs),
-        "expected": _jsonable(expected),
-        "got": _jsonable(got),
-        "shift": _jsonable(shift),
+        "inputs": inputs,
+        "expected": expected,
+        "got": got,
+        "shift": shift,
         "status": status,
         "ms": 0,
     }
@@ -103,25 +99,10 @@ def report(claim, anchor, inputs, expected, got, shift, ok):
 # grids
 
 
-def sorted_compositions(n: int, max_entry: int, min_entry: int = 1):
-    out = []
-
-    def rec(prefix, lo):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(lo, max_entry + 1):
-            rec(prefix + [v], v)
-
-    rec([], min_entry)
-    return out
-
-
 def composition_grid(max_n: int, max_entry: int, min_entry: int = 1):
-    out = []
-    for n in range(1, max_n + 1):
-        out.extend(sorted_compositions(n, max_entry, min_entry))
-    return out
+    """Sorted labels of length 1..max_n with entries in min_entry..max_entry."""
+    entries = range(min_entry, max_entry + 1)
+    return [a for n in range(1, max_n + 1) for a in combinations_with_replacement(entries, n)]
 
 
 def valid_adjacent_moves(a):
@@ -551,6 +532,15 @@ def parse_composition(text: str, allow_zero: bool = False):
     return values
 
 
+def sized_label(a: tuple) -> tuple:
+    """``a``, if it has at most ``MAX_AMBIENT_MONOMIALS`` ambient monomials."""
+    if comb(len(a) + sum(x - 1 for x in a) + 1, len(a)) > MAX_AMBIENT_MONOMIALS:
+        raise argparse.ArgumentTypeError(
+            f"label {a} has more than {MAX_AMBIENT_MONOMIALS} ambient monomials to build"
+        )
+    return a
+
+
 def _resolve_cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get(CACHE_ENV) or None
 
@@ -600,9 +590,9 @@ def cmd_filtration(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     print(f"peeling chain for the kernel at slot {args.i} of {args.a}:")
-    for step in rep["steps"]:
-        lab = ",".join(map(str, step["label"]))
-        print(f"  {step['composition']} -> layer M^({lab})  [{step['action']}]")
+    for layer in rep["layers"]:
+        lab = ",".join(map(str, layer["label"]))
+        print(f"  {layer['composition']} -> layer M^({lab})  [{layer['action']}]")
     layers = " + ".join(str(l["dim"]) for l in rep["layers"])
     print(f"layer dims: {layers} + cokernel {rep['cokernel']['dim']} = {rep['total']}")
     print(f"parent dim: {rep['dim']}  telescoped: {rep['telescoped']}")
@@ -658,7 +648,8 @@ def cmd_verify(args, parser) -> int:
             jobs=args.jobs,
             only_n=args.n,
         )
-    except ValueError as exc:
+        sized_label((cfg.max_entry,) * cfg.max_n)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
     if not suite_claims(args.suite, cfg):
         parser.error(f"suite {args.suite!r} selects no claim at these bounds")
@@ -683,17 +674,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("build", "character"):
         p = sub.add_parser(name, help="build a module and print its invariants")
-        p.add_argument("--a", type=lambda t: parse_composition(t), required=True)
+        p.add_argument("--a", type=lambda t: sized_label(parse_composition(t)), required=True)
         p.add_argument("--cache-dir", default=None, help=cache_help)
         p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("submodule", help="kernel of the adjacent move surjection")
-    p.add_argument("--a", type=lambda t: parse_composition(t), required=True)
+    p.add_argument("--a", type=lambda t: sized_label(parse_composition(t)), required=True)
     p.add_argument("--i", type=int, required=True)
     p.set_defaults(func=cmd_submodule)
 
     p = sub.add_parser("filtration", help="run and verify the peeling chain")
-    p.add_argument("--a", type=lambda t: parse_composition(t), required=True)
+    p.add_argument("--a", type=lambda t: sized_label(parse_composition(t)), required=True)
     p.add_argument("--i", type=int, required=True)
     p.set_defaults(func=cmd_filtration)
 

@@ -398,8 +398,6 @@ def coordinate_ring_component(a, k: int) -> dict:
     target = dual_dimension_table(ak)
     oracle_total = sum(target.values())
     result = {
-        "component": k,
-        "stretched": ak,
         "dim": oracle_total,
         "dim_ok": oracle_total == expected,
         "expected_dim": expected,

@@ -377,8 +377,6 @@ def verify_vect_algebra(n: int) -> dict:
             failures.append((a, b, "bracket escapes the span"))
     return {
         "ok": independent and relations_ok and closed,
-        "n": n,
-        "count": len(keys),
         "rank": rank,
         "independent": independent,
         "relations_ok": relations_ok,
@@ -555,8 +553,6 @@ def verify_chart_identities(n: int, samples: int = 20, seed: int = 0) -> dict:
     )
     return {
         "ok": not symbolic_failures and not sample_failures,
-        "n": n,
-        "samples": samples,
         "identities_checked": samples * len(primed_labels(n)),
         "symbolic_failures": symbolic_failures,
         "sample_failures": sample_failures[:5],
@@ -596,7 +592,7 @@ def jacobian_identity(n: int, samples: int = 20, seed: int = 0) -> dict:
         if det * p0 ** (2 * n) != (-1) ** n * p0**order:
             det_j = Fraction(den ** (2 * n) * det, p0**order)
             failures.append({"point": [str(x) for x in xpt], "det": str(det_j)})
-    return {"ok": not failures, "n": n, "samples": samples, "failures": failures[:5]}
+    return {"ok": not failures, "failures": failures[:5]}
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +632,7 @@ def verify_transition_matrix(n: int, samples: int = 20, seed: int = 0) -> dict:
         return [(*lab, row[c]) for lab, row in zip(labels, mat)]
 
     failures = _chart_change_failures(n, samples, seed, column, "column")
-    return {"ok": not failures, "n": n, "failures": failures[:5], "matrix": mat}
+    return {"ok": not failures, "failures": failures[:5], "matrix": mat}
 
 
 def expected_splitting(n: int) -> list[int]:

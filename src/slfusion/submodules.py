@@ -207,24 +207,15 @@ def generators_w(a, i: int) -> list[ModuleElement]:
     return out
 
 
-def span_of_w(a, i: int) -> Subspace:
-    """Span of the w generators under all of e_0..e_{n-1}."""
-    mod = fusion_module(validate_composition(a))
-    return cyclic_span(mod, range(mod.n), generators_w(a, i))
-
-
 def verify_w_generators(sub: QuotientMap) -> dict:
-    """Check kernel membership of every w_j and that their span is the kernel."""
-    i = sub.move[0]
-    membership = [sub.apply(w).is_zero() for w in generators_w(sub.a, i)]
-    span = span_of_w(sub.a, i)
+    """Check kernel membership of every w_j and that their span under all of
+    e_0..e_{n-1} is the kernel."""
+    ws = generators_w(sub.a, sub.move[0])
+    membership = [sub.apply(w).is_zero() for w in ws]
+    mod = fusion_module(sub.a)
+    span = cyclic_span(mod, range(mod.n), ws)
     ok = all(membership) and span == sub.kernel()
-    return {
-        "ok": ok,
-        "membership": membership,
-        "span_dim": span.dim,
-        "kernel_dim": sub.dim,
-    }
+    return {"ok": ok, "membership": membership, "span_dim": span.dim}
 
 
 def verify_sum_decomposition(a, i: int, j: int) -> dict:
@@ -269,11 +260,13 @@ def _stop_rule(b: tuple, i: int) -> tuple | None:
 def verify_filtration(a, i: int) -> dict:
     """Run the full peeling chain for S_{i,i+1}(A) and verify every layer.
 
-    Each recursive step checks that the span of the lowest w generator has
-    the character of the predicted smaller module (up to the recorded shift)
-    and that the quotient character equals the kernel character of the moved
-    composition; the chain ends at one of the two bottoming rules.  Layer
-    dimensions must telescope to dim M^A.
+    ``layers`` has one entry ``{composition, action, label, dim, shift}``
+    per step: the step's composition B, ``"peel"`` or ``"stop-rule-{rule}"``,
+    and the label, dimension and aligning shift of the layer split off.  A
+    peel checks that the span of the lowest w generator lies in the kernel
+    and has the layer's character, and that the quotient character is the
+    kernel character of the moved composition; a stop rule checks the
+    kernel's own character.  Layer dimensions must telescope to dim M^A.
     """
     a = validate_composition(a, allow_empty=False)
     n = len(a)
@@ -281,70 +274,44 @@ def verify_filtration(a, i: int) -> dict:
         raise ValueError(f"need 1 <= i < {n}")
     mod = fusion_module(a)
     coker_label = move_composition(a, i, i + 1)
-    steps = []
     layers = []
     ok = True
     b = a
     sub = submodule_S(b, i)
     while True:
         stop = _stop_rule(b, i)
-        if stop is not None:
+        if stop is None:
+            # peel the span of the lowest w generator
+            span = cyclic_span(fusion_module(b), range(n), generators_w(b, i)[:1])
+            b_next = tuple(sorted(move_composition(b, i - 1, i)))
+            sub_next = submodule_S(b_next, i)
+            # the quotient exists only for a span inside the kernel
+            good = sub.kernel().includes(span) and match_characters(
+                sub.character() - span.character(), sub_next.character(), reindex=0
+            )[0]
+            action, label, layer = "peel", _peel_label(b, i), span
+        else:
             rule, label = stop
-            layer_char = label_character(label)
-            good, shift = match_characters(sub.character(), layer_char, reindex=0)
-            ok = ok and good
-            layers.append({"label": label, "dim": layer_char.total(), "shift": shift})
-            steps.append(
-                {
-                    "composition": b,
-                    "action": f"stop-rule-{rule}",
-                    "label": label,
-                    "ok": good,
-                    "shift": shift,
-                }
-            )
-            break
-        # recursive step: peel the span of the lowest w generator
-        w = generators_w(b, i)[0]
-        bmod = fusion_module(b)
-        span = cyclic_span(bmod, range(n), [w])
-        contained = sub.kernel().includes(span)
-        label = _peel_label(b, i)
+            action, layer, good = f"stop-rule-{rule}", sub, True
         layer_char = label_character(label)
-        good1, shift1 = match_characters(span.character(), layer_char, reindex=0)
-        b_next = tuple(sorted(move_composition(b, i - 1, i)))
-        sub_next = submodule_S(b_next, i)
-        quot_char = sub.character() - span.character()
-        good2, shift2 = match_characters(quot_char, sub_next.character(), reindex=0)
-        good = contained and good1 and good2
-        ok = ok and good
-        layers.append({"label": label, "dim": layer_char.total(), "shift": shift1})
-        steps.append(
-            {
-                "composition": b,
-                "action": "peel",
-                "label": label,
-                "ok": good,
-                "span_contained": contained,
-                "span_shift": shift1,
-                "quotient_shift": shift2,
-                "next": b_next,
-            }
+        layer_ok, shift = match_characters(layer.character(), layer_char, reindex=0)
+        ok = ok and good and layer_ok
+        layers.append(
+            {"composition": b, "action": action, "label": label, "dim": layer_char.total(), "shift": shift}
         )
+        if stop is not None:
+            break
         b, sub = b_next, sub_next
     coker_dim = prod(coker_label)
     total = sum(l["dim"] for l in layers) + coker_dim
     telescoped = total == mod.total_dim
     return {
         "ok": ok and telescoped,
-        "a": a,
-        "i": i,
         "layers": layers,
         "cokernel": {"label": coker_label, "dim": coker_dim},
         "telescoped": telescoped,
         "total": total,
         "dim": mod.total_dim,
-        "steps": steps,
     }
 
 
@@ -501,12 +468,5 @@ def nilpotency_e1(a) -> dict:
 
 def verify_exactness(sub: QuotientMap) -> dict:
     """Character additivity along the kernel/image split of the move map."""
-    parent = sub.source.character()
-    target = sub.target.character()
-    ok = parent == sub.character() + target
-    return {
-        "ok": ok,
-        "parent_dim": parent.total(),
-        "kernel_dim": sub.dim,
-        "target_dim": target.total(),
-    }
+    ok = sub.source.character() == sub.character() + sub.target.character()
+    return {"ok": ok, "kernel_dim": sub.dim}

@@ -13,6 +13,7 @@ import io
 import json
 import re
 import time
+from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
@@ -24,7 +25,6 @@ from slfusion.cli import (
     composition_grid,
     emit,
     run_suite,
-    sorted_compositions,
     valid_adjacent_moves,
 )
 from slfusion.dual import oracle_character
@@ -73,7 +73,7 @@ def test_c01_dimension_law():
 
 def test_c02_dual_oracle_equality():
     """Quotient characters equal the constrained-symmetric-function oracle."""
-    cases = composition_grid(3, 5) + sorted_compositions(4, 3)
+    cases = composition_grid(3, 5) + [a for a in composition_grid(4, 3) if len(a) == 4]
     for a in cases:
         assert oracle_character(a) == fusion_module(a).character(), a
     print(f"criterion 2 PASS: dual-oracle equality on {len(cases)} compositions")
@@ -200,7 +200,7 @@ def test_c09_cohomology_recursion():
     """Recursion terminates at prod(a_i + 1); worked chain; pullback counts."""
     checked = 0
     for n in range(1, 5):
-        for label in sorted_compositions(n, 4, min_entry=0):
+        for label in combinations_with_replacement(range(5), n):
             rep = cohomology_dim(label)
             assert rep["dim"] == prod(x + 1 for x in label), label
             checked += 1

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, reports, caching."""
 
+import argparse
 import importlib.util
 import json
 import multiprocessing
@@ -8,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -78,6 +80,52 @@ def test_filtration_command(capsys):
     assert "M^(1,3)" in out
     code, _, err = run(capsys, "filtration", "--a", "2,2,3", "--i", "5")
     assert code == 2
+
+
+def test_filtration_command_prints_the_worked_chain(capsys):
+    code, out, _ = run(capsys, "filtration", "--a", "4,5,6,9", "--i", "3")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "peeling chain for the kernel at slot 3 of (4, 5, 6, 9):",
+        "  (4, 5, 6, 9) -> layer M^(4,8)  [peel]",
+        "  (4, 4, 7, 9) -> layer M^(4,6)  [peel]",
+        "  (3, 4, 8, 9) -> layer M^(3,5)  [peel]",
+        "  (3, 3, 9, 9) -> layer M^(3,3)  [stop-rule-2]",
+        "layer dims: 32 + 24 + 15 + 9 + cokernel 1000 = 1080",
+        "parent dim: 1080  telescoped: True",
+        "shifts: [(5, 12), (6, 12), (7, 12), (8, 12)]",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--a", "99999999999"],
+        ["character", "--a", "99999999999"],
+        ["submodule", "--a", "2,99999999999", "--i", "1"],
+        ["filtration", "--a", "2,99999999999", "--i", "1"],
+        ["verify", "dims", "--max-n", "13", "--max-entry", "2"],
+    ],
+)
+def test_label_over_the_size_guard_is_a_usage_error(capsys, monkeypatch, argv):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a module build was started")
+
+    monkeypatch.setattr(FusionModule, "__init__", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"more than {cli.MAX_AMBIENT_MONOMIALS} ambient monomials" in err
+    assert "Traceback" not in err
+
+
+def test_size_guard_passes_the_largest_labels_in_use():
+    # (2^12) has C(25, 12) = 5,200,300 ambient monomials, (2^13) has C(27, 13)
+    for a in [(2,) * 12, (3,) * 8, (4,) * 6, (5,) * 5, (99999,)]:
+        assert cli.sized_label(a) == a
+    with pytest.raises(argparse.ArgumentTypeError, match="ambient monomials"):
+        cli.sized_label((2,) * 13)
 
 
 def test_cohomology_command(capsys):
@@ -404,6 +452,33 @@ def test_claim_batches_hold_each_claim_once():
     rest = [s.pop() for s in sizes[len(singles):] if len(s) == 1]
     assert rest == sorted({size(c) for c in claims} - {None}, reverse=True)
     assert len(singles) + len(rest) == len(batches)
+
+
+def _as_loaded(value):
+    """What ``json.loads(json.dumps(value))`` gives back: tuples as lists."""
+    if isinstance(value, (list, tuple)):
+        return [_as_loaded(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _as_loaded(v) for k, v in value.items()}
+    return value
+
+
+def test_every_record_is_json_ready(tmp_path, monkeypatch):
+    cfg = RunConfig(max_n=2, max_entry=2, samples=2, cache_dir=str(tmp_path))
+    records = run_suite("all", cfg)
+    assert {r["claim"]: r["status"] for r in records}["cache-spot"] == "pass"
+    anchor, suite, _, params = cli.CLAIM_KINDS["dims"]
+
+    def integrity(cfg, claim, a):
+        raise IntegrityError("planted")
+
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, suite, integrity, params))
+    records.append(cli.run_claim("dims", ((2, 3),), cfg))
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, suite, lambda cfg, claim, a: 1 / 0, params))
+    records.append(cli.run_claim("dims", ((2, 3),), cfg))
+    assert [r["status"] for r in records[-2:]] == ["fail", "error"] and records[-2]["integrity"]
+    for rep in records:
+        assert json.loads(json.dumps(rep)) == _as_loaded(rep), rep["claim"]
 
 
 def test_pool_stream_equals_serial_stream(capsys):

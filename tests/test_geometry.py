@@ -126,7 +126,7 @@ def test_primed_index_fault_fails_the_chart_claim(monkeypatch, n):
     # its top fields vanish, in chart[n] and in transition[n]
     zero = [("e", n - 1), ("h", n - 1), ("L", n - 2), ("f", n - 1)]
     assert chart["got"]["sample_failures"] == [
-        {"field": list(lab), "point": None} for lab in zero
+        {"field": lab, "point": None} for lab in zero
     ]
     assert (trans["claim"], trans["status"]) == (f"transition[{n}]", "fail")
     assert trans["got"] == {"sampled_ok": False, "golden_ok": True}

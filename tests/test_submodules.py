@@ -1,6 +1,7 @@
 """Move surjections, their kernels, and the three kernel descriptions."""
 
 import re
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -14,7 +15,7 @@ from oracle_utils import (
     subspace_intersection,
 )
 
-from slfusion import modules, submodules
+from slfusion import cli, modules, submodules
 from slfusion.linalg import IntegrityError, rref
 from slfusion.modules import (
     ModuleElement,
@@ -30,7 +31,6 @@ from slfusion.submodules import (
     move_composition,
     move_rejection,
     nilpotency_e1,
-    span_of_w,
     submodule_S,
     verify_emb,
     verify_exactness,
@@ -266,7 +266,7 @@ def test_cyclic_span_matches_reference(monkeypatch):
     kind = "w"
     for a in GRID:
         for i in range(1, len(a)):
-            span_of_w(a, i)
+            verify_w_generators(submodule_S(a, i))
     kind = "peel"
     for a in GRID:
         for i in range(1, len(a)):
@@ -328,7 +328,7 @@ def test_w_generator_values():
     assert submodule_S((2, 2), 1).character().table == {(1, 1): 1}
     ws = generators_w((2, 3), 1)
     assert len(ws) == 2
-    assert span_of_w((2, 3), 1).dim == 2
+    assert verify_w_generators(submodule_S((2, 3), 1))["span_dim"] == 2
 
 
 def test_w_zero_index_is_cyclic_vector():
@@ -342,6 +342,19 @@ def test_w_generators_span_kernel():
         rep = verify_w_generators(submodule_S(a, i))
         assert rep["ok"], (a, i, rep)
         assert all(rep["membership"])
+
+
+def test_w_generators_are_formed_once(monkeypatch):
+    real = submodules.generators_w
+    calls = []
+
+    def counted(a, i):
+        calls.append((a, i))
+        return real(a, i)
+
+    monkeypatch.setattr(submodules, "generators_w", counted)
+    assert verify_w_generators(submodule_S((2, 3, 4), 2))["ok"]
+    assert calls == [((2, 3, 4), 2)]
 
 
 def test_sum_decomposition():
@@ -370,14 +383,14 @@ def test_filtration_single_step():
 def test_filtration_stop_rule_one():
     rep = verify_filtration((1, 2, 3), 2)
     assert rep["ok"]
-    assert rep["steps"][0]["action"] == "stop-rule-1"
+    assert rep["layers"][0]["action"] == "stop-rule-1"
     assert rep["layers"][0]["label"] == (2,)
 
 
 def test_filtration_recursive_step():
     rep = verify_filtration((2, 3, 4), 2)
     assert rep["ok"]
-    actions = [s["action"] for s in rep["steps"]]
+    actions = [l["action"] for l in rep["layers"]]
     assert actions[0] == "peel"
     total = sum(l["dim"] for l in rep["layers"]) + rep["cokernel"]["dim"]
     assert total == 24
@@ -391,6 +404,54 @@ def test_filtration_worked_example_shape():
     assert [l["dim"] for l in rep["layers"]] == [32, 24, 15, 9]
     assert rep["cokernel"] == {"label": (4, 5, 5, 10), "dim": 1000}
     assert rep["total"] == 1080
+    assert set(rep) == {"ok", "layers", "cokernel", "telescoped", "total", "dim"}
+    assert [(l["composition"], l["action"]) for l in rep["layers"]] == [
+        ((4, 5, 6, 9), "peel"),
+        ((4, 4, 7, 9), "peel"),
+        ((3, 4, 8, 9), "peel"),
+        ((3, 3, 9, 9), "stop-rule-2"),
+    ]
+    assert all(set(l) == {"composition", "action", "label", "dim", "shift"} for l in rep["layers"])
+
+
+def _plant_filtration_fault(monkeypatch, plant):
+    """Break one check of the peeling chain of S_{3,4}(2,2,3,4): a peel to
+    (1,2,4,4) with layer M^(2,3), then stop rule 2 with layer M^(1,2)."""
+    real_label, real_w = submodules._peel_label, submodules.generators_w
+    if plant == "peel-label":
+        monkeypatch.setattr(
+            submodules, "_peel_label", lambda b, i: real_label(b, i)[:-1] + (real_label(b, i)[-1] + 1,)
+        )
+    elif plant == "cyclic-seed":
+        # the cyclic vector in place of w_2: its span is all of M^A
+        monkeypatch.setattr(submodules, "generators_w", lambda b, i: [fusion_module(b).cyclic_vector()])
+    elif plant == "seed-outside-kernel":
+        # a basis vector outside the kernel whose span has the character of
+        # the span of w_2, so that only the containment check sees it
+        def seed(b, i):
+            if b != (2, 2, 3, 4):
+                return real_w(b, i)
+            return [ModuleElement(fusion_module(b), {(2, 4): {0: Fraction(1)}})]
+
+        monkeypatch.setattr(submodules, "generators_w", seed)
+    elif plant == "quotient":
+        # the quotient character taken without removing the layer
+        monkeypatch.setattr(modules.GradedCharacter, "__sub__", lambda self, other: self)
+
+
+@pytest.mark.parametrize("plant", ["peel-label", "cyclic-seed", "seed-outside-kernel", "quotient"])
+def test_planted_filtration_faults_fail(monkeypatch, plant):
+    a, i = (2, 2, 3, 4), 3
+    assert verify_filtration(a, i)["ok"]
+    _plant_filtration_fault(monkeypatch, plant)
+    rep = verify_filtration(a, i)
+    assert not rep["ok"]
+    if plant in ("seed-outside-kernel", "quotient"):
+        # every layer character and the telescoping still hold
+        assert rep["telescoped"] and [l["label"] for l in rep["layers"]] == [(2, 3), (1, 2)]
+    record = cli.run_claim("filtration", (a, i), cli.RunConfig())
+    assert (record["claim"], record["status"]) == ("filtration[(2, 2, 3, 4), 3]", "fail")
+    assert not record.get("integrity")
 
 
 def test_second_description_smallest():
