@@ -18,6 +18,11 @@ exception, 141 (128 + SIGPIPE) the reader of stdout closed it early.  An
 integrity error outranks a crash, which outranks a failure.
 A crashing claim is reported with status ``error`` and the exception text in
 ``got``; the other claims still run and report.
+
+A cache directory that cannot be a writable directory is a usage error.  A
+cached module is loaded inside each claim that reads it (``CACHED_KINDS``),
+so an entry that fails certification on load gives that claim an integrity
+record, and the other claims still report.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from itertools import combinations_with_replacement
 from math import comb, prod
 from random import Random
 
+from slfusion.cache import ModuleCache
 from slfusion.linalg import IntegrityError, parse_scalar
 from slfusion import modules as fm
 from slfusion import submodules as sm
@@ -118,10 +124,16 @@ def claim_id(kind: str, params: tuple) -> str:
     return f"{kind}{list(params)!r}" if params else kind
 
 
+# the kinds whose first parameter is a plain module, loaded through the cache
+CACHED_KINDS = ("dims", "dual", "demazure", "nilpotency")
+
+
 def run_claim(kind: str, params: tuple, cfg: RunConfig) -> dict:
     claim = claim_id(kind, params)
     try:
         anchor, _, check, _ = CLAIM_KINDS[kind]
+        if cfg.cache_dir and kind in CACHED_KINDS:
+            ModuleCache(cfg.cache_dir).get(params[0])
         return report(claim, anchor, *check(cfg, claim, *params))
     except IntegrityError as exc:
         rep = report(claim, "integrity", {"params": params}, "no integrity error", str(exc), None, False)
@@ -305,8 +317,6 @@ def _ring(cfg, claim, a, k):
 def _cache_spot(cfg, claim):
     if not cfg.cache_dir:
         return {}, "cache disabled", "cache disabled", None, SKIPPED
-    from slfusion.cache import ModuleCache
-
     seed = claim_seed(cfg.seed, claim)
     result = ModuleCache(cfg.cache_dir).spot_check(Random(seed))
     if result is None:
@@ -416,8 +426,9 @@ def claim_batches(claims: list) -> list[list]:
 def run_suite(suite: str, cfg: RunConfig) -> list[dict]:
     _check_jobs(cfg.jobs)
     claims = suite_claims(suite, cfg)
-    if cfg.cache_dir:
-        _warm_cache(claims, cfg)
+    # the spot check draws from the entries the other claims store: it runs last
+    last = [claim for claim in claims if claim[0] == "cache-spot"]
+    claims = [claim for claim in claims if claim[0] != "cache-spot"]
     reports = []
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -444,6 +455,7 @@ def run_suite(suite: str, cfg: RunConfig) -> list[dict]:
     else:
         for kind, params in claims:
             reports.append(_timed_claim(kind, params, cfg))
+    reports.extend(_timed_claim(kind, params, cfg) for kind, params in last)
     reports.sort(key=lambda r: r["claim"])
     return reports
 
@@ -463,16 +475,6 @@ def _timed_claim(kind, params, cfg):
     rep = run_claim(kind, params, cfg)
     rep["ms"] = int((time.perf_counter() - t0) * 1000)
     return rep
-
-
-def _warm_cache(claims, cfg):
-    """Preload plain modules named by the claims through the disk cache."""
-    from slfusion.cache import ModuleCache
-
-    cache = ModuleCache(cfg.cache_dir)
-    for kind, params in claims:
-        if kind in ("dims", "dual", "demazure", "nilpotency") and params:
-            cache.get(params[0])
 
 
 # ---------------------------------------------------------------------------
@@ -541,16 +543,19 @@ def sized_label(a: tuple) -> tuple:
     return a
 
 
-def _resolve_cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_ENV) or None
-
-
-def _get_module(a, cache_dir):
-    if cache_dir:
-        from slfusion.cache import ModuleCache
-
-        return ModuleCache(cache_dir).get(a)
-    return fm.fusion_module(a)
+def _resolve_cache_dir(args, parser) -> str | None:
+    """``--cache-dir``, else ``$SLFUSION_CACHE_DIR``, else None; the
+    directory is created if missing, and a path that cannot be a writable
+    directory is a usage error."""
+    path = args.cache_dir or os.environ.get(CACHE_ENV) or None
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"cache dir {path!r} cannot be created: {exc.strerror or exc}")
+        if not os.access(path, os.W_OK | os.X_OK):
+            parser.error(f"cache dir {path!r} is not a writable directory")
+    return path
 
 
 def cmd_build(args, parser) -> int:
@@ -559,7 +564,8 @@ def cmd_build(args, parser) -> int:
         fm.validate_composition(a, allow_empty=False)
     except ValueError as exc:
         parser.error(str(exc))
-    mod = _get_module(a, _resolve_cache_dir(args))
+    cache_dir = _resolve_cache_dir(args, parser)
+    mod = ModuleCache(cache_dir).get(a) if cache_dir else fm.fusion_module(a)
     print(f"a = {','.join(map(str, a))}")
     print(f"dim = {mod.total_dim}")
     print(f"character = {mod.character().poly_str()}")
@@ -644,7 +650,7 @@ def cmd_verify(args, parser) -> int:
             max_entry=args.max_entry,
             samples=args.samples,
             seed=args.seed,
-            cache_dir=_resolve_cache_dir(args),
+            cache_dir=_resolve_cache_dir(args, parser),
             jobs=args.jobs,
             only_n=args.n,
         )

@@ -285,9 +285,6 @@ class SymPoly:
     def max_part(self) -> int:
         return max((lam[0] for lam in self.coeffs if lam), default=0)
 
-    def vector(self, basis: list[tuple]):
-        return [self.coeffs.get(lam, 0) for lam in basis]
-
     def __eq__(self, other):
         return (
             isinstance(other, SymPoly)
@@ -344,6 +341,14 @@ def shuffle_product(f: SymPoly, g: SymPoly) -> SymPoly:
     return SymPoly(s1 + s2, out)
 
 
+def _degree_row(h: SymPoly, d: int, max_part: int) -> dict:
+    """The degree-d part of h as ``{column: coeff}`` over
+    ``partitions_bounded(d, h.nvars, max_part)``; every part of h is at most
+    ``max_part``."""
+    col, base = _code_columns(d, h.nvars, max_part), h.nvars + 1
+    return {col[_code(lam, base)]: c for lam, c in h.coeffs.items() if sum(lam) == d}
+
+
 def satisfies_constraints(a, h: SymPoly) -> bool:
     """Membership of a homogeneous slice in the constrained dual space."""
     a = validate_composition(a)
@@ -355,8 +360,7 @@ def satisfies_constraints(a, h: SymPoly) -> bool:
     s = h.nvars
     caps = _exponents(a, s)
     for d in {sum(lam) for lam in h.coeffs}:
-        col = _code_columns(d, s, n - 1)
-        vec = {col[_code(lam, s + 1)]: c for lam, c in h.coeffs.items() if sum(lam) == d}
+        vec = _degree_row(h, d, n - 1)
         for row in _SliceRows(n, caps, s, d):
             if sum(x * vec[c] for c, x in row.items() if c in vec):
                 return False
@@ -417,12 +421,11 @@ def coordinate_ring_component(a, k: int) -> dict:
             constraint_failures += 1
             continue
         for d in {sum(lam) for lam in h.coeffs}:
-            basis = partitions_bounded(d, h.nvars, len(a) - 1)
             key = (h.nvars, d)
             ech = spans.get(key)
             if ech is None:
-                ech = spans[key] = IntEchelon(len(basis))
-            ech.insert(h.vector(basis))
+                ech = spans[key] = IntEchelon(len(partitions_bounded(d, h.nvars, len(a) - 1)))
+            ech.insert(_degree_row(h, d, len(a) - 1))
     deficits = []
     for (s, d), want in target.items():
         got = spans[(s, d)].dim if (s, d) in spans else 0

@@ -40,7 +40,7 @@ from math import lcm, prod
 from random import Random
 
 from slfusion.laurent import Laurent, _bareiss
-from slfusion.linalg import IntEchelon, IntegrityError, _integer_row, exact_scalar
+from slfusion.linalg import IntEchelon, IntegrityError, exact_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def verify_vect_algebra(n: int) -> dict:
                 if col is None:
                     return None
                 sparse[col] = c
-        return _integer_row(sparse)
+        return sparse
 
     ech = IntEchelon(len(coords))
     for k in keys:

@@ -20,7 +20,8 @@ Determinants come from Bareiss's fraction-free elimination, run on the
 Laurent entries themselves: every division it makes is exact, and
 ``Laurent.__floordiv__`` checks that it is.  Integral coefficients are kept
 as ``int``, so the twist-section rows of the transition matrices are
-integer rows.
+integer rows.  ``splitting_type`` takes integer coefficients only (scale a
+rational matrix's rows first: that keeps the splitting type).
 """
 
 from __future__ import annotations
@@ -223,13 +224,16 @@ def _twist_rows(matrix, k: int, bound: int):
 def splitting_type(matrix: list[list[Laurent]]) -> list[int]:
     """Splitting exponents of a Laurent matrix, sorted descending.
 
-    Raises ``ValueError`` unless the determinant is a nonzero constant times
-    a power of ``y``.  The exponents are returned only after the
-    factorization ``M·X = P·diag(y^e)`` built from the twist-section ladder
-    passes ``_check_factorization``; if the ladder does not close within the
-    degree bound, or a check fails, ``IntegrityError`` is raised.
+    Raises ``ValueError`` unless every coefficient is an ``int`` and the
+    determinant is a nonzero constant times a power of ``y``.  The exponents
+    are returned only after the factorization ``M·X = P·diag(y^e)`` built
+    from the twist-section ladder passes ``_check_factorization``; if the
+    ladder does not close within the degree bound, or a check fails,
+    ``IntegrityError`` is raised.
     """
     size = len(matrix)
+    if any(type(c) is not int for row in matrix for x in row for c in x.coeffs.values()):
+        raise ValueError("splitting_type takes integer coefficients")
     det = laurent_det(matrix)
     if det.is_zero() or not det.is_monomial():
         raise ValueError(f"determinant {det} is not a unit times a power")
@@ -243,7 +247,7 @@ def splitting_type(matrix: list[list[Laurent]]) -> list[int]:
         if len(cols) == size:
             break
         for vec in kernel_basis(_twist_rows(matrix, k, bound), size * width):
-            if consts.insert(vec[::width]):
+            if consts.insert({c: x for c, x in enumerate(vec[::width]) if x}):
                 cols.append([
                     Laurent({-j: vec[c * width + j] for j in range(width)})
                     for c in range(size)

@@ -9,17 +9,16 @@ e_0 most significant; within a fixed bidegree this is descending
 lexicographic order on exponent vectors.
 
 Row reduction is deterministic (first nonzero pivot in column order) and
-exact.  Every elimination runs in ``IntEchelon`` on sparse primitive integer
-rows, fraction-free: each candidate row is reduced against the span in a
-single integer combination, and only the nonzero entries are ever touched.
-``IntEchelon`` takes dense rational rows as well as sparse integer maps; a
-rational row is scaled to integers by ``_integer_row``, the one converter.
-``kernel_basis`` is fraction-free too: it reads the null space off the reduced
-integer rows as primitive integer vectors.  Rationals appear only in the
-rows callers pass in and in dense normal forms built on demand, so the
-results are exact by construction.  The dense ``Fraction`` ``rref`` is not
-called by the library: it stays only as the independent reference the
-tests check ``IntEchelon`` and ``kernel_basis`` against.
+exact.  Every elimination runs in ``IntEchelon``, fraction-free, and its one
+row format is the sparse integer map ``{column: int}``: each candidate row
+is reduced against the span in a single integer combination, and only the
+nonzero entries are ever touched.  ``kernel_basis`` takes the same rows and
+reads the null space off the reduced rows as primitive integer vectors.
+Callers build integer rows where the values arise; the one place that
+scales rational values to an integer row is ``modules.Subspace``, for the
+``Fraction`` coordinates of module elements.  The dense ``Fraction``
+``rref`` is not called by the library: it stays only as the independent
+reference the tests check ``IntEchelon`` and ``kernel_basis`` against.
 """
 
 from __future__ import annotations
@@ -143,19 +142,18 @@ def rref(rows, ncols: int | None = None):
 def kernel_basis(rows, ncols: int):
     """Basis of the right null space, one primitive integer vector per free column.
 
-    ``rows`` is any iterable of dense sequences or ``{column: value}`` maps
-    (integer or rational entries); each is scaled to integers by
-    ``_integer_row`` and goes into an ``IntEchelon``.  Rows are read one at a
-    time and reading stops as soon as the span is full, so a lazy iterable
-    is never read further than needed.  For each free column ``fc`` the
-    vector is the one read off ``rref`` (1 at ``fc``, ``-row[fc] / row[pc]``
-    at the pivot column ``pc`` of each reduced row) scaled to a primitive
-    integer tuple, positive at ``fc``.  With no rows it is the identity basis.
+    ``rows`` is any iterable of ``{column: int}`` maps, each inserted into an
+    ``IntEchelon``.  Rows are read one at a time and reading stops as soon as
+    the span is full, so a lazy iterable is never read further than needed.
+    For each free column ``fc`` the vector is the one read off ``rref`` (1 at
+    ``fc``, ``-row[fc] / row[pc]`` at the pivot column ``pc`` of each reduced
+    row) scaled to a primitive integer tuple, positive at ``fc``.  With no
+    rows it is the identity basis.
     """
     ech = IntEchelon(ncols)
     if ncols:
         for row in rows:
-            ech.insert(_integer_row(row))
+            ech.insert(row)
             if ech.dim == ncols:
                 break
     pivots = ech.pivots
@@ -185,27 +183,6 @@ def kernel_basis(rows, ncols: int):
 # primitive-integer echelon spans (hot path)
 
 
-def _integer_row(row) -> dict[int, int]:
-    """An integer multiple of a rational row, as a ``{column: value}`` map.
-
-    ``row`` is a dense sequence or a sparse map of ``int``/``Fraction``
-    entries.  A row with a non-integer entry is scaled by the lcm of its
-    denominators; a sparse integer map is returned as it is.  This is the
-    one place where rational rows become integer rows: ``IntEchelon``
-    makes them primitive.
-    """
-    vals = row.values() if isinstance(row, dict) else row
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    if all(type(x) is int for x in vals):
-        return row if isinstance(row, dict) else {c: x for c, x in items if x}
-    den = lcm(*(x.denominator for x in vals if type(x) is not int))
-    return {
-        c: x * den if type(x) is int else x.numerator * (den // x.denominator)
-        for c, x in items
-        if x
-    }
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """A nonzero sparse row divided by its content, leading entry positive."""
     g = 0
@@ -221,22 +198,16 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 class IntEchelon:
     """Reduced echelon span of primitive integer rows with incremental insert.
 
-    Rows are kept fully reduced (every pivot column is zero in all other
-    rows), primitive, with positive leading entry; the sorted row list is a
-    canonical form of the rational row space, so two spans are equal iff
-    their row lists are equal.
-
-    Rows are stored sparsely as ``{column: value}`` maps keyed by pivot
-    column.  Because they are fully reduced, a candidate row reduces in one
-    integer combination ``L*row - sum((x_i*L/lead_i) * prow_i)``, where the
-    ``x_i`` are its entries at the pivot columns it hits and ``L`` is the lcm
-    of those pivots' leading entries: no pivot row touches another pivot
-    column, so the ``x_i`` do not change while the row is reduced.  ``rows``
-    gives the same rows as dense tuples sorted by pivot column.
-
-    ``insert``, ``residual`` and ``contains`` take a dense sequence of
-    ``int``/``Fraction`` entries, scaled to integers by ``_integer_row``, or
-    a sparse ``{column: int}`` map, used as it is (the module-build path).
+    Rows come in and are stored as sparse ``{column: int}`` maps (zero
+    entries are tolerated on input), keyed by pivot column.  They are kept
+    fully reduced (every pivot column is zero in all other rows), primitive,
+    with positive leading entry: a canonical form of the rational row space,
+    so two spans are equal iff their rows are equal.  Because the rows are
+    fully reduced, a candidate row reduces in one integer combination
+    ``L*row - sum((x_i*L/lead_i) * prow_i)``, where the ``x_i`` are its
+    entries at the pivot columns it hits and ``L`` is the lcm of those
+    pivots' leading entries: no pivot row touches another pivot column, so
+    the ``x_i`` do not change while the row is reduced.
     """
 
     def __init__(self, ncols: int):
@@ -245,18 +216,10 @@ class IntEchelon:
         self._rows: dict[int, dict[int, int]] = {}  # pivot column -> row
         # non-pivot column -> pivot columns of the rows nonzero there
         self._where: dict[int, set[int]] = {}
-        self._dense: list[tuple[int, ...]] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    @property
-    def rows(self) -> list[tuple[int, ...]]:
-        """The reduced rows as dense tuples, sorted by pivot column."""
-        if self._dense is None:
-            self._dense = [self._to_dense(self._rows[pc]) for pc in self.pivots]
-        return self._dense
 
     def sparse_rows(self) -> list[dict[int, int]]:
         """The reduced rows as ``{column: value}`` maps, sorted by pivot column.
@@ -265,16 +228,8 @@ class IntEchelon:
         """
         return [self._rows[pc] for pc in self.pivots]
 
-    def _to_dense(self, row: dict[int, int]) -> tuple[int, ...]:
-        dense = [0] * self.ncols
-        for c, x in row.items():
-            dense[c] = x
-        return tuple(dense)
-
-    def _reduce(self, row) -> dict[int, int]:
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
         """Sparse residual of ``row`` against the span ({} if inside)."""
-        if not isinstance(row, dict):
-            row = _integer_row(row)
         rows = self._rows
         hits = [(c, x) for c, x in row.items() if c in rows]
         if not hits:
@@ -290,15 +245,10 @@ class IntEchelon:
                     acc[c] = acc.get(c, 0) - f * y
         return {c: x for c, x in acc.items() if x}
 
-    def residual(self, row) -> tuple[int, ...] | None:
-        """Primitive residual of ``row`` against the span (None if inside)."""
-        res = self._reduce(row)
-        return self._to_dense(_primitive(res)) if res else None
-
-    def contains(self, row) -> bool:
+    def contains(self, row: dict[int, int]) -> bool:
         return not self._reduce(row)
 
-    def insert(self, row) -> bool:
+    def insert(self, row: dict[int, int]) -> bool:
         """Add a row to the span; True if the dimension grew."""
         res = self._reduce(row)
         if not res:
@@ -325,11 +275,11 @@ class IntEchelon:
                 where.setdefault(c, set()).add(pc)
         rows[pc] = res
         insort(self.pivots, pc)
-        self._dense = None
         return True
 
-    def canonical(self) -> tuple:
-        return tuple(self.rows)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntEchelon) and self.rows == other.rows
+        return (
+            isinstance(other, IntEchelon)
+            and self.ncols == other.ncols
+            and self._rows == other._rows
+        )

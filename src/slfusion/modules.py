@@ -63,7 +63,6 @@ from math import gcd, lcm, prod
 from slfusion.linalg import (
     IntegrityError,
     IntEchelon,
-    _integer_row,
     enumerate_monomials,
 )
 
@@ -788,12 +787,20 @@ class TensorModule:
 # subspaces and cyclic spans
 
 
+def _slice_row(vec: dict) -> dict[int, int]:
+    """An element slice ``{position: int | Fraction}`` times the lcm of its
+    denominators: the integer row that spans the same line."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in vec.items() if x}
+
+
 class Subspace:
     """Graded subspace of a fusion or tensor module, one echelon per bidegree.
 
     An element's slice goes into the echelon of its bidegree as the integer
-    multiple ``_integer_row`` makes of its coordinates; the echelon rows are
-    integer rows over the owner's piece basis, the same for both owner kinds.
+    row ``_slice_row`` scales it to: the one place where rational values
+    become echelon rows.  The echelon rows are integer rows over the owner's
+    piece basis, the same for both owner kinds.
     """
 
     def __init__(self, owner):
@@ -815,13 +822,13 @@ class Subspace:
         ech = self.spans.get(ks)
         if ech is None:
             ech = self.spans[ks] = IntEchelon(self.owner.dim_piece(*ks))
-        return ech.insert(_integer_row(vec))
+        return ech.insert(_slice_row(vec))
 
     def contains(self, el) -> bool:
         self._check_owner(el)
         for ks, vec in el.coords.items():
             ech = self.spans.get(ks)
-            if ech is None or not ech.contains(_integer_row(vec)):
+            if ech is None or not ech.contains(_slice_row(vec)):
                 return False
         return True
 
@@ -854,15 +861,12 @@ class Subspace:
     def character(self) -> GradedCharacter:
         return GradedCharacter({ks: e.dim for ks, e in self.spans.items()})
 
-    def canonical(self):
-        return {ks: e.canonical() for ks, e in self.spans.items() if e.dim}
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.owner is other.owner
-            and self.canonical() == other.canonical()
-        )
+        """Same owner and the same nonzero slices; empty echelons do not count."""
+        if not isinstance(other, Subspace) or self.owner is not other.owner:
+            return False
+        mine, theirs = ({ks: e for ks, e in sub.spans.items() if e.dim} for sub in (self, other))
+        return mine == theirs
 
     __hash__ = None  # mutable during construction
 

@@ -105,7 +105,7 @@ class QuotientMap:
                 f"map {self.a} -> {target.a} not well defined: "
                 f"source relation at degree {found[0]}, z^{found[1]} survives"
             )
-        self._rows: dict = {}
+        self._kernel = Subspace(self.source)
         covered = 0
         for ks, piece in self.source.pieces.items():
             if not piece.dim:
@@ -121,23 +121,20 @@ class QuotientMap:
                     )
                 image_cols.append(r)
             covered += len(image_cols)
+            if len(image_cols) == piece.dim:
+                continue
             images = set(image_cols)
-            rows = []
+            ech = self._kernel.spans[ks] = IntEchelon(piece.dim)
             for r, m in enumerate(piece.basis):
                 if r in images:
                     continue
-                red = target.normal_form(m)
-                if red is None:
-                    rows.append({r: 1})
-                    continue
-                row = {image_cols[t]: -x for t, x in red[1]}
-                row[r] = red[2]
-                rows.append(row)
-            if rows:
-                self._rows[ks] = rows
+                # a monomial of the target ideal has the zero class
+                _, entries, den = target.normal_form(m) or (ks, (), 1)
+                row = {image_cols[t]: -x for t, x in entries}
+                row[r] = den
+                ech.insert(row)
         if covered != target.total_dim:
             raise IntegrityError(f"map {self.a} -> {target.a} not surjective")
-        self._kernel = None
         kernel = self.kernel()
         for l in range(self.source.n):
             if not kernel.closed_under(l):
@@ -157,12 +154,6 @@ class QuotientMap:
 
     def kernel(self) -> Subspace:
         """The kernel S_{i,j}(A) as a subspace of the source module."""
-        if self._kernel is None:
-            sub = self._kernel = Subspace(self.source)
-            for ks, rows in self._rows.items():
-                ech = sub.spans[ks] = IntEchelon(self.source.dim_piece(*ks))
-                for row in rows:
-                    ech.insert(row)
         return self._kernel
 
     @property

@@ -24,7 +24,7 @@ factors out as monomials and sums over every interleaving of the variables.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 from slfusion.dual import (
@@ -57,9 +57,31 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def scale_to_int(vec) -> tuple[int, ...] | None:
-    """Primitive integer multiple of a dense rational vector (None if zero)."""
-    return IntEchelon(len(vec)).residual(vec)
+def int_row(row) -> dict[int, int]:
+    """A dense sequence or ``{column: value}`` map of ``int``/``Fraction``
+    entries as the primitive sparse integer row on the same line, leading
+    entry positive; ``{}`` for a zero row.  This is the form every
+    ``IntEchelon`` row takes, so rref rows compare with echelon rows
+    through it."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    vals = {c: Fraction(x) for c, x in items if x}
+    if not vals:
+        return {}
+    den = lcm(*(x.denominator for x in vals.values()))
+    ints = {c: int(x * den) for c, x in vals.items()}
+    g = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+    return {c: x // g for c, x in ints.items()}
+
+
+def dense_rows(ech: IntEchelon) -> list[tuple[int, ...]]:
+    """The rows of an ``IntEchelon`` as dense tuples, sorted by pivot column."""
+    out = []
+    for row in ech.sparse_rows():
+        vec = [0] * ech.ncols
+        for c, x in row.items():
+            vec[c] = x
+        out.append(tuple(vec))
+    return out
 
 
 def h0_twist(matrix, k, bound):
@@ -77,9 +99,7 @@ def h0_twist(matrix, k, bound):
                         row[c * (bound + 1) + j] += coef
     ech = IntEchelon(nunknowns)
     for row in rows.values():
-        vec = scale_to_int(row)
-        if vec is not None:
-            ech.insert(vec)
+        ech.insert(int_row(row))
     return nunknowns - ech.dim
 
 
@@ -253,19 +273,20 @@ def intersect_spans(a: IntEchelon, b: IntEchelon) -> IntEchelon:
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch")
     out = IntEchelon(a.ncols)
-    if not a.rows or not b.rows:
+    arows, brows = dense_rows(a), dense_rows(b)
+    if not arows or not brows:
         return out
     # solve x*A = y*B: kernel of stacked [A; -B]^T, read off the A-part;
     # the unknowns are the coefficients over the rows of A and B
-    rows = a.rows + [tuple(-x for x in r) for r in b.rows]
+    rows = arows + [tuple(-x for x in r) for r in brows]
     cols = a.ncols
-    for vec in kernel_basis(list(zip(*rows)), len(rows)):
+    for vec in kernel_basis([int_row(col) for col in zip(*rows)], len(rows)):
         comb = [Fraction(0)] * cols
-        for coef, arow in zip(vec[: len(a.rows)], a.rows):
+        for coef, arow in zip(vec[: len(arows)], arows):
             if coef:
                 for i, x in enumerate(arow):
                     comb[i] += coef * x
-        out.insert(comb)
+        out.insert(int_row(comb))
     return out
 
 
@@ -358,7 +379,7 @@ def ideal_rows_reference(a):
             if gen is not None:
                 ech.insert({index[m]: c for m, c in gen.items()})
             cur[s] = (monos, ech)
-            out[(k, s)] = ech.rows
+            out[(k, s)] = dense_rows(ech)
         prev = cur
     return out
 

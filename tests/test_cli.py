@@ -22,8 +22,10 @@ from slfusion.cache import ModuleCache
 from slfusion.cli import (
     EXIT_ERROR,
     EXIT_FAIL,
+    EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_PIPE,
+    EXIT_USAGE,
     RunConfig,
     claim_seed,
     main,
@@ -678,6 +680,51 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "build", "--a", "2,4")
     assert code == EXIT_OK
     assert any(tmp_path.glob("module-*.json"))
+
+
+BAD_CACHE_ARGV = [
+    ["build", "--a", "2,3"],
+    ["character", "--a", "2,3"],
+    ["verify", "dims", "--max-n", "1", "--max-entry", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_CACHE_ARGV, ids=lambda argv: argv[0])
+def test_a_cache_dir_that_cannot_be_a_directory_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    afile = tmp_path / "F"
+    afile.write_text("")
+    for path in (afile, afile / "below"):
+        code, out, err = run(capsys, *argv, "--cache-dir", str(path))
+        assert code == EXIT_USAGE and not out, (argv, path)
+        assert str(path) in err and "Traceback" not in err, err
+    monkeypatch.setenv("SLFUSION_CACHE_DIR", str(afile))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and not out and str(afile) in err and "Traceback" not in err
+    assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_tampered_cache_entry_fails_only_its_own_claims(capsys, tmp_path, monkeypatch, jobs):
+    # the load certifies the entry inside each claim that reads it: the
+    # tampered label gets an integrity record, every other claim reports
+    if jobs > (os.cpu_count() or 1):
+        pytest.skip("needs as many CPUs as workers")
+    cache = ModuleCache(tmp_path)
+    cache.get((2, 3))
+    path = cache.path_for((2, 3))
+    data = json.loads(path.read_text())
+    data["pieces"].append([1, 0, [], []])  # a nonzero piece claimed wholly ideal
+    path.write_text(json.dumps(data))
+    monkeypatch.delitem(modules._MODULE_CACHE, (2, 3))
+    code, out, err = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3",
+                         "--cache-dir", str(tmp_path), "--format", "json", "--jobs", str(jobs))
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == EXIT_INTEGRITY and len(records) == 9, (code, out, err)
+    bad = [r for r in records if r.get("integrity")]
+    assert [r["claim"] for r in bad] == ["dims[(2, 3)]"]
+    assert "dim mismatch for (2, 3)" in bad[0]["got"]
+    assert all(r["status"] == "pass" for r in records if r is not bad[0])
+    assert "Traceback" not in err
 
 
 def test_cache_store_is_atomic(tmp_path, monkeypatch):

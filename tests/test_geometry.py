@@ -479,6 +479,20 @@ def test_splitting_planted_diagonals():
         assert splitting_type(mat) == diag
 
 
+def test_splitting_takes_integer_coefficients_only():
+    # the twist rows go to the integer elimination as they are: a rational
+    # coefficient is refused up front, and clearing a row's denominators
+    # (a constant row scaling) keeps the splitting type
+    rng = Random(5150)
+    for _ in range(10):
+        diag, mat = scrambled_diagonal(rng, 3, ops=3)
+        den = rng.choice((2, 5, 7))
+        rational = [[x * Laurent.const(Fraction(1, den)) for x in mat[0]]] + mat[1:]
+        with pytest.raises(ValueError, match="integer coefficients"):
+            splitting_type(rational)
+        assert splitting_via_sections(rational) == diag == splitting_type(mat)
+
+
 def test_splitting_degree_conservation():
     rng = Random(777)
     for _ in range(6):

@@ -9,7 +9,8 @@ try:
 except ImportError:  # optional test dependency: the seeded loops still run
     given = None
 
-from oracle_utils import rref_kernel, scale_to_int
+import pytest
+from oracle_utils import dense_rows, int_row, rref_kernel
 
 from slfusion.linalg import (
     IntEchelon,
@@ -104,21 +105,21 @@ def test_rref_idempotent_and_rank_nullity():
         rank2, red2, pivots2 = rref(red, cols_n)
         assert (rank, pivots) == (rank2, pivots2)
         assert red == red2
-        assert rank + len(kernel_basis(mat, cols_n)) == cols_n
+        assert rank + len(kernel_basis([int_row(r) for r in mat], cols_n)) == cols_n
 
 
 def test_kernel_examples():
-    assert kernel_basis([[1, 0], [0, 1]], 2) == []
-    (vec,) = kernel_basis([[1, 1]], 2)
+    assert kernel_basis([{0: 1}, {1: 1}], 2) == []
+    (vec,) = kernel_basis([{0: 1, 1: 1}], 2)
     assert vec[0] == -vec[1] != 0
-    (vec,) = kernel_basis([[1, 2], [2, 4]], 2)
+    (vec,) = kernel_basis([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
     assert vec[0] == -2 * vec[1] != 0
 
 
 def test_kernel_vectors_annihilate():
     rng = Random(7)
     mat = [[Fraction(rng.randint(-4, 4)) for _ in range(8)] for _ in range(5)]
-    for vec in kernel_basis(mat, 8):
+    for vec in kernel_basis([int_row(r) for r in mat], 8):
         for row in mat:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
@@ -133,18 +134,19 @@ def test_scalar_roundtrip():
 
 
 def check_echelon_against_rref(mat, cols_n):
-    """IntEchelon must equal rref up to primitive scaling, from either row form."""
-    ech, sparse = IntEchelon(cols_n), IntEchelon(cols_n)
+    """IntEchelon must equal rref up to primitive scaling, from the primitive
+    row and from the raw integer map, zero entries kept."""
+    ech, raw = IntEchelon(cols_n), IntEchelon(cols_n)
     for row in mat:
-        ech.insert(row)
-        sparse.insert({c: x for c, x in enumerate(row) if x})
+        ech.insert(int_row(row))
+        raw.insert(dict(enumerate(row)))
     rank, red, pivots = rref(mat, cols_n)
     assert ech.dim == rank
     assert ech.pivots == pivots
-    assert ech.rows == [scale_to_int(r) for r in red]
-    assert sparse.rows == ech.rows
+    assert ech.sparse_rows() == [int_row(r) for r in red]
+    assert dense_rows(raw) == dense_rows(ech) and raw == ech
     for row in mat:
-        assert ech.contains(row) and ech.residual(row) is None
+        assert ech.contains(int_row(row)) and raw.contains(dict(enumerate(row)))
 
 
 def random_matrix(rng, rows_n, cols_n, lo=-5, hi=5, density=1.0):
@@ -213,23 +215,25 @@ def primitive_rref_kernel(mat, cols_n):
 
 
 def check_kernel_against_rref(mat, cols_n):
-    """The integer kernel is exactly the scaled rref kernel, from either row
-    form and from a one-pass iterator: primitive integer vectors, each
-    positive at its free column."""
+    """The integer kernel is exactly the scaled rref kernel, from the
+    primitive rows, from the raw integer maps of an integer matrix and from
+    a one-pass iterator: primitive integer vectors, each positive at its
+    free column."""
     free, want = primitive_rref_kernel(mat, cols_n)
-    got = kernel_basis(mat, cols_n)
+    got = kernel_basis([int_row(r) for r in mat], cols_n)
     assert got == want
     assert all(type(x) is int for vec in got for x in vec)
     assert all(gcd(*vec) == 1 and vec[fc] > 0 for fc, vec in zip(free, got))
-    assert kernel_basis([{c: x for c, x in enumerate(r) if x} for r in mat], cols_n) == want
-    assert kernel_basis(iter(mat), cols_n) == want
+    if all(type(x) is int for r in mat for x in r):
+        assert kernel_basis([dict(enumerate(r)) for r in mat], cols_n) == want
+    assert kernel_basis(map(int_row, mat), cols_n) == want
 
 
 def test_kernel_basis_stops_reading_at_a_full_span():
     def rows(tail):
-        yield [1, 1, 0]
+        yield {0: 1, 1: 1}
         yield {1: 2, 2: 1}
-        yield [0, 0, 5]
+        yield {2: 5}
         yield from tail
 
     def poisoned():
@@ -254,7 +258,7 @@ def test_kernel_basis_matches_rref_kernel():
         check_kernel_against_rref([[0] * cols_n for _ in range(3)], cols_n)
         full = [[int(r == c) + rng.randint(0, 1) * (c > r) for c in range(cols_n)]
                 for r in range(cols_n)]
-        assert kernel_basis(full, cols_n) == []
+        assert kernel_basis([int_row(r) for r in full], cols_n) == []
         check_kernel_against_rref(full + random_matrix(rng, 2, cols_n), cols_n)
     for _ in range(20):  # small, integer and rational entries
         rows_n, cols_n = rng.randint(1, 8), rng.randint(1, 8)
@@ -303,15 +307,28 @@ if given is not None:
 
 def test_int_echelon_membership():
     ech = IntEchelon(3)
-    ech.insert([1, 2, 3])
-    ech.insert([0, 1, 1])
-    assert ech.contains([2, 5, 7])  # sum of the two rows
-    assert not ech.contains([0, 0, 1])
-    assert scale_to_int([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
+    ech.insert({0: 1, 1: 2, 2: 3})
+    ech.insert({1: 1, 2: 1})
+    assert ech.contains({0: 2, 1: 5, 2: 7})  # sum of the two rows
+    assert not ech.contains({2: 1})
+    assert int_row([Fraction(1, 2), Fraction(-1, 3)]) == {0: 3, 1: -2}
+
+
+def test_int_echelon_rejects_dense_rows():
+    # the one row format is the sparse map: a dense list is never accepted
+    ech = IntEchelon(2)
+    with pytest.raises(AttributeError):
+        ech.insert([1, 2])
+    with pytest.raises(AttributeError):
+        ech.contains([1, 2])
+    with pytest.raises(AttributeError):
+        kernel_basis([[1, 2]], 2)
+    assert ech.dim == 0
 
 
 def primitive_multiple(row):
-    """Reference primitive integer multiple of a rational row (None if zero)."""
+    """Reference primitive integer multiple of a rational row as a sparse
+    map (None if zero)."""
     den = lcm(*(Fraction(x).denominator for x in row))
     ints = [int(Fraction(x) * den) for x in row]
     g = gcd(*ints)
@@ -319,7 +336,7 @@ def primitive_multiple(row):
         return None
     if next(x for x in ints if x) < 0:
         g = -g
-    return [x // g for x in ints]
+    return {c: x // g for c, x in enumerate(ints) if x}
 
 
 def random_rational_row(rng, cols_n):
@@ -336,14 +353,16 @@ def random_rational_row(rng, cols_n):
 
 
 def test_int_echelon_takes_rational_rows():
-    # a dense rational row acts exactly as its primitive integer multiple
+    # a dense rational row, converted by int_row, acts exactly as its
+    # primitive integer multiple
     ech = IntEchelon(2)
-    assert not ech.contains([Fraction(1, 3), 0])
-    assert ech.insert([Fraction(1, 2), Fraction(1, 3)])
-    assert ech.rows == [(3, 2)]
-    assert ech.contains([Fraction(-3, 7), Fraction(-2, 7)])
-    assert not ech.contains([Fraction(1, 3), 0])
-    assert ech.residual([Fraction(1, 3), 0]) == (0, 1)
+    assert not ech.contains(int_row([Fraction(1, 3), 0]))
+    assert ech.insert(int_row([Fraction(1, 2), Fraction(1, 3)]))
+    assert dense_rows(ech) == [(3, 2)]
+    assert ech.contains(int_row([Fraction(-3, 7), Fraction(-2, 7)]))
+    assert not ech.contains(int_row([Fraction(1, 3), 0]))
+    assert ech.insert(int_row([Fraction(1, 3), 0]))
+    assert dense_rows(ech) == [(1, 0), (0, 1)]
     rng = Random(2718)
     for _ in range(40):
         rows_n, cols_n = rng.randint(1, 7), rng.randint(1, 7)
@@ -351,33 +370,56 @@ def test_int_echelon_takes_rational_rows():
         rational, scaled = IntEchelon(cols_n), IntEchelon(cols_n)
         for row in mat:
             want = primitive_multiple(row)
-            grew = rational.insert(row)
+            assert int_row(row) == (want or {})
+            grew = rational.insert(int_row(row))
             assert grew == (want is not None and scaled.insert(want))
-        assert rational.rows == scaled.rows
+        assert rational == scaled
         assert rational.dim == rref(mat, cols_n)[0]
         for row in mat + [random_rational_row(rng, cols_n) for _ in range(5)]:
-            want = primitive_multiple(row) or [0] * cols_n
-            assert rational.contains(row) == scaled.contains(want)
-            assert rational.residual(row) == scaled.residual(want)
+            want = primitive_multiple(row) or {}
+            assert int_row(row) == want
+            assert rational.contains(int_row(row)) == scaled.contains(want)
 
 
 def test_int_echelon_sparse_integer_maps_unchanged():
     ech = IntEchelon(4)
     assert ech.insert({1: -4, 3: 6})
-    assert ech.rows == [(0, 2, 0, -3)]
+    assert dense_rows(ech) == [(0, 2, 0, -3)]
     assert not ech.insert({1: 2, 3: -3})
     assert ech.insert({0: 5, 1: 2})
-    assert ech.rows == [(5, 0, 0, 3), (0, 2, 0, -3)]
+    assert dense_rows(ech) == [(5, 0, 0, 3), (0, 2, 0, -3)]
     assert ech.contains({0: 5, 3: 3}) and not ech.contains({2: 1})
-    assert ech.residual({2: -7}) == (0, 0, 1, 0)
+    assert ech.insert({2: -7})  # the residual is primitive, lead positive
+    assert dense_rows(ech) == [(5, 0, 0, 3), (0, 2, 0, -3), (0, 0, 1, 0)]
 
 
 def test_int_echelon_canonical_form_is_order_independent():
-    rows = [[1, 2, 0], [0, 3, 1], [1, 5, 1]]
+    rows = [{0: 1, 1: 2}, {1: 3, 2: 1}, {0: 1, 1: 5, 2: 1}]
     a, b = IntEchelon(3), IntEchelon(3)
     for r in rows:
         a.insert(r)
     for r in reversed(rows):
         b.insert(r)
-    assert a.canonical() == b.canonical()
+    assert a.sparse_rows() == b.sparse_rows()
+    assert a == b
+
+
+def test_int_echelon_equality_is_order_independent_and_sees_ncols():
+    rng = Random(99)
+    for _ in range(20):
+        cols_n = rng.randint(1, 8)
+        rows = [int_row(r) for r in random_matrix(rng, rng.randint(1, 6), cols_n, density=0.5)]
+        a, b = IntEchelon(cols_n), IntEchelon(cols_n)
+        for r in rows:
+            a.insert(r)
+        for r in rng.sample(rows, len(rows)):
+            b.insert({c: 3 * x for c, x in r.items()})  # scaling is invisible
+        assert a == b and dense_rows(a) == dense_rows(b)
+    wide, narrow = IntEchelon(4), IntEchelon(3)
+    assert IntEchelon(3) != IntEchelon(4)
+    wide.insert({0: 1, 2: 1})
+    narrow.insert({0: 1, 2: 1})
+    assert wide.sparse_rows() == narrow.sparse_rows() and wide != narrow
+    narrow.insert({1: 1})
+    assert narrow != IntEchelon(3)
 

@@ -12,11 +12,12 @@ from oracle_utils import (
     ideal_rows,
     mono_mul,
     quotient_reference,
+    int_row,
     reduce_monomial,
-    scale_to_int,
 )
 
 from slfusion.linalg import (
+    IntEchelon,
     IntegrityError,
     enumerate_monomials,
     rref,
@@ -108,7 +109,7 @@ def test_ideal_rows_match_generator_multiples(a):
                     product = {mono_mul(m, g): c for g, c in poly.items()}
                     rows.append([product.get(x, 0) for x in monos])
             _, red, _ = rref(rows, len(monos))
-            assert dense[(k, s)] == [scale_to_int(r) for r in red], (k, s)
+            assert [int_row(r) for r in dense[(k, s)]] == [int_row(r) for r in red], (k, s)
 
 
 REFERENCE_LABELS = [
@@ -485,6 +486,42 @@ def test_reference_catches_a_corrupted_fusion_table(monkeypatch):
     assert el.apply(op).coords != apply_reference(el, op).coords
     assert cyclic_span(mod, [op], [seed]) != want
     assert cyclic_span_reference(mod, [op], [seed]) == want
+
+
+def test_subspace_scales_a_rational_slice_by_its_denominators():
+    # the one rational-to-integer step: a slice enters the echelon as its
+    # lcm multiple, so x/2 + y/3 spans the line of 3x + 2y; every slice a
+    # verify run inserts has denominator 1, so only this test sees the step
+    mod = fusion_module((2, 3, 3))
+    ks = next(ks for ks, p in sorted(mod.pieces.items()) if p.dim >= 2)
+    rational, whole = Subspace(mod), Subspace(mod)
+    assert rational.insert(ModuleElement(mod, {ks: {0: Fraction(1, 2), 1: Fraction(1, 3)}}))
+    assert whole.insert(ModuleElement(mod, {ks: {0: 3, 1: 2}}))
+    assert rational == whole and rational.dim == 1
+    assert rational.spans[ks].sparse_rows() == [{0: 3, 1: 2}]
+    assert rational.contains(ModuleElement(mod, {ks: {0: 3, 1: 2}}))
+    assert whole.contains(ModuleElement(mod, {ks: {0: Fraction(-3, 7), 1: Fraction(-2, 7)}}))
+    assert not rational.contains(ModuleElement(mod, {ks: {0: 1, 1: 1}}))
+    assert not rational.contains(ModuleElement(mod, {ks: {0: Fraction(1, 2), 1: Fraction(1, 2)}}))
+    assert not rational.insert(ModuleElement(mod, {ks: {0: Fraction(3, 5), 1: Fraction(2, 5)}}))
+
+
+def test_subspace_equality_ignores_empty_slices_and_needs_one_owner():
+    mod = fusion_module((2, 3))
+    span = cyclic_span(mod, [0], [mod.cyclic_vector()])
+    padded = cyclic_span(mod, [0], [mod.cyclic_vector()])
+    ks = next(ks for ks, p in mod.pieces.items() if p.dim and ks not in span.spans)
+    padded.spans[ks] = IntEchelon(mod.dim_piece(*ks))  # an empty slice
+    assert span == padded and padded == span
+    assert Subspace(mod) == cyclic_span(mod, [0], [])
+    padded.spans[ks].insert({0: 1})
+    assert span != padded
+    twin = FusionModule((2, 3))  # the same label, another module object
+    assert twin is not mod
+    other = cyclic_span(twin, [0], [twin.cyclic_vector()])
+    assert other.spans == span.spans  # the same echelons
+    assert span != other and other != span
+    assert Subspace(mod) != Subspace(twin)
 
 
 def test_elements_of_another_module_are_rejected():
