@@ -4,16 +4,19 @@ Format 2 stores each bidegree with an ideal part as ``[k, s, free, rows]``:
 the basis columns, as positions in ``enumerate_monomials`` order, and the
 non-unit rows of the reduced ideal echelon form as flat ``[c0, x0, c1, x1,
 ...]`` lists sorted by column.  The unit rows, about nine in ten, are implied:
-every column neither free nor a row lead.  A piece wholly in the ideal is
-``[k, s, [], []]``; neither the store nor the load lists its monomials.  A
+every column neither free nor a row lead.  A module keeps no rows of its own,
+so the store reads them back from its normal forms (``ideal_part``).  A
+piece wholly in the ideal is ``[k, s, [], []]``: the store writes one for
+each bidegree of the grid ``0 <= k <= kmax + 1``, ``0 <= s <= (n-1)k`` that
+holds no piece, and neither the store nor the load lists its monomials.  A
 load skips the elimination; it checks the layout, the dimension, the zero
 band and that every generator of I_A reduces to zero (not closure under the
 e_j), and raises ``IntegrityError`` on a fault.  A file that is not JSON,
 not an object, of another version, or whose ``a`` is not a nondecreasing
 list of positive integers naming the requested label is a miss: ``get``
 overwrites it with the memoized or a rebuilt module, never reading it in
-part, and ``stored_labels`` skips it.  Files are written under a temporary name and renamed into place,
-so a killed run never leaves a truncated entry.
+part, and ``stored_labels`` skips it.  Files are written under a temporary
+name and renamed into place, so a killed run never leaves a truncated entry.
 """
 
 from __future__ import annotations
@@ -72,16 +75,15 @@ class ModuleCache:
     def store(self, module: FusionModule) -> None:
         data = {"version": FORMAT_VERSION, "a": list(module.a), "total_dim": module.total_dim}
         data["pieces"] = pieces = []
-        for (k, s), piece in sorted(module.pieces.items()):
-            if not piece.dim:  # wholly ideal: all unit rows, nothing to list
-                pieces.append([k, s, [], []])
-                continue
-            monos = enumerate_monomials(module.n, k, s)
-            if piece.dim < len(monos):  # the piece has an ideal part
-                basis = set(piece.basis)
-                free = [c for c, m in enumerate(monos) if m in basis]
-                rows = [[v for c in sorted(row) for v in (c, row[c])] for row in piece.rows]
-                pieces.append([k, s, free, rows])
+        for k in range(module.kmax + 2):
+            for s in range((module.n - 1) * k + 1):
+                piece = module.pieces.get((k, s))
+                if piece is None:  # wholly ideal: all unit rows, nothing to list
+                    pieces.append([k, s, [], []])
+                elif piece.dim < len(enumerate_monomials(module.n, k, s)):  # an ideal part
+                    free, rows = module.ideal_part(k, s)
+                    rows = [[v for c in sorted(row) for v in (c, row[c])] for row in rows]
+                    pieces.append([k, s, free, rows])
         # write beside the target and rename into place, so a killed run leaves
         # no file or a complete one; the pid keeps concurrent writers apart
         path = self.path_for(module.a)

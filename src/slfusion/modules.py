@@ -22,22 +22,26 @@ shifted non-unit rows and the generator are reduced against the units by
 dropping the unit columns, and only what is left goes into an ``IntEchelon``
 (the Macaulay-matrix split of F4: monomial rows are handled symbolically).
 A row that comes out as a single entry joins the units.  Units plus rows are
-exactly the canonical fully reduced echelon form of the ideal slice.
+exactly the canonical fully reduced echelon form of the ideal slice.  A
+built module keeps the rows only in its normal-form table, which
+``FusionModule.ideal_part`` reads them back from.
 
 Most slices below the certified-zero band lie wholly in the ideal (the
 quotient has only prod(a_i) dimensions), and most of those are forced: a
 bidegree (k, s) with k >= 1 whose every predecessor (k-1, s-j) lies wholly
 in the ideal does too, because every degree-k monomial is e_j times a
 monomial of some predecessor and the ideal is closed under each e_j.  The
-build records such a slice as a zero piece without listing its monomials,
+build marks such a slice ``ALL_IDEAL`` without listing its monomials,
 shifting columns or forming its generator; a slice that is still computed
 takes the whole column map of a wholly-ideal predecessor as units and forms
 its generator only while it is not yet full.  The rule is exact, not a
-heuristic: the dimension gate still counts every piece.  Normal
-forms are kept in one flat table per module,
+heuristic: the dimension gate still counts every piece.  A wholly-ideal
+slice is recorded by its absence: ``pieces`` holds only the bidegrees of
+positive dimension.  Normal forms are kept in one flat table per module,
 ``{monomial: ((k, s), entries, den)}``, holding only the monomials whose class
 is nonzero: the class is ``sum(x * basis[i] for i, x in entries) / den``, an
-integer image read straight off the echelon rows.  The column maps of the
+integer image read straight off the echelon rows.  Basis monomial i has the
+image ``((i, 1),)``, one tuple shared by every table.  The column maps of the
 e_j shifts depend only on (n, k, s) and are shared by every build.
 
 Multiplication by e_j is read off the normal forms once per (j, bidegree)
@@ -301,28 +305,26 @@ def _stored_piece(ks: tuple, width: int, free: list, flat_rows: list) -> tuple[l
 
 
 class QuotientPiece:
-    """One bidegree slice: quotient basis monomials plus the non-unit rows.
+    """One bidegree slice of positive dimension: its quotient basis monomials.
 
-    ``rows`` are the slice's reduced ideal rows with two or more entries, as
-    sparse ``{column: int}`` maps over ``enumerate_monomials`` order; every
-    other column outside the basis is a unit row (a monomial of the ideal).
+    The slice's ideal rows are not kept here; ``FusionModule.ideal_part``
+    reads them back from the normal forms.
     """
 
-    __slots__ = ("basis", "rows")
+    __slots__ = ("basis",)
 
-    def __init__(self, basis, rows):
+    def __init__(self, basis):
         self.basis = basis  # monomials not in the leading-term ideal
-        self.rows = rows
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-# the one piece of every slice wholly in the ideal (shared: do not mutate),
-# and the build's mark for such a slice in place of its units and rows
-ZERO_PIECE = QuotientPiece([], [])
+# the build's mark for a slice wholly in the ideal, in place of its units and rows
 ALL_IDEAL = object()
+# entry i is ((i, 1),), basis monomial i in every normal-form table (do not mutate)
+_BASIS_IMAGES: list[tuple] = []
 
 
 class FusionModule:
@@ -365,7 +367,7 @@ class FusionModule:
                 below = [(j, prev[s - j]) for j in range(n) if s - j in prev]
                 if below and all(b is ALL_IDEAL for _, b in below):
                     # e_j times a wholly-ideal predecessor: wholly ideal
-                    cur[s] = self._all_ideal(k, s)
+                    cur[s] = ALL_IDEAL
                 else:
                     cur[s] = self._slice(k, s, below, (k, k * (n - 1) - s) in gens)
             prev = cur
@@ -416,16 +418,11 @@ class FusionModule:
             else:
                 rows.append(row)
         if len(units) == width:
-            return self._all_ideal(k, s)
+            return ALL_IDEAL
         leads = {min(row) for row in rows}
         free = [c for c in range(width) if c not in units and c not in leads]
         self._add_piece(k, s, monos, free, rows)
         return units, rows
-
-    def _all_ideal(self, k: int, s: int):
-        """Record (k, s) as a slice wholly in the ideal; returns ALL_IDEAL."""
-        self.pieces[(k, s)] = ZERO_PIECE
-        return ALL_IDEAL
 
     def _restore(self, piece_rows: dict) -> None:
         """Rebuild pieces from stored free columns and non-unit rows.
@@ -436,24 +433,24 @@ class FusionModule:
         more nonzero ``int`` entries (no ``bool``) and is primitive with a
         positive lead, leads ascend, no lead is free and every other entry is
         free.  The unit columns are the ones neither free nor a row lead; a
-        piece stored as ``([], [])`` is wholly ideal and is taken without
-        listing its monomials.  The other pieces go through ``_add_piece`` as
-        in the build.  Beyond the dimension and zero-band gates every
-        generator of I_A must reduce to zero (``surviving_generator``).  That
-        certificate is partial: closure under the e_j is not checked (a naive
-        check costs over twenty times as much).
+        piece stored as ``([], [])`` is wholly ideal and is skipped without
+        listing its monomials; a bidegree that is not an int pair on the grid
+        is refused.  Other pieces go through ``_add_piece``.  Beyond the
+        dimension and zero-band gates every generator of I_A must reduce to
+        zero (``surviving_generator``), a partial certificate: closure under
+        the e_j is not checked (a naive check costs over twenty times as much).
         """
         n = self.n
         for k in range(0, self.kmax + 2):
             for s in range(0, (n - 1) * k + 1):
                 stored = piece_rows.get((k, s))
                 if stored == ([], []):
-                    self._all_ideal(k, s)
                     continue
                 monos = enumerate_monomials(n, k, s)
                 free, rows = stored if stored is not None else (range(len(monos)), [])
                 self._add_piece(k, s, monos, *_stored_piece((k, s), len(monos), free, rows))
-        if not set(piece_rows) <= set(self.pieces):
+        if not all(type(k) is type(s) is int and 0 <= k <= self.kmax + 1 and 0 <= s <= (n - 1) * k
+                   for k, s in piece_rows):
             raise IntegrityError(f"stored pieces outside the bidegrees of {self.a}")
         self._certify_zero_band()
         found = self.surviving_generator(self.a)
@@ -467,34 +464,52 @@ class FusionModule:
         """The piece at (k, s) from its free columns and non-unit rows.
 
         Normal forms go into the module's flat table as integer images:
-        basis monomial i is ``((i, 1),)`` over 1, and the leading monomial
-        of a non-unit row reduces to minus the row's free entries over its
-        leading entry (a primitive row makes that denominator the least
-        one).  Unit monomials, and rows with no free entry, reduce to zero
-        and are not stored.
+        basis monomial i is the shared ``((i, 1),)`` over 1, and the leading
+        monomial of a non-unit row reduces to minus the row's free entries
+        over its positive leading entry, the least denominator of a
+        primitive row.  Unit monomials reduce to zero and are not stored.
+        The table is the rows' one copy (``ideal_part``); a slice with no
+        free column adds no piece.
         """
+        if not free:
+            return
         ks = (k, s)
         basis = [monos[c] for c in free]
+        while len(_BASIS_IMAGES) < len(basis):
+            _BASIS_IMAGES.append(((len(_BASIS_IMAGES), 1),))
         nf = self._nf
-        for i, m in enumerate(basis):
-            nf[m] = (ks, ((i, 1),), 1)
+        for m, image in zip(basis, _BASIS_IMAGES):
+            nf[m] = (ks, image, 1)
         position = {c: i for i, c in enumerate(free)}
         for row in rows:
             pc = min(row)
-            lead = row[pc]
-            sign = -1 if lead > 0 else 1
-            entries = sorted(
-                (i, sign * x) for c, x in row.items() if (i := position.get(c)) is not None
-            )
-            if entries:
-                nf[monos[pc]] = (ks, tuple(entries), abs(lead))
-        self.pieces[ks] = QuotientPiece(basis, rows)
+            entries = sorted((position[c], -x) for c, x in row.items() if c != pc)
+            nf[monos[pc]] = (ks, tuple(entries), row[pc])
+        self.pieces[ks] = QuotientPiece(basis)
+
+    def ideal_part(self, k: int, s: int) -> tuple[list, list]:
+        """``(free, rows)`` of the ideal slice at (k, s), as the build made them.
+
+        Columns are ``enumerate_monomials`` positions and rows the non-unit
+        ``{column: int}`` rows sorted by lead; every other column off ``free``
+        is a unit row.  The rows are read back exactly from the normal forms:
+        the entry ``(ks, entries, den)`` of a non-basis monomial at column c is
+        the row ``{c: den}`` plus ``-x`` at ``free[i]`` for each ``(i, x)``, as
+        rows are primitive with a positive lead and have a free entry.
+        """
+        piece = self.pieces.get((k, s))
+        basis, free, leads = piece.basis if piece else (), [], []
+        for c, m in enumerate(enumerate_monomials(self.n, k, s)):
+            if len(free) < len(basis) and m == basis[len(free)]:
+                free.append(c)
+            elif (red := self._nf.get(m)) is not None:
+                leads.append((c, red))
+        return free, [{c: den} | {free[i]: -x for i, x in img} for c, (_, img, den) in leads]
 
     def _certify_zero_band(self) -> None:
         band = self.kmax + 1
         for s in range(0, (self.n - 1) * band + 1):
-            piece = self.pieces.get((band, s))
-            if piece is not None and piece.dim:
+            if (band, s) in self.pieces:
                 raise IntegrityError(
                     f"nonzero piece at certified-zero bidegree ({band}, {s}) for {self.a}"
                 )
@@ -543,9 +558,9 @@ class FusionModule:
 
         ``a`` is a label with this module's variable count; None when every
         generator of ``generator_keys(a)`` vanishes here.  A generator whose
-        bidegree holds no piece or a zero piece vanishes by construction
-        (no monomial there has a nonzero normal form), so it is not reduced:
-        the answer is that of reducing every generator.
+        bidegree holds no piece vanishes by construction (no monomial there
+        has a nonzero normal form), so it is not reduced: the answer is that
+        of reducing every generator.
         """
         n = self.n
         for k, zpow in generator_keys(a):
@@ -687,8 +702,8 @@ class TensorModule:
             raise ValueError(f"a tensor module takes two factors, got {len(self.factors)}")
         self.n = max(f.n for f in self.factors)
         self.total_dim = prod(f.total_dim for f in self.factors)
-        # the first factor's nonzero bidegrees, in order
-        self._first = sorted(ks for ks, p in self.factors[0].pieces.items() if p.dim)
+        # the first factor's bidegrees, in order
+        self._first = sorted(self.factors[0].pieces)
         self._blocks: dict = {}
 
     def character(self) -> GradedCharacter:

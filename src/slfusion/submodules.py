@@ -108,8 +108,6 @@ class QuotientMap:
         self._kernel = Subspace(self.source)
         covered = 0
         for ks, piece in self.source.pieces.items():
-            if not piece.dim:
-                continue
             col = {m: r for r, m in enumerate(piece.basis)}
             tpiece = target.pieces.get(ks)
             image_cols = []

@@ -323,23 +323,25 @@ def ideal_rows(module):
     """The reduced ideal rows of every bidegree of a module, dense, sorted by pivot.
 
     Unit rows and non-unit rows together, i.e. the canonical fully reduced
-    echelon form of each ideal slice, written out from the pieces: every
-    column that is neither a basis monomial nor a row lead is a unit row.
+    echelon form of each ideal slice over the grid ``0 <= k <= kmax + 1``,
+    ``0 <= s <= (n-1)k``, written out from ``ideal_part``: every column that
+    is neither free nor a row lead is a unit row.
     """
     out = {}
-    for (k, s), piece in module.pieces.items():
-        monos = enumerate_monomials(module.n, k, s)
-        width, basis = len(monos), set(piece.basis)
-        leads = {min(row): row for row in piece.rows}
-        dense = []
-        for c, m in enumerate(monos):
-            if m in basis:
-                continue
-            vec = [0] * width
-            for t, x in leads.get(c, {c: 1}).items():
-                vec[t] = x
-            dense.append(tuple(vec))
-        out[(k, s)] = dense
+    for k in range(module.kmax + 2):
+        for s in range((module.n - 1) * k + 1):
+            width = len(enumerate_monomials(module.n, k, s))
+            free, rows = module.ideal_part(k, s)
+            leads = {min(row): row for row in rows}
+            dense = []
+            for c in range(width):
+                if c in free:
+                    continue
+                vec = [0] * width
+                for t, x in leads.get(c, {c: 1}).items():
+                    vec[t] = x
+                dense.append(tuple(vec))
+            out[(k, s)] = dense
     return out
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, reports, caching."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import multiprocessing
@@ -559,6 +560,9 @@ def _set_entry(row, i, x):
          "not primitive"),
         (lambda p: _set_entry(p[3][1], 1, -1), "positive lead"),
         (lambda p: _set_entry(p, 0, 99), "outside the bidegrees"),
+        # a bidegree that is not a pair of ints is outside them too
+        (lambda p: _set_entry(p, 0, "6"), "stored pieces outside the bidegrees"),
+        (lambda p: _set_entry(p, 1, 7.0), "outside the bidegrees of"),
         # [2, 3, 5, -1] -> [2, 3, 5, 2] keeps the layout, the dimension and the
         # zero band, so only the generator certificate can see it
         (lambda p: _set_entry(p[3][0], 3, 2), "do not contain the generator"),
@@ -749,10 +753,55 @@ def assert_same_module(loaded, built):
     assert {ks: p.basis for ks, p in loaded.pieces.items()} == {
         ks: p.basis for ks, p in built.pieces.items()
     }
-    assert {ks: p.rows for ks, p in loaded.pieces.items()} == {
-        ks: p.rows for ks, p in built.pieces.items()
+    assert {ks: loaded.ideal_part(*ks) for ks in loaded.pieces} == {
+        ks: built.ideal_part(*ks) for ks in built.pieces
     }
     assert loaded.character() == built.character()
+
+
+def test_cache_files_are_pinned_bytes(tmp_path):
+    # the format-2 bytes of 71 labels, written in this order: the rows read
+    # back from the normal forms and the zero pieces written from the grid
+    # give the same files as rows and zero pieces kept in the module
+    labels = cli.composition_grid(4, 4) + [(4, 5, 6, 9), (4, 4, 4, 4, 4)]
+    cache, digest = ModuleCache(tmp_path), hashlib.sha256()
+    for a in labels:
+        cache.store(FusionModule(a))
+        digest.update(cache.path_for(a).read_bytes())
+    assert len(labels) == 71
+    assert digest.hexdigest() == "a2bc6b38ac1669a232b7c9a6da1aef522e86881ee678a6fd022dfacf6164a184"
+
+
+@pytest.mark.parametrize("a", [(2, 3, 4), (3, 3, 3), (2, 2, 3, 4), (4, 5, 6, 9)])
+def test_cache_load_rejects_a_negated_row_entry(tmp_path, a):
+    # one entry of the first row-lead normal form negated: the stored row
+    # keeps its layout, dimension and zero band, and the generator
+    # certificate of the load must see it
+    module = FusionModule(a)
+    m = min(
+        (m for m, (ks, _, _) in module._nf.items() if m not in module.pieces[ks].basis),
+        key=lambda m: (module._nf[m][0], m),
+    )
+    ks, ((i, x), *rest), den = module._nf[m]
+    module._nf[m] = (ks, ((i, -x), *rest), den)
+    cache = ModuleCache(tmp_path)
+    cache.store(module)
+    with pytest.raises(IntegrityError, match="stored rows do not contain the generator"):
+        cache.load(a)
+
+
+@pytest.mark.parametrize("a", cli.composition_grid(3, 4) + [(4, 4, 4, 4, 4)])
+def test_cache_load_rejects_a_zero_piece_off_the_grid(tmp_path, a):
+    # s = n is past the degree-1 weights 0..n-1; the module holds no piece
+    # there, but the load must still refuse the stored bidegree
+    cache = ModuleCache(tmp_path)
+    cache.store(FusionModule(a))
+    path = cache.path_for(a)
+    data = json.loads(path.read_text())
+    data["pieces"].append([1, len(a), [], []])
+    path.write_text(json.dumps(data))
+    with pytest.raises(IntegrityError, match="outside the bidegrees"):
+        cache.load(a)
 
 
 def test_frontier_module_cache_roundtrip(tmp_path):

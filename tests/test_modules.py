@@ -1,5 +1,6 @@
 """Quotient modules: generators, dimensions, characters, spans, tensors."""
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm, prod
@@ -23,7 +24,7 @@ from slfusion.linalg import (
     rref,
 )
 from slfusion import modules
-from slfusion.cli import RunConfig, suite_claims
+from slfusion.cli import RunConfig, composition_grid, suite_claims
 from slfusion.modules import (
     FusionModule,
     GradedCharacter,
@@ -123,7 +124,10 @@ def test_build_matches_reference_route(a):
     module = fusion_module(a)
     rows, bases, nf = quotient_reference(a)
     assert ideal_rows(module) == rows
-    assert {ks: p.basis for ks, p in module.pieces.items()} == bases
+    # a wholly-ideal bidegree holds no piece
+    assert {ks: p.basis for ks, p in module.pieces.items()} == {
+        ks: basis for ks, basis in bases.items() if basis
+    }
     n = len(a)
     # every ambient monomial through the certified-zero band kmax + 1, and
     # one band above it, where everything reduces to zero
@@ -181,9 +185,9 @@ def cold_build_counts(a) -> dict:
 
 
 def test_wholly_ideal_slices_skip_their_work():
-    # a slice whose predecessors are all wholly ideal is recorded as a zero
-    # piece: no monomial list, column map or generator is formed for it (a
-    # build that lists every slice misses 694, 561 and 455 times)
+    # a slice whose predecessors are all wholly ideal is marked ALL_IDEAL:
+    # no monomial list, column map or generator is formed for it (a build
+    # that lists every slice misses 694, 561 and 455 times)
     assert cold_build_counts((4, 4, 4, 4, 4)) == {
         "enumerate_monomials": 347,
         "shift_columns": 260,
@@ -191,16 +195,19 @@ def test_wholly_ideal_slices_skip_their_work():
     }
     # 561 bidegrees: (0, 0) and the 260 shifted slices are computed, the
     # other 300 are forced wholly ideal; they hold 16,363 of the 20,349
-    # ambient monomials
+    # ambient monomials.  A wholly-ideal slice holds no piece: 196 of the
+    # 561 bidegrees have one
     module, n = fusion_module((4, 4, 4, 4, 4)), 5
+    grid = [(k, s) for k in range(module.kmax + 2) for s in range((n - 1) * k + 1)]
     forced = [
         (k, s)
-        for k, s in module.pieces
+        for k, s in grid
         if k and not any(module.dim_piece(k - 1, s - j) for j in range(n))
     ]
-    assert len(module.pieces) == 561 and len(forced) == 300
+    assert len(grid) == 561 and len(forced) == 300
     assert sum(len(enumerate_monomials(n, *ks)) for ks in forced) == 16_363
-    assert all(module.pieces[ks] is modules.ZERO_PIECE for ks in forced)
+    assert not any(ks in module.pieces for ks in forced)
+    assert len(module.pieces) == 196
 
 
 def test_all_ideal_rule_misfire_trips_the_dimension_gate(monkeypatch):
@@ -213,13 +220,41 @@ def test_all_ideal_rule_misfire_trips_the_dimension_gate(monkeypatch):
         if (k, s) != (1, 0):
             return real(self, k, s, below, has_gen)
         seen.append(below)
-        return self._all_ideal(k, s)
+        return modules.ALL_IDEAL
 
     monkeypatch.setattr(FusionModule, "_slice", forced)
     with pytest.raises(IntegrityError, match="dim mismatch"):
         FusionModule((2, 3))
     (below,) = seen
     assert [state is modules.ALL_IDEAL for _, state in below] == [False]
+
+
+@pytest.mark.parametrize("a, built", [((3, 3, 3, 3), 78), ((4, 4, 4, 4, 4), 930)])
+def test_wrong_generator_coefficient_trips_the_dimension_gate(monkeypatch, a, built):
+    # every generator with its first coefficient plus one: the build must
+    # not pass the gate on a wrong ideal
+    real = modules.generating_slice
+
+    def planted(n, k, zpow):
+        gen = dict(real(n, k, zpow))
+        gen[next(iter(gen))] += 1
+        return gen
+
+    monkeypatch.setattr(modules, "generating_slice", planted)
+    with pytest.raises(IntegrityError, match=re.escape(f"dim mismatch for {a}: built {built},")):
+        FusionModule(a)
+
+
+@pytest.mark.parametrize("a", composition_grid(3, 4) + [(4, 4, 4, 4, 4)])
+def test_pieces_hold_exactly_the_bidegrees_of_positive_dimension(a):
+    # a wholly-ideal bidegree is recorded by its absence, against the
+    # reference route's bases; every normal form lies in a piece
+    module, n = fusion_module(a), len(a)
+    _, bases, _ = quotient_reference(a)
+    assert set(module.pieces) == {ks for ks, basis in bases.items() if basis}
+    assert all(p.dim for p in module.pieces.values())
+    for m, (ks, _, _) in module._nf.items():
+        assert ks == (sum(m), sum(j * e for j, e in enumerate(m))) and ks in module.pieces, m
 
 
 def test_action_tables_match_dense_normal_forms():
