@@ -1,22 +1,25 @@
 """On-disk cache of built modules, keyed by a content hash of the input.
 
-Format 2 stores each bidegree with an ideal part as ``[k, s, free, rows]``:
-the basis columns, as positions in ``enumerate_monomials`` order, and the
-non-unit rows of the reduced ideal echelon form as flat ``[c0, x0, c1, x1,
-...]`` lists sorted by column.  The unit rows, about nine in ten, are implied:
-every column neither free nor a row lead.  A module keeps no rows of its own,
-so the store reads them back from its normal forms (``ideal_part``).  A
-piece wholly in the ideal is ``[k, s, [], []]``: the store writes one for
-each bidegree of the grid ``0 <= k <= kmax + 1``, ``0 <= s <= (n-1)k`` that
-holds no piece, and neither the store nor the load lists its monomials.  A
-load skips the elimination; it checks the layout, the dimension, the zero
-band and that every generator of I_A reduces to zero (not closure under the
-e_j), and raises ``IntegrityError`` on a fault.  A file that is not JSON,
-not an object, of another version, or whose ``a`` is not a nondecreasing
-list of positive integers naming the requested label is a miss: ``get``
-overwrites it with the memoized or a rebuilt module, never reading it in
-part, and ``stored_labels`` skips it.  Files are written under a temporary
-name and renamed into place, so a killed run never leaves a truncated entry.
+This module alone knows the file format.  Format 2 stores each bidegree with
+an ideal part as ``[k, s, free, rows]``: the basis columns, as positions in
+``enumerate_monomials`` order, and the non-unit rows of the reduced ideal
+echelon form as flat ``[c0, x0, c1, x1, ...]`` lists sorted by column.  The
+unit rows, about nine in ten, are implied: every column neither free nor a
+row lead.  A module keeps no rows of its own, so the store reads them back
+from its normal forms (``FusionModule.ideal_part``).  A piece wholly in the
+ideal is ``[k, s, [], []]``: the store writes one for each bidegree of the
+grid ``0 <= k <= kmax + 1``, ``0 <= s <= (n-1)k`` that holds no piece, and
+neither the store nor the load lists its monomials.  A load skips the
+elimination: ``stored_pieces`` checks the layout and hands the module the
+``ideal_part`` form, and the module checks the dimension, the zero band and
+that every generator of I_A reduces to zero (not closure under the e_j).
+Any fault in a current-format file of the label, the layout included,
+raises ``IntegrityError``.  A file that is not JSON, not an object, of
+another version, or whose ``a`` is not a nondecreasing list of positive
+integers naming the requested label is a miss: ``get`` overwrites it with
+the memoized or a rebuilt module, never reading it in part, and
+``stored_labels`` skips it.  Files are written under a temporary name and
+renamed into place, so a killed run never leaves a truncated entry.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterator
+from math import gcd
 from pathlib import Path
 
-from slfusion.linalg import enumerate_monomials
+from slfusion.linalg import IntegrityError, enumerate_monomials
 from slfusion.modules import _MODULE_CACHE, FusionModule, fusion_module, validate_composition
 
 FORMAT_VERSION = 2
@@ -52,6 +57,68 @@ def _payload(path: Path) -> dict | None:
     return data
 
 
+def _checked_piece(ks: tuple, width: int, free, flat_rows) -> tuple[list, list]:
+    """The checked ``(free, rows)`` of one stored piece, rows as sparse maps."""
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise IntegrityError(f"stored {what} at {ks}")
+
+    def columns(cols: list, what: str) -> None:
+        check(all(type(c) is int for c in cols), "non-integer column")
+        check(all(x < y for x, y in zip(cols, cols[1:])), f"{what} columns are not ascending")
+        check(not cols or 0 <= cols[0] and cols[-1] < width, f"{what} column out of range")
+
+    check(type(free) is list, "free columns are not a list")
+    check(type(flat_rows) is list, "rows are not a list")
+    columns(free, "free")
+    free_set, rows, last = set(free), [], -1
+    for flat in flat_rows:
+        check(type(flat) is list, "row is not a list")
+        check(len(flat) >= 4 and not len(flat) % 2, "row is not two or more (column, entry) pairs")
+        cols, vals = flat[::2], flat[1::2]
+        columns(cols, "row")
+        check(all(type(x) is int for x in vals), "non-integer entry")
+        check(all(vals), "zero entry")
+        check(vals[0] > 0 and gcd(*vals) == 1, "row is not primitive with a positive lead")
+        check(cols[0] > last, "row leads are not distinct and ascending")
+        check(cols[0] not in free_set, "row lead is a free column")
+        check(free_set.issuperset(cols[1:]), "row is not reduced: an entry off the free columns")
+        rows.append(dict(zip(cols, vals)))
+        last = cols[0]
+    return free, rows
+
+
+def stored_pieces(a: tuple, pieces) -> Iterator[tuple[tuple[int, int], list, list]]:
+    """The checked pieces of a stored ``a`` as ``((k, s), free, rows)``, the
+    ``FusionModule.ideal_part`` form, walking the grid; ``pieces`` is the
+    file's list.  It must hold ``[k, s, free, rows]`` lists with int
+    bidegrees on the grid, none twice.  Columns ascend and lie in range; a
+    row holds two or more nonzero ``int`` entries (no ``bool``) and is
+    primitive with a positive lead; leads ascend, no lead is free and every
+    other entry is free.  A fault raises ``IntegrityError``.
+    """
+    n, kmax = len(a), sum(x - 1 for x in a)
+    if type(pieces) is not list or not all(type(p) is list and len(p) == 4 for p in pieces):
+        raise IntegrityError(f"stored pieces of {a} are not a list of [k, s, free, rows] entries")
+    stored = {}
+    for k, s, free, rows in pieces:
+        if not (type(k) is type(s) is int and 0 <= k <= kmax + 1 and 0 <= s <= (n - 1) * k):
+            raise IntegrityError(f"stored pieces outside the bidegrees of {a}")
+        if (k, s) in stored:
+            raise IntegrityError(f"stored bidegree {(k, s)} repeated for {a}")
+        stored[k, s] = free, rows
+    for k in range(kmax + 2):
+        for s in range((n - 1) * k + 1):
+            entry = stored.get((k, s))
+            if entry == ([], []):  # wholly ideal
+                continue
+            width = len(enumerate_monomials(n, k, s))
+            if entry is None:  # no ideal part
+                yield (k, s), list(range(width)), []
+            else:
+                yield (k, s), *_checked_piece((k, s), width, *entry)
+
+
 class ModuleCache:
     def __init__(self, root):
         self.root = Path(root)
@@ -65,12 +132,7 @@ class ModuleCache:
         data = _payload(self.path_for(a))
         if data is None or tuple(data["a"]) != a:
             return None
-        try:
-            # FusionModule._restore checks the pieces and certifies the generators
-            pieces = {(k, s): (free, rows) for k, s, free, rows in data["pieces"]}
-            return FusionModule(a, _piece_rows=pieces)
-        except (ValueError, KeyError, TypeError):
-            return None
+        return FusionModule(a, _piece_rows=stored_pieces(a, data.get("pieces")))
 
     def store(self, module: FusionModule) -> None:
         data = {"version": FORMAT_VERSION, "a": list(module.a), "total_dim": module.total_dim}
@@ -80,7 +142,7 @@ class ModuleCache:
                 piece = module.pieces.get((k, s))
                 if piece is None:  # wholly ideal: all unit rows, nothing to list
                     pieces.append([k, s, [], []])
-                elif piece.dim < len(enumerate_monomials(module.n, k, s)):  # an ideal part
+                elif len(piece) < len(enumerate_monomials(module.n, k, s)):  # an ideal part
                     free, rows = module.ideal_part(k, s)
                     rows = [[v for c in sorted(row) for v in (c, row[c])] for row in rows]
                     pieces.append([k, s, free, rows])

@@ -24,7 +24,8 @@ dropping the unit columns, and only what is left goes into an ``IntEchelon``
 A row that comes out as a single entry joins the units.  Units plus rows are
 exactly the canonical fully reduced echelon form of the ideal slice.  A
 built module keeps the rows only in its normal-form table, which
-``FusionModule.ideal_part`` reads them back from.
+``FusionModule.ideal_part`` reads them back from, in the form that
+``slfusion.cache``, the one owner of the file layout, stores and loads.
 
 Most slices below the certified-zero band lie wholly in the ideal (the
 quotient has only prod(a_i) dimensions), and most of those are forced: a
@@ -36,12 +37,13 @@ shifting columns or forming its generator; a slice that is still computed
 takes the whole column map of a wholly-ideal predecessor as units and forms
 its generator only while it is not yet full.  The rule is exact, not a
 heuristic: the dimension gate still counts every piece.  A wholly-ideal
-slice is recorded by its absence: ``pieces`` holds only the bidegrees of
-positive dimension.  Normal forms are kept in one flat table per module,
-``{monomial: ((k, s), entries, den)}``, holding only the monomials whose class
-is nonzero: the class is ``sum(x * basis[i] for i, x in entries) / den``, an
-integer image read straight off the echelon rows.  Basis monomial i has the
-image ``((i, 1),)``, one tuple shared by every table.  The column maps of the
+slice is recorded by its absence: ``pieces`` maps only the bidegrees of
+positive dimension, each to its list of basis monomials.  Normal forms are
+kept in one flat table per module, ``{monomial: ((k, s), entries, den)}``,
+holding only the monomials whose class is nonzero: the class is
+``sum(x * basis[i] for i, x in entries) / den``, an integer image read
+straight off the echelon rows.  Basis monomial i has the image
+``((i, 1),)``, one tuple shared by every table.  The column maps of the
 e_j shifts depend only on (n, k, s) and are shared by every build.
 
 Multiplication by e_j is read off the normal forms once per (j, bidegree)
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from slfusion.linalg import (
     IntegrityError,
@@ -276,51 +278,6 @@ def map_row(row: dict, table) -> tuple[dict, int]:
 # the quotient modules
 
 
-def _stored_piece(ks: tuple, width: int, free: list, flat_rows: list) -> tuple[list, list]:
-    """The checked ``(free, rows)`` of one stored piece, rows as sparse maps."""
-    def check(ok: bool, what: str) -> None:
-        if not ok:
-            raise IntegrityError(f"stored {what} at {ks}")
-
-    def columns(cols: list, what: str) -> None:
-        check(all(type(c) is int for c in cols), "non-integer column")
-        check(all(x < y for x, y in zip(cols, cols[1:])), f"{what} columns are not ascending")
-        check(not cols or 0 <= cols[0] and cols[-1] < width, f"{what} column out of range")
-
-    columns(free, "free")
-    free_set, rows, last = set(free), [], -1
-    for flat in flat_rows:
-        check(len(flat) >= 4 and not len(flat) % 2, "row is not two or more (column, entry) pairs")
-        cols, vals = flat[::2], flat[1::2]
-        columns(cols, "row")
-        check(all(type(x) is int for x in vals), "non-integer entry")
-        check(all(vals), "zero entry")
-        check(vals[0] > 0 and gcd(*vals) == 1, "row is not primitive with a positive lead")
-        check(cols[0] > last, "row leads are not distinct and ascending")
-        check(cols[0] not in free_set, "row lead is a free column")
-        check(free_set.issuperset(cols[1:]), "row is not reduced: an entry off the free columns")
-        rows.append(dict(zip(cols, vals)))
-        last = cols[0]
-    return free, rows
-
-
-class QuotientPiece:
-    """One bidegree slice of positive dimension: its quotient basis monomials.
-
-    The slice's ideal rows are not kept here; ``FusionModule.ideal_part``
-    reads them back from the normal forms.
-    """
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis):
-        self.basis = basis  # monomials not in the leading-term ideal
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 # the build's mark for a slice wholly in the ideal, in place of its units and rows
 ALL_IDEAL = object()
 # entry i is ((i, 1),), basis monomial i in every normal-form table (do not mutate)
@@ -330,12 +287,13 @@ _BASIS_IMAGES: list[tuple] = []
 class FusionModule:
     """The bigraded quotient C[e_0..e_{n-1}] / I_A with exact normal forms."""
 
-    def __init__(self, a, _piece_rows: dict | None = None):
+    def __init__(self, a, _piece_rows=None):
         self.a = validate_composition(a)
         self.n = len(self.a)
         self.kmax = sum(x - 1 for x in self.a)
         self.lowest_h0 = -self.kmax
-        self.pieces: dict[tuple[int, int], QuotientPiece] = {}
+        # bidegree -> quotient basis monomials, positive dimension only
+        self.pieces: dict[tuple[int, int], list[tuple]] = {}
         # monomial -> (bidegree, entries, den), nonzero only; see normal_form
         self._nf: dict[tuple, tuple] = {}
         # (j, k, s) -> images of the piece basis under e_j, see ``action``
@@ -344,7 +302,7 @@ class FusionModule:
             self._build()
         else:
             self._restore(_piece_rows)
-        self.total_dim = sum(p.dim for p in self.pieces.values())
+        self.total_dim = sum(map(len, self.pieces.values()))
         expected = prod(self.a)
         if self.total_dim != expected:
             raise IntegrityError(
@@ -424,34 +382,20 @@ class FusionModule:
         self._add_piece(k, s, monos, free, rows)
         return units, rows
 
-    def _restore(self, piece_rows: dict) -> None:
-        """Rebuild pieces from stored free columns and non-unit rows.
+    def _restore(self, pieces) -> None:
+        """Rebuild the pieces from their stored free columns and rows.
 
-        ``piece_rows`` maps each bidegree with an ideal part to ``(free,
-        rows)`` as the cache stores them (see ``slfusion.cache``), checked by
-        ``_stored_piece``: columns ascend and lie in range, a row holds two or
-        more nonzero ``int`` entries (no ``bool``) and is primitive with a
-        positive lead, leads ascend, no lead is free and every other entry is
-        free.  The unit columns are the ones neither free nor a row lead; a
-        piece stored as ``([], [])`` is wholly ideal and is skipped without
-        listing its monomials; a bidegree that is not an int pair on the grid
-        is refused.  Other pieces go through ``_add_piece``.  Beyond the
-        dimension and zero-band gates every generator of I_A must reduce to
-        zero (``surviving_generator``), a partial certificate: closure under
-        the e_j is not checked (a naive check costs over twenty times as much).
+        ``pieces`` yields ``((k, s), free, rows)`` in the form ``ideal_part``
+        returns, one bidegree with a piece at a time; ``slfusion.cache``
+        reads and checks the file layout before a piece reaches here.  Each
+        goes through ``_add_piece``.  Beyond the dimension and zero-band
+        gates every generator of I_A must reduce to zero
+        (``surviving_generator``), a partial certificate: closure under the
+        e_j is not checked (a naive check costs over twenty times as much).
         """
         n = self.n
-        for k in range(0, self.kmax + 2):
-            for s in range(0, (n - 1) * k + 1):
-                stored = piece_rows.get((k, s))
-                if stored == ([], []):
-                    continue
-                monos = enumerate_monomials(n, k, s)
-                free, rows = stored if stored is not None else (range(len(monos)), [])
-                self._add_piece(k, s, monos, *_stored_piece((k, s), len(monos), free, rows))
-        if not all(type(k) is type(s) is int and 0 <= k <= self.kmax + 1 and 0 <= s <= (n - 1) * k
-                   for k, s in piece_rows):
-            raise IntegrityError(f"stored pieces outside the bidegrees of {self.a}")
+        for (k, s), free, rows in pieces:
+            self._add_piece(k, s, enumerate_monomials(n, k, s), free, rows)
         self._certify_zero_band()
         found = self.surviving_generator(self.a)
         if found is not None:
@@ -485,7 +429,7 @@ class FusionModule:
             pc = min(row)
             entries = sorted((position[c], -x) for c, x in row.items() if c != pc)
             nf[monos[pc]] = (ks, tuple(entries), row[pc])
-        self.pieces[ks] = QuotientPiece(basis)
+        self.pieces[ks] = basis
 
     def ideal_part(self, k: int, s: int) -> tuple[list, list]:
         """``(free, rows)`` of the ideal slice at (k, s), as the build made them.
@@ -495,10 +439,10 @@ class FusionModule:
         is a unit row.  The rows are read back exactly from the normal forms:
         the entry ``(ks, entries, den)`` of a non-basis monomial at column c is
         the row ``{c: den}`` plus ``-x`` at ``free[i]`` for each ``(i, x)``, as
-        rows are primitive with a positive lead and have a free entry.
+        rows are primitive with a positive lead and have a free entry.  This
+        is the form ``slfusion.cache`` stores and ``_restore`` takes back.
         """
-        piece = self.pieces.get((k, s))
-        basis, free, leads = piece.basis if piece else (), [], []
+        basis, free, leads = self.pieces.get((k, s), ()), [], []
         for c, m in enumerate(enumerate_monomials(self.n, k, s)):
             if len(free) < len(basis) and m == basis[len(free)]:
                 free.append(c)
@@ -517,11 +461,10 @@ class FusionModule:
     # -- queries ------------------------------------------------------------
 
     def character(self) -> GradedCharacter:
-        return GradedCharacter({ks: p.dim for ks, p in self.pieces.items()})
+        return GradedCharacter({ks: len(p) for ks, p in self.pieces.items()})
 
     def dim_piece(self, k: int, s: int) -> int:
-        p = self.pieces.get((k, s))
-        return p.dim if p else 0
+        return len(self.pieces.get((k, s), ()))
 
     def normal_form(self, m: tuple):
         """Normal form of an ambient monomial as ``(bidegree, entries, den)``.
@@ -545,9 +488,8 @@ class FusionModule:
         key = (j, *ks)
         table = self._actions.get(key)
         if table is None:
-            piece = self.pieces.get(ks)
             images = []
-            for b in piece.basis if piece else ():
+            for b in self.pieces.get(ks, ()):
                 red = self._nf.get(b[:j] + (b[j] + 1,) + b[j + 1:])
                 images.append(None if red is None else red[1:])
             table = self._actions[key] = tuple(images)
@@ -624,7 +566,7 @@ class ModuleElement:
         """
         rep: dict = {}
         for ks, vec in self.coords.items():
-            basis = self.owner.pieces[ks].basis
+            basis = self.owner.pieces[ks]
             for i, c in vec.items():
                 rep[basis[i]] = c
         return rep

@@ -54,6 +54,14 @@ def move_composition(a, i: int, j: int) -> tuple:
     return tuple(out)
 
 
+def _move_slot(a, i: int) -> tuple[tuple, int]:
+    """``(a, len(a))`` for a nonempty composition with a move slot 1 <= i < len(a)."""
+    a = validate_composition(a, allow_empty=False)
+    if not 1 <= i < len(a):
+        raise ValueError(f"need 1 <= i < {len(a)}")
+    return a, len(a)
+
+
 def eq_first_dim(a, i: int) -> int:
     """Kernel dimension for the adjacent move (i, i+1)."""
     rest = prod(x for l, x in enumerate(a, start=1) if l not in (i, i + 1))
@@ -108,10 +116,9 @@ class QuotientMap:
         self._kernel = Subspace(self.source)
         covered = 0
         for ks, piece in self.source.pieces.items():
-            col = {m: r for r, m in enumerate(piece.basis)}
-            tpiece = target.pieces.get(ks)
+            col = {m: r for r, m in enumerate(piece)}
             image_cols = []
-            for t, m in enumerate(tpiece.basis if tpiece else ()):
+            for t, m in enumerate(target.pieces.get(ks, ())):
                 r = col.get(m)
                 if r is None or target.normal_form(m) != (ks, ((t, 1),), 1):
                     raise IntegrityError(
@@ -119,11 +126,11 @@ class QuotientMap:
                     )
                 image_cols.append(r)
             covered += len(image_cols)
-            if len(image_cols) == piece.dim:
+            if len(image_cols) == len(piece):
                 continue
             images = set(image_cols)
-            ech = self._kernel.spans[ks] = IntEchelon(piece.dim)
-            for r, m in enumerate(piece.basis):
+            ech = self._kernel.spans[ks] = IntEchelon(len(piece))
+            for r, m in enumerate(piece):
                 if r in images:
                     continue
                 # a monomial of the target ideal has the zero class
@@ -185,10 +192,7 @@ def generators_w(a, i: int) -> list[ModuleElement]:
 
     For j = 0 the slice is the constant 1, so w_0 is the cyclic vector.
     """
-    a = validate_composition(a, allow_empty=False)
-    n = len(a)
-    if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < {n}")
+    a, n = _move_slot(a, i)
     mod = fusion_module(a)
     out = []
     for j in range(a[i - 1] - 1, a[i]):
@@ -257,10 +261,7 @@ def verify_filtration(a, i: int) -> dict:
     kernel character of the moved composition; a stop rule checks the
     kernel's own character.  Layer dimensions must telescope to dim M^A.
     """
-    a = validate_composition(a, allow_empty=False)
-    n = len(a)
-    if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < {n}")
+    a, n = _move_slot(a, i)
     mod = fusion_module(a)
     coker_label = move_composition(a, i, i + 1)
     layers = []
@@ -343,10 +344,7 @@ def _span_vs_kernel(a, i: int, factor1: tuple, factor2: tuple) -> dict:
 
 def verify_second_description(a, i: int) -> dict:
     """Tensor-product description with a constant tail in the first factor."""
-    a = validate_composition(a, allow_empty=False)
-    n = len(a)
-    if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < {n}")
+    a, n = _move_slot(a, i)
     if a[i - 1] >= a[i]:
         raise ValueError("needs a_i < a_{i+1}")
     factor1 = a[: i - 1] + (a[i - 1],) * (n - i - 1)
@@ -356,10 +354,7 @@ def verify_second_description(a, i: int) -> dict:
 
 def verify_emb(a, i: int) -> dict:
     """Tensor-product description with strictly increasing factors."""
-    a = validate_composition(a, allow_empty=False)
-    n = len(a)
-    if not 1 <= i < n:
-        raise ValueError(f"need 1 <= i < {n}")
+    a, n = _move_slot(a, i)
     if any(x >= y for x, y in zip(a, a[1:])):
         raise ValueError("requires a strictly increasing composition")
     for j in range(i + 1, n):
@@ -439,11 +434,9 @@ def nilpotency_e1(a) -> dict:
     mod = fusion_module(a)
     el = mod.cyclic_vector()
     measured = 0
-    last = el
     while not el.is_zero():
         if measured > mod.kmax + 1:
             raise IntegrityError("e_1 fails to act nilpotently")
-        last = el
         el = el.apply(1)
         measured += 1
     formula = sum(a[: n - 1]) - n + 1
@@ -451,7 +444,8 @@ def nilpotency_e1(a) -> dict:
         "measured": measured,
         "formula": formula,
         "deviation": measured - formula,
-        "kills_last": last.apply(1).is_zero(),
+        # e_1 of the last nonzero power is the loop's final element
+        "kills_last": el.is_zero(),
     }
 
 

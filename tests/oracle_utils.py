@@ -422,7 +422,7 @@ def reduce_monomial(module, m):
     if red is None:
         return None
     ks, entries, den = red
-    vec = [Fraction(0)] * module.pieces[ks].dim
+    vec = [Fraction(0)] * len(module.pieces[ks])
     for i, x in entries:
         vec[i] = Fraction(x, den)
     return ks, tuple(vec)
@@ -446,7 +446,7 @@ def apply_reference(el: ModuleElement, op) -> ModuleElement:
         if isinstance(owner, TensorModule):
             images = _tensor_key_images(owner, op, k, s)
         else:
-            basis = owner.pieces[(k, s)].basis
+            basis = owner.pieces[(k, s)]
             images = {i: _monomial_images(owner, basis[i], op) for i in vec}
         for i, c in vec.items():
             for ks, t, x in images[i]:
@@ -480,7 +480,7 @@ def tensor_piece_keys(owner, k: int, s: int) -> list[tuple]:
         ((k1, s1, i1), (k - k1, s - s1, i2))
         for (k1, s1), piece in first.pieces.items()
         if k1 <= k and s1 <= s
-        for i1 in range(piece.dim)
+        for i1 in range(len(piece))
         for i2 in range(second.dim_piece(k - k1, s - s1))
     )
 
@@ -500,7 +500,7 @@ def _tensor_key_images(owner, op, k, s):
             f = owner.factors[m]
             km, sm, im = key[m]
             ej = variable(f.n, j)
-            for (tk, ts), t, x in _monomial_images(f, f.pieces[(km, sm)].basis[im], ej):
+            for (tk, ts), t, x in _monomial_images(f, f.pieces[(km, sm)][im], ej):
                 terms.append(((k + 1, s + j), index[key[:m] + ((tk, ts, t),) + key[m + 1:]], x))
         out.append(terms)
     return out

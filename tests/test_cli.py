@@ -569,6 +569,11 @@ def _set_entry(row, i, x):
         # the nonzero piece written as a wholly-ideal one, which a load takes
         # without listing its monomials: the dimension gate sees it
         (lambda p: p.__setitem__(slice(2, None), [[], []]), "dim mismatch"),
+        # layout faults, not silent misses
+        (lambda p: p.pop(), r"not a list of \[k, s, free, rows\] entries"),
+        (lambda p: p[3].__setitem__(0, 5), r"stored row is not a list at \(6, 7\)"),
+        (lambda p: p.__setitem__(2, {}), "stored free columns are not a list"),
+        (lambda p: p.__setitem__(3, {}), "stored rows are not a list"),
     ],
 )
 def test_cache_load_rejects_bad_rows(tmp_path, plant, match):
@@ -583,6 +588,55 @@ def test_cache_load_rejects_bad_rows(tmp_path, plant, match):
     path.write_text(json.dumps(data))
     with pytest.raises(IntegrityError, match=match):
         cache.load(PLANT_LABEL)
+
+
+def _repeat_plant_piece(data, first):
+    # the plant piece twice; ``first`` goes in ahead of the true entry
+    piece = next(p for p in data["pieces"] if tuple(p[:2]) == PLANT_PIECE)
+    data["pieces"].insert(data["pieces"].index(piece), first(piece))
+
+
+# each plant edits the whole stored object of PLANT_LABEL in place
+@pytest.mark.parametrize(
+    "plant, match",
+    [
+        (lambda d: d.__setitem__("pieces", 5), "not a list of"),
+        (lambda d: d.pop("pieces"), "not a list of"),
+        (lambda d: d.__setitem__("pieces", {}), "not a list of"),
+        (lambda d: _repeat_plant_piece(d, list), r"stored bidegree \(6, 7\) repeated"),
+        # a conflicting entry first, the true one last
+        (lambda d: _repeat_plant_piece(d, lambda p: [*p[:2], [], []]), "repeated"),
+    ],
+    ids=["int", "missing", "dict", "repeated", "conflicting"],
+)
+def test_cache_load_rejects_a_bad_pieces_list(tmp_path, plant, match):
+    cache = ModuleCache(tmp_path)
+    cache.get(PLANT_LABEL)
+    path = cache.path_for(PLANT_LABEL)
+    data = json.loads(path.read_text())
+    plant(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(IntegrityError, match=match):
+        cache.load(PLANT_LABEL)
+
+
+def test_a_load_lists_monomials_only_where_a_piece_is(tmp_path, monkeypatch):
+    # a wholly-ideal bidegree is skipped before its monomials are listed:
+    # 196 of the 561 grid bidegrees of (4,4,4,4,4) hold a piece
+    a = (4, 4, 4, 4, 4)
+    cache = ModuleCache(tmp_path)
+    cache.store(modules.fusion_module(a))
+    listed, real = set(), modules.enumerate_monomials
+
+    def spy(n, k, s):
+        listed.add((k, s))
+        return real(n, k, s)
+
+    for owner in (modules, cache_mod):
+        monkeypatch.setattr(owner, "enumerate_monomials", spy)
+    loaded = cache.load(a)
+    assert listed == set(loaded.pieces) and len(listed) == 196
+    assert sum(4 * k + 1 for k in range(loaded.kmax + 2)) == 561
 
 
 def test_cache_spot_check(tmp_path):
@@ -707,28 +761,40 @@ def test_a_cache_dir_that_cannot_be_a_directory_is_a_usage_error(capsys, tmp_pat
     assert afile.read_text() == ""
 
 
+# each plant edits the stored pieces of (2, 3); the record names the fault
+TAMPERS = [
+    # a nonzero piece claimed wholly ideal
+    (lambda pieces: pieces.append([1, 0, [], []]), "dim mismatch for (2, 3)"),
+    # a piece cut to three fields: a layout fault, not a miss to write over
+    (lambda pieces: pieces[0].pop(), "stored pieces of (2, 3) are not a list"),
+]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_tampered_cache_entry_fails_only_its_own_claims(capsys, tmp_path, monkeypatch, jobs):
     # the load certifies the entry inside each claim that reads it: the
     # tampered label gets an integrity record, every other claim reports
     if jobs > (os.cpu_count() or 1):
         pytest.skip("needs as many CPUs as workers")
-    cache = ModuleCache(tmp_path)
-    cache.get((2, 3))
-    path = cache.path_for((2, 3))
-    data = json.loads(path.read_text())
-    data["pieces"].append([1, 0, [], []])  # a nonzero piece claimed wholly ideal
-    path.write_text(json.dumps(data))
-    monkeypatch.delitem(modules._MODULE_CACHE, (2, 3))
-    code, out, err = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3",
-                         "--cache-dir", str(tmp_path), "--format", "json", "--jobs", str(jobs))
-    records = [json.loads(line) for line in out.splitlines()]
-    assert code == EXIT_INTEGRITY and len(records) == 9, (code, out, err)
-    bad = [r for r in records if r.get("integrity")]
-    assert [r["claim"] for r in bad] == ["dims[(2, 3)]"]
-    assert "dim mismatch for (2, 3)" in bad[0]["got"]
-    assert all(r["status"] == "pass" for r in records if r is not bad[0])
-    assert "Traceback" not in err
+    for plant, (tamper, got) in enumerate(TAMPERS):
+        cache_dir = tmp_path / str(plant)
+        cache = ModuleCache(cache_dir)
+        cache.get((2, 3))
+        path = cache.path_for((2, 3))
+        data = json.loads(path.read_text())
+        tamper(data["pieces"])
+        path.write_text(json.dumps(data))
+        monkeypatch.delitem(modules._MODULE_CACHE, (2, 3))
+        code, out, err = run(capsys, "verify", "dims", "--max-n", "2", "--max-entry", "3",
+                             "--cache-dir", str(cache_dir), "--format", "json", "--jobs", str(jobs))
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == EXIT_INTEGRITY and len(records) == 9, (got, code, out, err)
+        bad = [r for r in records if r.get("integrity")]
+        assert [r["claim"] for r in bad] == ["dims[(2, 3)]"]
+        assert got in bad[0]["got"]
+        assert all(r["status"] == "pass" for r in records if r is not bad[0])
+        assert path.read_text() == json.dumps(data)  # not written over
+        assert "Traceback" not in err
 
 
 def test_cache_store_is_atomic(tmp_path, monkeypatch):
@@ -750,9 +816,7 @@ def test_cache_store_is_atomic(tmp_path, monkeypatch):
 def assert_same_module(loaded, built):
     assert loaded is not None
     assert loaded._nf == built._nf
-    assert {ks: p.basis for ks, p in loaded.pieces.items()} == {
-        ks: p.basis for ks, p in built.pieces.items()
-    }
+    assert loaded.pieces == built.pieces
     assert {ks: loaded.ideal_part(*ks) for ks in loaded.pieces} == {
         ks: built.ideal_part(*ks) for ks in built.pieces
     }
@@ -779,7 +843,7 @@ def test_cache_load_rejects_a_negated_row_entry(tmp_path, a):
     # certificate of the load must see it
     module = FusionModule(a)
     m = min(
-        (m for m, (ks, _, _) in module._nf.items() if m not in module.pieces[ks].basis),
+        (m for m, (ks, _, _) in module._nf.items() if m not in module.pieces[ks]),
         key=lambda m: (module._nf[m][0], m),
     )
     ks, ((i, x), *rest), den = module._nf[m]
