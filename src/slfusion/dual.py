@@ -42,11 +42,10 @@ positions that carry lam.  A product costs one term per pair of terms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from slfusion.linalg import IntegrityError, IntEchelon, exact_scalar, kernel_basis
+from slfusion.linalg import IntegrityError, IntEchelon, kernel_basis
 from slfusion.modules import (
     GradedCharacter,
     relation_exponent,
@@ -258,8 +257,9 @@ class SymPoly:
 
     Keys are partitions (weakly decreasing tuples without zeros) with at most
     ``nvars`` parts; m_lambda is the sum of all distinct monomials whose
-    exponent multiset is lambda padded with zeros.  Integral coefficients
-    are kept as ``int``, the others as ``Fraction``.
+    exponent multiset is lambda padded with zeros.  Coefficients are
+    ``int``; any other type (``Fraction``, ``float``, ``bool``) is a
+    ``ValueError``.
     """
 
     __slots__ = ("nvars", "coeffs")
@@ -272,12 +272,10 @@ class SymPoly:
             if len(lam) > self.nvars:
                 raise ValueError("partition longer than the variable count")
             if type(c) is not int:
-                c = Fraction(c)
+                raise ValueError(f"SymPoly coefficient {c!r} is not an int")
             if c:
                 clean[lam] = clean.get(lam, 0) + c
-        self.coeffs = {
-            lam: c if type(c) is int else exact_scalar(c) for lam, c in clean.items() if c
-        }
+        self.coeffs = {lam: c for lam, c in clean.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -301,7 +299,6 @@ class SymPoly:
         return SymPoly(self.nvars, c)
 
     def __rmul__(self, scalar):
-        scalar = exact_scalar(scalar)
         return SymPoly(self.nvars, {lam: scalar * c for lam, c in self.coeffs.items()})
 
     def __repr__(self):

@@ -40,7 +40,7 @@ from math import lcm, prod
 from random import Random
 
 from slfusion.laurent import Laurent, _bareiss
-from slfusion.linalg import IntEchelon, IntegrityError, exact_scalar
+from slfusion.linalg import IntEchelon, IntegrityError
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +95,15 @@ _JETS = (
 
 
 # ---------------------------------------------------------------------------
-# polynomial vector fields (Laurent allowed in the slot-0 variable)
+# polynomial vector fields
 
 
 class PolyVectorField:
-    """First-order derivation sum_i c_i(x) d/dx_i with rational coefficients.
+    """First-order derivation sum_i c_i(x) d/dx_i with integer coefficients.
 
-    Coefficient polynomials are sparse exponent-tuple dicts; only the slot-0
-    exponent may be negative.  Integral coefficients are kept as ``int``.
+    Coefficient polynomials are sparse exponent-tuple dicts with
+    nonnegative exponents and ``int`` coefficients; any other coefficient
+    type (``Fraction``, ``float``, ``bool``) is a ``ValueError``.
     """
 
     __slots__ = ("n", "comps")
@@ -112,14 +113,10 @@ class PolyVectorField:
         self.comps: dict[int, dict] = {}
         if comps:
             for i, poly in comps.items():
-                clean = {
-                    m: c if type(c) is int else exact_scalar(c)
-                    for m, c in poly.items()
-                    if c
-                }
-                for m in clean:
-                    if len(m) != n or any(e < 0 for e in m[1:]):
-                        raise ValueError("bad coefficient monomial")
+                for m, c in poly.items():
+                    if type(c) is not int or len(m) != n or min(m, default=0) < 0:
+                        raise ValueError(f"PolyVectorField term {c!r}*x^{m}: not an int times a monomial")
+                clean = {m: c for m, c in poly.items() if c}
                 if clean:
                     self.comps[i] = clean
 
@@ -144,14 +141,12 @@ class PolyVectorField:
     def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
         return self + (-other)
 
-    def scale(self, c) -> "PolyVectorField":
-        c = exact_scalar(c)
+    def scale(self, c: int) -> "PolyVectorField":
         return PolyVectorField(
             self.n, {i: {m: c * v for m, v in p.items()} for i, p in self.comps.items()}
         )
 
-    def mul_monomial(self, mono: tuple, coeff=1) -> "PolyVectorField":
-        coeff = exact_scalar(coeff)
+    def mul_monomial(self, mono: tuple, coeff: int = 1) -> "PolyVectorField":
         out = {}
         for i, poly in self.comps.items():
             out[i] = {
@@ -420,19 +415,16 @@ def chart_change_terms(kind: str, i: int) -> list[tuple]:
 def _integer_terms(field: PolyVectorField) -> list[tuple]:
     """``(component, coefficient, variables)`` per term, for integer evaluation.
 
-    The sampler evaluates over a common denominator, which needs integer
-    coefficients and degree at most 2; a primed field outside that shape is
-    an ``IntegrityError``.  A term of degree ``d`` lists its variables with
-    multiplicity, e.g. ``x_1 x_3^2`` as ``(1, 3, 3)``.
+    The sampler evaluates over a common denominator, which needs degree at
+    most 2; a primed field of higher degree is an ``IntegrityError``.  A
+    term of degree ``d`` lists its variables with multiplicity, e.g.
+    ``x_1 x_3^2`` as ``(1, 3, 3)``.
     """
     out = []
     for i, poly in field.comps.items():
         for m, c in poly.items():
-            if type(c) is not int or min(m) < 0 or sum(m) > 2:
-                raise IntegrityError(
-                    f"primed field term {c}*x^{m} in slot {i} is not an integer "
-                    "polynomial of degree <= 2"
-                )
+            if sum(m) > 2:
+                raise IntegrityError(f"primed field term {c}*x^{m} in slot {i} is not of degree <= 2")
             out.append((i, c, tuple(v for v, e in enumerate(m) for _ in range(e))))
     return out
 
@@ -501,12 +493,8 @@ def _chart_change_failures(n: int, samples: int, seed: int, expansion, key: str)
             for target, items in targets[lab]:
                 lo = min(items[0][0], 0)
                 hi = max(items[-1][0], 0)
-                cden = lcm(*(c.denominator for _, c in items))
-                num = sum(
-                    c.numerator * (cden // c.denominator) * den ** (e - lo) * p0 ** (hi - e)
-                    for e, c in items
-                )
-                cden *= den**-lo * p0**hi
+                num = sum(c * den ** (e - lo) * p0 ** (hi - e) for e, c in items)
+                cden = den**-lo * p0**hi
                 rhs = [u * cden + num * rhs_den * t for u, t in zip(rhs, yvals[target])]
                 rhs_den *= cden
             if any(v * rhs_den != u for v, u in zip(pushed, rhs)):
@@ -544,8 +532,9 @@ def verify_chart_identities(n: int, samples: int = 20, seed: int = 0) -> dict:
         if fields[("f", i)] != want:
             symbolic_failures.append(("f", i))
     for i in range(n - 1):
-        want = pf("L", i + 1) - pf("h", i + 1).scale(Fraction(1, 2))
-        if fields[("L", i)] != want:
+        # 2 L_i = 2 L'_{i+1} - h'_{i+1}, doubled to stay integral
+        want = pf("L", i + 1).scale(2) - pf("h", i + 1)
+        if fields[("L", i)].scale(2) != want:
             symbolic_failures.append(("L", i))
 
     sample_failures = _chart_change_failures(

@@ -17,24 +17,22 @@ integral.  The factorization is then checked exactly; a wrong
 answer raises ``IntegrityError`` instead of being returned.
 
 Determinants come from Bareiss's fraction-free elimination, run on the
-Laurent entries themselves: every division it makes is exact, and
-``Laurent.__floordiv__`` checks that it is.  Integral coefficients are kept
-as ``int``, so the twist-section rows of the transition matrices are
-integer rows.  ``splitting_type`` takes integer coefficients only (scale a
-rational matrix's rows first: that keeps the splitting type).
+Laurent entries themselves: every division it makes is exact in
+``Z[y, 1/y]`` (Bareiss 1968), and ``Laurent.__floordiv__`` checks that it
+is.  Coefficients are ``int`` only, so the twist-section rows of the
+transition matrices are integer rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from slfusion.linalg import IntEchelon, IntegrityError, exact_scalar, format_scalar, kernel_basis
+from slfusion.linalg import IntEchelon, IntegrityError, kernel_basis
 
 
 class Laurent:
-    """Laurent polynomial in one variable over Q.
+    """Laurent polynomial in one variable over Z.
 
-    Integral coefficients are kept as ``int``, the others as ``Fraction``.
+    Coefficients are ``int``; any other type (``Fraction``, ``float``,
+    ``bool``) is a ``ValueError``.
     """
 
     __slots__ = ("coeffs",)
@@ -44,7 +42,7 @@ class Laurent:
         if coeffs:
             for e, c in coeffs.items():
                 if type(c) is not int:
-                    c = exact_scalar(c)
+                    raise ValueError(f"Laurent coefficient {c!r} is not an int")
                 if c:
                     self.coeffs[int(e)] = c
 
@@ -70,7 +68,7 @@ class Laurent:
     def deg(self) -> int:
         return max(self.coeffs)
 
-    def __getitem__(self, e: int) -> Fraction | int:
+    def __getitem__(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
     def __add__(self, other: "Laurent") -> "Laurent":
@@ -100,7 +98,9 @@ class Laurent:
         """Exact quotient; ``IntegrityError`` unless ``other`` divides ``self``.
 
         Long division from the top term.  A nonzero remainder narrower than
-        ``other`` (top minus bottom exponent) cannot be a multiple of it.
+        ``other`` (top minus bottom exponent) cannot be a multiple of it, and
+        neither can one whose top coefficient is not a multiple of
+        ``other``'s leading one.
         """
         if not other.coeffs:
             raise ZeroDivisionError("Laurent division by zero")
@@ -113,11 +113,9 @@ class Laurent:
             e = max(rem)
             if e - min(rem) < width:
                 raise IntegrityError(f"{other} does not divide {self}")
-            c = rem[e]
-            if type(c) is int and type(lead) is int and not c % lead:
-                c //= lead
-            else:
-                c = exact_scalar(Fraction(c) / lead)
+            c, r = divmod(rem[e], lead)
+            if r:
+                raise IntegrityError(f"{other} does not divide {self}")
             shift = e - top
             quot[shift] = c
             for ge, gc in other.coeffs.items():
@@ -145,9 +143,9 @@ class Laurent:
         for e in sorted(self.coeffs, reverse=True):
             c = self.coeffs[e]
             if e == 0:
-                body = format_scalar(c)
+                body = str(c)
             else:
-                mag = format_scalar(abs(c))
+                mag = str(abs(c))
                 var = "y" if e == 1 else f"y^{e}"
                 body = var if mag == "1" else f"{mag}*{var}"
                 if c < 0:
@@ -162,7 +160,7 @@ class Laurent:
 
 
 def laurent_det(matrix: list[list[Laurent]]) -> Laurent:
-    """Exact determinant by Bareiss's elimination over ``Q[y, 1/y]``."""
+    """Exact determinant by Bareiss's elimination over ``Z[y, 1/y]``."""
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
     return _bareiss([list(row) for row in matrix], one=Laurent.const(1))
@@ -224,16 +222,13 @@ def _twist_rows(matrix, k: int, bound: int):
 def splitting_type(matrix: list[list[Laurent]]) -> list[int]:
     """Splitting exponents of a Laurent matrix, sorted descending.
 
-    Raises ``ValueError`` unless every coefficient is an ``int`` and the
-    determinant is a nonzero constant times a power of ``y``.  The exponents
-    are returned only after the factorization ``M·X = P·diag(y^e)`` built
-    from the twist-section ladder passes ``_check_factorization``; if the
-    ladder does not close within the degree bound, or a check fails,
-    ``IntegrityError`` is raised.
+    Raises ``ValueError`` unless the determinant is a nonzero constant times
+    a power of ``y``.  The exponents are returned only after the
+    factorization ``M·X = P·diag(y^e)`` built from the twist-section ladder
+    passes ``_check_factorization``; if the ladder does not close within the
+    degree bound, or a check fails, ``IntegrityError`` is raised.
     """
     size = len(matrix)
-    if any(type(c) is not int for row in matrix for x in row for c in x.coeffs.values()):
-        raise ValueError("splitting_type takes integer coefficients")
     det = laurent_det(matrix)
     if det.is_zero() or not det.is_monomial():
         raise ValueError(f"determinant {det} is not a unit times a power")

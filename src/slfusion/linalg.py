@@ -1,7 +1,8 @@
-"""Exact rational linear algebra and sparse monomial bookkeeping.
+"""Exact integer linear algebra and sparse monomial bookkeeping.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), always in
-lowest terms with positive denominator.  Monomials in the variables
+Values are arbitrary-precision integers.  Rationals (``fractions.Fraction``)
+appear only where the mathematics has them: module element coordinates, and
+the scalars ``parse_scalar`` reads.  Monomials in the variables
 e_0 .. e_{n-1} are exponent tuples carrying a bidegree: the degree k is the
 total exponent sum and the weight s is the subscript-weighted sum
 ``sum(i * exps[i])``.  The global monomial order is graded lexicographic with
@@ -48,21 +49,6 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def exact_scalar(x) -> int | Fraction:
-    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def format_scalar(x: Fraction) -> str:
-    """Canonical text form; ``parse_scalar`` round-trips it."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------

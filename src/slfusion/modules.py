@@ -167,12 +167,16 @@ def shift_columns(n: int, k: int, s: int) -> tuple:
 
 
 class GradedCharacter:
-    """Sparse table (degree, weight) -> dimension, printed as a u,q polynomial."""
+    """Sparse table (degree, weight) -> ``int`` dimension, printed as a u,q
+    polynomial; a dimension of another type is a ``ValueError``."""
 
     __slots__ = ("table",)
 
     def __init__(self, table: dict):
-        self.table = {ks: int(d) for ks, d in table.items() if d}
+        bad = [d for d in table.values() if type(d) is not int]
+        if bad:
+            raise ValueError(f"GradedCharacter dimension {bad[0]!r} is not an int")
+        self.table = {ks: d for ks, d in table.items() if d}
 
     def total(self) -> int:
         return sum(self.table.values())

@@ -182,19 +182,27 @@ def _legal_moves(work) -> list[tuple]:
 
 
 def _apply_move(work, move) -> list[list[Laurent]]:
+    """One cancellation, fraction-free: the target row (column) is scaled by
+    the pivot's cancelled coefficient over their gcd instead of dividing by
+    it; a nonzero constant is a unit over Q[y] and over Q[1/y], so the
+    splitting type is kept."""
     out = [list(row) for row in work]
     size = len(work)
     if move[0] == "row":
         _, r, pr, c = move
         e, pe = work[r][c], work[pr][c]
-        mult = Laurent.term(Fraction(e[e.ord], pe[pe.ord]), e.ord - pe.ord)
-        out[r] = [work[r][cc] - mult * work[pr][cc] for cc in range(size)]
+        a, b = e[e.ord], pe[pe.ord]
+        g = gcd(a, b)
+        scale, mult = Laurent.const(b // g), Laurent.term(a // g, e.ord - pe.ord)
+        out[r] = [scale * work[r][cc] - mult * work[pr][cc] for cc in range(size)]
     else:
         _, c, pc, r = move
         e, pe = work[r][c], work[r][pc]
-        mult = Laurent.term(Fraction(e[e.deg], pe[pe.deg]), e.deg - pe.deg)
+        a, b = e[e.deg], pe[pe.deg]
+        g = gcd(a, b)
+        scale, mult = Laurent.const(b // g), Laurent.term(a // g, e.deg - pe.deg)
         for rr in range(size):
-            out[rr][c] = work[rr][c] - mult * work[rr][pc]
+            out[rr][c] = scale * work[rr][c] - mult * work[rr][pc]
     return out
 
 
@@ -240,13 +248,13 @@ def scrambled_diagonal(rng: Random, size: int, ops: int, spread: int = 2):
     for _ in range(ops):
         a, b = rng.sample(range(size), 2)
         if rng.random() < 0.5:
-            mult = Laurent.term(Fraction(rng.randint(-2, 2)), rng.randint(0, 1))
+            mult = Laurent.term(rng.randint(-2, 2), rng.randint(0, 1))
             if mult.is_zero():
                 continue
             for c in range(size):
                 mat[a][c] = mat[a][c] + mult * mat[b][c]
         else:
-            mult = Laurent.term(Fraction(rng.randint(-2, 2)), -rng.randint(0, 1))
+            mult = Laurent.term(rng.randint(-2, 2), -rng.randint(0, 1))
             if mult.is_zero():
                 continue
             for r in range(size):
@@ -581,7 +589,8 @@ def _lagrange(points: list[Fraction], values: list[Fraction]) -> dict:
 
 def laurent_det_reference(matrix) -> Laurent:
     """Laurent determinant: columns shifted to polynomials, ``Fraction``
-    values at ``t = 1..deg+1``, Gaussian determinants, interpolation."""
+    values at ``t = 1..deg+1``, Gaussian determinants, interpolation.  The
+    entries are integral, so the interpolated coefficients are integers."""
     size = len(matrix)
     shift, degree_bound, cols = 0, 0, []
     for c in range(size):
@@ -597,7 +606,9 @@ def laurent_det_reference(matrix) -> Laurent:
         det_reference([[_laurent_value(cols[c][r], t) for c in range(size)] for r in range(size)])
         for t in points
     ]
-    return Laurent({e + shift: v for e, v in _lagrange(points, values).items()})
+    coeffs = _lagrange(points, values)
+    assert all(v.denominator == 1 for v in coeffs.values()), coeffs
+    return Laurent({e + shift: int(v) for e, v in coeffs.items()})
 
 
 class DualNumber:
@@ -793,7 +804,7 @@ def expand(p: SymPoly) -> dict:
     for lam, c in p.coeffs.items():
         padded = lam + (0,) * (p.nvars - len(lam))
         for perm in _distinct_permutations(padded):
-            out[perm] = out.get(perm, 0) + Fraction(c)
+            out[perm] = out.get(perm, 0) + c
     return out
 
 
@@ -820,8 +831,8 @@ def shuffle_reference(f: SymPoly, g: SymPoly) -> SymPoly:
     """Sum of f(z_sigma) g(z_tau) over all order-preserving interleavings.
 
     Both factors are expanded into monomials and every term pair is placed
-    on every choice of the s_1 positions of f, on integer numerators over
-    the product of the factors' common denominators.
+    on every choice of the s_1 positions of f.  The coefficients are
+    integers: the factors' common denominator is asserted to be 1.
     """
     s1, s2 = f.nvars, g.nvars
     s = s1 + s2
@@ -838,5 +849,5 @@ def shuffle_reference(f: SymPoly, g: SymPoly) -> SymPoly:
         for exps, c in terms:
             key = tuple([exps[j] for j in src])
             monos[key] = monos.get(key, 0) + c
-    den = fden * gden
-    return from_monomials(s, {m: Fraction(c, den) for m, c in monos.items() if c})
+    assert fden * gden == 1, (fden, gden)
+    return from_monomials(s, {m: c for m, c in monos.items() if c})

@@ -312,17 +312,17 @@ def _planted_expansions():
         terms = real(kind, i)
         return [("e", i, Laurent.term(-1, 1))] + terms[1:] if kind == "e" else terms
 
-    def fractional(kind, i):
-        return [("f", i, Laurent.term(Fraction(-1, 2), -2))] if kind == "f" else real(kind, i)
+    def doubled_coefficient(kind, i):
+        return [("f", i, Laurent.term(-2, -2))] if kind == "f" else real(kind, i)
 
     def dropped_term(kind, i):
         return real(kind, i)[1:] if kind == "h" else real(kind, i)
 
     def extra_binomial(kind, i):
-        extra = [("e", i, Laurent({-1: 1, 1: Fraction(1, 3)}))] if kind in "hL" else []
+        extra = [("e", i, Laurent({-1: 1, 1: 3}))] if kind in "hL" else []
         return real(kind, i) + extra
 
-    return [real, wrong_constant, wrong_power, fractional, dropped_term, extra_binomial]
+    return [real, wrong_constant, wrong_power, doubled_coefficient, dropped_term, extra_binomial]
 
 
 def test_chart_sampler_matches_fraction_route():
@@ -340,6 +340,12 @@ def test_chart_sampler_matches_fraction_route():
     "poly", [{(0, 1, 0): Fraction(1, 2)}, {(0, 1, 2): 1}], ids=["half", "cubic"]
 )
 def test_chart_sampler_rejects_primed_fields_it_cannot_clear(monkeypatch, poly):
+    # a rational coefficient is refused by the field itself; a cubic term
+    # reaches the sampler, which evaluates degree <= 2 only
+    if any(type(c) is not int for c in poly.values()):
+        with pytest.raises(ValueError, match="PolyVectorField"):
+            PolyVectorField(3, {1: poly})
+        return
     real = geometry.primed_field
 
     def planted(n, kind, i):
@@ -362,8 +368,7 @@ def test_laurent_det_matches_reference():
         size = rng.randint(1, 4)
         mat = [
             [
-                Laurent({rng.randint(-2, 2): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                         for _ in range(rng.randint(0, 2))})
+                Laurent({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(0, 2))})
                 for _ in range(size)
             ]
             for _ in range(size)
@@ -392,7 +397,9 @@ def test_laurent_floordiv_is_exact_or_raises():
     y = Laurent.term(1, 1)
     one = Laurent.const(1)
     assert ((y + one) * (y * y + one)) // (y * y + one) == y + one
-    assert Laurent.term(6, -2) // Laurent.term(4, 1) == Laurent.term(Fraction(3, 2), -3)
+    assert Laurent.term(6, -2) // Laurent.term(3, 1) == Laurent.term(2, -3)
+    with pytest.raises(IntegrityError, match="does not divide"):
+        Laurent.term(6, -2) // Laurent.term(4, 1)  # 3/2 is not an integer
     with pytest.raises(IntegrityError, match="does not divide"):
         (y + one) // (y * y + one)
     with pytest.raises(IntegrityError, match="does not divide"):
@@ -481,16 +488,16 @@ def test_splitting_planted_diagonals():
 
 def test_splitting_takes_integer_coefficients_only():
     # the twist rows go to the integer elimination as they are: a rational
-    # coefficient is refused up front, and clearing a row's denominators
-    # (a constant row scaling) keeps the splitting type
+    # coefficient is refused by Laurent itself, and a constant row scaling
+    # (what clearing a row's denominators would be) keeps the splitting type
     rng = Random(5150)
     for _ in range(10):
         diag, mat = scrambled_diagonal(rng, 3, ops=3)
         den = rng.choice((2, 5, 7))
-        rational = [[x * Laurent.const(Fraction(1, den)) for x in mat[0]]] + mat[1:]
-        with pytest.raises(ValueError, match="integer coefficients"):
-            splitting_type(rational)
-        assert splitting_via_sections(rational) == diag == splitting_type(mat)
+        with pytest.raises(ValueError, match="Laurent"):
+            Laurent.const(Fraction(1, den))
+        scaled = [[x * Laurent.const(den) for x in mat[0]]] + mat[1:]
+        assert splitting_via_sections(scaled) == diag == splitting_type(mat) == splitting_type(scaled)
 
 
 def test_splitting_degree_conservation():
@@ -595,3 +602,33 @@ def test_pullback_examples():
 def test_field_coefficient_validation():
     with pytest.raises(ValueError, match="monomial"):
         PolyVectorField(2, {0: {(0, -1): 1}})
+    # no slot is exempt: slot 0 takes no negative exponent either
+    with pytest.raises(ValueError, match="monomial"):
+        PolyVectorField(2, {0: {(-1, 0): 1}})
+
+
+@pytest.mark.parametrize(
+    "c", [Fraction(1, 2), Fraction(2, 1), 0.5, True], ids=["half", "whole-fraction", "float", "bool"]
+)
+def test_laurent_and_field_take_int_coefficients_only(c):
+    with pytest.raises(ValueError, match="Laurent"):
+        Laurent({0: c})
+    with pytest.raises(ValueError, match="PolyVectorField"):
+        PolyVectorField(2, {0: {(1, 0): c}})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_doubled_L_identity_catches_an_off_by_one(monkeypatch, n):
+    # 2 L_i = 2 L'_{i+1} - h'_{i+1} is compared doubled; doubling is
+    # injective, so one coefficient of L_i off by one still fails it
+    real = geometry.standard_fields
+    for i in range(n - 1):
+
+        def planted(m, i=i):
+            fields = real(m)
+            comp, poly = min(fields[("L", i)].comps.items())
+            fields[("L", i)] += PolyVectorField(m, {comp: {min(poly): 1}})
+            return fields
+
+        monkeypatch.setattr(geometry, "standard_fields", planted)
+        assert verify_chart_identities(n)["symbolic_failures"] == [("L", i)]

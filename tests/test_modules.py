@@ -678,3 +678,9 @@ def test_dimension_law_small_grid():
             stack = [t + (v,) for t in stack for v in range((t[-1] if t else 1), 4)]
         for a in stack:
             assert fusion_module(a).total_dim == prod(a)
+
+
+@pytest.mark.parametrize("dim", [1.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"])
+def test_graded_character_takes_int_dimensions_only(dim):
+    with pytest.raises(ValueError, match="GradedCharacter"):
+        GradedCharacter({(0, 0): dim})
