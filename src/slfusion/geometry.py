@@ -308,9 +308,11 @@ def verify_vect_algebra(n: int) -> dict:
     The 4n-1 fields must be linearly independent over Q, every pairwise
     bracket must expand in the basis with integer coefficients, and the
     brackets must realize the truncated current-algebra relations together
-    with the grading-operator relations [L_i, x_j] = -j x_{i+j}.  Each
-    ordered bracket is computed once and serves both the relation checks
-    and the closure check; fields enter the span as sparse integer rows.
+    with the grading-operator relations [L_i, x_j] = -j x_{i+j}.  Only the
+    ordered brackets the relation checks read are computed, once each, and
+    they serve the closure check too: between them they cover every
+    unordered pair of fields, and [b, a] = -[a, b] lies in the span exactly
+    when [a, b] does.  Fields enter the span as sparse integer rows.
     """
     fields = standard_fields(n)
     keys = sorted(fields)
@@ -333,7 +335,6 @@ def verify_vect_algebra(n: int) -> dict:
         ech.insert(row(fields[k]))
     rank = ech.dim
     independent = rank == len(keys) == 4 * n - 1
-    brackets = {(a, b): bracket(fields[a], fields[b]) for a in keys for b in keys}
 
     def expect(kind: str, i: int, c: int) -> PolyVectorField:
         return fields.get((kind, i), PolyVectorField(n)).scale(c)
@@ -355,13 +356,14 @@ def verify_vect_algebra(n: int) -> dict:
                 checks.append((("L", i), (kind, j), expect(kind, i + j, -j)))
         for j in range(n - 1):
             checks.append((("L", i), ("L", j), expect("L", i + j, i - j)))
+    brackets = {(a, b): bracket(fields[a], fields[b]) for a, b, _ in checks}
     failures = []
     for a, b, want in checks:
         got = brackets[(a, b)]
         if got != want:
             failures.append((a, b, repr(got - want)))
     relations_ok = not failures
-    # closure with integer structure constants
+    # closure with integer structure constants, one bracket per unordered pair
     closed = True
     for (a, b), br in brackets.items():
         if br.is_zero():

@@ -260,8 +260,8 @@ def _check_factorization(matrix, cols, exps, det: Laurent) -> None:
     """Exact Birkhoff certificate for ``M·X = P·diag(y^e)``.
 
     ``X`` (given by its columns) must be polynomial in ``1/y``,
-    ``P = M·X·diag(y^-e)`` polynomial in ``y``, both determinants nonzero
-    constants, and ``sum(e)`` the order of ``det M``.
+    ``P = M·X·diag(y^-e)`` polynomial in ``y``, ``det X`` a nonzero constant,
+    and ``sum(e)`` the order of ``det M``, which makes ``det P`` one too.
     """
     size = len(matrix)
     x = [[col[r] for col in cols] for r in range(size)]
@@ -276,9 +276,11 @@ def _check_factorization(matrix, cols, exps, det: Laurent) -> None:
         raise IntegrityError("X is not polynomial in 1/y")
     if any(e < 0 for row in p for entry in row for e in entry.coeffs):
         raise IntegrityError("P = M X diag(y^-e) is not polynomial in y")
-    for name, factor in (("X", x), ("P", p)):
-        d = laurent_det(factor)
-        if not (d.is_monomial() and d.ord == 0):
-            raise IntegrityError(f"det {name} = {d} is not a nonzero constant")
+    d = laurent_det(x)
+    if not (d.is_monomial() and d.ord == 0):
+        raise IntegrityError(f"det X = {d} is not a nonzero constant")
+    # det P = det M · det X · y^-sum(e), a monomial: constant iff sum(e) = ord det M
     if sum(exps) != det.ord:
-        raise IntegrityError(f"exponents {exps} do not sum to ord det M = {det.ord}")
+        raise IntegrityError(
+            f"det P is not a constant: exponents {exps} do not sum to ord det M = {det.ord}"
+        )

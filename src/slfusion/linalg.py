@@ -171,11 +171,7 @@ def kernel_basis(rows, ncols: int):
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """A nonzero sparse row divided by its content, leading entry positive."""
-    g = 0
-    for x in row.values():
-        g = gcd(g, x)
-        if g == 1:
-            break
+    g = gcd(*row.values())
     if row[min(row)] < 0:
         g = -g
     return row if g == 1 else {c: x // g for c, x in row.items()}
@@ -252,10 +248,13 @@ class IntEchelon:
                 if c != pc:
                     new[c] = new.get(c, 0) - x * y
             new = rows[qc] = _primitive({c: y for c, y in new.items() if y})
-            for c in prow.keys() - new.keys() - {pc}:
-                where[c].discard(qc)
-            for c in new.keys() - prow.keys():
-                where.setdefault(c, set()).add(qc)
+            # only the columns of res can appear in or drop out of the row
+            for c in res:
+                if c in new:
+                    if c not in prow:
+                        where.setdefault(c, set()).add(qc)
+                elif c != pc and c in prow:
+                    where[c].discard(qc)
         for c in res:
             if c != pc:
                 where.setdefault(c, set()).add(pc)

@@ -32,19 +32,22 @@ quotient has only prod(a_i) dimensions), and most of those are forced: a
 bidegree (k, s) with k >= 1 whose every predecessor (k-1, s-j) lies wholly
 in the ideal does too, because every degree-k monomial is e_j times a
 monomial of some predecessor and the ideal is closed under each e_j.  The
-build marks such a slice ``ALL_IDEAL`` without listing its monomials,
-shifting columns or forming its generator; a slice that is still computed
-takes the whole column map of a wholly-ideal predecessor as units and forms
-its generator only while it is not yet full.  The rule is exact, not a
-heuristic: the dimension gate still counts every piece.  A wholly-ideal
-slice is recorded by its absence: ``pieces`` maps only the bidegrees of
-positive dimension, each to its list of basis monomials.  Normal forms are
-kept in one flat table per module, ``{monomial: ((k, s), entries, den)}``,
-holding only the monomials whose class is nonzero: the class is
-``sum(x * basis[i] for i, x in entries) / den``, an integer image read
-straight off the echelon rows.  Basis monomial i has the image
-``((i, 1),)``, one tuple shared by every table.  The column maps of the
-e_j shifts depend only on (n, k, s) and are shared by every build.
+build never visits such a slice: it keeps only the degree k-1 slices that
+hold a piece and computes only the weights w + j of their weights w, so no
+monomial is listed, no column shifted and no generator formed for a forced
+slice.  A slice that is computed takes the whole column map of a
+wholly-ideal predecessor as units, forms its generator only while it is not
+yet full, and builds no ``IntEchelon`` when it has nothing to insert.  The
+rule is exact, not a heuristic: the dimension gate still counts every
+piece.  A wholly-ideal slice is recorded by its absence: ``pieces`` maps
+only the bidegrees of positive dimension, each to its list of basis
+monomials.  Normal forms are kept in one flat table per module,
+``{monomial: ((k, s), entries, den)}``, holding only the monomials whose
+class is nonzero: the class is ``sum(x * basis[i] for i, x in entries) /
+den``, an integer image read straight off the echelon rows.  Basis monomial
+i has the image ``((i, 1),)``, one tuple shared by every table.  The column
+maps of the e_j shifts depend only on (n, k, s) and are shared by every
+build.
 
 Multiplication by e_j is read off the normal forms once per (j, bidegree)
 and kept as an integer table (``FusionModule.action``); tensor modules
@@ -278,6 +281,23 @@ def map_row(row: dict, table) -> tuple[dict, int]:
     return {t: y for t, y in acc.items() if y}, den
 
 
+def _class_sums(terms) -> tuple[dict, int]:
+    """The class of a polynomial from its terms ``(normal form, coefficient)``.
+
+    Returns ``({(k, s): {position: int}}, den)``: each coefficient times its
+    monomial's integer image, scaled to the lcm ``den`` of their
+    denominators and summed per basis position, zero sums included.
+    """
+    den = lcm(*(red[2] for red, _ in terms))
+    sums: dict = {}
+    for (ks, entries, d), c in terms:
+        f = c * (den // d)
+        vec = sums.setdefault(ks, {})
+        for i, x in entries:
+            vec[i] = vec.get(i, 0) + f * x
+    return sums, den
+
+
 # ---------------------------------------------------------------------------
 # the quotient modules
 
@@ -319,28 +339,29 @@ class FusionModule:
         n = self.n
         gens = set(generator_keys(self.a))
         # the ideal in degree k is spanned by e_j times its degree k-1 rows
-        # plus the degree-k generators; prev keeps, per weight of degree k-1,
-        # the unit columns and the non-unit rows, or ALL_IDEAL (every weight
-        # 0 <= s <= (n-1)k of degree k has monomials)
-        prev: dict[int, tuple | object] = {}
+        # plus the degree-k generators; prev keeps, per weight of degree k-1
+        # whose slice holds a piece, its unit columns and non-unit rows.  A
+        # weight of degree k >= 1 that no kept slice reaches has only
+        # wholly-ideal predecessors, so it is wholly ideal and never visited
+        prev: dict[int, tuple] = {}
         for k in range(0, self.kmax + 2):
-            cur: dict[int, tuple | object] = {}
-            for s in range(0, (n - 1) * k + 1):
-                below = [(j, prev[s - j]) for j in range(n) if s - j in prev]
-                if below and all(b is ALL_IDEAL for _, b in below):
-                    # e_j times a wholly-ideal predecessor: wholly ideal
-                    cur[s] = ALL_IDEAL
-                else:
-                    cur[s] = self._slice(k, s, below, (k, k * (n - 1) - s) in gens)
+            cur: dict[int, tuple] = {}
+            top = (n - 1) * (k - 1)
+            for s in sorted({w + j for w in prev for j in range(n)}) if k else (0,):
+                below = [(j, prev.get(s - j, ALL_IDEAL)) for j in range(n) if 0 <= s - j <= top]
+                state = self._slice(k, s, below, (k, k * (n - 1) - s) in gens)
+                if state is not ALL_IDEAL:
+                    cur[s] = state
             prev = cur
         self._certify_zero_band()
 
     def _slice(self, k: int, s: int, below: list, has_gen: bool):
         """Eliminate the ideal slice at (k, s) and add its piece.
 
-        ``below`` lists ``(j, state)`` for the predecessors (k-1, s-j), and
-        ``has_gen`` says whether I_A has a generator here.  Returns the
-        slice's ``(units, rows)``, or ALL_IDEAL when no column is free.
+        ``below`` lists ``(j, state)`` for the predecessors (k-1, s-j), a
+        wholly-ideal one as ALL_IDEAL, and ``has_gen`` says whether I_A has a
+        generator here.  Returns the slice's ``(units, rows)``, or ALL_IDEAL
+        when no column is free.
         """
         n = self.n
         monos = enumerate_monomials(n, k, s)
@@ -356,29 +377,32 @@ class FusionModule:
             prev_units, prev_rows = state
             units.update(map(cols.__getitem__, prev_units))
             shifted.extend((cols, row) for row in prev_rows)
-        # reducing a row against the unit rows drops its unit columns;
-        # once the span is full no further row can change it
-        ech = IntEchelon(width)
-        for cols, row in shifted:
-            if len(units) + ech.dim == width:
-                break
-            red = {t: x for c, x in row.items() if (t := cols[c]) not in units}
-            if red:
-                ech.insert(red)
-        if has_gen and len(units) + ech.dim < width:
-            gen = generating_slice(n, k, k * (n - 1) - s)
-            # a generating slice lists its bidegree in column order
-            if list(gen) != monos:
-                raise IntegrityError(f"generator at {(k, s)} is not a full slice")
-            red = {t: c for t, c in enumerate(gen.values()) if t not in units}
-            if red:
-                ech.insert(red)
+        # reducing a row against the unit rows drops its unit columns; once
+        # the span is full no further row can change it, and a slice with
+        # nothing to insert, or already full of units, needs no echelon
         rows = []
-        for row in ech.sparse_rows():
-            if len(row) == 1:
-                units.update(row)
-            else:
-                rows.append(row)
+        room = width - len(units)  # columns that neither a unit nor a row covers
+        if room and (shifted or has_gen):
+            ech = IntEchelon(width)
+            for cols, row in shifted:
+                if not room:
+                    break
+                red = {t: x for c, x in row.items() if (t := cols[c]) not in units}
+                if red and ech.insert(red):
+                    room -= 1
+            if has_gen and room:
+                gen = generating_slice(n, k, k * (n - 1) - s)
+                # a generating slice lists its bidegree in column order
+                if list(gen) != monos:
+                    raise IntegrityError(f"generator at {(k, s)} is not a full slice")
+                red = {t: c for t, c in enumerate(gen.values()) if t not in units}
+                if red:
+                    ech.insert(red)
+            for row in ech.sparse_rows():
+                if len(row) == 1:
+                    units.update(row)
+                else:
+                    rows.append(row)
         if len(units) == width:
             return ALL_IDEAL
         leads = {min(row) for row in rows}
@@ -506,14 +530,17 @@ class FusionModule:
         generator of ``generator_keys(a)`` vanishes here.  A generator whose
         bidegree holds no piece vanishes by construction (no monomial there
         has a nonzero normal form), so it is not reduced: the answer is that
-        of reducing every generator.
+        of reducing every generator.  The others are reduced in integers
+        straight from the normal-form table (``_class_sums``, the sums
+        ``poly_class`` divides), with no element or ``Fraction`` formed.
         """
-        n = self.n
+        n, nf = self.n, self._nf
         for k, zpow in generator_keys(a):
-            if self.dim_piece(k, k * (n - 1) - zpow) and not self.poly_class(
-                generating_slice(n, k, zpow)
-            ).is_zero():
-                return k, zpow
+            if (k, k * (n - 1) - zpow) in self.pieces:
+                gen = generating_slice(n, k, zpow)
+                sums, _ = _class_sums([(red, c) for m, c in gen.items() if (red := nf.get(m))])
+                if any(x for vec in sums.values() for x in vec.values()):
+                    return k, zpow
         return None
 
     # -- elements -----------------------------------------------------------
@@ -526,14 +553,8 @@ class FusionModule:
         """The class of ``p``: its monomials' normal forms summed over one
         common denominator, with ``Fraction`` values only for nonzero sums."""
         terms = [(red, c) for m, c in p.items() if (red := self.normal_form(m)) is not None]
-        den = lcm(*(red[2] for red, _ in terms))
-        acc: dict = {}
-        for (ks, entries, d), c in terms:
-            f = c * (den // d)
-            vec = acc.setdefault(ks, {})
-            for i, x in entries:
-                vec[i] = vec.get(i, 0) + f * x
-        coords = {ks: {i: Fraction(x, den) for i, x in vec.items() if x} for ks, vec in acc.items()}
+        sums, den = _class_sums(terms)
+        coords = {ks: {i: Fraction(x, den) for i, x in vec.items() if x} for ks, vec in sums.items()}
         return ModuleElement(self, coords)
 
     def __repr__(self):
@@ -901,14 +922,6 @@ def cyclic_span(owner, ops, seeds, max_dim: int | None = None) -> Subspace:
     for ks in [ks for ks, ech in spans.items() if not ech.dim]:
         del spans[ks]
     return span
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    out = Subspace(a.owner)
-    for src in (a, b):
-        for el in src.basis_elements():
-            out.insert(el)
-    return out
 
 
 # ---------------------------------------------------------------------------

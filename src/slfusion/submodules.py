@@ -37,7 +37,6 @@ from slfusion.modules import (
     label_module,
     match_characters,
     relation_exponent,
-    subspace_sum,
     validate_composition,
 )
 
@@ -209,27 +208,6 @@ def verify_w_generators(sub: QuotientMap) -> dict:
     span = cyclic_span(mod, range(mod.n), ws)
     ok = all(membership) and span == sub.kernel()
     return {"ok": ok, "membership": membership, "span_dim": span.dim}
-
-
-def verify_sum_decomposition(a, i: int, j: int) -> dict:
-    """S_{i,j}(A) as the (non-direct) sum of the consecutive kernels."""
-    a = validate_composition(a, allow_empty=False)
-    if j <= i:
-        raise ValueError("need j > i")
-    big = submodule_S(a, i, j)
-    if j == i + 1:
-        return {"ok": True, "sum_dim": big.dim, "target_dim": big.dim, "parts": [big.dim]}
-    parts = [submodule_S(a, l, l + 1) for l in range(i, j)]
-    total = parts[0].kernel()
-    for p in parts[1:]:
-        total = subspace_sum(total, p.kernel())
-    ok = total == big.kernel()
-    return {
-        "ok": ok,
-        "sum_dim": total.dim,
-        "target_dim": big.dim,
-        "parts": [p.dim for p in parts],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ count section spaces of twists straight from the matrix entries, or run a
 greedy two-sided reduction to monomial shape; the planted-matrix generator
 produces inputs whose answer is known by construction; the reference kernel
 is read off the dense ``rref``; span intersections are computed by a
-Zassenhaus-style kernel that no library path uses; the module ideal is
+Zassenhaus-style kernel that no library path uses, and span sums basis
+element by basis element (for the kernel sum decomposition, which no claim
+runs); the generator certificate is checked by reducing every generator
+to its ``poly_class`` element; the module ideal is
 rebuilt by the plain degree recursion, one echelon insert per shifted row,
 with bases and normal forms read off its dense rows, and ``ideal_rows``
 writes a built module's pieces out as the same dense rows; cyclic spans are
@@ -50,6 +53,7 @@ from slfusion.modules import (
     relation_exponent,
     validate_composition,
 )
+from slfusion.submodules import submodule_S
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
@@ -310,6 +314,36 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """The sum of two graded subspaces of one module, basis by basis."""
+    out = Subspace(a.owner)
+    for src in (a, b):
+        for el in src.basis_elements():
+            out.insert(el)
+    return out
+
+
+def verify_sum_decomposition(a, i: int, j: int) -> dict:
+    """S_{i,j}(A) as the (non-direct) sum of the consecutive kernels."""
+    a = validate_composition(a, allow_empty=False)
+    if j <= i:
+        raise ValueError("need j > i")
+    big = submodule_S(a, i, j)
+    if j == i + 1:
+        return {"ok": True, "sum_dim": big.dim, "target_dim": big.dim, "parts": [big.dim]}
+    parts = [submodule_S(a, l, l + 1) for l in range(i, j)]
+    total = parts[0].kernel()
+    for p in parts[1:]:
+        total = subspace_sum(total, p.kernel())
+    ok = total == big.kernel()
+    return {
+        "ok": ok,
+        "sum_dim": total.dim,
+        "target_dim": big.dim,
+        "parts": [p.dim for p in parts],
+    }
+
+
 def ideal_generators(a) -> list[tuple[int, int, dict]]:
     """Bihomogeneous generators of I_A up to one degree past the top band.
 
@@ -325,6 +359,15 @@ def ideal_generators(a) -> list[tuple[int, int, dict]]:
         for zpow in range(cap):
             out.append((k, zpow, generating_slice(n, k, zpow)))
     return out
+
+
+def surviving_generator_reference(module, a) -> tuple[int, int] | None:
+    """The first generator ``(k, zpow)`` of I_a whose ``poly_class`` in the
+    module is nonzero, reducing every generator; None when all vanish."""
+    for k, zpow, poly in ideal_generators(a):
+        if not module.poly_class(poly).is_zero():
+            return k, zpow
+    return None
 
 
 def ideal_rows(module):

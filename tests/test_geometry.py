@@ -238,6 +238,50 @@ def test_vect_algebra_gate_fires_on_a_planted_structure_constant(monkeypatch):
     assert rep["failures"]
 
 
+def test_bracket_is_antisymmetric():
+    # the closure check reads one bracket per unordered pair of fields
+    for n in range(1, 5):
+        fields = standard_fields(n)
+        for a in fields.values():
+            for b in fields.values():
+                assert (bracket(a, b) + bracket(b, a)).is_zero()
+
+
+def test_vect_algebra_computes_only_the_relation_brackets(monkeypatch):
+    # 6n^2 + 3n(n-1) + (n-1)^2 ordered brackets, 331 of the 529 at n = 6
+    calls = []
+    real = geometry.bracket
+
+    def counted(v, w):
+        calls.append((v, w))
+        return real(v, w)
+
+    monkeypatch.setattr(geometry, "bracket", counted)
+    rep = verify_vect_algebra(6)
+    assert len(calls) == 331
+    assert (rep["rank"], rep["closed"], rep["relations_ok"]) == (23, True, True)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {0: {(1, 0, 0): 1}},  # x_0 d_0: a coordinate of h_0, but not in the span
+        {0: {(5, 0, 0): 1}},  # x_0^5 d_0: off every field's coordinates
+    ],
+    ids=["in-coordinates", "off-coordinates"],
+)
+def test_vect_algebra_closure_fires_on_a_bracket_leaving_the_span(monkeypatch, extra):
+    real = geometry.bracket
+
+    def planted(v, w):
+        out = real(v, w)
+        return out + PolyVectorField(3, extra) if v == w else out
+
+    monkeypatch.setattr(geometry, "bracket", planted)
+    rep = verify_vect_algebra(3)
+    assert rep["independent"] and not rep["closed"] and not rep["ok"]
+
+
 def test_transition_matrix_n3_hand_derivation():
     # frozen by hand from the chart-change relations; frame order
     # e'_1, e'_2, h'_1, h'_2, L'_1, f'_1, f'_2
@@ -377,7 +421,8 @@ def test_laurent_det_matches_reference():
 
 
 def test_splitting_factor_determinants_match_reference(monkeypatch):
-    # the X and P of every certified factorization, n = 2..8
+    # the M and X of every certified factorization, n = 2..8 (det P follows
+    # from them and is not taken)
     seen = []
     real = laurent.laurent_det
 
@@ -388,7 +433,7 @@ def test_splitting_factor_determinants_match_reference(monkeypatch):
     monkeypatch.setattr(laurent, "laurent_det", recording)
     for n in range(2, 9):
         splitting_type(transition_matrix(n))
-    assert len(seen) == 3 * 7
+    assert len(seen) == 2 * 7
     for mat in seen:
         assert real(mat) == laurent_det_reference(mat)
 

@@ -15,6 +15,7 @@ from oracle_utils import (
     quotient_reference,
     int_row,
     reduce_monomial,
+    surviving_generator_reference,
 )
 
 from slfusion.linalg import (
@@ -24,7 +25,7 @@ from slfusion.linalg import (
     rref,
 )
 from slfusion import modules
-from slfusion.cli import RunConfig, composition_grid, suite_claims
+from slfusion.cli import RunConfig, composition_grid, suite_claims, valid_adjacent_moves
 from slfusion.modules import (
     FusionModule,
     GradedCharacter,
@@ -41,6 +42,7 @@ from slfusion.modules import (
     verify_demazure,
     verify_tensor_embedding,
 )
+from slfusion.submodules import move_composition
 
 
 def gens_at_degree(a, k):
@@ -225,6 +227,42 @@ def test_all_ideal_rule_misfire_trips_the_dimension_gate(monkeypatch):
         FusionModule((2, 3))
     (below,) = seen
     assert [state is modules.ALL_IDEAL for _, state in below] == [False]
+
+
+@pytest.mark.parametrize("a", REFERENCE_LABELS)
+def test_build_visits_only_the_bidegrees_a_piece_reaches(monkeypatch, a):
+    # (0, 0) and every bidegree one e_j above a piece, each once: a bidegree
+    # whose predecessors are all wholly ideal is never visited (the labels
+    # include all of composition_grid(3, 4))
+    real = FusionModule._slice
+    visited = []
+
+    def recording(self, k, s, below, has_gen):
+        visited.append((k, s))
+        return real(self, k, s, below, has_gen)
+
+    monkeypatch.setattr(FusionModule, "_slice", recording)
+    module, n = FusionModule(a), len(a)
+    grid = [(k, s) for k in range(1, module.kmax + 2) for s in range((n - 1) * k + 1)]
+    reached = {(k, s) for k, s in grid if any((k - 1, s - j) in module.pieces for j in range(n))}
+    assert len(visited) == len(set(visited))
+    assert set(visited) == {(0, 0)} | reached
+
+
+def test_surviving_generator_matches_reducing_every_generator_on_the_default_grid():
+    # each label in its own module (no survivor), and each adjacent move of
+    # the default grid both ways: the source relations in the target (none
+    # survive) and the target relations in the source (one does)
+    for a in composition_grid(4, 5):
+        source = fusion_module(a)
+        pairs = [(source, a)]
+        for i in valid_adjacent_moves(a):
+            target = fusion_module(move_composition(a, i, i + 1))
+            pairs += [(target, a), (source, target.a)]
+        for module, label in pairs:
+            want = surviving_generator_reference(module, label)
+            assert module.surviving_generator(label) == want, (module.a, label)
+            assert (want is None) == (module is not source or label == a)
 
 
 @pytest.mark.parametrize("a, built", [((3, 3, 3, 3), 78), ((4, 4, 4, 4, 4), 930)])

@@ -13,6 +13,7 @@ from oracle_utils import (
     reduce_monomial,
     rref_kernel,
     subspace_intersection,
+    verify_sum_decomposition,
 )
 
 from slfusion import cli, modules, submodules
@@ -37,7 +38,6 @@ from slfusion.submodules import (
     verify_filtration,
     verify_inductive_description,
     verify_second_description,
-    verify_sum_decomposition,
     verify_w_generators,
 )
 
