@@ -1,13 +1,12 @@
 """Exact integer linear algebra and sparse monomial bookkeeping.
 
 Values are arbitrary-precision integers.  Rationals (``fractions.Fraction``)
-appear only where the mathematics has them: module element coordinates, and
-the scalars ``parse_scalar`` reads.  Monomials in the variables
-e_0 .. e_{n-1} are exponent tuples carrying a bidegree: the degree k is the
-total exponent sum and the weight s is the subscript-weighted sum
-``sum(i * exps[i])``.  The global monomial order is graded lexicographic with
-e_0 most significant; within a fixed bidegree this is descending
-lexicographic order on exponent vectors.
+appear only at the command-line boundary, in the scalars ``parse_scalar``
+reads.  Monomials in the variables e_0 .. e_{n-1} are exponent tuples
+carrying a bidegree: the degree k is the total exponent sum and the weight s
+is the subscript-weighted sum ``sum(i * exps[i])``.  The global monomial
+order is graded lexicographic with e_0 most significant; within a fixed
+bidegree this is descending lexicographic order on exponent vectors.
 
 Row reduction is deterministic (first nonzero pivot in column order) and
 exact.  Every elimination runs in ``IntEchelon``, fraction-free, and its one
@@ -15,11 +14,11 @@ row format is the sparse integer map ``{column: int}``: each candidate row
 is reduced against the span in a single integer combination, and only the
 nonzero entries are ever touched.  ``kernel_basis`` takes the same rows and
 reads the null space off the reduced rows as primitive integer vectors.
-Callers build integer rows where the values arise; the one place that
-scales rational values to an integer row is ``modules.Subspace``, for the
-``Fraction`` coordinates of module elements.  The dense ``Fraction``
-``rref`` is not called by the library: it stays only as the independent
-reference the tests check ``IntEchelon`` and ``kernel_basis`` against.
+Callers build integer rows where the values arise; a module element holds
+integer numerators over one denominator, so its slices go in unchanged.
+The dense ``Fraction`` ``rref`` is not called by the library: it stays only
+as the independent reference the tests check ``IntEchelon`` and
+``kernel_basis`` against.
 """
 
 from __future__ import annotations

@@ -54,10 +54,10 @@ and kept as an integer table (``FusionModule.action``); tensor modules
 compose their factors' tables.  Cyclic spans, the closure check of a
 subspace, the vanishing test of a polynomial class and the kernels of the
 move maps run on these images in integer arithmetic, with no per-step
-element or ``Fraction``.  One element class, ``ModuleElement``, serves both
-owner kinds: sparse exact coordinates over the piece bases.  Elements and
-spans share one action routine, ``map_row``, which maps a row through a
-table to its exact image ``(entries, den)``.
+element.  One element class, ``ModuleElement``, serves both owner kinds:
+integer numerators over the piece bases and one denominator, the same
+``(entries, den)`` form.  Elements and spans share one action routine,
+``map_row``, which maps a row through a table to its exact image.
 
 Everything here is exact: quotient bases, normal forms, graded characters,
 cyclic spans and tensor modules with diagonal operators.
@@ -65,9 +65,8 @@ cyclic spans and tensor modules with diagonal operators.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from slfusion.linalg import (
     IntegrityError,
@@ -532,7 +531,7 @@ class FusionModule:
         has a nonzero normal form), so it is not reduced: the answer is that
         of reducing every generator.  The others are reduced in integers
         straight from the normal-form table (``_class_sums``, the sums
-        ``poly_class`` divides), with no element or ``Fraction`` formed.
+        ``poly_class`` returns), with no element formed.
         """
         n, nf = self.n, self._nf
         for k, zpow in generator_keys(a):
@@ -551,11 +550,9 @@ class FusionModule:
 
     def poly_class(self, p: dict) -> "ModuleElement":
         """The class of ``p``: its monomials' normal forms summed over one
-        common denominator, with ``Fraction`` values only for nonzero sums."""
+        common denominator."""
         terms = [(red, c) for m, c in p.items() if (red := self.normal_form(m)) is not None]
-        sums, den = _class_sums(terms)
-        coords = {ks: {i: Fraction(x, den) for i, x in vec.items() if x} for ks, vec in sums.items()}
-        return ModuleElement(self, coords)
+        return ModuleElement(self, *_class_sums(terms))
 
     def __repr__(self):
         return f"FusionModule(a={self.a}, dim={self.total_dim})"
@@ -564,27 +561,40 @@ class FusionModule:
 class ModuleElement:
     """Element of a fusion or tensor module, sparse over its piece bases.
 
-    ``coords`` maps a bidegree to ``{position: value}``, nonzero exact values
-    only, over the owner's basis of that piece (for a tensor module the
-    block positions of ``TensorModule.blocks``).  ``apply`` runs on the
-    owner's integer action tables, the ones the cyclic spans use.
+    The element is ``coords / den``: ``coords`` maps a bidegree to nonzero
+    ``int`` numerators ``{position: int}`` over the owner's basis of that
+    piece (for a tensor module the block positions of ``TensorModule.blocks``)
+    and ``den`` is a positive ``int``, in lowest terms, so the pair is
+    canonical; any other type (``Fraction``, ``float``, ``bool``) is a
+    ``ValueError``.  ``apply`` runs on the owner's integer action tables, the
+    ones the cyclic spans use.
     """
 
-    __slots__ = ("owner", "coords")
+    __slots__ = ("owner", "coords", "den")
 
-    def __init__(self, owner, coords: dict):
+    def __init__(self, owner, coords: dict, den: int = 1):
+        bad = [x for vec in coords.values() for x in vec.values() if type(x) is not int]
+        if bad:
+            raise ValueError(f"ModuleElement numerator {bad[0]!r} is not an int")
+        if type(den) is not int or den < 1:
+            raise ValueError(f"ModuleElement denominator {den!r} is not a positive int")
         self.owner = owner
         self.coords = {}
         for ks, vec in coords.items():
             vec = {i: x for i, x in vec.items() if x}
             if vec:
                 self.coords[ks] = vec
+        g = gcd(den, *(x for vec in self.coords.values() for x in vec.values()))
+        if g > 1:
+            self.coords = {ks: {i: x // g for i, x in vec.items()} for ks, vec in self.coords.items()}
+        self.den = den // g
 
     def is_zero(self) -> bool:
         return not self.coords
 
     def representative(self) -> dict:
-        """A polynomial representative built from quotient basis monomials.
+        """A polynomial built from quotient basis monomials whose class is
+        ``den`` times the element: the numerators on their monomials.
 
         Defined for elements of a fusion module, whose pieces have monomial
         bases.
@@ -600,14 +610,17 @@ class ModuleElement:
         """Image under a variable operator, in the forms ``cyclic_span`` takes.
 
         Every slice is mapped through ``owner.action`` by ``map_row``, as a
-        span row is, and its image divided by the common denominator.
+        span row is, and the images are put over the lcm of their
+        denominators times ``den``.
         """
         var, j = _span_variable(self.owner, op)
-        out = {}
-        for (k, s), vec in self.coords.items():
-            entries, den = map_row(vec, self.owner.action(var, (k, s)))
-            out[(k + 1, s + j)] = {t: Fraction(y, den) for t, y in entries.items()}
-        return ModuleElement(self.owner, out)
+        images = [
+            ((k + 1, s + j), map_row(vec, self.owner.action(var, (k, s))))
+            for (k, s), vec in self.coords.items()
+        ]
+        den = lcm(*(d for _, (_, d) in images))
+        out = {ks: {t: y * (den // d) for t, y in entries.items()} for ks, (entries, d) in images}
+        return ModuleElement(self.owner, out, den * self.den)
 
 
 _MODULE_CACHE: dict[tuple, FusionModule] = {}
@@ -704,7 +717,7 @@ class TensorModule:
 
     def cyclic_tensor(self) -> ModuleElement:
         """v_P (x) v_Q, the bidegree (0,0) line."""
-        return ModuleElement(self, {(0, 0): {0: Fraction(1)}})
+        return ModuleElement(self, {(0, 0): {0: 1}})
 
     def op_diag(self, j: int):
         if j < 0:
@@ -769,20 +782,12 @@ class TensorModule:
 # subspaces and cyclic spans
 
 
-def _slice_row(vec: dict) -> dict[int, int]:
-    """An element slice ``{position: int | Fraction}`` times the lcm of its
-    denominators: the integer row that spans the same line."""
-    den = lcm(*(x.denominator for x in vec.values()))
-    return {c: x.numerator * (den // x.denominator) for c, x in vec.items() if x}
-
-
 class Subspace:
     """Graded subspace of a fusion or tensor module, one echelon per bidegree.
 
-    An element's slice goes into the echelon of its bidegree as the integer
-    row ``_slice_row`` scales it to: the one place where rational values
-    become echelon rows.  The echelon rows are integer rows over the owner's
-    piece basis, the same for both owner kinds.
+    An element's slice goes into the echelon of its bidegree as its integer
+    numerators, which span the same line as the slice.  The echelon rows are
+    integer rows over the owner's piece basis, the same for both owner kinds.
     """
 
     def __init__(self, owner):
@@ -804,13 +809,13 @@ class Subspace:
         ech = self.spans.get(ks)
         if ech is None:
             ech = self.spans[ks] = IntEchelon(self.owner.dim_piece(*ks))
-        return ech.insert(_slice_row(vec))
+        return ech.insert(vec)
 
     def contains(self, el) -> bool:
         self._check_owner(el)
         for ks, vec in el.coords.items():
             ech = self.spans.get(ks)
-            if ech is None or not ech.contains(_slice_row(vec)):
+            if ech is None or not ech.contains(vec):
                 return False
         return True
 

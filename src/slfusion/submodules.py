@@ -154,7 +154,8 @@ class QuotientMap:
     def apply(self, el: ModuleElement) -> ModuleElement:
         if el.owner is not self.source:
             raise ValueError("element does not live in the source module")
-        return self.target.poly_class(el.representative())
+        image = self.target.poly_class(el.representative())
+        return ModuleElement(self.target, image.coords, image.den * el.den)
 
     def kernel(self) -> Subspace:
         """The kernel S_{i,j}(A) as a subspace of the source module."""

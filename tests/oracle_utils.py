@@ -15,9 +15,11 @@ writes a built module's pieces out as the same dense rows; cyclic spans are
 grown breadth-first, one element at a time, through ``apply_reference``,
 which multiplies basis monomials and reduces them to dense ``Fraction``
 normal forms (``reduce_monomial``) instead of reading the integer action
-tables; the geometry layer's ``Fraction`` routes (Gaussian determinants,
-the chart sampler with its ``-y^2`` pushforward on the explicitly written
-primed frame, the dual-number Jacobian) check the integer ones; the dual
+tables, and turns its ``Fraction`` sums into the element form only at its
+end (``element_from_fractions``); the geometry layer's ``Fraction`` routes
+(Gaussian determinants, the chart sampler with its ``-y^2`` pushforward on
+the explicitly written primed frame, the dual-number Jacobian) check the
+integer ones; the dual
 constraint rows are listed as the kernel reads them, for the test that pins
 them against a scan of the whole basis; the dual spaces are solved at every
 degree, without the restriction rule's skip; and
@@ -502,8 +504,22 @@ def apply_reference(el: ModuleElement, op) -> ModuleElement:
         for i, c in vec.items():
             for ks, t, x in images[i]:
                 acc = out.setdefault(ks, {})
-                acc[t] = acc.get(t, 0) + c * x
-    return ModuleElement(owner, out)
+                acc[t] = acc.get(t, 0) + Fraction(c, el.den) * x
+    return element_from_fractions(owner, out)
+
+
+def element_form(el: ModuleElement) -> tuple[dict, int]:
+    """``(coords, den)``, the pair that names an element."""
+    return el.coords, el.den
+
+
+def element_from_fractions(owner, coords: dict) -> ModuleElement:
+    """The element with ``{bidegree: {position: int | Fraction}}`` values:
+    every value times the lcm of the denominators, over that lcm."""
+    den = lcm(*(Fraction(x).denominator for vec in coords.values() for x in vec.values()))
+    return ModuleElement(
+        owner, {ks: {i: int(x * den) for i, x in vec.items()} for ks, vec in coords.items()}, den
+    )
 
 
 def variable(n: int, j: int) -> dict:
@@ -559,7 +575,7 @@ def _tensor_key_images(owner, op, k, s):
 
 def _slices(el):
     """An element's bihomogeneous slices, in bidegree order."""
-    return [ModuleElement(el.owner, {ks: el.coords[ks]}) for ks in sorted(el.coords)]
+    return [ModuleElement(el.owner, {ks: el.coords[ks]}, el.den) for ks in sorted(el.coords)]
 
 
 def cyclic_span_reference(owner, ops, seeds) -> Subspace:

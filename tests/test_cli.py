@@ -366,6 +366,89 @@ def test_check_without_verdict_fails_not_skips(monkeypatch):
     assert rep["status"] == "fail"
 
 
+def _plant_w_exponent(monkeypatch):
+    # generators_w takes the slice one z-power past N_A(j)
+    real = submodules.relation_exponent
+    monkeypatch.setattr(submodules, "relation_exponent", lambda a, k: real(a, k) + 1)
+
+
+def _plant_reindex(monkeypatch):
+    # the reindexed kernel elements land at (1,) + m instead of (0,) + m
+    real = FusionModule.poly_class
+
+    def poly_class(self, p):
+        return real(self, {(m[0] + 1,) + m[1:]: c for m, c in p.items()})
+
+    monkeypatch.setattr(FusionModule, "poly_class", poly_class)
+
+
+def _plant_string_rung(monkeypatch):
+    # the second factor's e-string gets one rung too many
+    real = submodules._span_vs_kernel
+
+    def span_vs_kernel(a, i, factor1, factor2):
+        return real(a, i, factor1, (factor2[0] + 1,) + factor2[1:])
+
+    monkeypatch.setattr(submodules, "_span_vs_kernel", span_vs_kernel)
+
+
+def _plant_first_factor(monkeypatch):
+    # the first factor's top entry one too large
+    real = submodules._span_vs_kernel
+
+    def span_vs_kernel(a, i, factor1, factor2):
+        return real(a, i, factor1[:-1] + (factor1[-1] + 1,), factor2)
+
+    monkeypatch.setattr(submodules, "_span_vs_kernel", span_vs_kernel)
+
+
+def _plant_dropped_operator(monkeypatch):
+    # the demazure span loses its last operator
+    real = modules.cyclic_span
+    monkeypatch.setattr(modules, "cyclic_span", lambda owner, ops, seeds: real(owner, list(ops)[:-1], seeds))
+
+
+def _plant_e1_squared(monkeypatch):
+    # e_1 acts as e_1^2, which halves the measured nilpotency order
+    real = modules.ModuleElement.apply
+
+    def apply(self, op):
+        return real(real(self, op), op) if op == 1 else real(self, op)
+
+    monkeypatch.setattr(modules.ModuleElement, "apply", apply)
+
+
+@pytest.mark.parametrize(
+    "kind, params, plant",
+    [
+        pytest.param("submodule", ((2, 3, 4), 2), _plant_w_exponent, id="submodule"),
+        pytest.param("inductive", ((2, 3, 4), 1), _plant_reindex, id="inductive"),
+        pytest.param("mprop", ((2, 3, 4), 1), _plant_string_rung, id="mprop"),
+        pytest.param("emb", ((1, 2, 4), 1), _plant_first_factor, id="emb"),
+        pytest.param("demazure", ((2, 3, 3),), _plant_dropped_operator, id="demazure"),
+        pytest.param(
+            "nilpotency", ((2, 3, 3),), _plant_e1_squared, id="nilpotency",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="nilpotency passes on kills_last, which the measuring loop makes true by "
+                "construction; the stated order is reported as a deviation, not asserted",
+            ),
+        ),
+    ],
+)
+def test_element_layer_kinds_fail_on_a_planted_fault(monkeypatch, kind, params, plant):
+    # one fault in the layer each element-based kind checks turns its claim
+    # on one default-grid parameter into a fail record
+    cfg = RunConfig()
+    assert params in cli.CLAIM_KINDS[kind][3](cfg)
+    assert cli.run_claim(kind, params, cfg)["status"] == "pass"
+    monkeypatch.setattr(submodules, "_MAP_CACHE", {})
+    monkeypatch.setattr(modules, "_MERGE_CACHE", {})
+    plant(monkeypatch)
+    record = cli.run_claim(kind, params, cfg)
+    assert (record["status"], record.get("integrity")) == ("fail", None)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_crashing_claim_is_reported_as_error(capsys, monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":

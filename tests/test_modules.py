@@ -9,6 +9,8 @@ import pytest
 from oracle_utils import (
     apply_reference,
     cyclic_span_reference,
+    element_form,
+    element_from_fractions,
     ideal_generators,
     ideal_rows,
     mono_mul,
@@ -350,14 +352,14 @@ def test_act_examples():
     mod = fusion_module((2, 2))
     v = mod.cyclic_vector()
     e0, e1 = 0, 1
-    assert v.apply(e1).coords == mod.poly_class({(0, 1): 1}).coords
+    assert element_form(v.apply(e1)) == element_form(mod.poly_class({(0, 1): 1}))
     assert v.apply(e1).apply(e1).is_zero()  # e_1^2 lies in the ideal
     mod23 = fusion_module((2, 3))
     v23 = mod23.cyclic_vector()
     top = sum(x - 1 for x in (2, 3))
     for _ in range(top):
         v23 = v23.apply(e0)
-    assert v23.coords == mod23.poly_class({(top, 0): 1}).coords
+    assert element_form(v23) == element_form(mod23.poly_class({(top, 0): 1}))
     assert not v23.is_zero()
     assert v23.apply(e0).is_zero()
 
@@ -464,7 +466,7 @@ def test_cyclic_span_rejects_non_tensor_operators():
 
 def full_element(owner, pieces):
     """An element with a distinct nonzero value at every basis position."""
-    return ModuleElement(
+    return element_from_fractions(
         owner,
         {(k, s): {i: Fraction(i + 1, k + 1) for i in range(d)} for (k, s), d in pieces.items()},
     )
@@ -492,7 +494,7 @@ def test_apply_matches_reference_on_fusion_modules():
         mod = fusion_module(a)
         el = full_element(mod, mod.character().table)
         for j in range(mod.n):
-            assert el.apply(j).coords == apply_reference(el, j).coords, (a, j)
+            assert element_form(el.apply(j)) == element_form(apply_reference(el, j)), (a, j)
 
 
 def test_apply_matches_reference_on_tg_tensors():
@@ -500,7 +502,7 @@ def test_apply_matches_reference_on_tg_tensors():
     for t in tg_tensors():
         el = full_element(t, t.character().table)
         for op in tensor_ops(t):
-            assert el.apply(op).coords == apply_reference(el, op).coords, (t, op)
+            assert element_form(el.apply(op)) == element_form(apply_reference(el, op)), (t, op)
         count += 1
     assert count == 253  # every default tg claim
 
@@ -522,7 +524,7 @@ def test_reference_catches_a_corrupted_tensor_table(monkeypatch):
         return table
 
     monkeypatch.setattr(TensorModule, "action", planted)
-    assert v.apply(ops[0]).coords != apply_reference(v, ops[0]).coords
+    assert element_form(v.apply(ops[0])) != element_form(apply_reference(v, ops[0]))
     assert cyclic_span(t, ops, [v]) != want
     assert cyclic_span_reference(t, ops, [v]) == want
 
@@ -554,27 +556,30 @@ def test_reference_catches_a_corrupted_fusion_table(monkeypatch):
 
     monkeypatch.setattr(FusionModule, "action", planted)
     el = full_element(mod, mod.character().table)
-    assert el.apply(op).coords != apply_reference(el, op).coords
+    assert element_form(el.apply(op)) != element_form(apply_reference(el, op))
     assert cyclic_span(mod, [op], [seed]) != want
     assert cyclic_span_reference(mod, [op], [seed]) == want
 
 
-def test_subspace_scales_a_rational_slice_by_its_denominators():
-    # the one rational-to-integer step: a slice enters the echelon as its
-    # lcm multiple, so x/2 + y/3 spans the line of 3x + 2y; every slice a
-    # verify run inserts has denominator 1, so only this test sees the step
+def test_subspace_takes_a_slice_over_its_denominator_as_its_numerators():
+    # a slice enters the echelon as its numerators, which span its line:
+    # {0: 3, 1: 2} over 6 is x/2 + y/3 and spans the line of 3x + 2y; every
+    # slice a verify run inserts has denominator 1, so this test is the one
+    # that sees a larger one
     mod = fusion_module((2, 3, 3))
     ks = next(ks for ks, p in sorted(mod.pieces.items()) if len(p) >= 2)
     rational, whole = Subspace(mod), Subspace(mod)
-    assert rational.insert(ModuleElement(mod, {ks: {0: Fraction(1, 2), 1: Fraction(1, 3)}}))
+    half_third = ModuleElement(mod, {ks: {0: 3, 1: 2}}, 6)
+    assert element_form(half_third) == ({ks: {0: 3, 1: 2}}, 6)
+    assert rational.insert(half_third)
     assert whole.insert(ModuleElement(mod, {ks: {0: 3, 1: 2}}))
     assert rational == whole and rational.dim == 1
     assert rational.spans[ks].sparse_rows() == [{0: 3, 1: 2}]
     assert rational.contains(ModuleElement(mod, {ks: {0: 3, 1: 2}}))
-    assert whole.contains(ModuleElement(mod, {ks: {0: Fraction(-3, 7), 1: Fraction(-2, 7)}}))
+    assert whole.contains(ModuleElement(mod, {ks: {0: -3, 1: -2}}, 7))
     assert not rational.contains(ModuleElement(mod, {ks: {0: 1, 1: 1}}))
-    assert not rational.contains(ModuleElement(mod, {ks: {0: Fraction(1, 2), 1: Fraction(1, 2)}}))
-    assert not rational.insert(ModuleElement(mod, {ks: {0: Fraction(3, 5), 1: Fraction(2, 5)}}))
+    assert not rational.contains(ModuleElement(mod, {ks: {0: 1, 1: 1}}, 2))
+    assert not rational.insert(ModuleElement(mod, {ks: {0: 3, 1: 2}}, 5))
 
 
 def test_subspace_equality_ignores_empty_slices_and_needs_one_owner():
@@ -716,6 +721,23 @@ def test_dimension_law_small_grid():
             stack = [t + (v,) for t in stack for v in range((t[-1] if t else 1), 4)]
         for a in stack:
             assert fusion_module(a).total_dim == prod(a)
+
+
+@pytest.mark.parametrize(
+    "value, den",
+    [
+        (Fraction(1, 2), 1), (Fraction(2), 1), (0.5, 1), (0.0, 1), (True, 1),
+        (1, Fraction(2)), (1, 2.0), (1, True), (1, 0), (1, -2),
+    ],
+    ids=[
+        "fraction", "whole-fraction", "float", "zero-float", "bool",
+        "fraction-den", "float-den", "bool-den", "zero-den", "negative-den",
+    ],
+)
+def test_module_element_takes_int_numerators_over_a_positive_int_only(value, den):
+    mod = fusion_module((2, 2))
+    with pytest.raises(ValueError, match="ModuleElement"):
+        ModuleElement(mod, {(1, 1): {0: value}}, den)
 
 
 @pytest.mark.parametrize("dim", [1.5, Fraction(3, 2), True], ids=["float", "fraction", "bool"])

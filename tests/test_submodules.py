@@ -8,7 +8,10 @@ from math import prod
 import pytest
 
 from oracle_utils import (
+    apply_reference,
     cyclic_span_reference,
+    element_form,
+    element_from_fractions,
     ideal_generators,
     reduce_monomial,
     rref_kernel,
@@ -106,9 +109,50 @@ def test_move_map_kernel_matches_rref_reference():
             assert rref(rows, tdim)[0] == tdim, (a, i, ks)
             for vec in rref_kernel([list(col) for col in zip(*rows)], len(piece)):
                 sparse = {r: x for r, x in enumerate(vec) if x}
-                want.insert(ModuleElement(qmap.source, {ks: sparse}))
+                want.insert(element_from_fractions(qmap.source, {ks: sparse}))
         assert qmap.kernel() == want, (a, i)
         assert want.dim == qmap.source.total_dim - qmap.target.total_dim
+
+
+def quotient_image_reference(qmap, el):
+    """The image of an element under a move map, one basis monomial at a
+    time: each is reduced in the target to its dense ``Fraction`` form."""
+    sums = {}
+    for ks, vec in el.coords.items():
+        for i, c in vec.items():
+            red = reduce_monomial(qmap.target, qmap.source.pieces[ks][i])
+            if red is not None:
+                acc = sums.setdefault(red[0], {})
+                for t, x in enumerate(red[1]):
+                    acc[t] = acc.get(t, 0) + Fraction(c, el.den) * x
+    return element_from_fractions(qmap.target, sums)
+
+
+def test_an_element_denominator_above_one_stays_exact():
+    # in (2,3,3) the class of e_0 e_1 e_2 is -1/6 times the basis monomial
+    # e_1^3, and that of e_0^3 e_2 is -3/2 times a basis monomial of (4, 2)
+    mod = fusion_module((2, 3, 3))
+    assert mod.normal_form((1, 1, 1)) == ((3, 3), ((0, -1),), 6)
+    assert mod.normal_form((3, 0, 1)) == ((4, 2), ((0, -3),), 2)
+    el = mod.poly_class({(1, 1, 1): 1})
+    assert element_form(el) == ({(3, 3): {0: -1}}, 6)
+    mixed = mod.poly_class({(1, 1, 1): 1, (1, 1, 0): 1, (3, 0, 1): 1})
+    assert mixed.den == 6
+    for x in (el, mixed):
+        for j in range(mod.n):
+            assert element_form(x.apply(j)) == element_form(apply_reference(x, j)), j
+        for i in (1, 2):
+            qmap = submodule_S((2, 3, 3), i)
+            assert element_form(qmap.apply(x)) == element_form(quotient_image_reference(qmap, x)), i
+    # e_2 e_0 e_1 = e_0 e_1 e_2 keeps the 6; the move onto (2,2,4) keeps the 2
+    assert mixed.apply(2).den == 6 and submodule_S((2, 3, 3), 2).apply(mixed).den == 2
+    # an element and its multiple by 5 span one line
+    ((ks, vec),) = el.coords.items()
+    five = ModuleElement(mod, {ks: {i: 5 * x for i, x in vec.items()}}, el.den)
+    assert element_form(five) == ({(3, 3): {0: -5}}, 6)
+    one, other = Subspace(mod), Subspace(mod)
+    assert one.insert(el) and other.insert(five) and one == other
+    assert not one.insert(five) and other.contains(el)
 
 
 def test_move_map_surjectivity_gate_fires(monkeypatch):
@@ -323,7 +367,7 @@ def test_w_generator_values():
     # cyclic vector, i.e. the class of e_1 (the kernel is the line at (1,1))
     mod = fusion_module((2, 2))
     (w1,) = generators_w((2, 2), 1)
-    assert w1.coords == mod.poly_class({(0, 1): 1}).coords
+    assert element_form(w1) == element_form(mod.poly_class({(0, 1): 1}))
     assert submodule_S((2, 2), 1).character().table == {(1, 1): 1}
     ws = generators_w((2, 3), 1)
     assert len(ws) == 2
@@ -333,7 +377,7 @@ def test_w_generator_values():
 def test_w_zero_index_is_cyclic_vector():
     mod = fusion_module((1, 2))
     ws = generators_w((1, 2), 1)
-    assert ws[0].coords == mod.cyclic_vector().coords
+    assert element_form(ws[0]) == element_form(mod.cyclic_vector())
 
 
 def test_w_generators_span_kernel():
@@ -430,7 +474,7 @@ def _plant_filtration_fault(monkeypatch, plant):
         def seed(b, i):
             if b != (2, 2, 3, 4):
                 return real_w(b, i)
-            return [ModuleElement(fusion_module(b), {(2, 4): {0: Fraction(1)}})]
+            return [ModuleElement(fusion_module(b), {(2, 4): {0: 1}})]
 
         monkeypatch.setattr(submodules, "generators_w", seed)
     elif plant == "quotient":
