@@ -52,8 +52,8 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTEGRITY, EXIT_ERROR = 0, 1, 2, 3, 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for ``yes | head``
 
 CACHE_ENV = "SLFUSION_CACHE_DIR"
-# the largest n the splitting command takes: its time grows about like n^2.2
-# with the (4n-5)-square Laurent matrix, and n = 72 took 56 s (2-core Xeon)
+# the largest n the splitting command takes: its time grows about like n^2.6
+# with the (4n-5)-square Laurent matrix, and n = 72 took 9 s (2-core Xeon)
 MAX_SPLITTING_N = 72
 # the most ambient monomials a label given on the command line may have: a
 # build walks every monomial of degree at most sum(a_i - 1) + 1, so
@@ -657,8 +657,14 @@ def cmd_verify(args, parser) -> int:
         sized_label((cfg.max_entry,) * cfg.max_n)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
-    if not suite_claims(args.suite, cfg):
+    claims = suite_claims(args.suite, cfg)
+    if not claims:
         parser.error(f"suite {args.suite!r} selects no claim at these bounds")
+    # the largest pullback claim is the composition (max_entry,) * max_n
+    top = sum(geo.pullback_label((cfg.max_entry,) * cfg.max_n))
+    if top > geo.MAX_LABEL_SUM and any(kind == "pullback" for kind, _ in claims):
+        parser.error(f"--max-n {cfg.max_n} --max-entry {cfg.max_entry} give a pullback "
+                     f"label summing to {top}, more than {geo.MAX_LABEL_SUM}")
     reports = run_suite(args.suite, cfg)
     emit(reports, args.format)
     if any(rep.get("integrity") for rep in reports):

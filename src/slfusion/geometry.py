@@ -312,7 +312,9 @@ def verify_vect_algebra(n: int) -> dict:
     ordered brackets the relation checks read are computed, once each, and
     they serve the closure check too: between them they cover every
     unordered pair of fields, and [b, a] = -[a, b] lies in the span exactly
-    when [a, b] does.  Fields enter the span as sparse integer rows.
+    when [a, b] does.  A bracket that meets its relation is a basis field
+    times an integer, so only those of failed relations meet the span,
+    entering it as sparse integer rows.
     """
     fields = standard_fields(n)
     keys = sorted(fields)
@@ -356,22 +358,16 @@ def verify_vect_algebra(n: int) -> dict:
                 checks.append((("L", i), (kind, j), expect(kind, i + j, -j)))
         for j in range(n - 1):
             checks.append((("L", i), ("L", j), expect("L", i + j, i - j)))
-    brackets = {(a, b): bracket(fields[a], fields[b]) for a, b, _ in checks}
-    failures = []
+    failures, escaped = [], []
     for a, b, want in checks:
-        got = brackets[(a, b)]
+        got = bracket(fields[a], fields[b])
         if got != want:
             failures.append((a, b, repr(got - want)))
-    relations_ok = not failures
-    # closure with integer structure constants, one bracket per unordered pair
-    closed = True
-    for (a, b), br in brackets.items():
-        if br.is_zero():
-            continue
-        sparse = row(br)
-        if sparse is None or not ech.contains(sparse):
-            closed = False
-            failures.append((a, b, "bracket escapes the span"))
+            sparse = row(got)
+            if sparse is None or (sparse and not ech.contains(sparse)):
+                escaped.append((a, b, "bracket escapes the span"))
+    relations_ok, closed = not failures, not escaped
+    failures += escaped
     return {
         "ok": independent and relations_ok and closed,
         "rank": rank,
@@ -686,6 +682,11 @@ def cohomology_dim(label) -> dict:
     return {"dim": total, "expected": expected, "ok": True, "trace": trace}
 
 
+def pullback_label(a) -> tuple[int, ...]:
+    """The bundle label (a_1 - 1, .., a_n - 1) pulled back from the hyperplane class."""
+    return tuple(x - 1 for x in a)
+
+
 def pullback_degree(a) -> dict:
     """Bundle label pulled back from the ambient hyperplane class.
 
@@ -697,7 +698,7 @@ def pullback_degree(a) -> dict:
 
     a = validate_composition(a, allow_empty=False)
     n = len(a)
-    label = tuple(x - 1 for x in a)
+    label = pullback_label(a)
     restriction = [sum(a[: n - i]) - n + i for i in range(n)]
     # the labeling convention: entry j is b_{n-j} - b_{n-j+1} with b_n := 0
     recovered = tuple(

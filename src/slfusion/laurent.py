@@ -265,12 +265,14 @@ def _check_factorization(matrix, cols, exps, det: Laurent) -> None:
     """
     size = len(matrix)
     x = [[col[r] for col in cols] for r in range(size)]
+    # the nonzero entries of each row of M: most of a transition matrix is zero
+    terms = [[(c, m) for c, m in enumerate(mrow) if m] for mrow in matrix]
     p = [
         [
-            sum((matrix[r][c] * col[c] for c in range(size)), Laurent()).shift(-e)
+            sum((m * col[c] for c, m in row), Laurent()).shift(-e)
             for col, e in zip(cols, exps)
         ]
-        for r in range(size)
+        for row in terms
     ]
     if any(e > 0 for row in x for entry in row for e in entry.coeffs):
         raise IntegrityError("X is not polynomial in 1/y")

@@ -10,20 +10,20 @@ bidegree this is descending lexicographic order on exponent vectors.
 
 Row reduction is deterministic (first nonzero pivot in column order) and
 exact.  Every elimination runs in ``IntEchelon``, fraction-free, and its one
-row format is the sparse integer map ``{column: int}``: each candidate row
-is reduced against the span in a single integer combination, and only the
-nonzero entries are ever touched.  ``kernel_basis`` takes the same rows and
-reads the null space off the reduced rows as primitive integer vectors.
-Callers build integer rows where the values arise; a module element holds
-integer numerators over one denominator, so its slices go in unchanged.
-The dense ``Fraction`` ``rref`` is not called by the library: it stays only
-as the independent reference the tests check ``IntEchelon`` and
-``kernel_basis`` against.
+row format is the sparse integer map ``{column: int}``.  A span stores only
+its reduced rows, keyed by pivot column: each candidate row is reduced
+against them in a single integer combination, a new pivot is cleared from
+the stored rows by a scan, and only nonzero entries are ever touched.
+``kernel_basis`` takes the same rows and reads the null space off the
+reduced rows as primitive integer vectors.  Callers build integer rows where
+the values arise; a module element holds integer numerators over one
+denominator, so its slices go in unchanged.  The dense ``Fraction`` ``rref``
+is not called by the library: it stays only as the independent reference
+the tests check ``IntEchelon`` and ``kernel_basis`` against.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -141,13 +141,10 @@ def kernel_basis(rows, ncols: int):
             ech.insert(row)
             if ech.dim == ncols:
                 break
-    pivots = ech.pivots
-    if len(pivots) == ncols:
-        return []
-    pivot_set = set(pivots)
+    rows = ech._rows
     # free column -> (pivot column, entry, leading entry) of the rows hitting it
-    hits: dict[int, list] = {fc: [] for fc in range(ncols) if fc not in pivot_set}
-    for pc, row in zip(pivots, ech.sparse_rows()):
+    hits: dict[int, list] = {fc: [] for fc in range(ncols) if fc not in rows}
+    for pc, row in rows.items():
         lead = row[pc]
         for c, x in row.items():
             if c != pc:
@@ -179,28 +176,32 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 class IntEchelon:
     """Reduced echelon span of primitive integer rows with incremental insert.
 
-    Rows come in and are stored as sparse ``{column: int}`` maps (zero
-    entries are tolerated on input), keyed by pivot column.  They are kept
-    fully reduced (every pivot column is zero in all other rows), primitive,
-    with positive leading entry: a canonical form of the rational row space,
-    so two spans are equal iff their rows are equal.  Because the rows are
+    The span stores only its rows, as sparse ``{column: int}`` maps keyed by
+    pivot column (zero entries are tolerated on input).  They are kept fully
+    reduced (every pivot column is zero in all other rows), primitive, with
+    positive leading entry: a canonical form of the rational row space, so
+    two spans are equal iff their rows are equal.  Because the rows are
     fully reduced, a candidate row reduces in one integer combination
     ``L*row - sum((x_i*L/lead_i) * prow_i)``, where the ``x_i`` are its
     entries at the pivot columns it hits and ``L`` is the lcm of those
     pivots' leading entries: no pivot row touches another pivot column, so
-    the ``x_i`` do not change while the row is reduced.
+    the ``x_i`` do not change while the row is reduced.  A new pivot column
+    is cleared from the rows by a scan: in the module build, the kernels and
+    the dual oracle a growing insert meets a few dozen rows, which costs
+    less than a column index kept up to date.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: list[int] = []  # ascending
         self._rows: dict[int, dict[int, int]] = {}  # pivot column -> row
-        # non-pivot column -> pivot columns of the rows nonzero there
-        self._where: dict[int, set[int]] = {}
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:  # ascending
+        return sorted(self._rows)
 
     def sparse_rows(self) -> list[dict[int, int]]:
         """The reduced rows as ``{column: value}`` maps, sorted by pivot column.
@@ -237,28 +238,16 @@ class IntEchelon:
         res = _primitive(res)
         pc = min(res)
         lead = res[pc]
-        rows, where = self._rows, self._where
+        rows = self._rows
         # eliminate the new pivot column from the rows that are nonzero there
-        for qc in where.pop(pc, ()):
-            prow = rows[qc]
+        for qc, prow in [(qc, prow) for qc, prow in rows.items() if pc in prow]:
             x = prow[pc]
             new = {c: lead * y for c, y in prow.items() if c != pc}
             for c, y in res.items():
                 if c != pc:
                     new[c] = new.get(c, 0) - x * y
-            new = rows[qc] = _primitive({c: y for c, y in new.items() if y})
-            # only the columns of res can appear in or drop out of the row
-            for c in res:
-                if c in new:
-                    if c not in prow:
-                        where.setdefault(c, set()).add(qc)
-                elif c != pc and c in prow:
-                    where[c].discard(qc)
-        for c in res:
-            if c != pc:
-                where.setdefault(c, set()).add(pc)
+            rows[qc] = _primitive({c: y for c, y in new.items() if y})
         rows[pc] = res
-        insort(self.pivots, pc)
         return True
 
     def __eq__(self, other) -> bool:

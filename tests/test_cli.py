@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 from oracle_utils import ideal_generators, ideal_rows
+from test_submodules import _plant_filtration_fault
 
 from slfusion import cache as cache_mod
-from slfusion import cli, geometry, modules, submodules
+from slfusion import cli, dual, geometry, laurent, modules, submodules
 from slfusion.cache import ModuleCache
 from slfusion.cli import (
     EXIT_ERROR,
@@ -121,6 +122,24 @@ def test_label_over_the_size_guard_is_a_usage_error(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     assert f"more than {cli.MAX_AMBIENT_MONOMIALS} ambient monomials" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["cohomology", "all"])
+def test_pullback_label_over_the_section_recursion_bound_is_a_usage_error(capsys, monkeypatch, suite):
+    # pullback[[12]] counts the sections of the label (11,), past a bound of 10
+    monkeypatch.setattr(geometry, "MAX_LABEL_SUM", 10)
+    code, out, err = run(capsys, "verify", suite, "--max-n", "1", "--max-entry", "12",
+                         "--format", "json")
+    assert code == 2 and out == ""
+    assert "--max-entry 12" in err and "more than 10" in err
+    assert "Traceback" not in err
+
+
+def test_suites_without_pullback_ignore_the_section_recursion_bound(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "MAX_LABEL_SUM", 10)
+    code, out, _ = run(capsys, "verify", "dims", "--max-n", "1", "--max-entry", "12",
+                       "--format", "json")
+    assert code == EXIT_OK and len(out.splitlines()) == 12
 
 
 def test_size_guard_passes_the_largest_labels_in_use():
@@ -439,14 +458,154 @@ def _plant_e1_squared(monkeypatch):
 def test_element_layer_kinds_fail_on_a_planted_fault(monkeypatch, kind, params, plant):
     # one fault in the layer each element-based kind checks turns its claim
     # on one default-grid parameter into a fail record
+    assert _planted_record(monkeypatch, kind, params, plant) == ("fail", None)
+
+
+def _planted_record(monkeypatch, kind, params, plant):
+    """(status, integrity) of the claim on a default-grid parameter, run once
+    to pass and once more under the plant, with every memo it reads fresh."""
     cfg = RunConfig()
     assert params in cli.CLAIM_KINDS[kind][3](cfg)
     assert cli.run_claim(kind, params, cfg)["status"] == "pass"
+    monkeypatch.setattr(modules, "_MODULE_CACHE", {})
     monkeypatch.setattr(submodules, "_MAP_CACHE", {})
     monkeypatch.setattr(modules, "_MERGE_CACHE", {})
-    plant(monkeypatch)
-    record = cli.run_claim(kind, params, cfg)
-    assert (record["status"], record.get("integrity")) == ("fail", None)
+    _clear_dual_memos()
+    try:
+        plant(monkeypatch)
+        record = cli.run_claim(kind, params, cfg)
+    finally:
+        _clear_dual_memos()
+    return record["status"], record.get("integrity")
+
+
+def _clear_dual_memos():
+    for f in vars(dual).values():
+        if hasattr(f, "cache_clear") and f.__module__ == dual.__name__:
+            f.cache_clear()
+
+
+def _wrap(monkeypatch, owner, name, wrapper):
+    """Replace ``owner.name`` by ``wrapper(real, *args)``."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: wrapper(real, *args))
+
+
+def _plant_generator_exponent(monkeypatch):
+    # the build takes one z-power of E(z)^k past N_A(k) into the ideal
+    _wrap(monkeypatch, modules, "relation_exponent", lambda real, a, k: real(a, k) + 1)
+
+
+def _plant_dual_cap(monkeypatch):
+    # the dual constraints z^m with m < N_A(i) + 1: one cap too many
+    _wrap(monkeypatch, dual, "relation_exponent", lambda real, a, k: real(a, k) + 1)
+
+
+def _plant_dropped_degree_one(monkeypatch):
+    # the shuffle products leave out the last degree-one basis element
+    _wrap(monkeypatch, dual, "_shuffle_powers", lambda real, base, k: real(base[:-1], k))
+
+
+def _plant_wrong_binomial(monkeypatch):
+    # binom(n, k) + 1 for 0 < k < n in the closed shuffle coefficient
+    _wrap(monkeypatch, dual, "comb", lambda real, n, k: real(n, k) + (0 < k < n))
+
+
+def _plant_diag_on_first_factor(monkeypatch):
+    # the diagonal e_j acts on the first tensor factor only
+    monkeypatch.setattr(modules.TensorModule, "op_diag", lambda self, j: ("factor", 0, j))
+
+
+def _plant_swapped_bracket(monkeypatch):
+    # [v, w] computed as [w, v]
+    _wrap(monkeypatch, geometry, "bracket", lambda real, v, w: real(w, v))
+
+
+def _plant_dropped_chart_term(monkeypatch):
+    # the y-frame expansion of h_i loses its 2 y^-1 f_{i+1} term
+    _wrap(monkeypatch, geometry, "chart_change_terms",
+          lambda real, kind, i: real(kind, i)[:1] if kind == "h" else real(kind, i))
+
+
+def _plant_doubled_inverse_coefficient(monkeypatch):
+    # the inversion recurrence doubles its second coefficient
+    def doubled(real, p, *ops):
+        out = real(p, *ops)
+        add = ops[2] if len(ops) > 2 else (lambda x, y: x + y)
+        out[1] = add(out[1], out[1])
+        return out
+
+    _wrap(monkeypatch, geometry, "inverse_numerators", doubled)
+
+
+def _plant_doubled_matrix_entry(monkeypatch):
+    # the (0, 0) entry of the transition matrix doubled
+    def doubled(real, n):
+        mat = real(n)
+        mat[0][0] = mat[0][0] + mat[0][0]
+        return mat
+
+    _wrap(monkeypatch, geometry, "transition_matrix", doubled)
+
+
+def _plant_twist_off_by_one(monkeypatch):
+    # the twist ladder solves for y^(k+1) M g at the rung it records as k
+    _wrap(monkeypatch, laurent, "_twist_rows", lambda real, m, k, bound: real(m, k + 1, bound))
+
+
+def _plant_section_product(monkeypatch):
+    # every product in the section recursion one too large
+    _wrap(monkeypatch, geometry, "prod", lambda real, values: real(values) + 1)
+
+
+_ASSERTED_COUNT = (
+    "cohomology_dim asserts its count against the product formula and raises, so a wrong "
+    "section count is an integrity record, never a fail"
+)
+
+
+@pytest.mark.parametrize(
+    "kind, params, plant, integrity",
+    [
+        pytest.param("dims", ((2, 3),), _plant_generator_exponent, True, id="dims"),
+        pytest.param("dual", ((2, 3, 3),), _plant_dual_cap, None, id="dual"),
+        pytest.param("ring", ((2, 3), 2), _plant_dropped_degree_one, None, id="ring"),
+        pytest.param(
+            "ring", ((2, 3), 2), _plant_wrong_binomial, None, id="ring-binomial",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="every degree-one basis element at n <= 2 is a single m-term, so a wrong "
+                "shuffle coefficient only rescales a product; (2, 2, 2) at k = 2 is the first "
+                "label that sees it, and the pinned ring grid stops at n = 2",
+            ),
+        ),
+        pytest.param("tg", ((2, 3), (2, 3)), _plant_diag_on_first_factor, None, id="tg"),
+        pytest.param("vect", (3,), _plant_swapped_bracket, None, id="vect"),
+        pytest.param("chart", (3,), _plant_dropped_chart_term, None, id="chart"),
+        pytest.param("jacobian", (3,), _plant_doubled_inverse_coefficient, None, id="jacobian"),
+        pytest.param("transition", (3,), _plant_doubled_matrix_entry, None, id="transition"),
+        # the Birkhoff certificate turns a wrong ladder into an integrity
+        # fault: a wrong exponent is never returned
+        pytest.param("splitting", (3,), _plant_twist_off_by_one, True, id="splitting"),
+        pytest.param(
+            "filtration", ((2, 2, 3, 4), 3),
+            lambda mp: _plant_filtration_fault(mp, "seed-outside-kernel"), None, id="filtration",
+        ),
+        pytest.param(
+            "cohomology", ((1, 2),), _plant_section_product, None, id="cohomology",
+            marks=pytest.mark.xfail(strict=True, reason=_ASSERTED_COUNT),
+        ),
+        pytest.param(
+            "pullback", ((2, 3),), _plant_section_product, None, id="pullback",
+            marks=pytest.mark.xfail(strict=True, reason=_ASSERTED_COUNT),
+        ),
+    ],
+)
+def test_claim_kinds_fail_on_a_planted_fault(monkeypatch, kind, params, plant, integrity):
+    # one fault in the layer each kind checks fails its claim on one
+    # default-grid parameter: a fail record, or an integrity record where a
+    # self-check of the layer sees the fault first
+    assert _planted_record(monkeypatch, kind, params, plant) == ("fail", integrity)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

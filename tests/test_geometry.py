@@ -37,7 +37,7 @@ from slfusion.geometry import (
     verify_vect_algebra,
 )
 from slfusion.laurent import Laurent, laurent_det, splitting_type
-from slfusion.linalg import IntegrityError
+from slfusion.linalg import IntEchelon, IntegrityError
 
 
 def test_series_inversion_examples():
@@ -260,6 +260,22 @@ def test_vect_algebra_computes_only_the_relation_brackets(monkeypatch):
     rep = verify_vect_algebra(6)
     assert len(calls) == 331
     assert (rep["rank"], rep["closed"], rep["relations_ok"]) == (23, True, True)
+
+
+def test_vect_algebra_tests_span_membership_only_for_failed_relations(monkeypatch):
+    # a bracket that meets its relation is an integer multiple of a basis
+    # field, so on a pass no bracket is reduced against the span
+    calls = []
+    real = IntEchelon.contains
+
+    def counted(self, row):
+        calls.append(row)
+        return real(self, row)
+
+    monkeypatch.setattr(IntEchelon, "contains", counted)
+    rep = verify_vect_algebra(6)
+    assert rep["ok"] and rep["closed"]
+    assert calls == []
 
 
 @pytest.mark.parametrize(
