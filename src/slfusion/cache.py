@@ -1,16 +1,16 @@
 """On-disk cache of built modules, keyed by a content hash of the input.
 
-This module alone knows the file format.  Format 2 stores each bidegree with
-an ideal part as ``[k, s, free, rows]``: the basis columns, as positions in
-``enumerate_monomials`` order, and the non-unit rows of the reduced ideal
-echelon form as flat ``[c0, x0, c1, x1, ...]`` lists sorted by column.  The
-unit rows, about nine in ten, are implied: every column neither free nor a
-row lead.  A module keeps no rows of its own, so the store reads them back
-from its normal forms (``FusionModule.ideal_part``).  A piece wholly in the
-ideal is ``[k, s, [], []]``: the store writes one for each bidegree of the
-grid ``0 <= k <= kmax + 1``, ``0 <= s <= (n-1)k`` that holds no piece, and
-neither the store nor the load lists its monomials.  A load skips the
-elimination: ``stored_pieces`` checks the layout and hands the module the
+This module alone knows the file format.  Format 3 stores one entry
+``[k, s, free, rows]`` per piece of the module, in ``FusionModule.pieces``
+key order: the basis columns, as positions in ``enumerate_monomials``
+order, and the non-unit rows of the reduced ideal echelon form as flat
+``[c0, x0, c1, x1, ...]`` lists sorted by column.  The unit rows, about
+nine in ten, are implied: every column neither free nor a row lead.  A
+module keeps no rows of its own, so the store reads them back from its
+normal forms (``FusionModule.ideal_part``).  A bidegree with no entry is
+wholly in the ideal, in the file as in ``FusionModule.pieces``; the store
+never writes an entry with no free column.  A load skips the elimination:
+``stored_pieces`` checks the layout and hands the module the
 ``ideal_part`` form, and the module checks the dimension, the zero band and
 that every generator of I_A reduces to zero (not closure under the e_j).
 Any fault in a current-format file of the label, the layout included,
@@ -34,7 +34,7 @@ from pathlib import Path
 from slfusion.linalg import IntegrityError, enumerate_monomials
 from slfusion.modules import _MODULE_CACHE, FusionModule, fusion_module, validate_composition
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def cache_key(a) -> str:
@@ -66,9 +66,10 @@ def _checked_piece(ks: tuple, width: int, free, flat_rows) -> tuple[list, list]:
     def columns(cols: list, what: str) -> None:
         check(all(type(c) is int for c in cols), "non-integer column")
         check(all(x < y for x, y in zip(cols, cols[1:])), f"{what} columns are not ascending")
-        check(not cols or 0 <= cols[0] and cols[-1] < width, f"{what} column out of range")
+        check(0 <= cols[0] and cols[-1] < width, f"{what} column out of range")
 
     check(type(free) is list, "free columns are not a list")
+    check(free != [], "free columns are an empty list")
     check(type(flat_rows) is list, "rows are not a list")
     columns(free, "free")
     free_set, rows, last = set(free), [], -1
@@ -90,9 +91,10 @@ def _checked_piece(ks: tuple, width: int, free, flat_rows) -> tuple[list, list]:
 
 def stored_pieces(a: tuple, pieces) -> Iterator[tuple[tuple[int, int], list, list]]:
     """The checked pieces of a stored ``a`` as ``((k, s), free, rows)``, the
-    ``FusionModule.ideal_part`` form, walking the grid; ``pieces`` is the
+    ``FusionModule.ideal_part`` form, in file order; ``pieces`` is the
     file's list.  It must hold ``[k, s, free, rows]`` lists with int
-    bidegrees on the grid, none twice.  Columns ascend and lie in range; a
+    bidegrees on the grid ``0 <= k <= kmax + 1``, ``0 <= s <= (n-1)k``,
+    none twice.  ``free`` is not empty; columns ascend and lie in range; a
     row holds two or more nonzero ``int`` entries (no ``bool``) and is
     primitive with a positive lead; leads ascend, no lead is free and every
     other entry is free.  A fault raises ``IntegrityError``.
@@ -100,23 +102,14 @@ def stored_pieces(a: tuple, pieces) -> Iterator[tuple[tuple[int, int], list, lis
     n, kmax = len(a), sum(x - 1 for x in a)
     if type(pieces) is not list or not all(type(p) is list and len(p) == 4 for p in pieces):
         raise IntegrityError(f"stored pieces of {a} are not a list of [k, s, free, rows] entries")
-    stored = {}
+    seen = set()
     for k, s, free, rows in pieces:
         if not (type(k) is type(s) is int and 0 <= k <= kmax + 1 and 0 <= s <= (n - 1) * k):
             raise IntegrityError(f"stored pieces outside the bidegrees of {a}")
-        if (k, s) in stored:
+        if (k, s) in seen:
             raise IntegrityError(f"stored bidegree {(k, s)} repeated for {a}")
-        stored[k, s] = free, rows
-    for k in range(kmax + 2):
-        for s in range((n - 1) * k + 1):
-            entry = stored.get((k, s))
-            if entry == ([], []):  # wholly ideal
-                continue
-            width = len(enumerate_monomials(n, k, s))
-            if entry is None:  # no ideal part
-                yield (k, s), list(range(width)), []
-            else:
-                yield (k, s), *_checked_piece((k, s), width, *entry)
+        seen.add((k, s))
+        yield (k, s), *_checked_piece((k, s), len(enumerate_monomials(n, k, s)), free, rows)
 
 
 class ModuleCache:
@@ -135,17 +128,12 @@ class ModuleCache:
         return FusionModule(a, _piece_rows=stored_pieces(a, data.get("pieces")))
 
     def store(self, module: FusionModule) -> None:
-        data = {"version": FORMAT_VERSION, "a": list(module.a), "total_dim": module.total_dim}
-        data["pieces"] = pieces = []
-        for k in range(module.kmax + 2):
-            for s in range((module.n - 1) * k + 1):
-                piece = module.pieces.get((k, s))
-                if piece is None:  # wholly ideal: all unit rows, nothing to list
-                    pieces.append([k, s, [], []])
-                elif len(piece) < len(enumerate_monomials(module.n, k, s)):  # an ideal part
-                    free, rows = module.ideal_part(k, s)
-                    rows = [[v for c in sorted(row) for v in (c, row[c])] for row in rows]
-                    pieces.append([k, s, free, rows])
+        pieces = []
+        for k, s in sorted(module.pieces):
+            free, rows = module.ideal_part(k, s)
+            rows = [[v for c in sorted(row) for v in (c, row[c])] for row in rows]
+            pieces.append([k, s, free, rows])
+        data = {"version": FORMAT_VERSION, "a": list(module.a), "pieces": pieces}
         # write beside the target and rename into place, so a killed run leaves
         # no file or a complete one; the pid keeps concurrent writers apart
         path = self.path_for(module.a)

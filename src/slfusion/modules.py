@@ -336,7 +336,6 @@ class FusionModule:
 
     def _build(self) -> None:
         n = self.n
-        gens = set(generator_keys(self.a))
         # the ideal in degree k is spanned by e_j times its degree k-1 rows
         # plus the degree-k generators; prev keeps, per weight of degree k-1
         # whose slice holds a piece, its unit columns and non-unit rows.  A
@@ -346,9 +345,11 @@ class FusionModule:
         for k in range(0, self.kmax + 2):
             cur: dict[int, tuple] = {}
             top = (n - 1) * (k - 1)
+            # I_A has a generator at (k, s) iff its z-power k(n-1) - s < N_A(k)
+            n_gens = relation_exponent(self.a, k)
             for s in sorted({w + j for w in prev for j in range(n)}) if k else (0,):
                 below = [(j, prev.get(s - j, ALL_IDEAL)) for j in range(n) if 0 <= s - j <= top]
-                state = self._slice(k, s, below, (k, k * (n - 1) - s) in gens)
+                state = self._slice(k, s, below, k * (n - 1) - s < n_gens)
                 if state is not ALL_IDEAL:
                     cur[s] = state
             prev = cur
@@ -439,11 +440,10 @@ class FusionModule:
         monomial of a non-unit row reduces to minus the row's free entries
         over its positive leading entry, the least denominator of a
         primitive row.  Unit monomials reduce to zero and are not stored.
-        The table is the rows' one copy (``ideal_part``); a slice with no
-        free column adds no piece.
+        The table is the rows' one copy (``ideal_part``).  ``free`` is never
+        empty: the build adds no piece for a wholly-ideal slice, and a load
+        refuses an entry with no free column.
         """
-        if not free:
-            return
         ks = (k, s)
         basis = [monos[c] for c in free]
         while len(_BASIS_IMAGES) < len(basis):
@@ -478,12 +478,11 @@ class FusionModule:
         return free, [{c: den} | {free[i]: -x for i, x in img} for c, (_, img, den) in leads]
 
     def _certify_zero_band(self) -> None:
-        band = self.kmax + 1
-        for s in range(0, (self.n - 1) * band + 1):
-            if (band, s) in self.pieces:
-                raise IntegrityError(
-                    f"nonzero piece at certified-zero bidegree ({band}, {s}) for {self.a}"
-                )
+        band = [ks for ks in self.pieces if ks[0] > self.kmax]
+        if band:
+            raise IntegrityError(
+                f"nonzero piece at certified-zero bidegree {min(band)} for {self.a}"
+            )
 
     # -- queries ------------------------------------------------------------
 

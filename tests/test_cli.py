@@ -759,7 +759,7 @@ def test_cache_version_mismatch_rebuilds(tmp_path):
 
 
 def test_cache_version_1_payload_loads_as_none(tmp_path):
-    # a dense-row payload of the old format, written where format 2 looks
+    # a dense-row payload of the old format, written where the current format looks
     a = (2, 2, 3)
     cache = ModuleCache(tmp_path)
     module = FusionModule(a)
@@ -808,9 +808,9 @@ def _set_entry(row, i, x):
         # [2, 3, 5, -1] -> [2, 3, 5, 2] keeps the layout, the dimension and the
         # zero band, so only the generator certificate can see it
         (lambda p: _set_entry(p[3][0], 3, 2), "do not contain the generator"),
-        # the nonzero piece written as a wholly-ideal one, which a load takes
-        # without listing its monomials: the dimension gate sees it
-        (lambda p: p.__setitem__(slice(2, None), [[], []]), "dim mismatch"),
+        # an entry with no free column: the store never writes one, since a
+        # wholly-ideal bidegree is one with no entry
+        (lambda p: p.__setitem__(slice(2, None), [[], []]), "free columns are an empty list"),
         # layout faults, not silent misses
         (lambda p: p.pop(), r"not a list of \[k, s, free, rows\] entries"),
         (lambda p: p[3].__setitem__(0, 5), r"stored row is not a list at \(6, 7\)"),
@@ -846,8 +846,9 @@ def _repeat_plant_piece(data, first):
         (lambda d: d.pop("pieces"), "not a list of"),
         (lambda d: d.__setitem__("pieces", {}), "not a list of"),
         (lambda d: _repeat_plant_piece(d, list), r"stored bidegree \(6, 7\) repeated"),
-        # a conflicting entry first, the true one last
-        (lambda d: _repeat_plant_piece(d, lambda p: [*p[:2], [], []]), "repeated"),
+        # a conflicting well-formed entry first (every column free, no
+        # rows), the true one last
+        (lambda d: _repeat_plant_piece(d, lambda p: [*p[:2], list(range(7)), []]), "repeated"),
     ],
     ids=["int", "missing", "dict", "repeated", "conflicting"],
 )
@@ -863,8 +864,8 @@ def test_cache_load_rejects_a_bad_pieces_list(tmp_path, plant, match):
 
 
 def test_a_load_lists_monomials_only_where_a_piece_is(tmp_path, monkeypatch):
-    # a wholly-ideal bidegree is skipped before its monomials are listed:
-    # 196 of the 561 grid bidegrees of (4,4,4,4,4) hold a piece
+    # a wholly-ideal bidegree has no entry, so its monomials are never
+    # listed: 196 of the 561 grid bidegrees of (4,4,4,4,4) hold a piece
     a = (4, 4, 4, 4, 4)
     cache = ModuleCache(tmp_path)
     cache.store(modules.fusion_module(a))
@@ -910,13 +911,13 @@ def test_cache_spot_check_draws_by_label_not_file_name(tmp_path, monkeypatch):
 # valid JSON that is not a current-format object naming a label
 NOT_A_LABEL_OBJECT = [
     [], 5, "x", None,
-    {"version": 2},
-    {"version": 2, "a": 5},
-    {"version": 2, "a": ["x"]},
-    {"version": 2, "a": [1.0, 2]},
-    {"version": 2, "a": [True, 2]},
-    {"version": 2, "a": [0, 2]},
-    {"version": 2, "a": [2, 1]},
+    {"version": cache_mod.FORMAT_VERSION},
+    {"version": cache_mod.FORMAT_VERSION, "a": 5},
+    {"version": cache_mod.FORMAT_VERSION, "a": ["x"]},
+    {"version": cache_mod.FORMAT_VERSION, "a": [1.0, 2]},
+    {"version": cache_mod.FORMAT_VERSION, "a": [True, 2]},
+    {"version": cache_mod.FORMAT_VERSION, "a": [0, 2]},
+    {"version": cache_mod.FORMAT_VERSION, "a": [2, 1]},
 ]
 
 
@@ -1005,8 +1006,9 @@ def test_a_cache_dir_that_cannot_be_a_directory_is_a_usage_error(capsys, tmp_pat
 
 # each plant edits the stored pieces of (2, 3); the record names the fault
 TAMPERS = [
-    # a nonzero piece claimed wholly ideal
-    (lambda pieces: pieces.append([1, 0, [], []]), "dim mismatch for (2, 3)"),
+    # a nonzero piece claimed wholly ideal: its (1, 0) entry left out
+    (lambda pieces: pieces.remove(next(p for p in pieces if p[:2] == [1, 0])),
+     "dim mismatch for (2, 3)"),
     # a piece cut to three fields: a layout fault, not a miss to write over
     (lambda pieces: pieces[0].pop(), "stored pieces of (2, 3) are not a list"),
 ]
@@ -1065,17 +1067,92 @@ def assert_same_module(loaded, built):
     assert loaded.character() == built.character()
 
 
+# 71 labels, up to the n = 5 frontier
+PINNED_LABELS = cli.composition_grid(4, 4) + [(4, 5, 6, 9), (4, 4, 4, 4, 4)]
+
+
 def test_cache_files_are_pinned_bytes(tmp_path):
-    # the format-2 bytes of 71 labels, written in this order: the rows read
-    # back from the normal forms and the zero pieces written from the grid
-    # give the same files as rows and zero pieces kept in the module
-    labels = cli.composition_grid(4, 4) + [(4, 5, 6, 9), (4, 4, 4, 4, 4)]
+    # the format-3 bytes of 71 labels, written in this order: one entry per
+    # piece, its rows read back from the normal forms
     cache, digest = ModuleCache(tmp_path), hashlib.sha256()
-    for a in labels:
+    for a in PINNED_LABELS:
         cache.store(FusionModule(a))
         digest.update(cache.path_for(a).read_bytes())
-    assert len(labels) == 71
-    assert digest.hexdigest() == "a2bc6b38ac1669a232b7c9a6da1aef522e86881ee678a6fd022dfacf6164a184"
+    assert len(PINNED_LABELS) == 71
+    assert digest.hexdigest() == "2c7f826e2a4eae4fea842ca20aeb7e907fb69d0d7a1b37c7516fe810acd7640b"
+
+
+def test_a_cache_file_lists_exactly_the_pieces(tmp_path):
+    # one entry per key of FusionModule.pieces, in key order, none with an
+    # empty free list: a bidegree with no entry is wholly ideal, in the file
+    # as in the module
+    cache = ModuleCache(tmp_path)
+    for a in PINNED_LABELS:
+        built = FusionModule(a)
+        cache.store(built)
+        data = json.loads(cache.path_for(a).read_text())
+        assert sorted(data) == ["a", "pieces", "version"], a
+        assert [tuple(p[:2]) for p in data["pieces"]] == sorted(built.pieces), a
+        assert all(p[2] for p in data["pieces"]), a
+        assert_same_module(cache.load(a), built)
+
+
+@pytest.mark.parametrize("a", [(2, 3), (2, 3, 4, 5), (4, 4, 4, 4, 4)])
+def test_cache_load_rejects_an_entry_with_no_free_column(tmp_path, a):
+    # the old placeholder of a wholly-ideal bidegree, at the first grid
+    # bidegree that holds no piece: a layout fault, not a piece to skip
+    module = FusionModule(a)
+    n = len(a)
+    k, s = min((k, s) for k in range(module.kmax + 2) for s in range((n - 1) * k + 1)
+               if (k, s) not in module.pieces)
+    cache = ModuleCache(tmp_path)
+    cache.store(module)
+    path = cache.path_for(a)
+    data = json.loads(path.read_text())
+    data["pieces"].append([k, s, [], []])
+    path.write_text(json.dumps(data))
+    with pytest.raises(IntegrityError, match=rf"free columns are an empty list at \({k}, {s}\)"):
+        cache.load(a)
+
+
+def test_cache_load_rejects_a_piece_in_the_zero_band(tmp_path):
+    # two well-formed entries at kmax + 1; the zero band names the smaller
+    a = (2, 3, 4, 5)
+    band = sum(x - 1 for x in a) + 1
+    cache = ModuleCache(tmp_path)
+    cache.store(FusionModule(a))
+    path = cache.path_for(a)
+    data = json.loads(path.read_text())
+    data["pieces"] += [[band, 5, [0], []], [band, 3, [0], []]]
+    path.write_text(json.dumps(data))
+    with pytest.raises(IntegrityError, match=rf"certified-zero bidegree \({band}, 3\) for"):
+        cache.load(a)
+
+
+def test_a_format_2_file_is_a_miss_written_over(tmp_path, monkeypatch):
+    # the previous layout: a placeholder [k, s, [], []] for each wholly-ideal
+    # bidegree of the grid, an entry only for a piece with an ideal part, and
+    # a total_dim; written where the current format looks, it is a miss
+    a = (2, 3, 4, 5)
+    module = FusionModule(a)
+    n, pieces = len(a), []
+    for k in range(module.kmax + 2):
+        for s in range((n - 1) * k + 1):
+            free, rows = module.ideal_part(k, s)
+            if not free or len(free) < len(modules.enumerate_monomials(n, k, s)):
+                flat = [[v for c in sorted(row) for v in (c, row[c])] for row in rows]
+                pieces.append([k, s, free, flat])
+    cache = ModuleCache(tmp_path)
+    path = cache.path_for(a)
+    path.write_text(json.dumps({"version": 2, "a": list(a), "total_dim": 120, "pieces": pieces}))
+    assert cache.load(a) is None and cache.stored_labels() == []
+    monkeypatch.delitem(modules._MODULE_CACHE, a, raising=False)
+    cache.get(a)
+    data = json.loads(path.read_text())
+    assert data["version"] == cache_mod.FORMAT_VERSION == 3 and "total_dim" not in data
+    assert [tuple(p[:2]) for p in data["pieces"]] == sorted(module.pieces)
+    assert_same_module(cache.load(a), module)
+    assert cache.stored_labels() == [a]
 
 
 @pytest.mark.parametrize("a", [(2, 3, 4), (3, 3, 3), (2, 2, 3, 4), (4, 5, 6, 9)])
