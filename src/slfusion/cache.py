@@ -18,8 +18,11 @@ raises ``IntegrityError``.  A file that is not JSON, not an object, of
 another version, or whose ``a`` is not a nondecreasing list of positive
 integers naming the requested label is a miss: ``get`` overwrites it with
 the memoized or a rebuilt module, never reading it in part, and
-``stored_labels`` skips it.  Files are written under a temporary name and
-renamed into place, so a killed run never leaves a truncated entry.
+``stored_labels`` skips it.  A file name carries its format version,
+``module-v3-<hash>.json``, and only the current version's names are read or
+written, so the files of any other format are left alone and cost nothing.
+Files are written under a temporary name and renamed into place, so a
+killed run never leaves a truncated entry.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from slfusion.linalg import IntegrityError, enumerate_monomials
 from slfusion.modules import _MODULE_CACHE, FusionModule, fusion_module, validate_composition
 
 FORMAT_VERSION = 3
+# every current-format file name starts so; ``stored_labels`` globs only these
+FILE_PREFIX = f"module-v{FORMAT_VERSION}-"
 
 
 def cache_key(a) -> str:
@@ -118,7 +123,7 @@ class ModuleCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, a) -> Path:
-        return self.root / f"module-{cache_key(a)}.json"
+        return self.root / f"{FILE_PREFIX}{cache_key(a)}.json"
 
     def load(self, a) -> FusionModule | None:
         a = validate_composition(a)
@@ -164,10 +169,12 @@ class ModuleCache:
     def stored_labels(self) -> list[tuple]:
         """Labels of the current-format files, sorted by label.
 
-        Not by file name: the names hash ``FORMAT_VERSION``, so their order
-        would change the label ``spot_check`` draws with every format bump.
+        Only the current version's file names are parsed, so an older
+        format's files cost nothing here.  Sorted by label, not by file
+        name: the names hash ``FORMAT_VERSION``, so their order would change
+        the label ``spot_check`` draws with every format bump.
         """
-        payloads = (_payload(path) for path in self.root.glob("module-*.json"))
+        payloads = (_payload(path) for path in self.root.glob(f"{FILE_PREFIX}*.json"))
         return sorted(tuple(data["a"]) for data in payloads if data is not None)
 
     def spot_check(self, rng) -> dict | None:

@@ -61,6 +61,12 @@ MAX_SPLITTING_N = 72
 # cannot finish; it is not a time bound: (2^12), 5.2e6 monomials, passes and
 # took 25 s to build cold (2-core Xeon).  The library stays uncapped.
 MAX_AMBIENT_MONOMIALS = 10**7
+# the most section-recursion R1 steps a verify run's pullback claims may take
+# together: claim pullback[a] takes sum(a) - len(a) of them, so the grid's
+# work grows with the square of --max-entry while the largest label only
+# grows linearly.  10^6 steps took 1.8 s (--max-n 1 --max-entry 1414, 2-core
+# Xeon); the default bounds take 840
+MAX_PULLBACK_STEPS = 10**6
 
 
 @dataclass
@@ -660,11 +666,15 @@ def cmd_verify(args, parser) -> int:
     claims = suite_claims(args.suite, cfg)
     if not claims:
         parser.error(f"suite {args.suite!r} selects no claim at these bounds")
-    # the largest pullback claim is the composition (max_entry,) * max_n
-    top = sum(geo.pullback_label((cfg.max_entry,) * cfg.max_n))
-    if top > geo.MAX_LABEL_SUM and any(kind == "pullback" for kind, _ in claims):
-        parser.error(f"--max-n {cfg.max_n} --max-entry {cfg.max_entry} give a pullback "
-                     f"label summing to {top}, more than {geo.MAX_LABEL_SUM}")
+    # the R1 steps of each pullback claim: the sum of its pullback label
+    steps = [sum(geo.pullback_label(params[0])) for kind, params in claims if kind == "pullback"]
+    bounds = f"--max-n {cfg.max_n} --max-entry {cfg.max_entry}"
+    if steps and max(steps) > geo.MAX_LABEL_SUM:
+        parser.error(f"{bounds} give a pullback label summing to {max(steps)}, "
+                     f"more than {geo.MAX_LABEL_SUM}")
+    if sum(steps) > MAX_PULLBACK_STEPS:
+        parser.error(f"{bounds} give pullback claims of {sum(steps)} section-recursion "
+                     f"steps in all, more than {MAX_PULLBACK_STEPS}")
     reports = run_suite(args.suite, cfg)
     emit(reports, args.format)
     if any(rep.get("integrity") for rep in reports):

@@ -44,10 +44,15 @@ only the bidegrees of positive dimension, each to its list of basis
 monomials.  Normal forms are kept in one flat table per module,
 ``{monomial: ((k, s), entries, den)}``, holding only the monomials whose
 class is nonzero: the class is ``sum(x * basis[i] for i, x in entries) /
-den``, an integer image read straight off the echelon rows.  Basis monomial
-i has the image ``((i, 1),)``, one tuple shared by every table.  The column
-maps of the e_j shifts depend only on (n, k, s) and are shared by every
-build.
+den``, an integer image read straight off the echelon rows.  The values are
+immutable and hash-consed, one object per value in the process: the normal
+form of basis monomial i at (k, s) depends on nothing else and comes from a
+per-bidegree list that every module shares, whose (k, s) tuple is also each
+module's ``pieces`` key, and the normal form of a row lead is interned by
+equality in one bounded table.  Sharing is by equality only, so a module
+holds exactly the values it would hold alone, and every reader of the
+tables is unchanged.  The column maps of the e_j shifts depend only on
+(n, k, s) and are shared by every build.
 
 Multiplication by e_j is read off the normal forms once per (j, bidegree)
 and kept as an integer table (``FusionModule.action``); tensor modules
@@ -303,8 +308,22 @@ def _class_sums(terms) -> tuple[dict, int]:
 
 # the build's mark for a slice wholly in the ideal, in place of its units and rows
 ALL_IDEAL = object()
-# entry i is ((i, 1),), basis monomial i in every normal-form table (do not mutate)
+# entry i is ((i, 1),), the image of basis monomial i over 1
 _BASIS_IMAGES: list[tuple] = []
+# (k, s) -> (ks, forms): ks is the one (k, s) tuple every module takes as its
+# ``pieces`` key, and forms[i] is (ks, _BASIS_IMAGES[i], 1), the normal form
+# of basis monomial i of the piece at (k, s) in every table.  Each list grows
+# to the largest piece seen at its bidegree
+_BASIS_FORMS: dict[tuple, tuple] = {}
+# Row-lead normal forms ``(ks, entries, den)``, one object per value, shared
+# by every table that holds an equal one.  The 187 modules of verify-all
+# make 3,230 distinct leads, 5,692 with every benchmark frontier label, and
+# one cold (4,4,4,4,4,4) build 6,702; the table is emptied before it would
+# pass the bound.
+LEAD_TABLE_ENTRIES = 1 << 15
+_leads: dict[tuple, tuple] = {}
+# how often the lead table was emptied
+_lead_memo = {"clears": 0}
 
 
 class FusionModule:
@@ -435,27 +454,40 @@ class FusionModule:
     def _add_piece(self, k: int, s: int, monos, free: list, rows: list) -> None:
         """The piece at (k, s) from its free columns and non-unit rows.
 
-        Normal forms go into the module's flat table as integer images:
-        basis monomial i is the shared ``((i, 1),)`` over 1, and the leading
+        Normal forms go into the module's flat table as integer images, each
+        a value that every module holding an equal one shares: basis
+        monomial i is entry i of the bidegree's ``_BASIS_FORMS`` list, beside
+        the bidegree tuple that is also the ``pieces`` key, and the leading
         monomial of a non-unit row reduces to minus the row's free entries
         over its positive leading entry, the least denominator of a
-        primitive row.  Unit monomials reduce to zero and are not stored.
-        The table is the rows' one copy (``ideal_part``).  ``free`` is never
-        empty: the build adds no piece for a wholly-ideal slice, and a load
-        refuses an entry with no free column.
+        primitive row, kept once in the lead table.  Sharing is by equality, so a module
+        holds exactly the values it would hold alone.  Unit monomials reduce
+        to zero and are not stored.  The table is the rows' one copy
+        (``ideal_part``).  ``free`` is never empty: the build adds no piece
+        for a wholly-ideal slice, and a load refuses an entry with no free
+        column.
         """
-        ks = (k, s)
         basis = [monos[c] for c in free]
-        while len(_BASIS_IMAGES) < len(basis):
-            _BASIS_IMAGES.append(((len(_BASIS_IMAGES), 1),))
+        ks, forms = _BASIS_FORMS.setdefault((k, s), ((k, s), []))
+        while len(forms) < len(basis):
+            i = len(forms)
+            if i == len(_BASIS_IMAGES):
+                _BASIS_IMAGES.append(((i, 1),))
+            forms.append((ks, _BASIS_IMAGES[i], 1))
         nf = self._nf
-        for m, image in zip(basis, _BASIS_IMAGES):
-            nf[m] = (ks, image, 1)
+        nf.update(zip(basis, forms))
         position = {c: i for i, c in enumerate(free)}
         for row in rows:
             pc = min(row)
-            entries = sorted((position[c], -x) for c, x in row.items() if c != pc)
-            nf[monos[pc]] = (ks, tuple(entries), row[pc])
+            entries = tuple(sorted((position[c], -x) for c, x in row.items() if c != pc))
+            form = (ks, entries, row[pc])
+            shared = _leads.get(form)
+            if shared is None:
+                if len(_leads) >= LEAD_TABLE_ENTRIES:
+                    _leads.clear()
+                    _lead_memo["clears"] += 1
+                shared = _leads[form] = form
+            nf[monos[pc]] = shared
         self.pieces[ks] = basis
 
     def ideal_part(self, k: int, s: int) -> tuple[list, list]:

@@ -37,6 +37,12 @@ from slfusion.linalg import IntegrityError
 from slfusion.modules import FusionModule
 
 
+def subprocess_env() -> dict:
+    """The environment, with this checkout's sources first on PYTHONPATH."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -133,6 +139,34 @@ def test_pullback_label_over_the_section_recursion_bound_is_a_usage_error(capsys
     assert code == 2 and out == ""
     assert "--max-entry 12" in err and "more than 10" in err
     assert "Traceback" not in err
+
+
+def test_pullback_grid_over_the_summed_step_bound_is_a_usage_error():
+    # the labels (1), .., (10001) each pass the label bound, but together
+    # their claims take 50,005,000 R1 steps: refused before any claim runs,
+    # in a subprocess under a timeout, since running them would not finish
+    done = subprocess.run(
+        [sys.executable, "-m", "slfusion.cli", "verify", "cohomology", "--max-n", "1",
+         "--max-entry", "10001", "--format", "json"],
+        capture_output=True, env=subprocess_env(), text=True, timeout=30,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "--max-entry 10001" in done.stderr and "50005000" in done.stderr
+    assert f"more than {cli.MAX_PULLBACK_STEPS}" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("bound, code", [(65, 2), (66, EXIT_OK)])
+def test_pullback_step_bound_counts_every_claim_of_the_grid(capsys, monkeypatch, bound, code):
+    # pullback[(1)] .. pullback[(12)] take 0 + 1 + .. + 11 = 66 steps
+    monkeypatch.setattr(cli, "MAX_PULLBACK_STEPS", bound)
+    got, out, err = run(capsys, "verify", "cohomology", "--max-n", "1", "--max-entry", "12",
+                        "--format", "json")
+    assert got == code
+    if code == 2:
+        assert out == "" and "give pullback claims of 66 section-recursion steps" in err
+    else:
+        assert sum('"claim": "pullback' in line for line in out.splitlines()) == 12
 
 
 def test_suites_without_pullback_ignore_the_section_recursion_bound(capsys, monkeypatch):
@@ -249,8 +283,7 @@ def test_closed_stdout_pipe_exits_141_without_traceback(argv, unbuffered):
     # the read end is closed before the command writes, as when ``head`` has
     # already left: buffered output meets the broken pipe at the final flush,
     # unbuffered output at its first write
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -1082,6 +1115,23 @@ def test_cache_files_are_pinned_bytes(tmp_path):
     assert digest.hexdigest() == "2c7f826e2a4eae4fea842ca20aeb7e907fb69d0d7a1b37c7516fe810acd7640b"
 
 
+def test_a_restored_module_shares_the_values_of_the_built_one(tmp_path):
+    # normal forms are shared by equality: a load holds the built module's
+    # very basis forms, interned leads and pieces keys, not copies (the lead
+    # table is emptied first, so no clear falls between a build and its load)
+    modules._leads.clear()
+    cache = ModuleCache(tmp_path)
+    for a in PINNED_LABELS:
+        built = FusionModule(a)
+        cache.store(built)
+        loaded = cache.load(a)
+        assert_same_module(loaded, built)
+        keys = {ks: ks for ks in loaded.pieces}
+        assert all(keys[ks] is ks for ks in built.pieces), a
+        assert all(loaded._nf[m] is form for m, form in built._nf.items()), a
+        assert all(form[0] is keys[form[0]] for form in loaded._nf.values()), a
+
+
 def test_a_cache_file_lists_exactly_the_pieces(tmp_path):
     # one entry per key of FusionModule.pieces, in key order, none with an
     # empty free list: a bidegree with no entry is wholly ideal, in the file
@@ -1220,3 +1270,36 @@ def test_verify_with_no_claim_is_a_usage_error(capsys):
         assert "selects no claim" in err, argv
     code, out, _ = run(capsys, "verify", "vectorfields", "--n", "2")
     assert code == EXIT_OK and "1 passed, 0 failed" in out
+
+
+def test_files_of_another_format_are_never_parsed(tmp_path, monkeypatch):
+    # a file name carries its format version: the unversioned names of
+    # formats 2 and 3 and a format-2 file under its versioned name are never
+    # parsed, loaded or written over, and stored_labels lists the current
+    # files only
+    cache = ModuleCache(tmp_path)
+    for a in [(2, 2), (1, 2)]:
+        cache.store(FusionModule(a))
+    current = cache.path_for((2, 2)).read_text()
+    stale = {
+        tmp_path / f"module-{cache_mod.cache_key((2, 3))}.json": current.replace("[2,2]", "[2,3]"),
+        tmp_path / f"module-{cache_mod.cache_key((3, 3))}.json": '{"version":2,"a":[3,3]}',
+        tmp_path / f"module-v2-{cache_mod.cache_key((1, 3))}.json": '{"version":2,"a":[1,3]}',
+    }
+    for path, text in stale.items():
+        path.write_text(text)
+    parsed = []
+    real = cache_mod._payload
+
+    def spy(path):
+        parsed.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cache_mod, "_payload", spy)
+    assert cache.stored_labels() == [(1, 2), (2, 2)]
+    assert sorted(parsed) == sorted([cache.path_for((1, 2)), cache.path_for((2, 2))])
+    monkeypatch.delitem(modules._MODULE_CACHE, (2, 3), raising=False)
+    assert cache.get((2, 3)).total_dim == 6
+    assert not set(parsed) & set(stale)
+    assert all(path.read_text() == text for path, text in stale.items())
+    assert cache.stored_labels() == [(1, 2), (2, 2), (2, 3)]

@@ -125,7 +125,13 @@ REFERENCE_LABELS = [
 @pytest.mark.parametrize("a", REFERENCE_LABELS)
 def test_build_matches_reference_route(a):
     # the unit-column build against one echelon insert per shifted row
-    module = fusion_module(a)
+    assert_matches_reference(fusion_module(a))
+
+
+def assert_matches_reference(module):
+    """The module's rows, pieces and every normal form against the
+    reference route's."""
+    a = module.a
     rows, bases, nf = quotient_reference(a)
     assert ideal_rows(module) == rows
     # a wholly-ideal bidegree holds no piece
@@ -167,6 +173,41 @@ def test_shift_columns_memo_is_bounded_by_entries(monkeypatch):
         assert modules.shift_columns.cache_info().currsize < 429
     finally:
         reset_shift_memo()
+
+
+def reset_lead_table():
+    modules._leads.clear()
+    modules._lead_memo.update(clears=0)
+
+
+@pytest.mark.parametrize("a, built", [((3, 3, 3, 3), 78), ((4, 4, 4, 4, 4), 930)])
+def test_a_wrong_build_shares_no_wrong_value_with_later_builds(monkeypatch, a, built):
+    # the planted build of the dimension-gate test fills the shared basis
+    # forms and lead table with the values of a wrong ideal; sharing is by
+    # equality, so the builds after it still match the reference
+    reset_lead_table()
+    with monkeypatch.context() as patch:
+        test_wrong_generator_coefficient_trips_the_dimension_gate(patch, a, built)
+    assert modules._leads
+    for b in composition_grid(3, 4) + [(4, 4, 4, 4, 4)]:
+        assert_matches_reference(FusionModule(b))
+
+
+def test_lead_table_is_bounded_by_entries(monkeypatch):
+    # one (4,4,4,4,4) build makes 1,000 distinct leads; under a bound of
+    # 256 it empties the table on the way, ends under the bound, and its
+    # normal forms are still the reference's
+    reset_lead_table()
+    try:
+        FusionModule((4, 4, 4, 4, 4))
+        assert modules._lead_memo["clears"] == 0 and len(modules._leads) == 1000
+        reset_lead_table()
+        monkeypatch.setattr(modules, "LEAD_TABLE_ENTRIES", 256)
+        module = FusionModule((4, 4, 4, 4, 4))
+        assert modules._lead_memo["clears"] > 0 and 0 < len(modules._leads) <= 256
+        assert_matches_reference(module)
+    finally:
+        reset_lead_table()
 
 
 def cold_build_counts(a) -> dict:
