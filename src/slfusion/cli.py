@@ -53,7 +53,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for ``yes | head``
 
 CACHE_ENV = "SLFUSION_CACHE_DIR"
 # the largest n the splitting command takes: its time grows about like n^2.6
-# with the (4n-5)-square Laurent matrix, and n = 72 took 9 s (2-core Xeon)
+# with the (4n-5)-square Laurent matrix, and n = 72 took 7.6-7.9 s of process
+# time in a fresh interpreter (2-core Intel Xeon, CPython 3.11.7)
 MAX_SPLITTING_N = 72
 # the most ambient monomials a label given on the command line may have: a
 # build walks every monomial of degree at most sum(a_i - 1) + 1, so

@@ -16,11 +16,11 @@ the primitive integer kernel vectors serve as they are and ``X`` is
 integral.  The factorization is then checked exactly; a wrong
 answer raises ``IntegrityError`` instead of being returned.
 
-Determinants come from Bareiss's fraction-free elimination, run on the
-Laurent entries themselves: every division it makes is exact in
-``Z[y, 1/y]`` (Bareiss 1968), and ``Laurent.__floordiv__`` checks that it
-is.  Coefficients are ``int`` only, so the twist-section rows of the
-transition matrices are integer rows.
+The one Laurent determinant, that of ``M``, comes from Bareiss's
+fraction-free elimination on the Laurent entries: every division it makes
+is exact in ``Z[y, 1/y]`` (Bareiss 1968), and ``Laurent.__floordiv__``
+checks that it is.  Coefficients are ``int`` only, so the twist rows and
+``X`` at ``1/y = 0``, whose rank certifies ``det X``, are integer rows.
 """
 
 from __future__ import annotations
@@ -199,34 +199,33 @@ def _bareiss(m: list[list], one=1):
     return -m[-1][-1] if swaps % 2 else m[-1][-1]
 
 
-def _twist_rows(matrix, k: int, bound: int):
+def _twist_rows(matrix, bound: int) -> dict:
     """Linear conditions for ``y^k M g`` to be polynomial, ``g`` in ``Q[1/y]^r``.
 
     Unknown ``c * (bound + 1) + j`` is the coefficient of ``y^-j`` in ``g_c``
-    (``j <= bound``); there is one sparse row per output row and negative
-    power of ``y``.
+    (``j <= bound``).  Row ``(b, r)`` holds the coefficient of ``y^(b+k)`` in
+    output row ``r`` at every twist ``k``, so twist ``k`` imposes exactly the
+    rows with ``b < -k``: the rows are built once for the whole ladder.
     """
     width = bound + 1
     rows: dict = {}
     for r, mrow in enumerate(matrix):
         for c, x in enumerate(mrow):
             for d, coef in x.coeffs.items():
-                # the power d - j + k is negative exactly when j > d + k
-                for j in range(max(0, d + k + 1), width):
-                    row = rows.setdefault((r, d - j + k), {})
-                    col = c * width + j
-                    row[col] = row.get(col, 0) + coef
-    return rows.values()
+                for j in range(width):
+                    rows.setdefault((d - j, r), {})[c * width + j] = coef
+    return rows
 
 
 def splitting_type(matrix: list[list[Laurent]]) -> list[int]:
     """Splitting exponents of a Laurent matrix, sorted descending.
 
-    Raises ``ValueError`` unless the determinant is a nonzero constant times
-    a power of ``y``.  The exponents are returned only after the
-    factorization ``M·X = P·diag(y^e)`` built from the twist-section ladder
-    passes ``_check_factorization``; if the ladder does not close within the
-    degree bound, or a check fails, ``IntegrityError`` is raised.
+    Raises ``ValueError`` unless the determinant, the one Laurent determinant
+    taken, is a nonzero constant times a power of ``y``.  Each rung of the
+    ladder takes the twist rows it imposes.  The exponents are returned only
+    after ``M·X = P·diag(y^e)`` passes ``_check_factorization``; if the ladder
+    does not close within the degree bound, or a check fails,
+    ``IntegrityError`` is raised.
     """
     size = len(matrix)
     det = laurent_det(matrix)
@@ -235,13 +234,13 @@ def splitting_type(matrix: list[list[Laurent]]) -> list[int]:
     reach = max((abs(e) for row in matrix for x in row for e in x.coeffs), default=0) + 2
     bound = 2 * reach + 4
     width = bound + 1
-    cols: list[list[Laurent]] = []  # columns of X
-    exps: list[int] = []
+    rows = _twist_rows(matrix, bound)
+    cols, exps = [], []  # the columns of X and their exponents
     consts = IntEchelon(size)  # constant terms of the kept columns
     for k in range(-reach, reach + 1):
         if len(cols) == size:
             break
-        for vec in kernel_basis(_twist_rows(matrix, k, bound), size * width):
+        for vec in kernel_basis((row for (b, _), row in rows.items() if b < -k), size * width):
             if consts.insert({c: x for c, x in enumerate(vec[::width]) if x}):
                 cols.append([
                     Laurent({-j: vec[c * width + j] for j in range(width)})
@@ -257,11 +256,14 @@ def splitting_type(matrix: list[list[Laurent]]) -> list[int]:
 
 
 def _check_factorization(matrix, cols, exps, det: Laurent) -> None:
-    """Exact Birkhoff certificate for ``M·X = P·diag(y^e)``.
+    """Exact Birkhoff certificate for ``M·X = P·diag(y^e)``, ``det = det M``.
 
     ``X`` (given by its columns) must be polynomial in ``1/y``,
-    ``P = M·X·diag(y^-e)`` polynomial in ``y``, ``det X`` a nonzero constant,
-    and ``sum(e)`` the order of ``det M``, which makes ``det P`` one too.
+    ``P = M·X·diag(y^-e)`` polynomial in ``y``, ``X_0`` (``X`` at ``1/y = 0``)
+    of full rank, and ``sum(e)`` the order ``m`` of ``det M = c·y^m``.  Then
+    ``det P = det M · det X · y^-sum(e) = c·det X`` lies in ``Z[y] ∩ Z[1/y] = Z``,
+    so ``det X`` is a constant, equal to the nonzero ``det X_0`` (set
+    ``1/y = 0``), and ``det P`` is a nonzero constant too: neither is taken.
     """
     size = len(matrix)
     x = [[col[r] for col in cols] for r in range(size)]
@@ -278,10 +280,8 @@ def _check_factorization(matrix, cols, exps, det: Laurent) -> None:
         raise IntegrityError("X is not polynomial in 1/y")
     if any(e < 0 for row in p for entry in row for e in entry.coeffs):
         raise IntegrityError("P = M X diag(y^-e) is not polynomial in y")
-    d = laurent_det(x)
-    if not (d.is_monomial() and d.ord == 0):
-        raise IntegrityError(f"det X = {d} is not a nonzero constant")
-    # det P = det M · det X · y^-sum(e), a monomial: constant iff sum(e) = ord det M
+    if kernel_basis([{c: entry[0] for c, entry in enumerate(row)} for row in x], size):
+        raise IntegrityError("X at 1/y = 0 is singular, so det X is not a nonzero constant")
     if sum(exps) != det.ord:
         raise IntegrityError(
             f"det P is not a constant: exponents {exps} do not sum to ord det M = {det.ord}"

@@ -3,7 +3,9 @@
 These never call the code paths they are checking: the splitting oracles
 count section spaces of twists straight from the matrix entries, or run a
 greedy two-sided reduction to monomial shape; the planted-matrix generator
-produces inputs whose answer is known by construction; the reference kernel
+produces inputs whose answer is known by construction; the Birkhoff
+certificate is checked against one that takes ``det X`` by interpolation
+instead of a rank test of ``X`` at ``1/y = 0``; the reference kernel
 is read off the dense ``rref``; span intersections are computed by a
 Zassenhaus-style kernel that no library path uses, and span sums basis
 element by basis element (for the kernel sum decomposition, which no claim
@@ -668,6 +670,32 @@ def laurent_det_reference(matrix) -> Laurent:
     coeffs = _lagrange(points, values)
     assert all(v.denominator == 1 for v in coeffs.values()), coeffs
     return Laurent({e + shift: int(v) for e, v in coeffs.items()})
+
+
+def factorization_failure_reference(matrix, cols, exps) -> str | None:
+    """Birkhoff certificate for ``M·X = P·diag(y^e)`` that takes ``det X``.
+
+    ``X`` (given by its columns) polynomial in ``1/y``, ``P`` polynomial in
+    ``y``, ``det X`` (by interpolation) a nonzero constant and ``sum(e)`` the
+    order of ``det M``; returns the first failed condition, or ``None``.
+    """
+    size = len(matrix)
+    x = [[col[r] for col in cols] for r in range(size)]
+    if any(e > 0 for row in x for entry in row for e in entry.coeffs):
+        return "X is not polynomial in 1/y"
+    for row in matrix:
+        for col, e in zip(cols, exps):
+            entry = Laurent()
+            for m, g in zip(row, col):
+                entry = entry + m * g
+            if any(d < e for d in entry.coeffs):
+                return "P is not polynomial in y"
+    det_x = laurent_det_reference(x)
+    if not (det_x.is_monomial() and det_x.ord == 0):
+        return f"det X = {det_x} is not a nonzero constant"
+    if sum(exps) != laurent_det_reference(matrix).ord:
+        return "exponents do not sum to ord det M"
+    return None
 
 
 class DualNumber:

@@ -582,8 +582,12 @@ def _plant_doubled_matrix_entry(monkeypatch):
 
 
 def _plant_twist_off_by_one(monkeypatch):
-    # the twist ladder solves for y^(k+1) M g at the rung it records as k
-    _wrap(monkeypatch, laurent, "_twist_rows", lambda real, m, k, bound: real(m, k + 1, bound))
+    # every twist row's b shifted by one: the rung recorded as k takes the
+    # rows b < -(k + 1) and so solves for y^(k+1) M g
+    _wrap(
+        monkeypatch, laurent, "_twist_rows",
+        lambda real, m, bound: {(b + 1, r): row for (b, r), row in real(m, bound).items()},
+    )
 
 
 def _plant_section_product(monkeypatch):

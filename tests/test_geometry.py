@@ -8,6 +8,7 @@ import pytest
 from oracle_utils import (
     chart_change_failures_reference,
     det_reference,
+    factorization_failure_reference,
     jacobian_reference,
     laurent_det_reference,
     primed_field_reference,
@@ -437,21 +438,53 @@ def test_laurent_det_matches_reference():
 
 
 def test_splitting_factor_determinants_match_reference(monkeypatch):
-    # the M and X of every certified factorization, n = 2..8 (det P follows
-    # from them and is not taken)
-    seen = []
-    real = laurent.laurent_det
+    # the M of every certified factorization, n = 2..8: the one determinant
+    # taken, since det X and det P both follow from it and the certificate;
+    # the twist rows are built once per splitting as well
+    seen, built = [], []
+    real, real_rows = laurent.laurent_det, laurent._twist_rows
 
     def recording(matrix):
         seen.append(matrix)
         return real(matrix)
 
     monkeypatch.setattr(laurent, "laurent_det", recording)
+    monkeypatch.setattr(laurent, "_twist_rows", lambda *args: built.append(args) or real_rows(*args))
     for n in range(2, 9):
         splitting_type(transition_matrix(n))
-    assert len(seen) == 2 * 7
+    assert len(seen) == len(built) == 7
     for mat in seen:
         assert real(mat) == laurent_det_reference(mat)
+
+
+def test_splitting_certificate_agrees_with_the_det_x_reference(monkeypatch):
+    # the rank test of X at 1/y = 0 and the reference's interpolated det X
+    # accept the same factorizations: n = 2..8 and the planted diagonals
+    real = laurent._check_factorization
+    seen = []
+
+    def recording(matrix, cols, exps, det):
+        real(matrix, cols, exps, det)
+        seen.append((matrix, cols, exps))
+
+    monkeypatch.setattr(laurent, "_check_factorization", recording)
+    for n in range(2, 9):
+        splitting_type(transition_matrix(n))
+    rng = Random(424242)
+    for _ in range(20):
+        size = rng.randint(2, 4)
+        splitting_type(scrambled_diagonal(rng, size, ops=4)[1])
+    assert len(seen) == 7 + 20
+    for matrix, cols, exps in seen:
+        assert factorization_failure_reference(matrix, cols, exps) is None
+    # and both reject M = I with X = [[1, 1], [0, 0]], exponents (0, 0): X is
+    # polynomial in 1/y, P = X is polynomial in y and sum(e) = ord det M, so
+    # only the det X gate can fire
+    one, zero = Laurent.const(1), Laurent()
+    matrix, cols, exps = [[one, zero], [zero, one]], [[one, zero], [one, zero]], [0, 0]
+    assert factorization_failure_reference(matrix, cols, exps) == "det X = 0 is not a nonzero constant"
+    with pytest.raises(IntegrityError, match=r"X at 1/y = 0 is singular"):
+        real(matrix, cols, exps, laurent_det(matrix))
 
 
 def test_laurent_floordiv_is_exact_or_raises():
