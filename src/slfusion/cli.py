@@ -621,7 +621,7 @@ def cmd_cohomology(args, parser) -> int:
     for line in rep["trace"]:
         print(line)
     print(f"dim = {rep['dim']} (product formula {rep['expected']})")
-    return EXIT_OK
+    return EXIT_OK if rep["ok"] else EXIT_FAIL
 
 
 def cmd_splitting(args, parser) -> int:

@@ -9,9 +9,8 @@ slice of e-degree s to symmetric polynomials of total degree s(n-1) - q, so
 assembling the constrained dimensions reproduces the bigraded character of
 M^A through a completely independent computation: no ideal, no quotient, no
 normal forms.  The constraint rows of a slice are one lazy stream, block by
-block in (i, m) order, which the kernel and the membership test both read;
-the kernel stops reading, and no further block is built, once its span is
-full.
+block in (i, m) order, and the kernel is their one reader; it stops
+reading, and no further block is built, once its span is full.
 
 Write D(s, d) for the degree-d slice at s variables.  For s >= 1 the map
 f -> ([z_s^j] f), j = 0..n-1, embeds D(s, d) into the sum of the D(s-1, d-j):
@@ -30,8 +29,10 @@ solved once while it stays in the memo.
 The shuffle product sums f(z_S) g(z_T) over the splittings of the variables
 into an s_1-set S and an s_2-set T, each in its order; it makes the direct
 sum of the duals over the stretched labels A(k) into a commutative graded
-ring generated in degree one, which is checked here by explicit rank
-computations.  This is the functional realization of Feigin and Stoyanovsky
+ring generated in degree one.  That is checked here against the solved
+spaces: every product of degree-one elements is tested for membership in
+the span of the solved dual space of A(k), and the products must span it.
+This is the functional realization of Feigin and Stoyanovsky
 (hep-th/9308079), symmetrized, and on the monomial-symmetric basis it has a
 closed form: pad lam to s_1 parts and mu to s_2 parts with zeros and let
 nu = lam ∪ mu; then m_lam * m_mu = c · m_nu with
@@ -346,24 +347,6 @@ def _degree_row(h: SymPoly, d: int, max_part: int) -> dict:
     return {col[_code(lam, base)]: c for lam, c in h.coeffs.items() if sum(lam) == d}
 
 
-def satisfies_constraints(a, h: SymPoly) -> bool:
-    """Membership of a homogeneous slice in the constrained dual space."""
-    a = validate_composition(a)
-    n = len(a)
-    if h.is_zero() or not n:  # the empty label has no constraints
-        return True
-    if h.max_part() >= n:
-        return False
-    s = h.nvars
-    caps = _exponents(a, s)
-    for d in {sum(lam) for lam in h.coeffs}:
-        vec = _degree_row(h, d, n - 1)
-        for row in _SliceRows(n, caps, s, d):
-            if sum(x * vec[c] for c, x in row.items() if c in vec):
-                return False
-    return True
-
-
 def _shuffle_powers(base: list[SymPoly], k: int) -> list[SymPoly]:
     """All k-fold shuffle products of elements of the degree-one component."""
     from itertools import combinations_with_replacement
@@ -375,6 +358,17 @@ def _shuffle_powers(base: list[SymPoly], k: int) -> list[SymPoly]:
             h = shuffle_product(h, base[idx])
         out.append(h)
     return out
+
+
+def _solved_span(ak: tuple, s: int, d: int) -> IntEchelon:
+    """The span of the solutions of the dual space of ``ak`` at s variables
+    and degree d, over ``partitions_bounded(d, s, n - 1)``: read from the
+    memo ``_dual_space``, and empty where that degree has no entry."""
+    span = IntEchelon(len(partitions_bounded(d, s, len(ak) - 1)))
+    entry = _dual_space(ak, s).by_degree.get(d)
+    for vec in entry["solutions"] if entry else ():
+        span.insert({c: x for c, x in enumerate(vec) if x})
+    return span
 
 
 def stretched_label(a, k: int) -> tuple:
@@ -390,8 +384,8 @@ def coordinate_ring_component(a, k: int) -> dict:
 
     The component is the dual space of the stretched label A(k); for k = 2
     and 3 the generation check runs: every k-fold shuffle of degree-one basis
-    elements is verified to satisfy the A(k) constraints and the collected
-    products must have full rank in every variable count.
+    elements must lie in the solved dual space of A(k), slice by slice, and
+    the collected products must have full rank in every variable count.
     """
     a = validate_composition(a, allow_empty=False)
     ak = stretched_label(a, k)
@@ -408,21 +402,26 @@ def coordinate_ring_component(a, k: int) -> dict:
     base: list[SymPoly] = []
     for s in range(sum(x - 1 for x in a) + 1):
         base.extend(_dual_space(a, s).solution_polys())
-    products = _shuffle_powers(base, k)
-    spans: dict = {}
+    n = len(a)
+    solved: dict = {}  # (s, d) -> span of the solved dual space of A(k)
+    spans: dict = {}  # (s, d) -> span of the products
     constraint_failures = 0
-    for h in products:
+    for h in _shuffle_powers(base, k):
         if h.is_zero():
             continue
-        if not satisfies_constraints(ak, h):
+        if h.max_part() >= n:  # outside every basis of A(k)
             constraint_failures += 1
             continue
-        for d in {sum(lam) for lam in h.coeffs}:
-            key = (h.nvars, d)
-            ech = spans.get(key)
-            if ech is None:
-                ech = spans[key] = IntEchelon(len(partitions_bounded(d, h.nvars, len(a) - 1)))
-            ech.insert(_degree_row(h, d, len(a) - 1))
+        rows = {(h.nvars, d): _degree_row(h, d, n - 1) for d in {sum(lam) for lam in h.coeffs}}
+        for key in rows.keys() - solved.keys():
+            solved[key] = _solved_span(ak, *key)
+        if not all(solved[key].contains(row) for key, row in rows.items()):
+            constraint_failures += 1
+            continue
+        for key, row in rows.items():
+            if key not in spans:
+                spans[key] = IntEchelon(solved[key].ncols)
+            spans[key].insert(row)
     deficits = []
     for (s, d), want in target.items():
         got = spans[(s, d)].dim if (s, d) in spans else 0

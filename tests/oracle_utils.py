@@ -24,7 +24,9 @@ the explicitly written primed frame, the dual-number Jacobian) check the
 integer ones; the dual
 constraint rows are listed as the kernel reads them, for the test that pins
 them against a scan of the whole basis; the dual spaces are solved at every
-degree, without the restriction rule's skip; and
+degree, without the restriction rule's skip; a symmetric polynomial is
+tested against the dual constraints row by row (``satisfies_constraints``),
+where the ring tests it against the solved span; and
 the shuffle product is checked against the expanding route, which writes both
 factors out as monomials and sums over every interleaving of the variables.
 """
@@ -36,6 +38,7 @@ from random import Random
 
 from slfusion.dual import (
     SymPoly,
+    _degree_row,
     _exponents,
     _SliceRows,
     partitions_bounded,
@@ -833,8 +836,8 @@ def chart_change_failures_reference(n, samples, seed, expansion, key):
 
 
 # ---------------------------------------------------------------------------
-# dual: the constraint rows as a list, every degree solved, and the
-# expanding shuffle route
+# dual: the constraint rows as a list, the row-by-row membership test,
+# every degree solved, and the expanding shuffle route
 
 
 def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[dict]:
@@ -851,6 +854,24 @@ def constraint_rows(a: tuple, s: int, d: int, basis: list[tuple]) -> list[dict]:
     if basis is not canonical and list(basis) != canonical:
         raise ValueError("basis must be partitions_bounded(d, s, len(a) - 1)")
     return list(_SliceRows(len(a), _exponents(tuple(a), s), s, d))
+
+
+def satisfies_constraints(a, h: SymPoly) -> bool:
+    """Membership of a homogeneous slice in the constrained dual space."""
+    a = validate_composition(a)
+    n = len(a)
+    if h.is_zero() or not n:  # the empty label has no constraints
+        return True
+    if h.max_part() >= n:
+        return False
+    s = h.nvars
+    caps = _exponents(a, s)
+    for d in {sum(lam) for lam in h.coeffs}:
+        vec = _degree_row(h, d, n - 1)
+        for row in _SliceRows(n, caps, s, d):
+            if sum(x * vec[c] for c, x in row.items() if c in vec):
+                return False
+    return True
 
 
 def dual_by_degree_reference(a: tuple, s: int) -> dict:

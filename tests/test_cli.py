@@ -190,6 +190,15 @@ def test_cohomology_command(capsys):
     assert "dim = 60" in out
 
 
+def test_a_wrong_section_count_exits_1(capsys, monkeypatch):
+    # a recursion that misses the product formula is a verdict, not an
+    # integrity error
+    _plant_section_product(monkeypatch)
+    code, out, _ = run(capsys, "cohomology", "--a", "1,2")
+    assert code == EXIT_FAIL
+    assert "dim = 9 (product formula 7)" in out
+
+
 def test_splitting_command(capsys):
     code, out, _ = run(capsys, "splitting", "--n", "3")
     assert code == EXIT_OK
@@ -470,30 +479,6 @@ def _plant_e1_squared(monkeypatch):
     monkeypatch.setattr(modules.ModuleElement, "apply", apply)
 
 
-@pytest.mark.parametrize(
-    "kind, params, plant",
-    [
-        pytest.param("submodule", ((2, 3, 4), 2), _plant_w_exponent, id="submodule"),
-        pytest.param("inductive", ((2, 3, 4), 1), _plant_reindex, id="inductive"),
-        pytest.param("mprop", ((2, 3, 4), 1), _plant_string_rung, id="mprop"),
-        pytest.param("emb", ((1, 2, 4), 1), _plant_first_factor, id="emb"),
-        pytest.param("demazure", ((2, 3, 3),), _plant_dropped_operator, id="demazure"),
-        pytest.param(
-            "nilpotency", ((2, 3, 3),), _plant_e1_squared, id="nilpotency",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="nilpotency passes on kills_last, which the measuring loop makes true by "
-                "construction; the stated order is reported as a deviation, not asserted",
-            ),
-        ),
-    ],
-)
-def test_element_layer_kinds_fail_on_a_planted_fault(monkeypatch, kind, params, plant):
-    # one fault in the layer each element-based kind checks turns its claim
-    # on one default-grid parameter into a fail record
-    assert _planted_record(monkeypatch, kind, params, plant) == ("fail", None)
-
-
 def _planted_record(monkeypatch, kind, params, plant):
     """(status, integrity) of the claim on a default-grid parameter, run once
     to pass and once more under the plant, with every memo it reads fresh."""
@@ -595,54 +580,61 @@ def _plant_section_product(monkeypatch):
     _wrap(monkeypatch, geometry, "prod", lambda real, values: real(values) + 1)
 
 
-_ASSERTED_COUNT = (
-    "cohomology_dim asserts its count against the product formula and raises, so a wrong "
-    "section count is an integrity record, never a fail"
-)
+# one planted fault per claim kind but cache-spot, which checks a store and
+# load round trip rather than a layer of its own
+PLANTED_FAULTS = [
+    pytest.param("dims", ((2, 3),), _plant_generator_exponent, True, id="dims"),
+    pytest.param("dual", ((2, 3, 3),), _plant_dual_cap, None, id="dual"),
+    pytest.param("ring", ((2, 3), 2), _plant_dropped_degree_one, None, id="ring"),
+    pytest.param(
+        "ring", ((2, 3), 2), _plant_wrong_binomial, None, id="ring-binomial",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="every degree-one basis element at n <= 2 is a single m-term, so a wrong "
+            "shuffle coefficient only rescales a product; (2, 2, 2) at k = 2 is the first "
+            "label that sees it, and the pinned ring grid stops at n = 2",
+        ),
+    ),
+    pytest.param("tg", ((2, 3), (2, 3)), _plant_diag_on_first_factor, None, id="tg"),
+    pytest.param("vect", (3,), _plant_swapped_bracket, None, id="vect"),
+    pytest.param("chart", (3,), _plant_dropped_chart_term, None, id="chart"),
+    pytest.param("jacobian", (3,), _plant_doubled_inverse_coefficient, None, id="jacobian"),
+    pytest.param("transition", (3,), _plant_doubled_matrix_entry, None, id="transition"),
+    # the Birkhoff certificate turns a wrong ladder into an integrity
+    # fault: a wrong exponent is never returned
+    pytest.param("splitting", (3,), _plant_twist_off_by_one, True, id="splitting"),
+    pytest.param(
+        "filtration", ((2, 2, 3, 4), 3),
+        lambda mp: _plant_filtration_fault(mp, "seed-outside-kernel"), None, id="filtration",
+    ),
+    pytest.param("cohomology", ((1, 2),), _plant_section_product, None, id="cohomology"),
+    pytest.param("pullback", ((2, 3),), _plant_section_product, None, id="pullback"),
+    pytest.param("submodule", ((2, 3, 4), 2), _plant_w_exponent, None, id="submodule"),
+    pytest.param("inductive", ((2, 3, 4), 1), _plant_reindex, None, id="inductive"),
+    pytest.param("mprop", ((2, 3, 4), 1), _plant_string_rung, None, id="mprop"),
+    pytest.param("emb", ((1, 2, 4), 1), _plant_first_factor, None, id="emb"),
+    pytest.param("demazure", ((2, 3, 3),), _plant_dropped_operator, None, id="demazure"),
+    pytest.param(
+        "nilpotency", ((2, 3, 3),), _plant_e1_squared, None, id="nilpotency",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="nilpotency passes on kills_last, which the measuring loop makes true by "
+            "construction; the stated order is reported as a deviation, not asserted",
+        ),
+    ),
+]
 
 
-@pytest.mark.parametrize(
-    "kind, params, plant, integrity",
-    [
-        pytest.param("dims", ((2, 3),), _plant_generator_exponent, True, id="dims"),
-        pytest.param("dual", ((2, 3, 3),), _plant_dual_cap, None, id="dual"),
-        pytest.param("ring", ((2, 3), 2), _plant_dropped_degree_one, None, id="ring"),
-        pytest.param(
-            "ring", ((2, 3), 2), _plant_wrong_binomial, None, id="ring-binomial",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="every degree-one basis element at n <= 2 is a single m-term, so a wrong "
-                "shuffle coefficient only rescales a product; (2, 2, 2) at k = 2 is the first "
-                "label that sees it, and the pinned ring grid stops at n = 2",
-            ),
-        ),
-        pytest.param("tg", ((2, 3), (2, 3)), _plant_diag_on_first_factor, None, id="tg"),
-        pytest.param("vect", (3,), _plant_swapped_bracket, None, id="vect"),
-        pytest.param("chart", (3,), _plant_dropped_chart_term, None, id="chart"),
-        pytest.param("jacobian", (3,), _plant_doubled_inverse_coefficient, None, id="jacobian"),
-        pytest.param("transition", (3,), _plant_doubled_matrix_entry, None, id="transition"),
-        # the Birkhoff certificate turns a wrong ladder into an integrity
-        # fault: a wrong exponent is never returned
-        pytest.param("splitting", (3,), _plant_twist_off_by_one, True, id="splitting"),
-        pytest.param(
-            "filtration", ((2, 2, 3, 4), 3),
-            lambda mp: _plant_filtration_fault(mp, "seed-outside-kernel"), None, id="filtration",
-        ),
-        pytest.param(
-            "cohomology", ((1, 2),), _plant_section_product, None, id="cohomology",
-            marks=pytest.mark.xfail(strict=True, reason=_ASSERTED_COUNT),
-        ),
-        pytest.param(
-            "pullback", ((2, 3),), _plant_section_product, None, id="pullback",
-            marks=pytest.mark.xfail(strict=True, reason=_ASSERTED_COUNT),
-        ),
-    ],
-)
+@pytest.mark.parametrize("kind, params, plant, integrity", PLANTED_FAULTS)
 def test_claim_kinds_fail_on_a_planted_fault(monkeypatch, kind, params, plant, integrity):
     # one fault in the layer each kind checks fails its claim on one
     # default-grid parameter: a fail record, or an integrity record where a
     # self-check of the layer sees the fault first
     assert _planted_record(monkeypatch, kind, params, plant) == ("fail", integrity)
+
+
+def test_every_claim_kind_has_a_planted_fault():
+    assert {row.values[0] for row in PLANTED_FAULTS} == set(cli.CLAIM_KINDS) - {"cache-spot"}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

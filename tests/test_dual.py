@@ -17,6 +17,7 @@ from oracle_utils import (
     dual_by_degree_reference,
     expand,
     from_monomials,
+    satisfies_constraints,
     shuffle_reference,
 )
 
@@ -28,7 +29,6 @@ from slfusion.dual import (
     dual_dimension_table,
     oracle_character,
     partitions_bounded,
-    satisfies_constraints,
     shuffle_product,
     stretched_label,
 )
@@ -241,12 +241,17 @@ def test_dropped_block_fails_the_oracle(monkeypatch, empty_memo):
         test_oracle_equals_module_character()
 
 
-def test_dropped_block_passes_a_rejected_polynomial(monkeypatch):
+def test_dropped_block_passes_a_rejected_polynomial(monkeypatch, empty_memo):
     # the constant at two variables breaks the (2, 2) double substitution
     const2 = SymPoly(2, {(): 1})
     assert not satisfies_constraints((2, 2), const2)
+    assert DualSpace((2, 2), 2).dim_degree(0) == 0
     drop_block(monkeypatch)
     assert satisfies_constraints((2, 2), const2)
+    # the solved space, and so the span the ring tests products against,
+    # takes the constant in
+    assert DualSpace((2, 2), 2).dim_degree(0) == 1
+    assert dual._solved_span((2, 2), 2, 0).contains(dual._degree_row(const2, 0, 1))
 
 
 def random_sympoly(rng, nvars):
@@ -313,6 +318,48 @@ def test_planted_wrong_binomial_is_caught(wrong_binomial):
     rep = coordinate_ring_component((2, 2, 2), 2)
     assert rep["dim_ok"] and rep["generated"] is False
     assert rep["constraint_failures"] > 0
+
+
+RING_CASES = [(a, k) for n in (1, 2) for a in combinations_with_replacement(range(1, 4), n)
+              for k in (2, 3)]
+RING_CASES += [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 2, 3), 3), ((2, 3, 3), 3), ((3, 3, 3), 3)]
+
+
+@pytest.mark.parametrize("plant", [None, "wrong_binomial", "dropped_degree_one"])
+def test_solved_span_membership_matches_the_constraint_rows(monkeypatch, request, empty_memo, plant):
+    # a shuffle product lies in the solved span of A(k) exactly when it
+    # meets every constraint row, and the ring counts as constraint failures
+    # exactly the products the row-by-row reference rejects
+    if plant == "wrong_binomial":
+        request.getfixturevalue(plant)
+    real = dual._shuffle_powers
+    products = []
+
+    def recorded(base, k):
+        out = real(base[:-1] if plant == "dropped_degree_one" else base, k)
+        products.extend(out)
+        return out
+
+    monkeypatch.setattr(dual, "_shuffle_powers", recorded)
+    failures = checked = 0
+    for a, k in RING_CASES:
+        products.clear()
+        ak, n = stretched_label(a, k), len(a)
+        rep = coordinate_ring_component(a, k)
+        want = [satisfies_constraints(ak, h) for h in products if not h.is_zero()]
+        got = [
+            h.max_part() < n
+            and all(dual._solved_span(ak, h.nvars, d).contains(dual._degree_row(h, d, n - 1))
+                    for d in {sum(lam) for lam in h.coeffs})
+            for h in products
+            if not h.is_zero()
+        ]
+        assert got == want, (a, k)
+        assert rep["constraint_failures"] == want.count(False), (a, k)
+        failures += rep["constraint_failures"]
+        checked += len(want)
+    # only the wrong binomial moves a product out of the solved space
+    assert (failures > 0) == (plant == "wrong_binomial") and checked > 1000
 
 
 def test_shuffle_constants():

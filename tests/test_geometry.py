@@ -659,7 +659,7 @@ def test_cohomology_dim_examples():
     assert cohomology_dim((0, 0, 0))["dim"] == 1
     assert cohomology_dim(())["dim"] == 1
     rep = cohomology_dim((2, 3, 4))
-    assert rep["dim"] == 60
+    assert rep["dim"] == rep["expected"] == 60 and rep["ok"]
     assert rep["trace"][0] == "d(2, 3, 4)"
     assert rep["trace"][-1] == "= 60"
     rep = cohomology_dim((1, 1))

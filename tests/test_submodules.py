@@ -143,9 +143,9 @@ def test_an_element_denominator_above_one_stays_exact():
             assert element_form(x.apply(j)) == element_form(apply_reference(x, j)), j
         for i in (1, 2):
             qmap = submodule_S((2, 3, 3), i)
-            assert element_form(qmap.apply(x)) == element_form(quotient_image_reference(qmap, x)), i
-    # e_2 e_0 e_1 = e_0 e_1 e_2 keeps the 6; the move onto (2,2,4) keeps the 2
-    assert mixed.apply(2).den == 6 and submodule_S((2, 3, 3), 2).apply(mixed).den == 2
+            assert qmap.kernel().contains(x) == quotient_image_reference(qmap, x).is_zero(), i
+    # e_2 e_0 e_1 = e_0 e_1 e_2 keeps the 6
+    assert mixed.apply(2).den == 6
     # an element and its multiple by 5 span one line
     ((ks, vec),) = el.coords.items()
     five = ModuleElement(mod, {ks: {i: 5 * x for i, x in vec.items()}}, el.den)
@@ -222,8 +222,8 @@ def test_zero_target_move_kernel_is_the_whole_module():
         assert sub.dim == prod(a), (a, i, j)
         assert sub.kernel() == all_unit_subspace(sub.source), (a, i, j)
         top = max(ks for ks, piece in sub.source.pieces.items() if piece)
-        image = sub.apply(ModuleElement(sub.source, {top: {0: 1}}))
-        assert image.is_zero() and image.owner is sub.target
+        x = ModuleElement(sub.source, {top: {0: 1}})
+        assert sub.kernel().contains(x) == quotient_image_reference(sub, x).is_zero()
         assert verify_exactness(sub)["ok"]
 
 
@@ -385,6 +385,25 @@ def test_w_generators_span_kernel():
         rep = verify_w_generators(submodule_S(a, i))
         assert rep["ok"], (a, i, rep)
         assert all(rep["membership"])
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["plain", "w-exponent"])
+def test_w_membership_matches_the_quotient_image(monkeypatch, planted):
+    # read off the kernel's spans, membership agrees with the image of each
+    # w_j, reduced monomial by monomial in the target, on the default grid;
+    # a w_j taken one z-power past N_A(j) lies outside the kernel
+    if planted:
+        real = submodules.relation_exponent
+        monkeypatch.setattr(submodules, "relation_exponent", lambda a, k: real(a, k) + 1)
+    grid = cli.CLAIM_KINDS["submodule"][3](cli.RunConfig())
+    checked = 0
+    for a, i in grid:
+        sub = submodule_S(a, i)
+        rep = verify_w_generators(sub)
+        want = [quotient_image_reference(sub, w).is_zero() for w in generators_w(a, i)]
+        assert rep["membership"] == want == [not planted] * len(want), (a, i)
+        checked += len(want)
+    assert len(grid) > 100 and checked > len(grid)
 
 
 def test_w_generators_are_formed_once(monkeypatch):
