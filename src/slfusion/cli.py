@@ -19,6 +19,14 @@ integrity error outranks a crash, which outranks a failure.
 A crashing claim is reported with status ``error`` and the exception text in
 ``got``; the other claims still run and report.
 
+With ``jobs`` above 1, ``run_suite`` forks that many workers, each with a
+task pipe and a result pipe, and hands the ``claim_batches`` out one index at
+a time to whichever worker is idle.  A worker sends a batch's records back as
+one length-prefixed ``marshal`` message, which keeps tuples as tuples, so the
+records equal the serial ones; records ``marshal`` cannot carry come back as
+``error`` records.  A batch whose worker dies reruns alone in a fresh worker,
+and is ``error`` only if that one dies too.  No worker outlives ``run_suite``.
+
 A cache directory that cannot be a writable directory is a usage error.  A
 cached module is loaded inside each claim that reads it (``CACHED_KINDS``),
 so an entry that fails certification on load gives that claim an integrity
@@ -30,11 +38,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import marshal
 import os
+import select
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, prod
 from random import Random
@@ -70,19 +79,15 @@ MAX_AMBIENT_MONOMIALS = 10**7
 MAX_PULLBACK_STEPS = 10**6
 
 
-@dataclass
 class RunConfig:
-    max_n: int = 4
-    max_entry: int = 5
-    samples: int = 20
-    seed: int = 0
-    cache_dir: str | None = None
-    jobs: int = 1
-    only_n: int | None = None
+    """The bounds and options of one verify run."""
 
-    def __post_init__(self):
-        if self.max_n < 1 or self.max_entry < 1 or self.samples < 1:
+    def __init__(self, max_n: int = 4, max_entry: int = 5, samples: int = 20, seed: int = 0,
+                 cache_dir: str | None = None, jobs: int = 1, only_n: int | None = None):
+        if max_n < 1 or max_entry < 1 or samples < 1:
             raise ValueError("bounds must be positive")
+        self.max_n, self.max_entry, self.samples, self.seed = max_n, max_entry, samples, seed
+        self.cache_dir, self.jobs, self.only_n = cache_dir, jobs, only_n
 
 
 def claim_seed(seed: int, claim: str) -> int:
@@ -124,7 +129,7 @@ def valid_adjacent_moves(a):
 
 
 # ---------------------------------------------------------------------------
-# claim execution (top-level for process pools)
+# claim execution
 
 
 def claim_id(kind: str, params: tuple) -> str:
@@ -406,10 +411,13 @@ def suite_claims(suite: str, cfg: RunConfig) -> list[tuple[str, tuple]]:
 
 
 def _check_jobs(jobs: int, name: str = "jobs") -> None:
-    """A pool size outside 1..os.cpu_count() is a ValueError."""
+    """A pool size outside 1..os.cpu_count(), or above 1 without os.fork, is
+    a ValueError."""
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise ValueError(f"{name} must be between 1 and the CPU count ({cpus})")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"{name} above 1 needs os.fork, which this platform lacks")
 
 
 def claim_batches(claims: list) -> list[list]:
@@ -436,39 +444,123 @@ def run_suite(suite: str, cfg: RunConfig) -> list[dict]:
     # the spot check draws from the entries the other claims store: it runs last
     last = [claim for claim in claims if claim[0] == "cache-spot"]
     claims = [claim for claim in claims if claim[0] != "cache-spot"]
-    reports = []
     if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
         batches = claim_batches(claims)
-        unfinished = []
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_timed_batch, batch, cfg) for batch in batches]
-            for batch, future in zip(batches, futures):
-                try:
-                    reports.extend(future.result())
-                except BrokenProcessPool:  # a worker died: every unfinished batch lands here
-                    unfinished.append(batch)
-                except Exception as exc:  # the batch's result was lost
-                    reports.extend(_batch_errors(batch, exc))
+        reports, lost = _pool(batches, range(len(batches)), cfg.jobs, cfg)
         # rerun each unfinished batch alone, so a dead worker costs only its own batch
-        for batch in unfinished:
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                try:
-                    reports.extend(pool.submit(_timed_batch, batch, cfg).result())
-                except Exception as exc:
-                    reports.extend(_batch_errors(batch, exc))
+        for index, _ in lost:
+            alone, died = _pool(batches, [index], 1, cfg)
+            reports.extend(alone)
+            for _, how in died:
+                reports.extend(_batch_errors(batches[index], RuntimeError(f"its worker {how}")))
     else:
-        for kind, params in claims:
-            reports.append(_timed_claim(kind, params, cfg))
+        reports = [_timed_claim(kind, params, cfg) for kind, params in claims]
     reports.extend(_timed_claim(kind, params, cfg) for kind, params in last)
     reports.sort(key=lambda r: r["claim"])
     return reports
 
 
+def _pool(batches, indices, jobs: int, cfg):
+    """Run ``batches[i]`` for each ``i`` of ``indices``, in order, on ``jobs``
+    forked workers.  Returns the reports and ``(i, how its worker ended)``
+    for each batch whose worker died holding it."""
+    todo, reports, lost = list(reversed(indices)), [], []
+    workers = {}  # result fd -> [pid, task fd, index of the batch held or None]
+    sys.stdout.flush()  # or each worker would write the buffered text again
+    sys.stderr.flush()
+    try:
+        while True:
+            while todo and len(workers) < jobs:
+                _fork_worker(batches, cfg, workers)
+            for res_fd, worker in list(workers.items()):
+                if worker[2] is None:  # idle: the next batch, or the stop message
+                    worker[2] = todo.pop() if todo else None
+                    _send(worker[1], worker[2])
+                    if worker[2] is None:
+                        _reap(res_fd, workers.pop(res_fd))
+            if not workers:
+                return reports, lost
+            for res_fd in select.select(list(workers), [], [])[0]:
+                try:
+                    reports.extend(_recv(res_fd))
+                    workers[res_fd][2] = None
+                except EOFError:  # the worker died holding its batch
+                    lost.append((workers[res_fd][2], _reap(res_fd, workers.pop(res_fd))))
+    finally:  # only an exception leaves workers here
+        for res_fd, worker in workers.items():
+            os.kill(worker[0], 9)  # SIGKILL
+            _reap(res_fd, worker)
+
+
+def _fork_worker(batches, cfg, workers: dict) -> None:
+    """Add to ``workers`` a new worker that runs each batch whose index it
+    reads, until it reads ``None``."""
+    task_r, task_w = os.pipe()
+    res_r, res_w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(task_r)
+        os.close(res_w)
+        workers[res_r] = [pid, task_w, None]
+        return
+    code = 1
+    try:  # close the parent's ends: this worker's and every other worker's
+        for fd in (task_w, res_r, *workers, *(worker[1] for worker in workers.values())):
+            os.close(fd)
+        while (index := _recv(task_r)) is not None:
+            reports = _timed_batch(batches[index], cfg)
+            try:
+                _send(res_w, reports)
+            except ValueError as exc:  # marshal cannot carry a value in the reports
+                _send(res_w, _batch_errors(batches[index], exc))
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _send(fd: int, value) -> None:
+    """Write ``value`` to ``fd`` as a length-prefixed ``marshal`` message.  A
+    reader that is gone is no error: its worker's result pipe shows EOF."""
+    data = marshal.dumps(value)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        pass
+
+
+def _recv(fd: int):
+    """The next message on ``fd``; EOFError if its writer is gone."""
+    return marshal.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _read(fd: int, size: int) -> bytearray:
+    data = bytearray()
+    while len(data) < size:
+        if not (chunk := os.read(fd, size - len(data))):
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _reap(res_fd: int, worker: list) -> str:
+    """Close a worker's pipes, wait for it, and say how it ended."""
+    pid, task_fd, _ = worker
+    os.close(res_fd)
+    os.close(task_fd)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+
+
 def _batch_errors(batch, exc: Exception) -> list[dict]:
-    """One ``error`` record per claim of a batch whose worker gave no result."""
+    """One ``error`` record per claim of a batch whose records did not come back."""
     traceback.print_exception(exc, file=sys.stderr)
     return [_error_report(claim_id(*claim), claim[1], exc) for claim in batch]
 

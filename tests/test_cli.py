@@ -4,13 +4,13 @@ import argparse
 import hashlib
 import importlib.util
 import json
-import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -273,15 +273,25 @@ def test_jobs_out_of_range_usage_error(capsys):
 
 @pytest.mark.parametrize("jobs", [0, -3, (os.cpu_count() or 1) + 1])
 def test_run_suite_rejects_jobs_out_of_range(monkeypatch, jobs):
-    # the bound is checked before a pool exists, so no worker is ever forked
-    import concurrent.futures
+    # the bound is checked before the pool starts, so no worker is ever forked
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
     with pytest.raises(ValueError, match="jobs must be between 1 and the CPU count"):
         run_suite("dims", RunConfig(max_n=1, max_entry=2, jobs=jobs))
+
+
+def test_jobs_above_one_without_fork_is_a_usage_error(capsys, monkeypatch):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs as many CPUs as workers")
+    monkeypatch.delattr(cli.os, "fork", raising=False)
+    with pytest.raises(ValueError, match="os.fork"):
+        run_suite("dims", RunConfig(max_n=1, max_entry=2, jobs=2))
+    code, out, err = run(capsys, "verify", "dims", "--max-n", "1", "--jobs", "2")
+    assert code == EXIT_USAGE and out == ""
+    assert "--jobs above 1 needs os.fork" in err
+    assert run_suite("dims", RunConfig(max_n=1, max_entry=2))  # one job needs no fork
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -639,7 +649,7 @@ def test_every_claim_kind_has_a_planted_fault():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_crashing_claim_is_reported_as_error(capsys, monkeypatch, jobs):
-    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+    if jobs > 1 and not hasattr(os, "fork"):
         pytest.skip("the patched claim table reaches workers only through fork")
     if jobs > (os.cpu_count() or 1):
         pytest.skip("needs as many CPUs as workers")
@@ -670,7 +680,7 @@ def test_crashing_claim_is_reported_as_error(capsys, monkeypatch, jobs):
 
 
 def test_worker_dying_mid_batch_reports_every_claim(capsys, monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
+    if not hasattr(os, "fork"):
         pytest.skip("the patched claim table reaches workers only through fork")
     if (os.cpu_count() or 1) < 2:
         pytest.skip("needs as many CPUs as workers")
@@ -697,12 +707,149 @@ def test_worker_dying_mid_batch_reports_every_claim(capsys, monkeypatch):
     records = [json.loads(line) for line in out.splitlines()]
     want = cli.suite_claims("dims", RunConfig(max_n=2, max_entry=3))
     assert sorted(r["claim"] for r in records) == sorted(cli.claim_id(*c) for c in want)
-    # the planted claim's |A| = 4 batch is rerun alone and breaks its pool
-    # again; every other batch comes back from a fresh pool and passes
+    # the planted claim's |A| = 4 batch is rerun alone and its worker dies
+    # again; every other batch comes back from a live worker and passes
     batch = {cli.claim_id(*c) for c in want if sum(c[1][0]) == 4}
     assert batch == {"dims[(1, 3)]", "dims[(2, 2)]"}
     for r in records:
         assert r["status"] == ("error" if r["claim"] in batch else "pass"), r
+
+
+def _pool_needed():
+    if not hasattr(os, "fork") or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs os.fork and as many CPUs as workers")
+
+
+def _run_pool(suite: str, cfg: RunConfig) -> list[dict]:
+    """``run_suite(suite, cfg)``, failing with TimeoutError if the pool hangs."""
+    def overdue(signum, frame):
+        raise TimeoutError("the pool did not finish")
+
+    old = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(60)
+    try:
+        return run_suite(suite, cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _plant_dims(monkeypatch, plant):
+    """Run ``plant(a, record fields)`` in the dims check; it may act or replace them."""
+    anchor, suite, real, params = cli.CLAIM_KINDS["dims"]
+    check = lambda cfg, claim, a: plant(a, real(cfg, claim, a))
+    monkeypatch.setitem(cli.CLAIM_KINDS, "dims", (anchor, suite, check, params))
+
+
+# the |A| = 4 batch of the dims claims at --max-n 2 --max-entry 3
+DIMS_BATCH_4 = {"dims[(1, 3)]", "dims[(2, 2)]"}
+
+
+def test_a_worker_killed_mid_batch_costs_only_its_batch(monkeypatch):
+    _pool_needed()
+
+    def kill_on_2_2(a, fields):
+        if a == (2, 2):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fields
+
+    _plant_dims(monkeypatch, kill_on_2_2)
+    records = _run_pool("dims", RunConfig(max_n=2, max_entry=3, jobs=2))
+    assert len(records) == len(cli.suite_claims("dims", RunConfig(max_n=2, max_entry=3)))
+    killed = f"RuntimeError: its worker was killed by signal {int(signal.SIGKILL)}"
+    for r in records:
+        assert r["status"] == ("error" if r["claim"] in DIMS_BATCH_4 else "pass"), r
+        if r["claim"] in DIMS_BATCH_4:
+            assert r["got"] == killed
+    _assert_no_child_left()
+
+
+def test_no_worker_outlives_a_pool_run():
+    _pool_needed()
+    records = _run_pool("dims", RunConfig(max_n=2, max_entry=3, jobs=2))
+    assert {r["status"] for r in records} == {"pass"}
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("planted", [RuntimeError, KeyboardInterrupt])
+def test_no_worker_outlives_a_raising_parent(monkeypatch, planted):
+    _pool_needed()
+    real_select, calls = cli.select.select, []
+
+    def select_then_raise(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise planted("planted")
+        return real_select(*args)
+
+    monkeypatch.setattr(cli.select, "select", select_then_raise)
+    with pytest.raises(planted, match="planted"):
+        _run_pool("dims", RunConfig(max_n=2, max_entry=3, jobs=2))
+    _assert_no_child_left()
+
+
+def test_records_marshal_cannot_carry_fail_only_their_batch(monkeypatch):
+    _pool_needed()
+
+    def fraction_on_2_2(a, fields):  # a Fraction is not a marshal type
+        inputs, expected, got, shift, ok = fields
+        return inputs, expected, Fraction(got) if a == (2, 2) else got, shift, ok
+
+    _plant_dims(monkeypatch, fraction_on_2_2)
+    records = _run_pool("dims", RunConfig(max_n=2, max_entry=3, jobs=2))
+    for r in records:
+        assert r["status"] == ("error" if r["claim"] in DIMS_BATCH_4 else "pass"), r
+        if r["claim"] in DIMS_BATCH_4:
+            assert r["got"] == "ValueError: unmarshallable object"
+    _assert_no_child_left()
+
+
+def test_pool_records_equal_serial_records():
+    # as Python objects, tuples included, and not only once written as JSON
+    _pool_needed()
+    strip = lambda reports: [{k: v for k, v in r.items() if k != "ms"} for r in reports]
+    serial = strip(run_suite("all", RunConfig(max_n=3, max_entry=3)))
+    pooled = strip(_run_pool("all", RunConfig(max_n=3, max_entry=3, jobs=2)))
+    assert pooled == serial
+    assert repr(pooled) == repr(serial)
+
+
+def _run_python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter, stdout a buffered pipe."""
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_text_buffered_before_the_pool_is_written_once():
+    _pool_needed()
+    out = _run_python(
+        "import sys\n"
+        "from slfusion.cli import RunConfig, run_suite\n"
+        "sys.stdout.write('before the pool\\n')\n"
+        "run_suite('dims', RunConfig(max_n=2, max_entry=2, jobs=2))\n"
+    )
+    assert out == "before the pool\n"
+
+
+def test_the_pool_loads_no_executor_module():
+    _pool_needed()
+    out = _run_python(
+        "import sys\n"
+        "from slfusion.cli import RunConfig, run_suite\n"
+        "assert run_suite('dims', RunConfig(max_n=2, max_entry=2, jobs=2))\n"
+        "print(*sorted(m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses')\n"
+        "              if m in sys.modules))\n"
+    )
+    assert out == "\n"
 
 
 def test_claim_batches_hold_each_claim_once():
