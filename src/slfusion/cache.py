@@ -34,8 +34,9 @@ from collections.abc import Iterator
 from math import gcd
 from pathlib import Path
 
+from slfusion import modules
 from slfusion.linalg import IntegrityError, enumerate_monomials
-from slfusion.modules import _MODULE_CACHE, FusionModule, fusion_module, validate_composition
+from slfusion.modules import FusionModule, fusion_module, validate_composition
 
 FORMAT_VERSION = 3
 # every current-format file name starts so; ``stored_labels`` globs only these
@@ -154,11 +155,11 @@ class ModuleCache:
         """The memoized module, else a load from disk, else a build; a
         missing or rejected file is stored over, memo hit or not."""
         a = validate_composition(a)
-        mod = _MODULE_CACHE.get(a)
+        mod = modules._MODULE_CACHE.get(a)
         if mod is None:
             mod = self.load(a)
             if mod is not None:
-                _MODULE_CACHE[a] = mod
+                modules._MODULE_CACHE[a] = mod
                 return mod
             mod = fusion_module(a)
         elif (data := _payload(self.path_for(a))) is not None and tuple(data["a"]) == a:

@@ -330,16 +330,7 @@ class FusionModule:
     """The bigraded quotient C[e_0..e_{n-1}] / I_A with exact normal forms."""
 
     def __init__(self, a, _piece_rows=None):
-        self.a = validate_composition(a)
-        self.n = len(self.a)
-        self.kmax = sum(x - 1 for x in self.a)
-        self.lowest_h0 = -self.kmax
-        # bidegree -> quotient basis monomials, positive dimension only
-        self.pieces: dict[tuple[int, int], list[tuple]] = {}
-        # monomial -> (bidegree, entries, den), nonzero only; see normal_form
-        self._nf: dict[tuple, tuple] = {}
-        # (j, k, s) -> images of the piece basis under e_j, see ``action``
-        self._actions: dict[tuple, tuple] = {}
+        self._empty(validate_composition(a))
         if _piece_rows is None:
             self._build()
         else:
@@ -352,6 +343,24 @@ class FusionModule:
                 f"product formula gives {expected}; character "
                 f"{self.character().poly_str()}"
             )
+
+    def _empty(self, a: tuple) -> None:
+        """Set every field for label ``a``, with no pieces yet."""
+        self.a = a
+        self.n = len(a)
+        self.kmax = sum(x - 1 for x in a)
+        self.lowest_h0 = -self.kmax
+        self.total_dim = 0
+        # bidegree -> quotient basis monomials, positive dimension only
+        self.pieces: dict[tuple[int, int], list[tuple]] = {}
+        # monomial -> (bidegree, entries, den), nonzero only; see normal_form
+        self._nf: dict[tuple, tuple] = {}
+        # (j, k, s) -> images of the piece basis under e_j, see ``action``
+        self._actions: dict[tuple, tuple] = {}
+        # (i, j) -> the move map from this module, see ``submodule_S``
+        self._maps: dict[tuple, object] = {}
+        # padded second factor -> tensor-merge report, see ``verify_tensor_embedding``
+        self._merges: dict[tuple, dict] = {}
 
     def _build(self) -> None:
         n = self.n
@@ -680,8 +689,7 @@ def label_module(label) -> FusionModule:
     if all(label):
         return fusion_module(tuple(sorted(label)))
     mod = FusionModule.__new__(FusionModule)
-    mod.a, mod.n, mod.total_dim = label, len(label), 0
-    mod.pieces, mod._nf, mod._actions = {}, {}, {}
+    mod._empty(label)
     return mod
 
 
@@ -992,30 +1000,29 @@ def verify_demazure(a) -> dict:
     }
 
 
-_MERGE_CACHE: dict[tuple, dict] = {}
-
-
 def verify_tensor_embedding(a, b) -> dict:
     """Diagonal span of v_A (x) v_B against the merged-composition module.
 
     B is padded with leading 1 entries to the length of A; the merged label
     adds the tuples entrywise and subtracts 1 in every slot.  The report is
-    memoized per (A, padded B): B and (1,) + B name the same computation.
+    memoized on M^A per padded B (``_merges``): B and (1,) + B name the
+    same computation.
     """
     a = validate_composition(a, allow_empty=False)
     b = validate_composition(b, allow_empty=False)
     if len(b) > len(a):
         raise ValueError("second factor must not be longer than the first")
     bpad = (1,) * (len(a) - len(b)) + b
-    rep = _MERGE_CACHE.get((a, bpad))
+    ma = fusion_module(a)
+    rep = ma._merges.get(bpad)
     if rep is None:
         c = tuple(x + y - 1 for x, y in zip(a, bpad))
-        t = TensorModule([fusion_module(a), fusion_module(bpad)])
+        t = TensorModule([ma, fusion_module(bpad)])
         ops = [t.op_diag(j) for j in range(len(a))]
         span = cyclic_span(t, ops, [t.cyclic_tensor()], max_dim=10 * prod(c))
         mc = fusion_module(c)
         ok, shift = match_characters(span.character(), mc.character(), reindex=0)
-        rep = _MERGE_CACHE[(a, bpad)] = {
+        rep = ma._merges[bpad] = {
             "ok": ok and span.dim == mc.total_dim,
             "merged": c,
             "span_dim": span.dim,

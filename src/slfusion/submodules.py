@@ -163,21 +163,20 @@ class QuotientMap:
         return self.kernel().character()
 
 
-_MAP_CACHE: dict[tuple, QuotientMap] = {}
-
-
 def submodule_S(a, i: int, j: int | None = None) -> QuotientMap:
     """S_{i,j}(A): the kernel of the move surjection (default j = i+1).
 
-    Memoized per move, as ``fusion_module`` memoizes modules: a map is
-    immutable once built, and no caller edits its kernel.  A memoized map
-    whose source is no longer the memoized module of A is built again, so
-    its kernel stays comparable with subspaces of ``fusion_module(a)``.
+    Memoized per move on its source ``fusion_module(a)`` (``_maps``), as
+    the module memoizes its action tables: a map is immutable once built,
+    and no caller edits its kernel.  So the kernel is always a subspace of
+    ``fusion_module(a)``.
     """
-    key = (validate_composition(a, allow_empty=False), i, i + 1 if j is None else j)
-    qmap = _MAP_CACHE.get(key)
-    if qmap is None or qmap.source is not fusion_module(key[0]):
-        qmap = _MAP_CACHE[key] = QuotientMap(*key)
+    a = validate_composition(a, allow_empty=False)
+    move = (i, i + 1 if j is None else j)
+    maps = fusion_module(a)._maps
+    qmap = maps.get(move)
+    if qmap is None:
+        qmap = maps[move] = QuotientMap(a, *move)
     return qmap
 
 

@@ -365,14 +365,13 @@ def test_run_suite_reports_sorted():
 
 
 def test_records_do_not_depend_on_claim_order(monkeypatch):
-    # the move-map and tensor-merge memos fill up in claim order; run from
-    # empty memos with the claims reversed, every record must come out the
-    # same apart from ms
+    # a module's move-map and tensor-merge memos fill up in claim order; run
+    # from fresh modules with the claims reversed, every record must come
+    # out the same apart from ms
     cfg = RunConfig(max_n=3, max_entry=3)
 
     def records():
-        monkeypatch.setattr(submodules, "_MAP_CACHE", {})
-        monkeypatch.setattr(modules, "_MERGE_CACHE", {})
+        monkeypatch.setattr(modules, "_MODULE_CACHE", {})
         return [{k: v for k, v in r.items() if k != "ms"} for r in run_suite("all", cfg)]
 
     forward = records()
@@ -496,8 +495,6 @@ def _planted_record(monkeypatch, kind, params, plant):
     assert params in cli.CLAIM_KINDS[kind][3](cfg)
     assert cli.run_claim(kind, params, cfg)["status"] == "pass"
     monkeypatch.setattr(modules, "_MODULE_CACHE", {})
-    monkeypatch.setattr(submodules, "_MAP_CACHE", {})
-    monkeypatch.setattr(modules, "_MERGE_CACHE", {})
     _clear_dual_memos()
     try:
         plant(monkeypatch)
@@ -769,6 +766,23 @@ def test_a_worker_killed_mid_batch_costs_only_its_batch(monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_batch_whose_first_worker_died_passes_on_its_rerun(monkeypatch, tmp_path):
+    _pool_needed()
+    flag = tmp_path / "died-once"
+
+    def exit_once_on_2_2(a, fields):
+        if a == (2, 2) and not flag.exists():
+            flag.touch()
+            os._exit(1)
+        return fields
+
+    _plant_dims(monkeypatch, exit_once_on_2_2)
+    records = _run_pool("dims", RunConfig(max_n=2, max_entry=3, jobs=2))
+    assert flag.exists()
+    assert [r["status"] for r in records] == ["pass"] * 9
+    _assert_no_child_left()
+
+
 def test_no_worker_outlives_a_pool_run():
     _pool_needed()
     records = _run_pool("dims", RunConfig(max_n=2, max_entry=3, jobs=2))
@@ -922,6 +936,19 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.character() == mod.character()
     fresh = FusionModule((2, 3))
     assert loaded.character() == fresh.character()
+
+
+def test_replaced_module_memo_is_the_one_memo(monkeypatch, tmp_path):
+    # the disk cache and the move maps read the memo through the module,
+    # so once it is replaced they all hand out the new memo's module
+    a = (2, 3)
+    old = modules.fusion_module(a)
+    old_map = submodules.submodule_S(a, 1)
+    monkeypatch.setattr(modules, "_MODULE_CACHE", {})
+    got = ModuleCache(tmp_path).get(a)
+    qmap = submodules.submodule_S(a, 1)
+    assert got is modules.fusion_module(a) is qmap.source
+    assert got is not old and qmap is not old_map
 
 
 def test_cache_version_mismatch_rebuilds(tmp_path):

@@ -386,15 +386,19 @@ def _planted_expansions():
     return [real, wrong_constant, wrong_power, doubled_coefficient, dropped_term, extra_binomial]
 
 
-def test_chart_sampler_matches_fraction_route():
-    # the integer sampler and the Fraction sampler fail at the same
-    # (field, point) pairs, planted or not
-    for n in range(2, 6):
-        for plant in _planted_expansions():
-            got = geometry._chart_change_failures(n, 6, 40 + n, plant, "field")
+def test_chart_sampler_matches_fraction_route(monkeypatch):
+    # the integer sampler on the transition matrix and the Fraction sampler
+    # on the expansion fail at the same (field, point) pairs, planted or not
+    plants = _planted_expansions()
+    real = plants[0]
+    for plant in plants:
+        monkeypatch.setattr(geometry, "chart_change_terms", plant)
+        for n in range(2, 6):
+            mat = transition_matrix(n)
+            got = geometry._chart_change_failures(n, 6, 40 + n, mat, "field")
             want = chart_change_failures_reference(n, 6, 40 + n, plant, "field")
             assert got == want, (n, plant.__name__)
-            assert bool(got) == (plant is not geometry.chart_change_terms)
+            assert bool(got) == (plant is not real)
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ from slfusion.modules import (
     verify_demazure,
     verify_tensor_embedding,
 )
-from slfusion.submodules import move_composition
+from slfusion.submodules import move_composition, submodule_S
 
 
 def gens_at_degree(a, k):
@@ -734,6 +734,15 @@ def test_label_module_names_every_label():
     assert zero.normal_form((1, 0)) is None
     assert label_module((2, 0)) is not zero
     assert label_character((2, 0)) == GradedCharacter({})
+
+
+def test_zero_module_has_every_field_of_a_built_module():
+    # the zero module is set up by the code path a build starts from, so
+    # it carries the same fields: kmax, lowest_h0 and the memos among them
+    zero = label_module((2, 0))
+    assert vars(zero).keys() == vars(fusion_module((2, 3))).keys()
+    target = submodule_S((1, 2), 1).target
+    assert target.a == (0, 3) and target.kmax == 1 and target.lowest_h0 == -1
 
 
 def test_match_characters_shift_and_reindex():

@@ -291,10 +291,9 @@ GRID = [a for n in range(1, 5) for a in combinations_with_replacement(range(1, 5
 def test_cyclic_span_matches_reference(monkeypatch):
     """Every span the claims take on the n <= 4, entries <= 4 grid equals
     the breadth-first reference span."""
-    # empty memos, so that every distinct span is taken here: tg[a, b] and
-    # tg[a, (1,) + b] share one
-    monkeypatch.setattr(submodules, "_MAP_CACHE", {})
-    monkeypatch.setattr(modules, "_MERGE_CACHE", {})
+    # fresh modules, whose move-map and merge memos are empty, so that every
+    # distinct span is taken here: tg[a, b] and tg[a, (1,) + b] share one
+    monkeypatch.setattr(modules, "_MODULE_CACHE", {})
     real = modules.cyclic_span
     seen = {}
 
