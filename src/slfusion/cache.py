@@ -11,8 +11,11 @@ normal forms (``FusionModule.ideal_part``).  A bidegree with no entry is
 wholly in the ideal, in the file as in ``FusionModule.pieces``; the store
 never writes an entry with no free column.  A load skips the elimination:
 ``stored_pieces`` checks the layout and hands the module the
-``ideal_part`` form, and the module checks the dimension, the zero band and
-that every generator of I_A reduces to zero (not closure under the e_j).
+``ideal_part`` form, and the module checks the dimension, the zero band,
+the sl2 symmetry of the character (dim(k, s) = dim(N - k, s)) and that
+every generator of I_A reduces to zero (not closure under the e_j).  So a
+load is certified for symmetry too: a free column moved between two
+pieces of one degree keeps the layout and the total, not the symmetry.
 Any fault in a current-format file of the label, the layout included,
 raises ``IntegrityError``.  A file that is not JSON, not an object, of
 another version, or whose ``a`` is not a nondecreasing list of positive

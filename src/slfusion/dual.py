@@ -26,6 +26,21 @@ spaces are memoized per (A, s) by ``_dual_space``, which the dimension table,
 the oracle character and the ring components all read, so each space is
 solved once while it stays in the memo.
 
+M^A is a graded sl2 ⊗ C[t]-module (Feigin and Loktev, math/9812093): each
+t-degree piece is a finite-dimensional sl2-module in which e-degree k has
+weight 2k - N, with N = sum(a_i - 1).  So its character is symmetric,
+dim(k, q) = dim(N - k, q), and in the coordinates here the slice (s, d)
+has the dimension of (N - s, d + (N - 2s)(n - 1)).  The dimension table
+solves only the spaces with s <= N/2 and writes the rest from their
+mirrors; the restriction rule is untouched, since it reads only s - 1.
+The cross-check keeps its strength: comparing the whole built character
+with the oracle compares the lower half of the build with solved spaces,
+and its upper half with the mirror of its own lower half, which the build
+does not impose.  All that is given up is an independent solve of the
+upper half, which the tests keep.  The ring still solves every upper-half
+space its products reach, so its generation check compares the mirrored
+dimensions with solved spans.
+
 The shuffle product sums f(z_S) g(z_T) over the splittings of the variables
 into an s_1-set S and an s_2-set T, each in its order; it makes the direct
 sum of the duals over the stretched labels A(k) into a commutative graded
@@ -438,11 +453,18 @@ def coordinate_ring_component(a, k: int) -> dict:
 
 
 def dual_dimension_table(a) -> dict:
-    """(s, degree) -> dimension over the whole dual realization of A."""
+    """(s, degree) -> dimension over the whole dual realization of A.
+
+    Only the spaces with s <= N/2 are solved: for s > N/2 the slice (s, d)
+    is the mirror of the solved slice (N - s, d - (2s - N)(n - 1)), by the
+    sl2 rule of the module docstring.  Keys ascend in (s, d).
+    """
     a = validate_composition(a)
+    n, top = len(a), sum(x - 1 for x in a)
     table: dict = {}
-    for s in range(sum(x - 1 for x in a) + 1):
-        space = _dual_space(a, s)
+    for s in range(top + 1):
+        t = min(s, top - s)  # s itself, or the solved mirror of s
+        space = _dual_space(a, t)
         for d in sorted(space.by_degree):
-            table[(s, d)] = space.dim_degree(d)
+            table[(s, d + (s - t) * (n - 1))] = space.dim_degree(d)
     return table

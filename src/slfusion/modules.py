@@ -11,7 +11,13 @@ m < N_A(k) = sum_j max(0, k+1-a_j).  Such a coefficient is bihomogeneous of
 degree k and weight k(n-1) - m, so the relations kill the top weight band of
 each degree.  The quotient has dimension prod(a_i); construction certifies
 this and also certifies that one full degree band beyond sum(a_i - 1) is
-zero, which makes the degree truncation of the generator list safe.
+zero, which makes the degree truncation of the generator list safe.  M^A
+is a graded sl2 (x) C[t]-module (Feigin and Loktev, math/9812093), e-degree
+k of weight 2k - N with N = sum(a_i - 1), so every module, built or loaded
+from the cache, must also pass an sl2-symmetry gate: dim(k, s) =
+dim(N - k, s) at every bidegree.  The build does not impose the symmetry,
+so the gate is a check, and on a load it certifies the stored pieces
+beyond their layout and their count.
 
 The ideal is built degree by degree: its degree-k part is spanned by e_j
 times its degree k-1 part plus the degree-k generators.  Almost all of it is
@@ -343,6 +349,17 @@ class FusionModule:
                 f"product formula gives {expected}; character "
                 f"{self.character().poly_str()}"
             )
+        # M^A is a graded sl2 (x) C[t]-module: dim(k, s) = dim(kmax - k, s).
+        # An asymmetric bidegree without a piece has a mirror with one
+        asym = [
+            (k, s) for k, s in self.pieces if self.dim_piece(k, s) != self.dim_piece(self.kmax - k, s)
+        ]
+        if asym:
+            k, s = min((min(k, self.kmax - k), s) for k, s in asym)
+            raise IntegrityError(
+                f"character of {self.a} is not sl2-symmetric: dim {self.dim_piece(k, s)} "
+                f"at {(k, s)}, dim {self.dim_piece(self.kmax - k, s)} at {(self.kmax - k, s)}"
+            )
 
     def _empty(self, a: tuple) -> None:
         """Set every field for label ``a``, with no pieces yet."""
@@ -444,8 +461,8 @@ class FusionModule:
         ``pieces`` yields ``((k, s), free, rows)`` in the form ``ideal_part``
         returns, one bidegree with a piece at a time; ``slfusion.cache``
         reads and checks the file layout before a piece reaches here.  Each
-        goes through ``_add_piece``.  Beyond the dimension and zero-band
-        gates every generator of I_A must reduce to zero
+        goes through ``_add_piece``.  Beyond the dimension, zero-band and
+        sl2-symmetry gates every generator of I_A must reduce to zero
         (``surviving_generator``), a partial certificate: closure under the
         e_j is not checked (a naive check costs over twenty times as much).
         """

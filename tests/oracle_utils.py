@@ -24,7 +24,8 @@ the explicitly written primed frame, the dual-number Jacobian) check the
 integer ones; the dual
 constraint rows are listed as the kernel reads them, for the test that pins
 them against a scan of the whole basis; the dual spaces are solved at every
-degree, without the restriction rule's skip; a symmetric polynomial is
+degree, without the restriction rule's skip, and the dual dimension table
+at every variable count, without the sl2 mirror; a symmetric polynomial is
 tested against the dual constraints row by row (``satisfies_constraints``),
 where the ring tests it against the solved span; and
 the shuffle product is checked against the expanding route, which writes both
@@ -39,6 +40,7 @@ from random import Random
 from slfusion.dual import (
     SymPoly,
     _degree_row,
+    _dual_space,
     _exponents,
     _SliceRows,
     partitions_bounded,
@@ -888,6 +890,18 @@ def dual_by_degree_reference(a: tuple, s: int) -> dict:
         if kern:
             by_degree[d] = {"basis": basis, "solutions": kern}
     return by_degree
+
+
+def dual_dimension_table_unmirrored(a) -> dict:
+    """``dual_dimension_table(a)`` with every variable count solved, the
+    upper half included, where the table mirrors s > N/2 from its lower half."""
+    a = validate_composition(a)
+    table = {}
+    for s in range(sum(x - 1 for x in a) + 1):
+        space = _dual_space(a, s)
+        for d in sorted(space.by_degree):
+            table[(s, d)] = space.dim_degree(d)
+    return table
 
 
 def _distinct_permutations(values: tuple):

@@ -1035,6 +1035,30 @@ def test_cache_load_rejects_bad_rows(tmp_path, plant, match):
         cache.load(PLANT_LABEL)
 
 
+def test_cache_load_rejects_an_asymmetric_character(tmp_path, monkeypatch):
+    # the free column of (2, 5, 5) at (5, 0) moved into (5, 4): the layout,
+    # the total 50, the zero band and the generator certificate all hold,
+    # so only the sl2-symmetry gate sees the wrong character
+    a = (2, 5, 5)
+    cache = ModuleCache(tmp_path)
+    cache.get(a)
+    path = cache.path_for(a)
+    data = json.loads(path.read_text())
+    moved, into = (next(p for p in data["pieces"] if p[:2] == ks) for ks in ([5, 0], [5, 4]))
+    assert moved[2:] == [[0], []] and into[2:] == [[1, 2], []]
+    into[2].insert(0, moved[2].pop(0))
+    data["pieces"].remove(moved)
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(modules, "_MODULE_CACHE", {})
+    match = r"\(2, 5, 5\) is not sl2-symmetric: dim 1 at \(4, 0\), dim 0 at \(5, 0\)"
+    with pytest.raises(IntegrityError, match=match):
+        cache.load(a)
+    record = cli.run_claim("dims", (a,), RunConfig(cache_dir=tmp_path))
+    assert record["status"] == "fail" and record["integrity"]
+    assert re.search(match, record["got"])
+    assert path.read_text() == json.dumps(data)  # not written over
+
+
 def _repeat_plant_piece(data, first):
     # the plant piece twice; ``first`` goes in ahead of the true entry
     piece = next(p for p in data["pieces"] if tuple(p[:2]) == PLANT_PIECE)

@@ -15,13 +15,14 @@ except ImportError:  # optional test dependency: the seeded checks still run
 from oracle_utils import (
     constraint_rows,
     dual_by_degree_reference,
+    dual_dimension_table_unmirrored,
     expand,
     from_monomials,
     satisfies_constraints,
     shuffle_reference,
 )
 
-from slfusion import cli, dual
+from slfusion import cli, dual, modules
 from slfusion.dual import (
     DualSpace,
     SymPoly,
@@ -32,7 +33,8 @@ from slfusion.dual import (
     shuffle_product,
     stretched_label,
 )
-from slfusion.modules import fusion_module, relation_exponent
+from slfusion.linalg import IntegrityError
+from slfusion.modules import FusionModule, fusion_module, relation_exponent
 
 
 def test_partitions_bounded():
@@ -113,13 +115,51 @@ def test_each_space_is_solved_once(monkeypatch, empty_memo):
     for a in [(2, 2), (2, 3, 4), (3, 3)]:
         assert oracle_character(a) == fusion_module(a).character()
         dual_dimension_table(a)
-    # the ring reads the (3, 3) table and the (2, 2) degree-one spaces again
+    # the tables solve only s <= N/2 and mirror the rest
+    halves = {(a, s) for a in [(2, 2), (2, 3, 4), (3, 3)] for s in range(sum(x - 1 for x in a) // 2 + 1)}
+    assert set(solved) == halves
+    # the ring reads the (3, 3) table, the (2, 2) degree-one spaces at every
+    # s, and the (3, 3) spaces its products reach, the upper half included
     assert coordinate_ring_component((2, 2), 2)["generated"]
     assert DualSpace((2, 3, 4), 3).by_degree == dual._dual_space((2, 3, 4), 3).by_degree
     # only the standalone space is solved a second time
     assert len(solved) == len(set(solved)) + 1
-    assert set(solved) == {(a, s) for a in [(2, 2), (2, 3, 4), (3, 3)]
-                           for s in range(sum(x - 1 for x in a) + 1)}
+    assert set(solved) == halves | {((2, 2), 2), ((3, 3), 3), ((3, 3), 4)}
+
+
+def test_mirrored_table_equals_the_unmirrored_solve():
+    # every space solved against the sl2 mirror of the lower half, key order
+    # included
+    for a in dual_grid() + [(4, 4, 4, 4, 4)]:
+        want = dual_dimension_table_unmirrored(a)
+        got = dual_dimension_table(a)
+        assert got == want and list(got) == list(want), a
+
+
+def test_upper_half_build_fault_is_caught(monkeypatch):
+    # one basis monomial moved between two pieces of one degree k > N/2
+    # keeps the dimension, and the oracle's upper half is the mirror of its
+    # lower half, not a solve; the symmetry gate and so the dual claim see it
+    a = (2, 3, 4)
+    built = fusion_module(a)
+    k = built.kmax // 2 + 1
+    src, dst = sorted(ks for ks in built.pieces if ks[0] == k)[:2]
+    real = FusionModule._build
+
+    def planted(self):
+        real(self)
+        if self.a == a:
+            self.pieces[dst] = self.pieces[dst] + self.pieces[src][-1:]
+            self.pieces[src] = self.pieces[src][:-1]
+            if not self.pieces[src]:
+                del self.pieces[src]
+
+    monkeypatch.setattr(FusionModule, "_build", planted)
+    with pytest.raises(IntegrityError, match=r"\(2, 3, 4\) is not sl2-symmetric"):
+        FusionModule(a)
+    monkeypatch.setattr(modules, "_MODULE_CACHE", {})
+    record = cli.run_claim("dual", (a,), cli.RunConfig())
+    assert record["status"] == "fail" and record["integrity"], record
 
 
 def test_planted_predecessor_fault_is_caught(monkeypatch, empty_memo):
@@ -144,7 +184,7 @@ def test_oracle_character_small():
 def test_oracle_equals_module_character():
     # two fully independent routes to the same bigraded table; the full
     # grid runs in the acceptance suite, the last three labels lie beyond it
-    for a in [(2,), (3,), (2, 2), (2, 3), (1, 2), (3, 3), (2, 3, 4),
+    for a in [(2,), (3,), (2, 2), (2, 3), (2, 4), (1, 2), (3, 3), (2, 3, 4),
               (2, 2, 4, 5), (3, 3, 4, 4), (4, 4, 4, 4)]:
         assert oracle_character(a) == fusion_module(a).character(), a
 
